@@ -83,8 +83,7 @@ fn worker(threads: usize) {
 
     let elapsed_ns = elapsed.as_nanos() as f64;
     let mut result = serde_json::Map::new();
-    let (f32_hits, f32_fallbacks) = alg.prefilter_counters();
-    let fields: [(&str, serde_json::Value); 13] = [
+    let fields: [(&str, serde_json::Value); 11] = [
         (
             "id",
             serde_json::json!(format!("stream_scaling/sfdm2_d{DIM}/threads/{threads}")),
@@ -108,8 +107,6 @@ fn worker(threads: usize) {
             serde_json::json!(alg.stored_elements() as f64),
         ),
         ("diversity", serde_json::json!(solution.diversity)),
-        ("f32_hits", serde_json::json!(f32_hits as f64)),
-        ("f32_fallbacks", serde_json::json!(f32_fallbacks as f64)),
     ];
     for (key, value) in fields {
         result.insert(key.to_string(), value);

@@ -1,5 +1,4 @@
-//! Runtime kernel dispatch: scalar reference, explicit SIMD, and a
-//! certified `f32` pre-filter for threshold tests.
+//! Runtime kernel dispatch: scalar reference and explicit SIMD.
 //!
 //! Every distance evaluation in this crate funnels through the scalar
 //! kernels in [`crate::metric::kernels`]. This module is the layer above
@@ -27,66 +26,22 @@
 //! # Selection
 //!
 //! The `FDM_KERNEL` environment variable picks the policy, read once on
-//! first use:
-//!
-//! | value | effect |
-//! |---|---|
-//! | `scalar` | scalar reference kernels, `f32` pre-filter off |
-//! | `simd` | SIMD when the architecture has it, scalar fallback otherwise |
-//! | `auto` (default, also any unrecognized value) | same as `simd` |
-//!
-//! `simd`/`auto` differ only in intent (`simd` documents that the operator
-//! expects the fast path); both fall back to scalar safely. The resolved
-//! backend is one relaxed atomic load per kernel call ([`active_kernel`]
-//! reports it for `STATS`).
-//!
-//! # The `f32` pre-filter
-//!
-//! Threshold tests (`proxy(a, b) ≥ bound`, the candidate acceptance test)
-//! do not need the exact proxy — only which side of the bound it falls on.
-//! For the additive Lp proxies (squared L2 and L1) this module offers a
-//! reduced-precision path: evaluate the proxy over packed `f32` mirrors of
-//! the rows (half the memory traffic, twice the vector lanes) and compare
-//! against the bound with a **certified error margin**. Writing `p32` for
-//! the `f32` result and `E = base + slope · p32` for the margin from
-//! [`f32_error_coefficients`], the true `f64` proxy provably lies within
-//! `p32 ± E`, so
-//!
-//! * `p32 − E ≥ bound` certifies the answer **true**,
-//! * `p32 + E < bound` certifies the answer **false**,
-//! * anything inside the band re-runs the exact `f64` kernel.
-//!
-//! Decisions are therefore *exactly* those of the `f64` kernels — the
-//! pre-filter can only change costs, never an answer. The margin is
-//! derived from the maximum coordinate magnitude the
-//! [`PointStore`](crate::point::PointStore) mirror tracks (an upper bound
-//! on the data's `DistanceBounds` geometry) and standard floating-point
-//! error analysis; `tests/kernel_parity.rs` proves empirically that the
-//! band always contains the exact value and that boundary cases take the
-//! exact path (visible through the mirror's fallback counter).
-//!
-//! The pre-filter is **opt-in** (`FDM_PREFILTER=1`, requires a non-scalar
-//! backend), because on the ladder's arrival path it usually loses: the
-//! per-arrival proxy cache already evaluates the exact kernel once per
-//! `(arrival, row)` pair and answers every repeated test from a cached
-//! slot, so the pre-filter's per-test interval checks add work to probes
-//! that were effectively free. It pays off only where threshold tests are
-//! *not* amortized by a cache — measured end-to-end numbers live in
-//! `docs/performance.md`.
+//! first use: `scalar` forces the reference kernels; `auto` (the default,
+//! and any other value) uses the best backend the architecture offers. The
+//! resolved backend is one relaxed atomic load per kernel call
+//! ([`active_kernel`] reports it for `STATS`).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-use crate::metric::{kernels, Metric};
+use crate::metric::kernels;
 
 pub mod simd;
 
 /// Kernel selection policy (the parsed `FDM_KERNEL` value).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelMode {
-    /// Scalar reference kernels only; the `f32` pre-filter is disabled.
+    /// Scalar reference kernels only.
     Scalar,
-    /// Prefer SIMD; identical to [`KernelMode::Auto`] after resolution.
-    Simd,
     /// Use the best backend the architecture offers (the default).
     Auto,
 }
@@ -104,7 +59,6 @@ const LEVEL_AVX2: u8 = 3;
 fn parse_mode(raw: Option<&str>) -> KernelMode {
     match raw.map(str::trim) {
         Some(s) if s.eq_ignore_ascii_case("scalar") => KernelMode::Scalar,
-        Some(s) if s.eq_ignore_ascii_case("simd") => KernelMode::Simd,
         // `auto`, unset, and unrecognized values all mean "best available";
         // a typo must never silently force the slow path in production.
         _ => KernelMode::Auto,
@@ -114,7 +68,7 @@ fn parse_mode(raw: Option<&str>) -> KernelMode {
 fn resolve_level(mode: KernelMode) -> u8 {
     match mode {
         KernelMode::Scalar => LEVEL_SCALAR,
-        KernelMode::Simd | KernelMode::Auto => {
+        KernelMode::Auto => {
             #[cfg(target_arch = "x86_64")]
             {
                 if std::arch::is_x86_feature_detected!("avx2") {
@@ -169,58 +123,6 @@ pub fn force_mode(mode: Option<KernelMode>) {
         Some(mode) => ACTIVE.store(resolve_level(mode), Ordering::Relaxed),
         None => ACTIVE.store(0, Ordering::Relaxed),
     }
-}
-
-/// Cached `FDM_PREFILTER` policy: 0 = uninitialized, 1 = off, 2 = on.
-static PREFILTER: AtomicU8 = AtomicU8::new(0);
-
-const PREFILTER_OFF: u8 = 1;
-const PREFILTER_ON: u8 = 2;
-
-fn parse_prefilter(raw: Option<&str>) -> u8 {
-    match raw.map(str::trim) {
-        Some(s)
-            if s == "1"
-                || s.eq_ignore_ascii_case("on")
-                || s.eq_ignore_ascii_case("true")
-                || s.eq_ignore_ascii_case("yes") =>
-        {
-            PREFILTER_ON
-        }
-        // Unset and everything else mean off: the pre-filter only helps
-        // workloads whose threshold tests are not already amortized by the
-        // arrival cache, so it must be a deliberate choice.
-        _ => PREFILTER_OFF,
-    }
-}
-
-#[cold]
-fn init_prefilter() -> u8 {
-    let policy = parse_prefilter(std::env::var("FDM_PREFILTER").ok().as_deref());
-    PREFILTER.store(policy, Ordering::Relaxed);
-    policy
-}
-
-#[inline]
-fn prefilter_policy() -> u8 {
-    let policy = PREFILTER.load(Ordering::Relaxed);
-    if policy != 0 {
-        policy
-    } else {
-        init_prefilter()
-    }
-}
-
-/// Overrides (or with `None`, re-resolves from the environment) the cached
-/// `FDM_PREFILTER` policy. Test-only plumbing, like [`force_mode`].
-#[doc(hidden)]
-pub fn force_prefilter(on: Option<bool>) {
-    let policy = match on {
-        Some(true) => PREFILTER_ON,
-        Some(false) => PREFILTER_OFF,
-        None => 0,
-    };
-    PREFILTER.store(policy, Ordering::Relaxed);
 }
 
 macro_rules! dispatch2 {
@@ -305,186 +207,15 @@ pub fn sum_abs_diff_at_least(a: &[f64], b: &[f64], bound: f64) -> bool {
     kernels::sum_abs_diff_at_least(a, b, bound)
 }
 
-// ---------------------------------------------------------------------------
-// f32 pre-filter
-// ---------------------------------------------------------------------------
-
-/// Which additive proxy the `f32` pre-filter evaluates for a metric.
-///
-/// Only the two Lp proxies whose terms are non-negative sums qualify;
-/// Chebyshev is already a single-pass max (nothing to pre-filter), general
-/// Minkowski is dominated by `powf`, and the Angular proxy divides by norms
-/// (a ratio has no simple additive error envelope).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrefilterKind {
-    /// Squared Euclidean distance (`Euclidean`, `Minkowski(2)`).
-    SumSq,
-    /// L1 distance (`Manhattan`, `Minkowski(1)`).
-    SumAbs,
-}
-
-/// The pre-filter proxy for `metric`, or `None` if the metric does not
-/// admit one.
-#[inline]
-pub fn prefilter_kind(metric: Metric) -> Option<PrefilterKind> {
-    match metric {
-        Metric::Euclidean => Some(PrefilterKind::SumSq),
-        Metric::Manhattan => Some(PrefilterKind::SumAbs),
-        Metric::Minkowski(2.0) => Some(PrefilterKind::SumSq),
-        Metric::Minkowski(1.0) => Some(PrefilterKind::SumAbs),
-        _ => None,
-    }
-}
-
-/// Whether the `f32` pre-filter should run for `metric` under the current
-/// policy: it must be opted into (`FDM_PREFILTER=1`) on top of a
-/// non-scalar backend (`FDM_KERNEL=scalar` turns it off so the scalar leg
-/// exercises pure reference arithmetic end to end), and the metric's proxy
-/// must admit a certified envelope.
-#[inline]
-pub fn prefilter_enabled(metric: Metric) -> bool {
-    prefilter_policy() == PREFILTER_ON
-        && active_level() != LEVEL_SCALAR
-        && prefilter_kind(metric).is_some()
-}
-
-/// `Σ (a_i − b_i)²` in `f32` — the pre-filter's cheap pass. Eight
-/// accumulator lanes; no identity with any `f64` kernel is required (or
-/// claimed), only the certified error envelope.
-pub fn sum_sq_diff_f32(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len().min(b.len());
-    let split8 = n - n % 8;
-    let mut acc = [0.0f32; 8];
-    let mut i = 0;
-    while i < split8 {
-        for lane in 0..8 {
-            let d = a[i + lane] - b[i + lane];
-            acc[lane] += d * d;
-        }
-        i += 8;
-    }
-    let mut total =
-        ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-    while i < n {
-        let d = a[i] - b[i];
-        total += d * d;
-        i += 1;
-    }
-    total
-}
-
-/// `Σ |a_i − b_i|` in `f32` (see [`sum_sq_diff_f32`]).
-pub fn sum_abs_diff_f32(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len().min(b.len());
-    let split8 = n - n % 8;
-    let mut acc = [0.0f32; 8];
-    let mut i = 0;
-    while i < split8 {
-        for lane in 0..8 {
-            acc[lane] += (a[i + lane] - b[i + lane]).abs();
-        }
-        i += 8;
-    }
-    let mut total =
-        ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-    while i < n {
-        total += (a[i] - b[i]).abs();
-        i += 1;
-    }
-    total
-}
-
-/// The `f32` proxy of `kind` between two packed `f32` rows, dispatched to
-/// the active SIMD backend when available (8 `f32` lanes per AVX2 vector —
-/// twice the `f64` kernels' element throughput, which is what makes the
-/// pre-filter cheaper than the exact kernel it screens for). Backends need
-/// not agree bit for bit: every backend's result stays inside the certified
-/// error envelope, which is the only property decisions rest on.
-#[inline]
-pub fn proxy_f32(kind: PrefilterKind, a: &[f32], b: &[f32]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let level = active_level();
-        if level >= LEVEL_SSE2 && a.len() == b.len() {
-            return match kind {
-                PrefilterKind::SumSq => simd::sum_sq_diff_f32_level(level, a, b),
-                PrefilterKind::SumAbs => simd::sum_abs_diff_f32_level(level, a, b),
-            };
-        }
-    }
-    match kind {
-        PrefilterKind::SumSq => sum_sq_diff_f32(a, b),
-        PrefilterKind::SumAbs => sum_abs_diff_f32(a, b),
-    }
-}
-
-/// Certified error envelope `(base, slope)` for the `f32` proxy of `kind`
-/// over `dim`-dimensional points whose coordinates are bounded by
-/// `max_abs` in magnitude: the exact `f64` proxy lies within
-/// `p32 ± (base + slope · p32)` of the `f32` result `p32`.
-///
-/// Derivation sketch (ε = [`f32::EPSILON`], `M = max_abs`, `n = dim`):
-/// each input conversion errs by ≤ εM; each difference then lies within
-/// `≈ 5εM` of the true difference, so each squared term errs by
-/// `≤ ≈ 26εM²` (respectively `≈ 8εM` for absolute terms), and `f32`
-/// summation of `n` non-negative terms adds `≤ ≈ 1.1·n·ε` relative error.
-/// The constants below double the worst case on both components, so the
-/// envelope is conservative by ≥ 2× — certified answers can never flip.
-#[inline]
-pub fn f32_error_coefficients(kind: PrefilterKind, dim: usize, max_abs: f64) -> (f64, f64) {
-    const EPS: f64 = f32::EPSILON as f64;
-    let n = dim as f64;
-    let slope = 4.0 * EPS * n;
-    let base = match kind {
-        PrefilterKind::SumSq => 64.0 * EPS * n * max_abs * max_abs,
-        PrefilterKind::SumAbs => 32.0 * EPS * n * max_abs,
-    };
-    (base, slope)
-}
-
-/// Decides `proxy ≥ bound` from the `f32` result `p32` with certified
-/// margin `err`, or `None` when the bound falls inside the uncertainty
-/// band (the caller must re-run the exact `f64` kernel).
-///
-/// Non-finite inputs (coordinate overflow during `f64 → f32` conversion
-/// makes `p32` infinite) always return `None`: the exact path is the only
-/// one that can answer.
-#[inline]
-pub fn certified_at_least(p32: f64, bound: f64, err: f64) -> Option<bool> {
-    if !(p32.is_finite() && err.is_finite()) {
-        return None;
-    }
-    if p32 - err >= bound {
-        Some(true)
-    } else if p32 + err < bound {
-        Some(false)
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn prefilter_parsing() {
-        assert_eq!(parse_prefilter(Some("1")), PREFILTER_ON);
-        assert_eq!(parse_prefilter(Some("on")), PREFILTER_ON);
-        assert_eq!(parse_prefilter(Some(" TRUE ")), PREFILTER_ON);
-        assert_eq!(parse_prefilter(Some("yes")), PREFILTER_ON);
-        assert_eq!(parse_prefilter(Some("0")), PREFILTER_OFF);
-        assert_eq!(parse_prefilter(Some("off")), PREFILTER_OFF);
-        assert_eq!(parse_prefilter(None), PREFILTER_OFF);
-    }
-
-    #[test]
     fn mode_parsing() {
         assert_eq!(parse_mode(Some("scalar")), KernelMode::Scalar);
         assert_eq!(parse_mode(Some("SCALAR")), KernelMode::Scalar);
-        assert_eq!(parse_mode(Some(" simd ")), KernelMode::Simd);
+        assert_eq!(parse_mode(Some(" simd ")), KernelMode::Auto);
         assert_eq!(parse_mode(Some("auto")), KernelMode::Auto);
         assert_eq!(parse_mode(Some("warp-drive")), KernelMode::Auto);
         assert_eq!(parse_mode(None), KernelMode::Auto);
@@ -500,104 +231,10 @@ mod tests {
     fn auto_mode_never_resolves_to_scalar_on_x86_64() {
         // SSE2 is baseline on x86_64, so auto always finds a SIMD backend.
         assert!(resolve_level(KernelMode::Auto) >= LEVEL_SSE2);
-        assert_eq!(
-            resolve_level(KernelMode::Auto),
-            resolve_level(KernelMode::Simd)
-        );
     }
 
     #[test]
     fn active_kernel_names_are_known() {
         assert!(["scalar", "sse2", "avx2"].contains(&active_kernel()));
-    }
-
-    #[test]
-    fn certified_decisions_respect_the_band() {
-        // Clearly above, clearly below, and inside the band.
-        assert_eq!(certified_at_least(10.0, 5.0, 1.0), Some(true));
-        assert_eq!(certified_at_least(3.0, 5.0, 1.0), Some(false));
-        assert_eq!(certified_at_least(5.5, 5.0, 1.0), None);
-        assert_eq!(certified_at_least(4.5, 5.0, 1.0), None);
-        // Exact boundary with nonzero margin is uncertain.
-        assert_eq!(certified_at_least(5.0, 5.0, 1.0), None);
-        // Non-finite values always fall back.
-        assert_eq!(certified_at_least(f64::INFINITY, 5.0, 1.0), None);
-        assert_eq!(certified_at_least(5.0, 5.0, f64::INFINITY), None);
-        assert_eq!(certified_at_least(f64::NAN, 5.0, 1.0), None);
-        // An unsatisfiable bound is certified false (p64 is finite).
-        assert_eq!(certified_at_least(5.0, f64::INFINITY, 1.0), Some(false));
-    }
-
-    #[test]
-    fn prefilter_kinds_cover_the_additive_lp_proxies() {
-        assert_eq!(
-            prefilter_kind(Metric::Euclidean),
-            Some(PrefilterKind::SumSq)
-        );
-        assert_eq!(
-            prefilter_kind(Metric::Minkowski(2.0)),
-            Some(PrefilterKind::SumSq)
-        );
-        assert_eq!(
-            prefilter_kind(Metric::Manhattan),
-            Some(PrefilterKind::SumAbs)
-        );
-        assert_eq!(
-            prefilter_kind(Metric::Minkowski(1.0)),
-            Some(PrefilterKind::SumAbs)
-        );
-        assert_eq!(prefilter_kind(Metric::Chebyshev), None);
-        assert_eq!(prefilter_kind(Metric::Minkowski(3.0)), None);
-        assert_eq!(prefilter_kind(Metric::Angular), None);
-    }
-
-    #[test]
-    fn f32_kernels_approximate_f64_within_the_envelope() {
-        // Deterministic pseudo-random rows; the envelope must contain the
-        // exact value (the property the decision rule's soundness rests on).
-        for dim in [1usize, 3, 8, 17, 64, 129, 256] {
-            let a64: Vec<f64> = (0..dim)
-                .map(|i| ((i * 37 + 11) as f64 * 0.713).sin() * 18.0)
-                .collect();
-            let b64: Vec<f64> = (0..dim)
-                .map(|i| ((i * 53 + 5) as f64 * 1.117).cos() * 18.0)
-                .collect();
-            let a32: Vec<f32> = a64.iter().map(|&x| x as f32).collect();
-            let b32: Vec<f32> = b64.iter().map(|&x| x as f32).collect();
-            let max_abs = a64.iter().chain(&b64).fold(0.0f64, |m, &x| m.max(x.abs()));
-            for kind in [PrefilterKind::SumSq, PrefilterKind::SumAbs] {
-                let exact = match kind {
-                    PrefilterKind::SumSq => kernels::sum_sq_diff(&a64, &b64),
-                    PrefilterKind::SumAbs => kernels::sum_abs_diff(&a64, &b64),
-                };
-                // Every f32 backend must stay inside the envelope — the
-                // backends need not agree with each other, only each be
-                // certified (different associations, same soundness).
-                let scalar32 = match kind {
-                    PrefilterKind::SumSq => sum_sq_diff_f32(&a32, &b32),
-                    PrefilterKind::SumAbs => sum_abs_diff_f32(&a32, &b32),
-                };
-                let (avx2, sse2) = match kind {
-                    PrefilterKind::SumSq => (
-                        simd::force_avx2_sum_sq_diff_f32(&a32, &b32),
-                        simd::force_sse2_sum_sq_diff_f32(&a32, &b32),
-                    ),
-                    PrefilterKind::SumAbs => (
-                        simd::force_avx2_sum_abs_diff_f32(&a32, &b32),
-                        simd::force_sse2_sum_abs_diff_f32(&a32, &b32),
-                    ),
-                };
-                let (base, slope) = f32_error_coefficients(kind, dim, max_abs);
-                for (backend, p32) in [("scalar", Some(scalar32)), ("avx2", avx2), ("sse2", sse2)] {
-                    let Some(p32) = p32 else { continue };
-                    let p32 = f64::from(p32);
-                    let err = base + slope * p32;
-                    assert!(
-                        (p32 - exact).abs() <= err,
-                        "{kind:?} dim {dim} {backend}: |{p32} - {exact}| > {err}"
-                    );
-                }
-            }
-        }
     }
 }

@@ -25,9 +25,8 @@
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) use x86::{
-    dot_level, max_abs_diff_level, norm_sq_level, sum_abs_diff_at_least_level,
-    sum_abs_diff_f32_level, sum_abs_diff_level, sum_sq_diff_at_least_level, sum_sq_diff_f32_level,
-    sum_sq_diff_level,
+    dot_level, max_abs_diff_level, norm_sq_level, sum_abs_diff_at_least_level, sum_abs_diff_level,
+    sum_sq_diff_at_least_level, sum_sq_diff_level,
 };
 
 /// Generates the public forced-backend wrappers used by the parity suite:
@@ -115,24 +114,6 @@ force_wrappers!(
     sum_abs_diff_at_least,
     (a: &[f64], b: &[f64], bound: f64) -> bool
 );
-force_wrappers!(
-    /// `Σ (a_i − b_i)²` in `f32` — the pre-filter kernel. No bit identity
-    /// with any other backend is claimed; every backend's result must stay
-    /// inside the certified error envelope (pinned by the parity suite).
-    force_avx2_sum_sq_diff_f32,
-    force_sse2_sum_sq_diff_f32,
-    sum_sq_diff_f32,
-    (a: &[f32], b: &[f32]) -> f32
-);
-force_wrappers!(
-    /// `Σ |a_i − b_i|` in `f32` — the pre-filter kernel (envelope-bound,
-    /// not bit-identical; see [`force_avx2_sum_sq_diff_f32`]).
-    force_avx2_sum_abs_diff_f32,
-    force_sse2_sum_abs_diff_f32,
-    sum_abs_diff_f32,
-    (a: &[f32], b: &[f32]) -> f32
-);
-
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::super::{LEVEL_AVX2, LEVEL_SSE2};
@@ -169,17 +150,6 @@ mod x86 {
         sum_abs_diff_at_least,
         (a: &[f64], b: &[f64], bound: f64) -> bool
     );
-    level_entry!(
-        sum_sq_diff_f32_level,
-        sum_sq_diff_f32,
-        (a: &[f32], b: &[f32]) -> f32
-    );
-    level_entry!(
-        sum_abs_diff_f32_level,
-        sum_abs_diff_f32,
-        (a: &[f32], b: &[f32]) -> f32
-    );
-
     /// The per-term operation, shared between ISAs by token: `sq` squares
     /// the difference, `abs` clears its sign bit (`andnot` with `-0.0`).
     macro_rules! term256 {
@@ -205,25 +175,6 @@ mod x86 {
         }};
         (abs, $d:expr) => {
             ($d).abs()
-        };
-    }
-
-    /// Single-precision twins of `term256!`/`term128!` for the pre-filter
-    /// kernels.
-    macro_rules! term256s {
-        (sq, $d:expr) => {
-            _mm256_mul_ps($d, $d)
-        };
-        (abs, $d:expr) => {
-            _mm256_andnot_ps(_mm256_set1_ps(-0.0), $d)
-        };
-    }
-    macro_rules! term128s {
-        (sq, $d:expr) => {
-            _mm_mul_ps($d, $d)
-        };
-        (abs, $d:expr) => {
-            _mm_andnot_ps(_mm_set1_ps(-0.0), $d)
         };
     }
 
@@ -345,64 +296,6 @@ mod x86 {
 
         lp_kernels_avx2!(sq, sum_sq_diff, sum_sq_diff_at_least);
         lp_kernels_avx2!(abs, sum_abs_diff, sum_abs_diff_at_least);
-
-        /// All-lanes sum of one 8-wide `f32` vector (tree order — the
-        /// pre-filter needs only the certified envelope, not bit identity).
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        fn hsum8s(v: __m256) -> f32 {
-            let s = _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
-            let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-            let s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-            _mm_cvtss_f32(s)
-        }
-
-        /// Generates the `f32` pre-filter kernels: 16-element blocks feed
-        /// two independent 8-wide accumulators (32 terms in flight), the
-        /// remainder one vector at a time, the tail scalar. Any association
-        /// is sound here — the certified envelope's summation term covers
-        /// fully sequential accumulation, the worst case.
-        macro_rules! lp_kernels_avx2_f32 {
-            ($op:tt, $full:ident) => {
-                #[target_feature(enable = "avx2")]
-                pub(in super::super) unsafe fn $full(a: &[f32], b: &[f32]) -> f32 {
-                    debug_assert_eq!(a.len(), b.len());
-                    let n = a.len();
-                    let (split16, split8) = (n - n % 16, n - n % 8);
-                    let (pa, pb) = (a.as_ptr(), b.as_ptr());
-                    let mut vacc0 = _mm256_setzero_ps();
-                    let mut vacc1 = _mm256_setzero_ps();
-                    let mut i = 0;
-                    while i < split16 {
-                        let d0 =
-                            _mm256_sub_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)));
-                        vacc0 = _mm256_add_ps(vacc0, term256s!($op, d0));
-                        let d1 = _mm256_sub_ps(
-                            _mm256_loadu_ps(pa.add(i + 8)),
-                            _mm256_loadu_ps(pb.add(i + 8)),
-                        );
-                        vacc1 = _mm256_add_ps(vacc1, term256s!($op, d1));
-                        i += 16;
-                    }
-                    while i < split8 {
-                        let d =
-                            _mm256_sub_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)));
-                        vacc0 = _mm256_add_ps(vacc0, term256s!($op, d));
-                        i += 8;
-                    }
-                    let mut total = hsum8s(_mm256_add_ps(vacc0, vacc1));
-                    while i < n {
-                        let d = *pa.add(i) - *pb.add(i);
-                        total += term_scalar!($op, d);
-                        i += 1;
-                    }
-                    total
-                }
-            };
-        }
-
-        lp_kernels_avx2_f32!(sq, sum_sq_diff_f32);
-        lp_kernels_avx2_f32!(abs, sum_abs_diff_f32);
 
         #[target_feature(enable = "avx2")]
         pub(in super::super) unsafe fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
@@ -584,54 +477,6 @@ mod x86 {
 
         lp_kernels_sse2!(sq, sum_sq_diff, sum_sq_diff_at_least);
         lp_kernels_sse2!(abs, sum_abs_diff, sum_abs_diff_at_least);
-
-        /// All-lanes sum of one 4-wide `f32` vector (tree order; the
-        /// pre-filter is envelope-bound, not bit-identical).
-        #[inline]
-        unsafe fn hsum4s(v: __m128) -> f32 {
-            let s = _mm_add_ps(v, _mm_movehl_ps(v, v));
-            let s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-            _mm_cvtss_f32(s)
-        }
-
-        /// SSE2 twin of the AVX2 `f32` generator: 8-element blocks feed two
-        /// independent 4-wide accumulators.
-        macro_rules! lp_kernels_sse2_f32 {
-            ($op:tt, $full:ident) => {
-                pub(in super::super) unsafe fn $full(a: &[f32], b: &[f32]) -> f32 {
-                    debug_assert_eq!(a.len(), b.len());
-                    let n = a.len();
-                    let (split8, split4) = (n - n % 8, n - n % 4);
-                    let (pa, pb) = (a.as_ptr(), b.as_ptr());
-                    let mut vacc0 = _mm_setzero_ps();
-                    let mut vacc1 = _mm_setzero_ps();
-                    let mut i = 0;
-                    while i < split8 {
-                        let d0 = _mm_sub_ps(_mm_loadu_ps(pa.add(i)), _mm_loadu_ps(pb.add(i)));
-                        vacc0 = _mm_add_ps(vacc0, term128s!($op, d0));
-                        let d1 =
-                            _mm_sub_ps(_mm_loadu_ps(pa.add(i + 4)), _mm_loadu_ps(pb.add(i + 4)));
-                        vacc1 = _mm_add_ps(vacc1, term128s!($op, d1));
-                        i += 8;
-                    }
-                    while i < split4 {
-                        let d = _mm_sub_ps(_mm_loadu_ps(pa.add(i)), _mm_loadu_ps(pb.add(i)));
-                        vacc0 = _mm_add_ps(vacc0, term128s!($op, d));
-                        i += 4;
-                    }
-                    let mut total = hsum4s(_mm_add_ps(vacc0, vacc1));
-                    while i < n {
-                        let d = *pa.add(i) - *pb.add(i);
-                        total += term_scalar!($op, d);
-                        i += 1;
-                    }
-                    total
-                }
-            };
-        }
-
-        lp_kernels_sse2_f32!(sq, sum_sq_diff_f32);
-        lp_kernels_sse2_f32!(abs, sum_abs_diff_f32);
 
         pub(in super::super) unsafe fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
             debug_assert_eq!(a.len(), b.len());

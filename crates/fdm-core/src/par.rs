@@ -1,9 +1,10 @@
 //! Feature-gated parallel helpers.
 //!
-//! With the `parallel` cargo feature the independent per-guess work of the
-//! streaming algorithms (batch probing, per-guess post-processing, and
-//! per-shard ingestion) fans out over rayon's persistent pool; without it
-//! everything runs inline. Both paths iterate in index order and the
+//! With the `parallel` cargo feature two kinds of independent work fan out
+//! over rayon's persistent pool: the shards of a
+//! [`ShardedStream`](crate::streaming::sharded::ShardedStream) batch insert,
+//! and the per-guess post-processing of `finalize`. Without it everything
+//! runs inline. Both paths iterate in index order and the
 //! parallel map preserves result order, so outputs are **identical**
 //! regardless of the feature or the runtime `sequential` toggle (checked by
 //! `tests/parallel_determinism.rs`).
@@ -13,22 +14,6 @@
 //! bounds let feature-gated callers drift until the first `--features
 //! parallel` build breaks; the unit tests below compile-test the
 //! equivalence through a bound-pinning generic shim.
-
-/// Whether batch fan-out can actually run concurrently: the `parallel`
-/// feature is enabled *and* rayon's persistent pool exists (more than one
-/// worker). When false, the batch entry points fall back to the memoized
-/// element-by-element path, which is faster than candidate-major probing on
-/// a single thread — results are identical either way.
-#[cfg(feature = "parallel")]
-pub(crate) fn parallel_available() -> bool {
-    rayon::current_num_threads() > 1
-}
-
-/// Sequential build: concurrency is never available.
-#[cfg(not(feature = "parallel"))]
-pub(crate) fn parallel_available() -> bool {
-    false
-}
 
 /// Maps `0..n` through `f`, in parallel when the `parallel` feature is on
 /// and `sequential` is false. Results are in index order either way.

@@ -13,7 +13,6 @@
 //! [`Element`] remains the boundary type for data *arriving* from a stream:
 //! an id, owned coordinates, and a group label.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A single element of the stream: an id, a point, and a group label.
@@ -72,109 +71,9 @@ impl PointId {
     }
 }
 
-/// Lifetime counters for the f32 proxy pre-filter attached to one arena.
-///
-/// `hits` counts threshold tests the f32 path decided outright (the margin
-/// cleared the certified error band); `fallbacks` counts tests that fell
-/// inside the band and re-ran the exact f64 kernel. Relaxed atomics: the
-/// counters are observability only, incremented from read-only probe paths
-/// that may run on several shards at once.
-#[derive(Debug, Default)]
-pub struct PrefilterCounters {
-    hits: AtomicU64,
-    fallbacks: AtomicU64,
-}
-
-impl PrefilterCounters {
-    /// Records one threshold test decided by the f32 path alone.
-    #[inline]
-    pub fn record_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one threshold test that re-ran the exact f64 kernel.
-    #[inline]
-    pub fn record_fallback(&self) {
-        self.fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a batch of tallies in two `fetch_add`s — the hot insert
-    /// paths accumulate per-arrival totals in plain integers and flush
-    /// them here once, instead of paying an atomic RMW per probe.
-    #[inline]
-    pub fn record_batch(&self, hits: u64, fallbacks: u64) {
-        if hits != 0 {
-            self.hits.fetch_add(hits, Ordering::Relaxed);
-        }
-        if fallbacks != 0 {
-            self.fallbacks.fetch_add(fallbacks, Ordering::Relaxed);
-        }
-    }
-
-    /// Total f32-decided threshold tests so far.
-    #[inline]
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Total exact-fallback threshold tests so far.
-    #[inline]
-    pub fn fallbacks(&self) -> u64 {
-        self.fallbacks.load(Ordering::Relaxed)
-    }
-}
-
-impl Clone for PrefilterCounters {
-    fn clone(&self) -> Self {
-        PrefilterCounters {
-            hits: AtomicU64::new(self.hits()),
-            fallbacks: AtomicU64::new(self.fallbacks()),
-        }
-    }
-}
-
-/// Packed `f32` mirror of an arena's rows, used by the proxy pre-filter so
-/// probes never convert coordinates on the fly.
-///
-/// Built lazily by [`PointStore::sync_f32_mirror`] and implicitly
-/// invalidated by every push (readers check row counts via
-/// [`PointStore::f32_mirror`], which returns `None` while the mirror lags
-/// the arena).
-#[derive(Debug, Clone, Default)]
-pub struct F32Mirror {
-    dim: usize,
-    rows: Vec<f32>,
-    max_abs: f64,
-    counters: PrefilterCounters,
-}
-
-impl F32Mirror {
-    /// The `f32` row mirroring point `id`.
-    #[inline]
-    pub fn row(&self, id: PointId) -> &[f32] {
-        let start = id.index() * self.dim;
-        &self.rows[start..start + self.dim]
-    }
-
-    /// Largest coordinate magnitude (of the original `f64` values) across
-    /// all mirrored rows — the `M` in the pre-filter's certified error
-    /// bound.
-    #[inline]
-    pub fn max_abs(&self) -> f64 {
-        self.max_abs
-    }
-
-    /// The pre-filter hit/fallback counters attached to this arena.
-    #[inline]
-    pub fn counters(&self) -> &PrefilterCounters {
-        &self.counters
-    }
-}
-
 /// Append-only arena of points: contiguous row-major coordinates plus a
 /// group label, the producer-assigned external id, and cached squared /
-/// plain L2 norms per row (used by the Angular kernel). An optional packed
-/// `f32` mirror of the rows serves the reduced-precision proxy pre-filter.
+/// plain L2 norms per row (used by the Angular kernel).
 #[derive(Debug, Clone, Default)]
 pub struct PointStore {
     dim: usize,
@@ -183,7 +82,6 @@ pub struct PointStore {
     external_ids: Vec<usize>,
     norms_sq: Vec<f64>,
     norms: Vec<f64>,
-    mirror: F32Mirror,
 }
 
 impl PointStore {
@@ -206,7 +104,6 @@ impl PointStore {
             external_ids: Vec::with_capacity(capacity),
             norms_sq: Vec::with_capacity(capacity),
             norms: Vec::with_capacity(capacity),
-            mirror: F32Mirror::default(),
         }
     }
 
@@ -285,53 +182,6 @@ impl PointStore {
     #[inline]
     pub fn norm(&self, id: PointId) -> f64 {
         self.norms[id.index()]
-    }
-
-    /// Brings the packed `f32` mirror up to date with the arena, converting
-    /// only rows appended since the last sync. Call before a read-only
-    /// probe phase; [`PointStore::f32_mirror`] stays `None` until the
-    /// mirror covers every row.
-    pub fn sync_f32_mirror(&mut self) {
-        self.mirror.dim = self.dim;
-        let synced = self.mirror.rows.len();
-        if synced == self.coords.len() {
-            return;
-        }
-        self.mirror.rows.reserve(self.coords.len() - synced);
-        for &c in &self.coords[synced..] {
-            self.mirror.max_abs = self.mirror.max_abs.max(c.abs());
-            self.mirror.rows.push(c as f32);
-        }
-    }
-
-    /// The packed `f32` mirror, or `None` if it is stale (a push happened
-    /// after the last [`PointStore::sync_f32_mirror`]).
-    #[inline]
-    pub fn f32_mirror(&self) -> Option<&F32Mirror> {
-        if self.mirror.rows.len() == self.coords.len() && self.mirror.dim == self.dim {
-            Some(&self.mirror)
-        } else {
-            None
-        }
-    }
-
-    /// Lifetime f32 pre-filter `(hits, fallbacks)` recorded against this
-    /// arena (see [`PrefilterCounters`]).
-    #[inline]
-    pub fn prefilter_counters(&self) -> (u64, u64) {
-        (
-            self.mirror.counters.hits(),
-            self.mirror.counters.fallbacks(),
-        )
-    }
-
-    /// Adds a batch of pre-filter tallies to this arena's counters. Works
-    /// whether or not the mirror is currently synced — the probes being
-    /// tallied ran against a mirror that was synced at the time, and the
-    /// flush may happen after the arrival was pushed (staling it).
-    #[inline]
-    pub fn record_prefilter(&self, hits: u64, fallbacks: u64) {
-        self.mirror.counters.record_batch(hits, fallbacks);
     }
 
     /// All group labels, indexed by arena order.
@@ -497,25 +347,6 @@ mod tests {
         let a = store.push(0, &[3.0, 4.0], 0);
         assert_eq!(store.norm_sq(a), 25.0);
         assert_eq!(store.norm(a), 5.0);
-    }
-
-    #[test]
-    fn f32_mirror_tracks_pushes_and_goes_stale() {
-        let mut store = PointStore::new(2);
-        assert!(store.f32_mirror().is_none(), "unsynced mirror must be None");
-        let a = store.push(0, &[3.0, -4.5], 0);
-        store.sync_f32_mirror();
-        let mirror = store.f32_mirror().expect("synced mirror");
-        assert_eq!(mirror.row(a), &[3.0f32, -4.5f32]);
-        assert_eq!(mirror.max_abs(), 4.5);
-        // A push invalidates the mirror until the next sync.
-        let b = store.push(1, &[10.0, 0.25], 1);
-        assert!(store.f32_mirror().is_none(), "stale mirror must be None");
-        store.sync_f32_mirror();
-        let mirror = store.f32_mirror().expect("resynced mirror");
-        assert_eq!(mirror.row(b), &[10.0f32, 0.25f32]);
-        assert_eq!(mirror.max_abs(), 10.0);
-        assert_eq!(store.prefilter_counters(), (0, 0));
     }
 
     #[test]

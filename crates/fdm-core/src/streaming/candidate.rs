@@ -15,7 +15,7 @@
 //! [`Metric::proxy_from_dist`]), so the hot threshold test performs no
 //! `sqrt`/`acos` at all.
 
-use crate::kernel::{self, PrefilterKind};
+use crate::kernel;
 use crate::metric::Metric;
 use crate::point::{Element, PointId, PointStore};
 
@@ -35,52 +35,18 @@ use crate::point::{Element, PointId, PointStore};
 /// counterparts and every term is non-negative, so `full_proxy ≥ bound`
 /// agrees exactly with the early-exit comparison (pinned by
 /// `tests/kernel_parity.rs`).
-///
-/// When the arena has a synced `f32` mirror and the kernel policy allows it
-/// (see [`kernel::prefilter_enabled`]), [`ArrivalProxies::at_least`] first
-/// evaluates the proxy in `f32` against a certified error envelope and only
-/// runs the exact `f64` kernel when the bound falls inside the band — so
-/// threshold decisions stay bit-identical while most tests never touch the
-/// `f64` rows. What is cached per `(arrival, row)` is the *certified
-/// interval* `[p32 − err, p32 + err]`, not the raw `f32` value: candidates
-/// re-testing the row against other thresholds pay two comparisons — the
-/// same cost as the exact-slot lookup — instead of re-deriving the
-/// envelope. Counter updates batch into plain fields and flush to the
-/// arena's atomic counters once per arrival
-/// ([`ArrivalProxies::flush_prefilter_counters`]); a per-probe `fetch_add`
-/// would cost more than the memoized test it instruments.
 #[derive(Debug, Clone, Default)]
 pub struct ArrivalProxies {
     /// Exact proxy to arena row `i`, valid iff `stamps[i] == epoch`.
     vals: Vec<f64>,
-    /// Arrival counter at which each exact slot was last written.
+    /// Arrival counter at which each slot was last written.
     stamps: Vec<u64>,
-    /// Lower edge of row `i`'s certified band (`p32 − err`): bounds at or
-    /// below it are certified `true`. Valid iff `stamps32[i] == epoch`.
-    lo32: Vec<f64>,
-    /// Upper edge of row `i`'s certified band (`p32 + err`): bounds above
-    /// it are certified `false`; bounds inside `(lo, hi]` fall back to the
-    /// exact kernel. Valid iff `stamps32[i] == epoch`.
-    hi32: Vec<f64>,
-    /// Arrival counter at which each certified-band slot was last written.
-    stamps32: Vec<u64>,
     /// Current arrival's generation stamp (epoch-stamping makes the
     /// per-arrival reset O(1) instead of an arena-length clear).
     epoch: u64,
     /// L2 norm (`√norm_sq`) of the current arrival (0 unless the metric
     /// uses norms).
     norm: f64,
-    /// The arriving point converted once to `f32` (pre-filter only).
-    point32: Vec<f32>,
-    /// Pre-filter error envelope for this arrival: `err = base + slope·p32`.
-    err_base: f64,
-    err_slope: f64,
-    /// `Some(kind)` iff the pre-filter is armed for the current arrival.
-    prefilter: Option<PrefilterKind>,
-    /// Pre-filter hits not yet flushed to the arena's atomic counters.
-    pending_hits: u64,
-    /// Pre-filter fallbacks not yet flushed to the arena's atomic counters.
-    pending_fallbacks: u64,
 }
 
 impl ArrivalProxies {
@@ -89,49 +55,22 @@ impl ArrivalProxies {
         ArrivalProxies::default()
     }
 
-    /// Resets the slot arrays for an arena of `arena_len` rows: every slot
-    /// becomes "unknown" by bumping the generation stamp; slot storage
-    /// grows but is never rewritten.
-    fn reset(&mut self, arena_len: usize) {
-        if self.stamps.len() < arena_len {
+    /// Resets the cache for a new arriving `point`: every slot becomes
+    /// "unknown" by bumping the generation stamp (slot storage grows but is
+    /// never rewritten), and the arrival's norm is computed once for
+    /// norm-using metrics.
+    pub fn begin_arrival(&mut self, store: &PointStore, metric: Metric, point: &[f64]) {
+        if self.stamps.len() < store.len() {
             // Stamp 0 is never a valid epoch (the first arrival uses 1).
-            self.stamps.resize(arena_len, 0);
-            self.vals.resize(arena_len, 0.0);
-            self.stamps32.resize(arena_len, 0);
-            self.lo32.resize(arena_len, 0.0);
-            self.hi32.resize(arena_len, 0.0);
+            self.stamps.resize(store.len(), 0);
+            self.vals.resize(store.len(), 0.0);
         }
         self.epoch += 1;
-    }
-
-    /// Resets the cache for a new arriving `point`: computes its norm once
-    /// (for norm-using metrics) and arms the `f32` pre-filter when the
-    /// metric admits one, the kernel policy allows it, and the arena's
-    /// mirror is synced (see [`PointStore::sync_f32_mirror`]).
-    pub fn begin_arrival(&mut self, store: &PointStore, metric: Metric, point: &[f64]) {
-        self.reset(store.len());
         self.norm = if metric.uses_norms() {
             kernel::norm_sq(point).sqrt()
         } else {
             0.0
         };
-        self.prefilter = None;
-        if kernel::prefilter_enabled(metric) {
-            if let Some(mirror) = store.f32_mirror() {
-                let kind = kernel::prefilter_kind(metric).expect("enabled implies a kind");
-                self.point32.clear();
-                self.point32.reserve(point.len());
-                let mut max_abs = mirror.max_abs();
-                for &c in point {
-                    max_abs = max_abs.max(c.abs());
-                    self.point32.push(c as f32);
-                }
-                let (base, slope) = kernel::f32_error_coefficients(kind, point.len(), max_abs);
-                self.err_base = base;
-                self.err_slope = slope;
-                self.prefilter = Some(kind);
-            }
-        }
     }
 
     /// The exact proxy distance from the arriving `point` to arena row
@@ -146,144 +85,6 @@ impl ArrivalProxies {
                 metric.proxy_with_sqrt_norms(point, store.row(id), self.norm, store.norm(id));
         }
         self.vals[i]
-    }
-
-    /// Whether `proxy(point, row id) ≥ bound`, deciding through the `f32`
-    /// pre-filter when it is armed and the margin clears the certified
-    /// band; otherwise (and always once an exact value is cached) through
-    /// the exact `f64` proxy. Decisions are bit-identical to
-    /// [`ArrivalProxies::proxy`]` ≥ bound` — the pre-filter only answers
-    /// when it provably agrees. Hits and fallbacks accumulate in plain
-    /// pending fields; callers flush them with
-    /// [`ArrivalProxies::flush_prefilter_counters`] (hot paths do it once
-    /// per arrival, after the probe loop).
-    #[inline]
-    pub fn at_least(
-        &mut self,
-        store: &PointStore,
-        metric: Metric,
-        point: &[f64],
-        id: PointId,
-        bound: f64,
-    ) -> bool {
-        let i = id.index();
-        if self.stamps[i] == self.epoch {
-            return self.vals[i] >= bound;
-        }
-        if let Some(kind) = self.prefilter {
-            if let Some(mirror) = store.f32_mirror() {
-                if self.stamps32[i] != self.epoch {
-                    let p32 = f64::from(kernel::proxy_f32(kind, &self.point32, mirror.row(id)));
-                    let err = self.err_base + self.err_slope * p32;
-                    // Certified band: bounds ≤ lo are provably `true`,
-                    // bounds > hi provably `false`, anything inside falls
-                    // back. A non-finite proxy or envelope certifies
-                    // nothing — an empty band forces the fallback path,
-                    // exactly like `kernel::certified_at_least`.
-                    let (lo, hi) = if p32.is_finite() && err.is_finite() {
-                        (p32 - err, p32 + err)
-                    } else {
-                        (f64::NEG_INFINITY, f64::INFINITY)
-                    };
-                    self.stamps32[i] = self.epoch;
-                    self.lo32[i] = lo;
-                    self.hi32[i] = hi;
-                }
-                if bound <= self.lo32[i] {
-                    self.pending_hits += 1;
-                    return true;
-                }
-                if bound > self.hi32[i] {
-                    self.pending_hits += 1;
-                    return false;
-                }
-                self.pending_fallbacks += 1;
-            }
-        }
-        self.proxy(store, metric, point, id) >= bound
-    }
-
-    /// Flushes the pending pre-filter hit/fallback tallies to the arena's
-    /// atomic counters (surfaced through `STATS`). Hot insert paths call
-    /// this once per arrival rather than paying a `fetch_add` per probe.
-    #[inline]
-    pub fn flush_prefilter_counters(&mut self, store: &PointStore) {
-        if self.pending_hits != 0 || self.pending_fallbacks != 0 {
-            store.record_prefilter(self.pending_hits, self.pending_fallbacks);
-            self.pending_hits = 0;
-            self.pending_fallbacks = 0;
-        }
-    }
-
-    /// Populates the cache with the exact proxy to **every** arena row for
-    /// one arriving point (with squared norm `norm_sq`). This is the
-    /// batch-path entry ([`BatchProxies::compute`] fills one cache per
-    /// batch element and keeps the dense value rows for read-only sharing
-    /// across lanes); the pre-filter stays disarmed — a dense table fills
-    /// every slot exactly once, so there is nothing to skip.
-    pub fn fill(&mut self, store: &PointStore, metric: Metric, point: &[f64], norm_sq: f64) {
-        self.reset(store.len());
-        self.norm = norm_sq.sqrt();
-        self.prefilter = None;
-        for id in store.ids() {
-            self.proxy(store, metric, point, id);
-        }
-    }
-}
-
-/// Batch-wide proxy table: one fully-populated [`ArrivalProxies`] row per
-/// batch element, computed concurrently (under the `parallel` feature)
-/// before the lanes probe.
-///
-/// The candidate-major batch path used to re-evaluate the distance kernel
-/// for the same `(batch element, arena row)` pair in every lane whose
-/// member list contains that row — and the lanes of a guess ladder overlap
-/// heavily (ROADMAP's "batch-path arrival cache" lever). Routing the batch
-/// through this table makes each pair cost exactly one kernel evaluation,
-/// mirroring what [`ArrivalProxies`] already does for the element-by-element
-/// path. Decisions are **bit-identical** to the uncached probes: the full
-/// proxy is compared against the same `µ` threshold the bounded
-/// `proxy_at_least` scans test (pinned by `tests/batch_cache.rs`).
-#[derive(Debug)]
-pub struct BatchProxies {
-    /// Row-major `batch × arena` proxies; row stride = `arena_len`.
-    rows: Vec<f64>,
-    arena_len: usize,
-}
-
-impl BatchProxies {
-    /// Computes the full `batch × arena` proxy table, one row per batch
-    /// element, in parallel over batch elements when available. Each row
-    /// is computed through one [`ArrivalProxies`] (the same memoization
-    /// the element path uses) but only the dense values are kept — the
-    /// lazy-reuse stamps would double the table's footprint for a path
-    /// that fills every slot exactly once.
-    pub fn compute(
-        sequential: bool,
-        store: &PointStore,
-        metric: Metric,
-        batch: &[Element],
-        norms: &[f64],
-    ) -> BatchProxies {
-        debug_assert_eq!(batch.len(), norms.len());
-        let arena_len = store.len();
-        let per_row: Vec<Vec<f64>> = crate::par::maybe_par_map(sequential, batch.len(), |pos| {
-            let mut row = ArrivalProxies::new();
-            row.fill(store, metric, &batch[pos].point, norms[pos]);
-            row.vals
-        });
-        let mut rows = Vec::with_capacity(arena_len * batch.len());
-        for row in per_row {
-            debug_assert_eq!(row.len(), arena_len);
-            rows.extend_from_slice(&row);
-        }
-        BatchProxies { rows, arena_len }
-    }
-
-    /// The proxy distance from batch element `pos` to arena row `id`.
-    #[inline]
-    pub fn proxy(&self, pos: usize, id: PointId) -> f64 {
-        self.rows[pos * self.arena_len + id.index()]
     }
 }
 
@@ -402,11 +203,9 @@ impl Candidate {
 
     /// [`Candidate::accepts`] through a shared per-arrival proxy cache: the
     /// distance to each arena row is computed at most once per arrival no
-    /// matter how many candidates test it, and each threshold test may be
-    /// decided by the `f32` pre-filter when it is armed. Decisions are
-    /// bit-identical to the uncached test (see [`ArrivalProxies`]). The
-    /// cache must have been prepared for this arrival with
-    /// [`ArrivalProxies::begin_arrival`].
+    /// matter how many candidates test it. Decisions are bit-identical to
+    /// the uncached test (see [`ArrivalProxies`]). The cache must have been
+    /// prepared for this arrival with [`ArrivalProxies::begin_arrival`].
     #[inline]
     pub fn accepts_cached(
         &self,
@@ -418,7 +217,7 @@ impl Candidate {
             && self
                 .members
                 .iter()
-                .all(|&id| cache.at_least(store, self.metric, point, id, self.mu_proxy))
+                .all(|&id| cache.proxy(store, self.metric, point, id) >= self.mu_proxy)
     }
 
     /// Records an already-interned accepted point (see
@@ -483,114 +282,6 @@ impl Candidate {
     pub(crate) fn restore_members(&mut self, members: Vec<PointId>) {
         debug_assert!(members.len() <= self.capacity);
         self.members = members;
-    }
-
-    /// Simulates inserting a whole `batch` (in order) into this candidate
-    /// and returns the batch positions it would accept, **without mutating
-    /// anything** — the core of the parallel guess-ladder insert.
-    ///
-    /// Every candidate's decisions depend only on its own state and the
-    /// batch prefix, so probing all candidates concurrently and then
-    /// committing ([`PointStore::push_element`] + [`Candidate::push`])
-    /// serially reproduces element-by-element insertion exactly.
-    ///
-    /// `norms` must hold the squared L2 norm of each batch element (ignored
-    /// unless the metric uses norms; pass zeros otherwise) and
-    /// `restrict_group` filters the batch to one group (for the
-    /// group-specific candidates of SFDM1/SFDM2).
-    pub fn probe_batch(
-        &self,
-        store: &PointStore,
-        batch: &[Element],
-        norms: &[f64],
-        restrict_group: Option<usize>,
-    ) -> Vec<u32> {
-        debug_assert_eq!(batch.len(), norms.len());
-        let mut accepted: Vec<u32> = Vec::new();
-        let mut room = self.capacity.saturating_sub(self.members.len());
-        for (pos, element) in batch.iter().enumerate() {
-            if room == 0 {
-                break;
-            }
-            if let Some(g) = restrict_group {
-                if element.group != g {
-                    continue;
-                }
-            }
-            let far_from_members = self.members.iter().all(|&id| {
-                self.metric.proxy_at_least(
-                    &element.point,
-                    store.row(id),
-                    norms[pos],
-                    store.norm_sq(id),
-                    self.mu_proxy,
-                )
-            });
-            // Also check against batch elements this candidate already
-            // (virtually) accepted.
-            let far_from_virtual = far_from_members
-                && accepted.iter().all(|&prev| {
-                    self.metric.proxy_at_least(
-                        &element.point,
-                        &batch[prev as usize].point,
-                        norms[pos],
-                        norms[prev as usize],
-                        self.mu_proxy,
-                    )
-                });
-            if far_from_virtual {
-                accepted.push(pos as u32);
-                room -= 1;
-            }
-        }
-        accepted
-    }
-
-    /// [`Candidate::probe_batch`] through a shared [`BatchProxies`] table:
-    /// member tests are table lookups (each `(element, arena row)` pair was
-    /// evaluated exactly once, however many lanes test it); only the
-    /// batch-internal "virtual member" tests still run the kernel, and
-    /// those pairs are unique to this lane. Decisions are bit-identical to
-    /// the uncached probe (see [`BatchProxies`]).
-    pub fn probe_batch_cached(
-        &self,
-        batch: &[Element],
-        norms: &[f64],
-        restrict_group: Option<usize>,
-        proxies: &BatchProxies,
-    ) -> Vec<u32> {
-        debug_assert_eq!(batch.len(), norms.len());
-        let mut accepted: Vec<u32> = Vec::new();
-        let mut room = self.capacity.saturating_sub(self.members.len());
-        for (pos, element) in batch.iter().enumerate() {
-            if room == 0 {
-                break;
-            }
-            if let Some(g) = restrict_group {
-                if element.group != g {
-                    continue;
-                }
-            }
-            let far_from_members = self
-                .members
-                .iter()
-                .all(|&id| proxies.proxy(pos, id) >= self.mu_proxy);
-            let far_from_virtual = far_from_members
-                && accepted.iter().all(|&prev| {
-                    self.metric.proxy_at_least(
-                        &element.point,
-                        &batch[prev as usize].point,
-                        norms[pos],
-                        norms[prev as usize],
-                        self.mu_proxy,
-                    )
-                });
-            if far_from_virtual {
-                accepted.push(pos as u32);
-                room -= 1;
-            }
-        }
-        accepted
     }
 }
 

@@ -14,10 +14,9 @@
 //! in `U'`.
 //!
 //! Retained elements are interned once into a shared [`PointStore`];
-//! candidates hold [`PointId`]s. With the `parallel` feature, batch inserts
-//! probe all candidates concurrently and the per-guess balancing of the
-//! post-processing runs across the ladder in parallel (identical results
-//! either way).
+//! candidates hold [`PointId`]s. With the `parallel` feature the per-guess
+//! balancing of the post-processing runs across the ladder in parallel
+//! (identical results either way).
 
 use std::collections::HashSet;
 
@@ -29,14 +28,13 @@ use crate::diversity::diversity_of_ids;
 use crate::error::{FdmError, Result};
 use crate::fairness::FairnessConstraint;
 use crate::guess::GuessLadder;
-use crate::kernel;
 use crate::metric::Metric;
 use crate::par::maybe_par_map;
 use crate::persist::{self, Snapshottable};
 use crate::point::{Element, PointId, PointStore};
 use crate::solution::Solution;
-use crate::streaming::candidate::{ArrivalProxies, BatchProxies, Candidate};
-use crate::streaming::unconstrained::commit_batch;
+use crate::streaming::candidate::{ArrivalProxies, Candidate};
+use crate::streaming::sharded::ShardAlgorithm;
 
 /// Configuration for [`Sfdm1`].
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -141,11 +139,6 @@ impl Sfdm1 {
         // evaluated once however many candidates test it. (The freshly
         // interned id never needs a cache slot — it is only pushed into
         // candidates that already made their decision this arrival.)
-        // Syncing the f32 mirror first lets the cache decide most
-        // threshold tests in f32.
-        if kernel::prefilter_enabled(self.metric) {
-            self.store.sync_f32_mirror();
-        }
         self.scratch
             .begin_arrival(&self.store, self.metric, &element.point);
         let mut interned: Option<PointId> = None;
@@ -161,57 +154,13 @@ impl Sfdm1 {
                 candidate.push(id);
             }
         }
-        scratch.flush_prefilter_counters(store);
     }
 
-    /// Processes a batch of stream elements; equivalent to element-by-element
-    /// [`Sfdm1::insert`] in batch order, with the independent candidates
-    /// probed concurrently under the `parallel` feature.
+    /// Processes a batch of stream elements in order — the
+    /// [`ShardAlgorithm::insert_batch`] loop, kept inherent so callers need
+    /// not name the trait.
     pub fn insert_batch(&mut self, batch: &[Element]) {
-        if batch.is_empty() {
-            return;
-        }
-        // Candidate-major probing only pays when the lanes actually run
-        // concurrently; single-threaded, the cached element path is faster
-        // and produces identical results.
-        if self.sequential || !crate::par::parallel_available() {
-            for element in batch {
-                self.insert(element);
-            }
-            return;
-        }
-        debug_assert!(batch.iter().all(|e| e.group < 2));
-        self.ensure_store_dim(batch[0].dim());
-        self.processed += batch.len();
-        let norms: Vec<f64> = if self.metric.uses_norms() {
-            batch.iter().map(|e| kernel::norm_sq(&e.point)).collect()
-        } else {
-            vec![0.0; batch.len()]
-        };
-        // One kernel evaluation per (batch element, arena row) pair, shared
-        // read-only by every lane below (see `BatchProxies`).
-        let proxies =
-            BatchProxies::compute(self.sequential, &self.store, self.metric, batch, &norms);
-        // Lane layout: [blind..., specific[0]..., specific[1]...].
-        let ladder = self.blind.len();
-        let accepted: Vec<Vec<u32>> = maybe_par_map(self.sequential, ladder * 3, |lane| {
-            let (candidate, restrict) = if lane < ladder {
-                (&self.blind[lane], None)
-            } else if lane < 2 * ladder {
-                (&self.specific[0][lane - ladder], Some(0))
-            } else {
-                (&self.specific[1][lane - 2 * ladder], Some(1))
-            };
-            candidate.probe_batch_cached(batch, &norms, restrict, &proxies)
-        });
-        let [s0, s1] = &mut self.specific;
-        let mut lanes: Vec<&mut Candidate> = self
-            .blind
-            .iter_mut()
-            .chain(s0.iter_mut())
-            .chain(s1.iter_mut())
-            .collect();
-        commit_batch(&mut self.store, batch, &mut lanes, &accepted);
+        ShardAlgorithm::insert_batch(self, batch);
     }
 
     /// Number of elements seen so far.

@@ -21,10 +21,10 @@
 //! 4. Keep the fair size-`k` result with maximum diversity across guesses.
 //!
 //! Retained elements are interned once into a shared [`PointStore`];
-//! candidates hold [`PointId`]s. With the `parallel` feature, batch inserts
-//! probe all `(m+1) · |U|` candidates concurrently and the whole per-guess
-//! post-processing pipeline (clustering + matroid intersection) runs across
-//! the ladder in parallel — the results are identical to a sequential run.
+//! candidates hold [`PointId`]s. With the `parallel` feature the whole
+//! per-guess post-processing pipeline (clustering + matroid intersection)
+//! runs across the ladder in parallel — the results are identical to a
+//! sequential run.
 
 use std::collections::HashSet;
 
@@ -36,7 +36,6 @@ use crate::diversity::diversity_of_ids;
 use crate::error::{FdmError, Result};
 use crate::fairness::FairnessConstraint;
 use crate::guess::GuessLadder;
-use crate::kernel;
 use crate::matroid::intersection::max_common_independent_set;
 use crate::matroid::PartitionMatroid;
 use crate::metric::Metric;
@@ -44,8 +43,8 @@ use crate::par::maybe_par_map;
 use crate::persist::{self, Snapshottable};
 use crate::point::{Element, PointId, PointStore};
 use crate::solution::Solution;
-use crate::streaming::candidate::{ArrivalProxies, BatchProxies, Candidate};
-use crate::streaming::unconstrained::commit_batch;
+use crate::streaming::candidate::{ArrivalProxies, Candidate};
+use crate::streaming::sharded::ShardAlgorithm;
 
 /// Configuration for [`Sfdm2`].
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -182,11 +181,6 @@ impl Sfdm2 {
         // One shared proxy cache per arrival (see the Sfdm1 counterpart):
         // the blind and group ladders overlap heavily in members, so each
         // arena row costs one kernel evaluation per arrival at most.
-        // Syncing the f32 mirror first lets the cache decide most
-        // threshold tests in f32.
-        if kernel::prefilter_enabled(self.metric) {
-            self.store.sync_f32_mirror();
-        }
         self.scratch
             .begin_arrival(&self.store, self.metric, &element.point);
         let mut interned: Option<PointId> = None;
@@ -202,55 +196,13 @@ impl Sfdm2 {
                 candidate.push(id);
             }
         }
-        scratch.flush_prefilter_counters(store);
     }
 
-    /// Processes a batch of stream elements; equivalent to element-by-element
-    /// [`Sfdm2::insert`] in batch order, with the `(m+1) · |U|` independent
-    /// candidates probed concurrently under the `parallel` feature.
+    /// Processes a batch of stream elements in order — the
+    /// [`ShardAlgorithm::insert_batch`] loop, kept inherent so callers need
+    /// not name the trait.
     pub fn insert_batch(&mut self, batch: &[Element]) {
-        if batch.is_empty() {
-            return;
-        }
-        // Candidate-major probing only pays when the lanes actually run
-        // concurrently; single-threaded, the cached element path is faster
-        // and produces identical results.
-        if self.sequential || !crate::par::parallel_available() {
-            for element in batch {
-                self.insert(element);
-            }
-            return;
-        }
-        let m = self.specific.len();
-        debug_assert!(batch.iter().all(|e| e.group < m));
-        self.ensure_store_dim(batch[0].dim());
-        self.processed += batch.len();
-        let norms: Vec<f64> = if self.metric.uses_norms() {
-            batch.iter().map(|e| kernel::norm_sq(&e.point)).collect()
-        } else {
-            vec![0.0; batch.len()]
-        };
-        // One kernel evaluation per (batch element, arena row) pair, shared
-        // read-only by every lane below (see `BatchProxies`).
-        let proxies =
-            BatchProxies::compute(self.sequential, &self.store, self.metric, batch, &norms);
-        // Lane layout: [blind..., specific[0]..., ..., specific[m-1]...].
-        let ladder = self.blind.len();
-        let accepted: Vec<Vec<u32>> = maybe_par_map(self.sequential, ladder * (m + 1), |lane| {
-            let (candidate, restrict) = if lane < ladder {
-                (&self.blind[lane], None)
-            } else {
-                let g = lane / ladder - 1;
-                (&self.specific[g][lane % ladder], Some(g))
-            };
-            candidate.probe_batch_cached(batch, &norms, restrict, &proxies)
-        });
-        let mut lanes: Vec<&mut Candidate> = self
-            .blind
-            .iter_mut()
-            .chain(self.specific.iter_mut().flatten())
-            .collect();
-        commit_batch(&mut self.store, batch, &mut lanes, &accepted);
+        ShardAlgorithm::insert_batch(self, batch);
     }
 
     /// Number of elements seen so far.

@@ -19,10 +19,10 @@
 //!   guess ladder, candidate sets, and private
 //!   [`PointStore`](crate::point::PointStore) arena
 //!   segment;
-//! * [`ShardedStream::insert_batch`] runs the shard sub-batches
-//!   **concurrently** on rayon's persistent pool (under the `parallel`
-//!   feature) — shards share no mutable state, so scheduling cannot affect
-//!   results;
+//! * [`ShardedStream::insert_batch`] runs the shards **concurrently** on
+//!   rayon's persistent pool (under the `parallel` feature), each taking
+//!   its round-robin stride of the borrowed batch — shards share no mutable
+//!   state, so scheduling cannot affect results;
 //! * [`ShardedStream::finalize`] streams the union of the shards' retained
 //!   elements (shard-major, arena order — deterministic) through one fresh
 //!   instance of the same algorithm and runs its full post-processing,
@@ -77,9 +77,13 @@ pub trait ShardAlgorithm: Sized + Send {
     /// Processes one stream element.
     fn insert(&mut self, element: &Element);
 
-    /// Processes a batch of stream elements (equivalent to element-by-
-    /// element insertion in batch order).
-    fn insert_batch(&mut self, batch: &[Element]);
+    /// Processes a batch of stream elements: element-by-element insertion
+    /// in batch order.
+    fn insert_batch(&mut self, batch: &[Element]) {
+        for element in batch {
+            self.insert(element);
+        }
+    }
 
     /// All elements this instance has retained, in arena (insertion)
     /// order — the shard's composable summary.
@@ -96,12 +100,6 @@ pub trait ShardAlgorithm: Sized + Send {
 
     /// Number of distinct retained elements.
     fn stored_elements(&self) -> usize;
-
-    /// Lifetime f32 pre-filter `(hits, fallbacks)` recorded by this
-    /// instance's arena(s); `(0, 0)` when the pre-filter never engaged.
-    fn prefilter_counters(&self) -> (u64, u64) {
-        (0, 0)
-    }
 }
 
 macro_rules! impl_shard_algorithm {
@@ -119,10 +117,6 @@ macro_rules! impl_shard_algorithm {
 
             fn insert(&mut self, element: &Element) {
                 <$alg>::insert(self, element);
-            }
-
-            fn insert_batch(&mut self, batch: &[Element]) {
-                <$alg>::insert_batch(self, batch);
             }
 
             fn retained_elements(&self) -> Vec<Element> {
@@ -144,10 +138,6 @@ macro_rules! impl_shard_algorithm {
 
             fn stored_elements(&self) -> usize {
                 <$alg>::stored_elements(self)
-            }
-
-            fn prefilter_counters(&self) -> (u64, u64) {
-                self.store().prefilter_counters()
             }
         }
     };
@@ -234,32 +224,22 @@ impl<S: ShardAlgorithm> ShardedStream<S> {
         self.shards[shard].insert(element);
     }
 
-    /// Routes a batch of arrivals round-robin and processes the per-shard
-    /// sub-batches concurrently (under the `parallel` feature) on the
-    /// persistent pool. Equivalent to element-by-element
-    /// [`ShardedStream::insert`] in batch order: shards share no mutable
-    /// state, so scheduling cannot affect any shard's result.
+    /// Routes a batch of arrivals round-robin and runs the shards
+    /// concurrently (under the `parallel` feature) on the persistent pool.
+    /// Shard `s` takes, in order, the batch positions `i` with
+    /// `(next + i) mod K = s`, borrowed in place. Equivalent to
+    /// element-by-element [`ShardedStream::insert`] in batch order: shards
+    /// share no mutable state, so scheduling cannot affect any shard's
+    /// result.
     pub fn insert_batch(&mut self, batch: &[Element]) {
-        if batch.is_empty() {
-            return;
-        }
         let k = self.shards.len();
-        if k == 1 {
-            // No dealing needed (and `next` stays 0): forward the borrowed
-            // batch straight to the single shard.
-            self.shards[0].insert_batch(batch);
-            return;
-        }
-        let mut subs: Vec<Vec<Element>> = (0..k)
-            .map(|_| Vec::with_capacity(batch.len() / k + 1))
-            .collect();
-        for (i, element) in batch.iter().enumerate() {
-            subs[(self.next + i) % k].push(element.clone());
-        }
-        self.next = (self.next + batch.len()) % k;
-        let work: Vec<(&mut S, Vec<Element>)> = self.shards.iter_mut().zip(subs).collect();
-        maybe_par_for_each(self.sequential, work, |(shard, sub)| {
-            shard.insert_batch(&sub);
+        let next = self.next;
+        self.next = (next + batch.len()) % k;
+        let work: Vec<(usize, &mut S)> = self.shards.iter_mut().enumerate().collect();
+        maybe_par_for_each(self.sequential, work, |(s, shard)| {
+            for element in batch.iter().skip((s + k - next) % k).step_by(k) {
+                shard.insert(element);
+            }
         });
     }
 
@@ -272,14 +252,6 @@ impl<S: ShardAlgorithm> ShardedStream<S> {
     /// the stream, so per-shard counts never overlap).
     pub fn stored_elements(&self) -> usize {
         self.shards.iter().map(S::stored_elements).sum()
-    }
-
-    /// Summed f32 pre-filter `(hits, fallbacks)` across all shards.
-    pub fn prefilter_counters(&self) -> (u64, u64) {
-        self.shards
-            .iter()
-            .map(S::prefilter_counters)
-            .fold((0, 0), |(h, f), (sh, sf)| (h + sh, f + sf))
     }
 
     /// Merges the shard summaries into one solution.
@@ -498,7 +470,7 @@ mod tests {
         let cfg = sfdm2_config(&d, vec![2, 2, 3]);
         let mut plain = Sfdm2::new(cfg.clone()).unwrap();
         let mut sharded: ShardedStream<Sfdm2> = ShardedStream::new(cfg.clone(), 1).unwrap();
-        // K = 1 batched takes the borrowed fast path; it must agree too.
+        // K = 1 batched goes through the stride dealer; it must agree too.
         let mut batched: ShardedStream<Sfdm2> = ShardedStream::new(cfg, 1).unwrap();
         let elements: Vec<Element> = d.iter().collect();
         for e in &elements {

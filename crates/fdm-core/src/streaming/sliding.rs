@@ -129,25 +129,12 @@ impl SlidingWindowFdm {
         }
     }
 
-    /// Processes a batch of arrivals, splitting it at checkpoint boundaries
-    /// so rotation happens exactly as with element-by-element
-    /// [`SlidingWindowFdm::insert`]; within each segment the two instances
-    /// use the parallel batch path of [`Sfdm2::insert_batch`].
+    /// Processes a batch of arrivals in order — the
+    /// [`ShardAlgorithm::insert_batch`] loop, kept inherent so callers need
+    /// not name the trait. Rotations fire exactly as with element-by-element
+    /// [`SlidingWindowFdm::insert`].
     pub fn insert_batch(&mut self, batch: &[Element]) {
-        let half = self.half();
-        let mut rest = batch;
-        while !rest.is_empty() {
-            let until_checkpoint = half - self.arrivals % half;
-            let take = until_checkpoint.min(rest.len());
-            let (segment, tail) = rest.split_at(take);
-            self.primary.insert_batch(segment);
-            self.secondary.insert_batch(segment);
-            self.arrivals += segment.len();
-            if self.arrivals.is_multiple_of(half) {
-                self.rotate();
-            }
-            rest = tail;
-        }
+        ShardAlgorithm::insert_batch(self, batch);
     }
 
     /// Fair solution over (a superset of the tail of) the current window.
@@ -202,10 +189,6 @@ impl ShardAlgorithm for SlidingWindowFdm {
         SlidingWindowFdm::insert(self, element);
     }
 
-    fn insert_batch(&mut self, batch: &[Element]) {
-        SlidingWindowFdm::insert_batch(self, batch);
-    }
-
     fn retained_elements(&self) -> Vec<Element> {
         // Primary first (it is the queried instance), then the younger
         // instance's retained set. The two overlap on recent arrivals;
@@ -230,12 +213,6 @@ impl ShardAlgorithm for SlidingWindowFdm {
 
     fn stored_elements(&self) -> usize {
         SlidingWindowFdm::stored_elements(self)
-    }
-
-    fn prefilter_counters(&self) -> (u64, u64) {
-        let (ph, pf) = ShardAlgorithm::prefilter_counters(&self.primary);
-        let (sh, sf) = ShardAlgorithm::prefilter_counters(&self.secondary);
-        (ph + sh, pf + sf)
     }
 }
 

@@ -42,7 +42,7 @@ pub trait DynSummary: Send + Sync + std::fmt::Debug {
     fn insert(&mut self, element: &Element);
 
     /// Feeds a batch of stream elements (equivalent to element-by-element
-    /// insertion in batch order; may fan out internally).
+    /// insertion in batch order; a sharded summary fans out across shards).
     fn insert_batch(&mut self, batch: &[Element]);
 
     /// Runs post-processing and returns the best feasible solution.
@@ -84,12 +84,6 @@ pub trait DynSummary: Send + Sync + std::fmt::Debug {
     fn state_patch_since(&self, cursor: &serde::Value) -> Option<StatePatch> {
         let _ = cursor;
         None
-    }
-
-    /// Lifetime f32 pre-filter `(hits, fallbacks)` recorded while serving
-    /// this summary; `(0, 0)` when the pre-filter never engaged.
-    fn prefilter_counters(&self) -> (u64, u64) {
-        (0, 0)
     }
 
     /// The retained elements (the summary's union export), in arena order;
@@ -149,10 +143,6 @@ where
         Snapshottable::state_patch_since(self, cursor)
     }
 
-    fn prefilter_counters(&self) -> (u64, u64) {
-        ShardAlgorithm::prefilter_counters(self)
-    }
-
     fn retained_elements(&self) -> Vec<Element> {
         ShardAlgorithm::retained_elements(self)
     }
@@ -206,10 +196,6 @@ where
 
     fn state_patch_since(&self, cursor: &serde::Value) -> Option<StatePatch> {
         Snapshottable::state_patch_since(self, cursor)
-    }
-
-    fn prefilter_counters(&self) -> (u64, u64) {
-        ShardedStream::prefilter_counters(self)
     }
 
     fn retained_elements(&self) -> Vec<Element> {

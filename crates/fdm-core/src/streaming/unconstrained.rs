@@ -8,9 +8,9 @@
 //!
 //! Retained elements are interned exactly once into a shared [`PointStore`]
 //! arena; candidates hold [`PointId`]s and test thresholds in proxy space
-//! (see [`crate::metric`]). [`StreamingDiversityMaximization::insert_batch`]
-//! probes the independent candidates of the guess ladder in parallel when
-//! the `parallel` feature is enabled.
+//! (see [`crate::metric`]). With the `parallel` feature the per-guess
+//! diversity scan of [`StreamingDiversityMaximization::finalize`] runs
+//! across the ladder in parallel.
 
 use std::collections::HashSet;
 
@@ -19,13 +19,13 @@ use serde::Serialize as _;
 use crate::dataset::DistanceBounds;
 use crate::error::{FdmError, Result};
 use crate::guess::GuessLadder;
-use crate::kernel;
 use crate::metric::Metric;
 use crate::par::maybe_par_map;
 use crate::persist::{self, Snapshottable};
 use crate::point::{Element, PointId, PointStore};
 use crate::solution::Solution;
-use crate::streaming::candidate::{ArrivalProxies, BatchProxies, Candidate};
+use crate::streaming::candidate::{ArrivalProxies, Candidate};
+use crate::streaming::sharded::ShardAlgorithm;
 
 /// Configuration for [`StreamingDiversityMaximization`].
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -106,11 +106,7 @@ impl StreamingDiversityMaximization {
         self.processed += 1;
         // One shared proxy cache per arrival: the ladder's candidates hold
         // overlapping members, so each retained row costs one kernel
-        // evaluation however many guesses test it. Syncing the f32 mirror
-        // first lets the cache decide most threshold tests in f32.
-        if kernel::prefilter_enabled(self.metric) {
-            self.store.sync_f32_mirror();
-        }
+        // evaluation however many guesses test it.
         self.scratch
             .begin_arrival(&self.store, self.metric, &element.point);
         let mut interned: Option<PointId> = None;
@@ -122,43 +118,13 @@ impl StreamingDiversityMaximization {
                 candidate.push(id);
             }
         }
-        scratch.flush_prefilter_counters(store);
     }
 
-    /// Processes a batch of stream elements, probing the independent
-    /// candidates concurrently (with the `parallel` feature) and then
-    /// committing acceptances serially. Equivalent to calling
-    /// [`StreamingDiversityMaximization::insert`] element by element, in
-    /// batch order.
+    /// Processes a batch of stream elements in order — the
+    /// [`ShardAlgorithm::insert_batch`] loop, kept inherent so callers need
+    /// not name the trait.
     pub fn insert_batch(&mut self, batch: &[Element]) {
-        if batch.is_empty() {
-            return;
-        }
-        // Candidate-major probing only pays when the lanes actually run
-        // concurrently; single-threaded, the cached element path is faster
-        // and produces identical results.
-        if self.sequential || !crate::par::parallel_available() {
-            for element in batch {
-                self.insert(element);
-            }
-            return;
-        }
-        self.ensure_store_dim(batch[0].dim());
-        self.processed += batch.len();
-        let norms: Vec<f64> = if self.metric.uses_norms() {
-            batch.iter().map(|e| kernel::norm_sq(&e.point)).collect()
-        } else {
-            vec![0.0; batch.len()]
-        };
-        // One kernel evaluation per (batch element, arena row) pair, shared
-        // read-only by every lane below (see `BatchProxies`).
-        let proxies =
-            BatchProxies::compute(self.sequential, &self.store, self.metric, batch, &norms);
-        let accepted: Vec<Vec<u32>> = maybe_par_map(self.sequential, self.candidates.len(), |i| {
-            self.candidates[i].probe_batch_cached(batch, &norms, None, &proxies)
-        });
-        let mut lanes: Vec<&mut Candidate> = self.candidates.iter_mut().collect();
-        commit_batch(&mut self.store, batch, &mut lanes, &accepted);
+        ShardAlgorithm::insert_batch(self, batch);
     }
 
     /// Number of elements seen so far.
@@ -319,35 +285,6 @@ impl Snapshottable for StreamingDiversityMaximization {
         alg.store = store;
         alg.store_initialized = store_initialized;
         Ok(alg)
-    }
-}
-
-/// Interns every batch element accepted by at least one candidate (in batch
-/// order) and pushes the resulting ids into each accepting candidate —
-/// the serial commit phase shared by all ladder algorithms.
-pub(crate) fn commit_batch(
-    store: &mut PointStore,
-    batch: &[Element],
-    candidates: &mut [&mut Candidate],
-    accepted: &[Vec<u32>],
-) {
-    let mut wanted = vec![false; batch.len()];
-    for lane in accepted {
-        for &pos in lane {
-            wanted[pos as usize] = true;
-        }
-    }
-    // Intern in batch order so arena order matches element-by-element runs.
-    let mut id_of_pos: Vec<Option<PointId>> = vec![None; batch.len()];
-    for (pos, wanted) in wanted.iter().enumerate() {
-        if *wanted {
-            id_of_pos[pos] = Some(store.push_element(&batch[pos]));
-        }
-    }
-    for (candidate, lane) in candidates.iter_mut().zip(accepted) {
-        for &pos in lane {
-            candidate.push(id_of_pos[pos as usize].expect("accepted element interned"));
-        }
     }
 }
 

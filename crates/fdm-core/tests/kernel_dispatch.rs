@@ -1,9 +1,8 @@
 //! End-to-end bit-identity of the kernel dispatch layer: the same stream
-//! fed to SFDM2 (plain and sliding-window) under `FDM_KERNEL=scalar`,
-//! `simd`, and `auto` must retain exactly the same elements and finalize to
-//! exactly the same solution — the SIMD backends reproduce scalar
-//! arithmetic bit for bit, and the f32 pre-filter only answers when its
-//! certified error band cannot flip the decision.
+//! fed to SFDM2 (plain and sliding-window) under `FDM_KERNEL=scalar` and
+//! `auto` must retain exactly the same elements and finalize to exactly the
+//! same solution — the SIMD backends reproduce scalar arithmetic bit for
+//! bit.
 //!
 //! This binary holds a SINGLE test on purpose: `kernel::force_mode` flips a
 //! process-global override, so it must never race a concurrently running
@@ -31,10 +30,8 @@ fn instance() -> Dataset {
 }
 
 /// One full run of plain + sliding-window SFDM2 under the active kernel
-/// mode; returns both solutions, the retained-id sets, and the pre-filter
-/// counters of the plain run.
-#[allow(clippy::type_complexity)]
-fn run(d: &Dataset) -> (Solution, Solution, Vec<usize>, Vec<usize>, (u64, u64)) {
+/// mode; returns both solutions and the retained-id sets.
+fn run(d: &Dataset) -> (Solution, Solution, Vec<usize>, Vec<usize>) {
     let cfg = Sfdm2Config {
         constraint: FairnessConstraint::new(vec![2; 3]).unwrap(),
         epsilon: 0.1,
@@ -49,17 +46,10 @@ fn run(d: &Dataset) -> (Solution, Solution, Vec<usize>, Vec<usize>, (u64, u64)) 
     }
     let store = plain.store();
     let retained_plain: Vec<usize> = store.ids().map(|id| store.external_id(id)).collect();
-    let counters = plain.store().prefilter_counters();
     let sol_plain = ShardAlgorithm::finalize(&plain).unwrap();
     let sol_sliding = ShardAlgorithm::finalize(&sliding).unwrap();
     let stored_sliding = vec![ShardAlgorithm::stored_elements(&sliding)];
-    (
-        sol_plain,
-        sol_sliding,
-        retained_plain,
-        stored_sliding,
-        counters,
-    )
+    (sol_plain, sol_sliding, retained_plain, stored_sliding)
 }
 
 fn assert_solutions_identical(a: &Solution, b: &Solution, what: &str) {
@@ -85,70 +75,24 @@ fn assert_solutions_identical(a: &Solution, b: &Solution, what: &str) {
 fn all_kernel_modes_produce_bit_identical_summaries() {
     let d = instance();
 
-    // Force the pre-filter on (it is opt-in via FDM_PREFILTER): this test
-    // exists to prove the fast paths — SIMD kernels AND the f32 pre-filter
-    // — cannot change a single retained element.
-    kernel::force_prefilter(Some(true));
-
     kernel::force_mode(Some(KernelMode::Scalar));
     assert_eq!(kernel::active_kernel(), "scalar");
     let scalar = run(&d);
-    assert_eq!(
-        scalar.4,
-        (0, 0),
-        "FDM_KERNEL=scalar must never arm the f32 pre-filter"
-    );
-
-    kernel::force_mode(Some(KernelMode::Simd));
-    let simd_level = kernel::active_kernel();
-    let simd = run(&d);
 
     kernel::force_mode(Some(KernelMode::Auto));
     let auto = run(&d);
 
     // Restore env-driven resolution for any other code in this process.
     kernel::force_mode(None);
-    kernel::force_prefilter(None);
 
-    for (label, other) in [("simd", &simd), ("auto", &auto)] {
-        assert_solutions_identical(
-            &scalar.0,
-            &other.0,
-            &format!("plain sfdm2 scalar vs {label}"),
-        );
-        assert_solutions_identical(
-            &scalar.1,
-            &other.1,
-            &format!("sliding sfdm2 scalar vs {label}"),
-        );
-        assert_eq!(
-            scalar.2, other.2,
-            "retained arena elements must match scalar run under {label}"
-        );
-        assert_eq!(
-            scalar.3, other.3,
-            "sliding stored-element count must match scalar run under {label}"
-        );
-    }
-
-    // On hardware with a SIMD backend the pre-filter must actually engage:
-    // certified answers (hits) and boundary fallbacks are both expected on
-    // a 240-element stream, and every query is one or the other.
-    if simd_level != "scalar" {
-        let (hits, fallbacks) = simd.4;
-        assert!(
-            hits > 0,
-            "f32 pre-filter never certified an answer under {simd_level}"
-        );
-        assert!(
-            hits + fallbacks > 0,
-            "pre-filter counters must record activity under {simd_level}"
-        );
-        let (auto_hits, auto_fallbacks) = auto.4;
-        assert_eq!(
-            (hits, fallbacks),
-            (auto_hits, auto_fallbacks),
-            "simd and auto runs must take identical pre-filter paths"
-        );
-    }
+    assert_solutions_identical(&scalar.0, &auto.0, "plain sfdm2 scalar vs auto");
+    assert_solutions_identical(&scalar.1, &auto.1, "sliding sfdm2 scalar vs auto");
+    assert_eq!(
+        scalar.2, auto.2,
+        "retained arena elements must match scalar run under auto"
+    );
+    assert_eq!(
+        scalar.3, auto.3,
+        "sliding stored-element count must match scalar run under auto"
+    );
 }

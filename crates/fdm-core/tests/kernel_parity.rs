@@ -5,10 +5,9 @@
 //! `proxy_at_least` test must agree with straightforward one-accumulator
 //! loops to 1e-9.
 
-use fdm_core::kernel::{self, simd, PrefilterKind};
+use fdm_core::kernel::simd;
 use fdm_core::metric::{kernels, Metric};
 use fdm_core::point::PointStore;
-use fdm_core::streaming::candidate::ArrivalProxies;
 use proptest::prelude::*;
 
 /// Naive single-accumulator reference implementations.
@@ -263,129 +262,4 @@ proptest! {
             }
         }
     }
-
-    /// Soundness of the f32 pre-filter: whenever `certified_at_least`
-    /// commits to an answer, that answer must equal the exact-f64 decision.
-    /// Bounds are sampled well away from, near, and exactly at the true
-    /// value so both certified branches and the uncertain band are
-    /// exercised.
-    #[test]
-    fn f32_prefilter_never_flips_threshold_decisions(
-        dim in 1usize..258,
-        seed in 0u64..1_000_000,
-        frac in 0.0f64..2.0,
-    ) {
-        use rand::prelude::*;
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(71));
-        let a: Vec<f64> = (0..dim).map(|_| rng.random::<f64>() * 20.0 - 10.0).collect();
-        let b: Vec<f64> = (0..dim).map(|_| rng.random::<f64>() * 20.0 - 10.0).collect();
-        let a32: Vec<f32> = a.iter().map(|&x| x as f32).collect();
-        let b32: Vec<f32> = b.iter().map(|&x| x as f32).collect();
-        let max_abs = a.iter().chain(&b).fold(0.0f64, |m, &x| m.max(x.abs()));
-        for (kind, exact) in [
-            (PrefilterKind::SumSq, kernels::sum_sq_diff(&a, &b)),
-            (PrefilterKind::SumAbs, kernels::sum_abs_diff(&a, &b)),
-        ] {
-            let p32 = kernel::proxy_f32(kind, &a32, &b32) as f64;
-            let (base, slope) = kernel::f32_error_coefficients(kind, dim, max_abs);
-            let err = base + slope * p32;
-            // Bounds: far below, near, exactly at, near above, far above.
-            let bounds = [
-                exact * 0.25,
-                exact * frac,
-                exact,
-                exact * 1.000001 + 1e-12,
-                exact * 4.0 + 1.0,
-            ];
-            for bound in bounds {
-                if let Some(answer) = kernel::certified_at_least(p32, bound, err) {
-                    prop_assert_eq!(
-                        answer,
-                        exact >= bound,
-                        "{:?} dim {} bound {}: f32 pre-filter flipped the decision \
-                         (p32 {} err {} exact {})",
-                        kind, dim, bound, p32, err, exact
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// A bound sitting *inside* the f32 uncertainty band must never be decided
-/// by the pre-filter. With exactly representable coordinates `p32 == exact`,
-/// so `bound == exact` lands within `±err` and `certified_at_least` must
-/// return `None` — the caller then takes the exact-f64 fallback path, which
-/// we observe through the arena's fallback counter.
-#[test]
-fn boundary_band_falls_back_to_exact_path() {
-    let a: Vec<f64> = (0..64).map(|i| (i % 7) as f64).collect();
-    let b: Vec<f64> = (0..64).map(|i| ((i + 3) % 5) as f64).collect();
-    let a32: Vec<f32> = a.iter().map(|&x| x as f32).collect();
-    let b32: Vec<f32> = b.iter().map(|&x| x as f32).collect();
-    let max_abs = 6.0;
-    for (kind, exact) in [
-        (PrefilterKind::SumSq, kernels::sum_sq_diff(&a, &b)),
-        (PrefilterKind::SumAbs, kernels::sum_abs_diff(&a, &b)),
-    ] {
-        let p32 = kernel::proxy_f32(kind, &a32, &b32) as f64;
-        assert_eq!(
-            p32, exact,
-            "{kind:?}: small-integer sums must be exactly representable in f32"
-        );
-        let (base, slope) = kernel::f32_error_coefficients(kind, 64, max_abs);
-        let err = base + slope * p32;
-        assert!(err > 0.0, "{kind:?}: error bound must be strictly positive");
-        assert_eq!(
-            kernel::certified_at_least(p32, exact, err),
-            None,
-            "{kind:?}: a bound inside the uncertainty band must not be certified"
-        );
-        // Clearly separated bounds are certified on both sides.
-        assert_eq!(
-            kernel::certified_at_least(p32, exact * 0.5, err),
-            Some(true)
-        );
-        assert_eq!(
-            kernel::certified_at_least(p32, exact * 2.0, err),
-            Some(false)
-        );
-    }
-
-    // End-to-end through `ArrivalProxies::at_least`: when the pre-filter is
-    // active (non-scalar kernel level, pre-filter forced on), an
-    // exact-boundary bound must be answered by the fallback path and
-    // recorded in the arena counters.
-    if kernel::active_kernel() == "scalar" {
-        return; // FDM_KERNEL=scalar: the pre-filter never arms; nothing to count.
-    }
-    kernel::force_prefilter(Some(true));
-    let mut store = PointStore::new(64);
-    let id = store.push(0, &b, 0);
-    store.sync_f32_mirror();
-    let metric = Metric::Euclidean;
-    let mut cache = ArrivalProxies::new();
-    cache.begin_arrival(&store, metric, &a);
-    let exact = kernels::sum_sq_diff(&a, &b);
-    // Boundary bound: must fall back to exact f64. Tallies batch in the
-    // cache until flushed (the hot paths flush once per arrival).
-    assert!(cache.at_least(&store, metric, &a, id, exact));
-    cache.flush_prefilter_counters(&store);
-    let (hits, fallbacks) = store.prefilter_counters();
-    assert_eq!(
-        (hits, fallbacks),
-        (0, 1),
-        "boundary-band query must be answered by the exact fallback path"
-    );
-    // A far-away bound is certified by the f32 path alone.
-    cache.begin_arrival(&store, metric, &a);
-    assert!(cache.at_least(&store, metric, &a, id, exact * 0.25));
-    cache.flush_prefilter_counters(&store);
-    let (hits, fallbacks) = store.prefilter_counters();
-    assert_eq!(
-        (hits, fallbacks),
-        (1, 1),
-        "clearly separated query must be certified by the f32 pre-filter"
-    );
-    kernel::force_prefilter(None);
 }

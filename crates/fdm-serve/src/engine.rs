@@ -748,9 +748,10 @@ impl Engine {
             Some(dir) => {
                 let (tx, rx) = mpsc::channel::<CompactJob>();
                 let format = config.snapshot_format;
+                let full_every = config.full_every;
                 let handle = std::thread::Builder::new()
                     .name("fdm-compactor".into())
-                    .spawn(move || run_compactor(rx, dir, format))
+                    .spawn(move || run_compactor(rx, dir, format, full_every))
                     .map_err(|e| FdmError::SnapshotIo {
                         detail: format!("spawn compactor thread: {e}"),
                     })?;
@@ -1637,15 +1638,12 @@ impl Engine {
             return coordinator.stats(name);
         }
         let entry = self.entry(name)?;
-        let (params, processed, stored, f32_hits, f32_fallbacks) = {
+        let (params, processed, stored) = {
             let summary = read_lock(&entry.summary);
-            let (hits, fallbacks) = summary.prefilter_counters();
             (
                 summary.params(),
                 summary.processed(),
                 summary.stored_elements(),
-                hits,
-                fallbacks,
             )
         };
         let counters = lock(&entry.durable).counters;
@@ -1657,8 +1655,7 @@ impl Engine {
         Ok(Payload::Stats(format!(
             "stream={name} algorithm={} processed={processed} stored={stored} dim={} k={} \
              shards={}{window} wal_records={} snapshots={} deltas={} dirty_bytes={} \
-             compactions={} last_snapshot_bytes={} last_snapshot_format={} kernel={} \
-             f32_hits={f32_hits} f32_fallbacks={f32_fallbacks}",
+             compactions={} last_snapshot_bytes={} last_snapshot_format={} kernel={}",
             params.algorithm,
             params.dim,
             params.k,
@@ -1675,8 +1672,8 @@ impl Engine {
     }
 
     /// Renders the full Prometheus text exposition for `/metrics`: the
-    /// per-stream series (geometry, persistence gauges, pre-filter
-    /// counters, latency histograms) followed by the process-wide ones.
+    /// per-stream series (geometry, persistence gauges, latency
+    /// histograms) followed by the process-wide ones.
     ///
     /// Same lock discipline as `STATS`: per stream, a short summary read
     /// lock to copy the cheap numbers, dropped *before* the durable mutex
@@ -1689,8 +1686,6 @@ impl Engine {
             name: String,
             processed: usize,
             stored: usize,
-            f32_hits: u64,
-            f32_fallbacks: u64,
             counters: PersistCounters,
             metrics: Arc<StreamMetrics>,
         }
@@ -1706,23 +1701,15 @@ impl Engine {
         let samples: Vec<StreamSample> = entries
             .into_iter()
             .map(|(name, entry)| {
-                let (processed, stored, f32_hits, f32_fallbacks) = {
+                let (processed, stored) = {
                     let summary = read_lock(&entry.summary);
-                    let (hits, fallbacks) = summary.prefilter_counters();
-                    (
-                        summary.processed(),
-                        summary.stored_elements(),
-                        hits,
-                        fallbacks,
-                    )
+                    (summary.processed(), summary.stored_elements())
                 };
                 let counters = lock(&entry.durable).counters;
                 StreamSample {
                     name,
                     processed,
                     stored,
-                    f32_hits,
-                    f32_fallbacks,
                     counters,
                     metrics: entry.metrics.clone(),
                 }
@@ -1821,30 +1808,6 @@ impl Engine {
         }
         metrics::help_type(
             &mut out,
-            "fdm_prefilter_hits_total",
-            "counter",
-            "Distance evaluations settled by the f32 pre-filter's certified band.",
-        );
-        for s in &samples {
-            out.push_str(&format!(
-                "fdm_prefilter_hits_total{{stream=\"{}\"}} {}\n",
-                s.name, s.f32_hits
-            ));
-        }
-        metrics::help_type(
-            &mut out,
-            "fdm_prefilter_fallbacks_total",
-            "counter",
-            "Distance evaluations that fell back to full f64 arithmetic.",
-        );
-        for s in &samples {
-            out.push_str(&format!(
-                "fdm_prefilter_fallbacks_total{{stream=\"{}\"}} {}\n",
-                s.name, s.f32_fallbacks
-            ));
-        }
-        metrics::help_type(
-            &mut out,
             "fdm_kernel_info",
             "gauge",
             "Active distance-kernel backend (constant 1; the label carries the name).",
@@ -1889,20 +1852,38 @@ impl Engine {
 
 /// The background compactor loop: drains [`CompactJob`]s until the
 /// engine drops its sender, collapsing each stream's `full + delta*`
-/// chain off every hot-path lock. Failures are logged and the pending
-/// flag cleared — the next over-length checkpoint simply re-enqueues.
-fn run_compactor(rx: mpsc::Receiver<CompactJob>, dir: PathBuf, format: SnapshotFormat) {
+/// chain off every hot-path lock. Checkpoints that land while a collapse
+/// runs see the pending flag and enqueue nothing, so after each collapse
+/// the loop re-checks the chain under the durable mutex and collapses
+/// again while it still holds `full_every` deltas; the flag is cleared
+/// under that same lock. A quiet stream therefore settles below
+/// `full_every` deltas, and so does the join in `Engine::drop`. Failures
+/// are logged and the flag cleared — the next over-length checkpoint
+/// simply re-enqueues.
+fn run_compactor(
+    rx: mpsc::Receiver<CompactJob>,
+    dir: PathBuf,
+    format: SnapshotFormat,
+    full_every: u64,
+) {
     while let Ok(job) = rx.recv() {
-        if let Err(e) = compact_chain(&dir, format, &job) {
-            eprintln!(
-                "fdm-serve: compaction of `{}` failed (chain left as-is): {e}",
-                job.name
-            );
+        loop {
+            let consumed = compact_chain(&dir, format, &job).unwrap_or_else(|e| {
+                eprintln!(
+                    "fdm-serve: compaction of `{}` failed (chain left as-is): {e}",
+                    job.name
+                );
+                0
+            });
+            let mut durable = lock(&job.entry.durable);
+            if consumed == 0
+                || durable.chain_epoch != job.epoch
+                || durable.deltas_since_full < full_every
+            {
+                durable.compaction_pending = false;
+                break;
+            }
         }
-        // Clear the flag under durable whatever happened: on success the
-        // chain is short again; on failure the next checkpoint should be
-        // free to try again.
-        lock(&job.entry.durable).compaction_pending = false;
     }
 }
 
@@ -1914,12 +1895,14 @@ fn run_compactor(rx: mpsc::Receiver<CompactJob>, dir: PathBuf, format: SnapshotF
 /// for the commit: if the chain epoch still matches the job's, the
 /// collapsed snapshot renames into place and the consumed delta files are
 /// removed; if an inline anchor ran in between, the work is discarded.
-fn compact_chain(dir: &Path, format: SnapshotFormat, job: &CompactJob) -> Result<()> {
+/// Returns the number of delta files the committed collapse consumed (0
+/// when nothing was committed).
+fn compact_chain(dir: &Path, format: SnapshotFormat, job: &CompactJob) -> Result<usize> {
     let name = &job.name;
     let snap_path = dir.join(format!("{name}.snap"));
     let chain = list_deltas(dir, name);
     if chain.is_empty() {
-        return Ok(());
+        return Ok(0);
     }
     let mut snapshot = Snapshot::read_from_file(&snap_path)?;
     let mut consumed: Vec<PathBuf> = Vec::with_capacity(chain.len());
@@ -1962,7 +1945,7 @@ fn compact_chain(dir: &Path, format: SnapshotFormat, job: &CompactJob) -> Result
         // collapsed snapshot describes a base that no longer exists.
         drop(durable);
         let _ = std::fs::remove_file(&tmp_path);
-        return Ok(());
+        return Ok(0);
     }
     std::fs::rename(&tmp_path, &snap_path).map_err(|e| FdmError::SnapshotIo {
         detail: format!(
@@ -1986,7 +1969,7 @@ fn compact_chain(dir: &Path, format: SnapshotFormat, job: &CompactJob) -> Result
         .deltas_since_full
         .saturating_sub(consumed.len() as u64);
     durable.counters.compactions += 1;
-    Ok(())
+    Ok(consumed.len())
 }
 
 /// Validates an arriving element against a stream's live parameters:
