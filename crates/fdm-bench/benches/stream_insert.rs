@@ -140,8 +140,8 @@ fn bench_insert_high_dim(c: &mut Criterion) {
                 black_box(alg.stored_elements())
             })
         });
-        // Same stream through the batch API: pre-materialized elements,
-        // candidates probed concurrently under `--features parallel`.
+        // Same stream through the batch API: pre-materialized elements fed
+        // through the in-order element loop.
         let elements: Vec<_> = data.iter().collect();
         group.bench_with_input(BenchmarkId::new("sfdm2_batch", dim), &dim, |b, _| {
             b.iter(|| {

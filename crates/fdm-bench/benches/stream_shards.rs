@@ -6,8 +6,8 @@
 //! `K = 1` measures the wrapper overhead over the plain algorithm (it must
 //! be negligible: same candidates, same arena, one extra indirection).
 //! `K > 1` shows the fan-out: on a single core it costs the merge pass; on
-//! a multi-core box with `--features parallel` the sub-batches run
-//! concurrently on the persistent pool.
+//! a multi-core box the sub-batches run concurrently on the persistent
+//! pool.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fdm_core::dataset::Dataset;

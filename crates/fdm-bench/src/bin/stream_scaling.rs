@@ -16,9 +16,8 @@
 //! - `--out PATH` — output JSON path (default `BENCH_scaling.json`).
 //! - `FDM_BENCH_FAST=1` shrinks the stream for CI smoke runs.
 //!
-//! Without `--features parallel` the shards are processed sequentially and
-//! the sweep measures the sharding overhead alone; the JSON records which
-//! mode was active so the two are never compared by accident.
+//! A count of 1 (or a process pinned to one CPU) has no pool: the shards
+//! then run inline and the sweep measures the sharding overhead alone.
 
 use fdm_core::fairness::FairnessConstraint;
 use fdm_core::point::Element;
@@ -36,10 +35,6 @@ fn stream_len() -> usize {
     } else {
         20_000
     }
-}
-
-fn parallel_feature() -> bool {
-    cfg!(feature = "parallel")
 }
 
 /// Ingests the shared workload under the current process's rayon pool and
@@ -83,7 +78,7 @@ fn worker(threads: usize) {
 
     let elapsed_ns = elapsed.as_nanos() as f64;
     let mut result = serde_json::Map::new();
-    let fields: [(&str, serde_json::Value); 11] = [
+    let fields: [(&str, serde_json::Value); 10] = [
         (
             "id",
             serde_json::json!(format!("stream_scaling/sfdm2_d{DIM}/threads/{threads}")),
@@ -91,7 +86,6 @@ fn worker(threads: usize) {
         ("threads", serde_json::json!(threads as f64)),
         ("shards", serde_json::json!(threads.max(1) as f64)),
         ("elements", serde_json::json!(n as f64)),
-        ("parallel_feature", serde_json::json!(parallel_feature())),
         (
             "kernel",
             serde_json::json!(fdm_core::kernel::active_kernel()),

@@ -363,10 +363,11 @@ impl Snapshot {
         Snapshot::from_json(text)
     }
 
-    /// Writes the snapshot to a file as v1 JSON (see
-    /// [`Snapshot::write_to_file_format`] for the format switch).
+    /// Writes the snapshot to a file in the default format (binary v2, as
+    /// the daemon writes it; see [`Snapshot::write_to_file_format`] for the
+    /// format switch).
     pub fn write_to_file(&self, path: impl AsRef<Path>) -> Result<()> {
-        self.write_to_file_format(path, SnapshotFormat::Json)
+        self.write_to_file_format(path, SnapshotFormat::default())
     }
 
     /// Writes the snapshot to a file in the given format.

@@ -14,9 +14,9 @@
 //! in `U'`.
 //!
 //! Retained elements are interned once into a shared [`PointStore`];
-//! candidates hold [`PointId`]s. With the `parallel` feature the per-guess
-//! balancing of the post-processing runs across the ladder in parallel
-//! (identical results either way).
+//! candidates hold [`PointId`]s. The per-guess balancing of the
+//! post-processing fans out across the ladder on the pool (identical
+//! results however it is scheduled).
 
 use std::collections::HashSet;
 
@@ -66,7 +66,6 @@ pub struct Sfdm1 {
     /// [`ArrivalProxies`]).
     scratch: ArrivalProxies,
     processed: usize,
-    sequential: bool,
     store_initialized: bool,
 }
 
@@ -111,15 +110,8 @@ impl Sfdm1 {
             strategy,
             scratch: ArrivalProxies::new(),
             processed: 0,
-            sequential: false,
             store_initialized: false,
         })
-    }
-
-    /// Forces single-threaded processing even when built with the
-    /// `parallel` feature (identical results; see the module docs).
-    pub fn set_sequential(&mut self, sequential: bool) {
-        self.sequential = sequential;
     }
 
     fn ensure_store_dim(&mut self, dim: usize) {
@@ -195,37 +187,36 @@ impl Sfdm1 {
 
     /// Post-processing (Algorithm 2, lines 9–18): balance every candidate in
     /// `U'` and return the most diverse fair result. The per-guess balancing
-    /// runs across the ladder in parallel under the `parallel` feature.
+    /// fans out across the ladder on the pool.
     pub fn finalize(&self) -> Result<Solution> {
         let k = self.constraint.total();
-        let results: Vec<Option<(f64, Vec<PointId>)>> =
-            maybe_par_map(self.sequential, self.blind.len(), |j| {
-                let blind = &self.blind[j];
-                // U' membership: blind full and both group candidates full.
-                if blind.len() < k
-                    || self.specific[0][j].len() < self.constraint.quota(0)
-                    || self.specific[1][j].len() < self.constraint.quota(1)
-                {
-                    return None;
-                }
-                let mut solution = blind.members().to_vec();
-                let pools = [
-                    self.specific[0][j].members().to_vec(),
-                    self.specific[1][j].members().to_vec(),
-                ];
-                if !balance_two_groups(
-                    &self.store,
-                    &mut solution,
-                    &pools,
-                    &self.constraint,
-                    self.metric,
-                    self.strategy,
-                ) {
-                    return None;
-                }
-                let div = diversity_of_ids(&self.store, &solution, self.metric);
-                Some((div, solution))
-            });
+        let results: Vec<Option<(f64, Vec<PointId>)>> = maybe_par_map(self.blind.len(), |j| {
+            let blind = &self.blind[j];
+            // U' membership: blind full and both group candidates full.
+            if blind.len() < k
+                || self.specific[0][j].len() < self.constraint.quota(0)
+                || self.specific[1][j].len() < self.constraint.quota(1)
+            {
+                return None;
+            }
+            let mut solution = blind.members().to_vec();
+            let pools = [
+                self.specific[0][j].members().to_vec(),
+                self.specific[1][j].members().to_vec(),
+            ];
+            if !balance_two_groups(
+                &self.store,
+                &mut solution,
+                &pools,
+                &self.constraint,
+                self.metric,
+                self.strategy,
+            ) {
+                return None;
+            }
+            let div = diversity_of_ids(&self.store, &solution, self.metric);
+            Some((div, solution))
+        });
         // Serial reduction preserves the first-maximum tie-break regardless
         // of how the map above was scheduled.
         let mut best: Option<(f64, &Vec<PointId>)> = None;

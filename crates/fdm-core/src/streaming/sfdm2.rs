@@ -21,10 +21,9 @@
 //! 4. Keep the fair size-`k` result with maximum diversity across guesses.
 //!
 //! Retained elements are interned once into a shared [`PointStore`];
-//! candidates hold [`PointId`]s. With the `parallel` feature the whole
-//! per-guess post-processing pipeline (clustering + matroid intersection)
-//! runs across the ladder in parallel — the results are identical to a
-//! sequential run.
+//! candidates hold [`PointId`]s. The whole per-guess post-processing
+//! pipeline (clustering + matroid intersection) fans out across the ladder
+//! on the pool — the results are identical to a sequential run.
 
 use std::collections::HashSet;
 
@@ -108,7 +107,6 @@ pub struct Sfdm2 {
     /// [`ArrivalProxies`]).
     scratch: ArrivalProxies,
     processed: usize,
-    sequential: bool,
     store_initialized: bool,
 }
 
@@ -152,15 +150,8 @@ impl Sfdm2 {
             mode,
             scratch: ArrivalProxies::new(),
             processed: 0,
-            sequential: false,
             store_initialized: false,
         })
-    }
-
-    /// Forces single-threaded processing even when built with the
-    /// `parallel` feature (identical results; see the module docs).
-    pub fn set_sequential(&mut self, sequential: bool) {
-        self.sequential = sequential;
     }
 
     fn ensure_store_dim(&mut self, dim: usize) {
@@ -237,11 +228,10 @@ impl Sfdm2 {
 
     /// Post-processing (Algorithm 3, lines 9–19). Each guess's pipeline —
     /// clustering, matroid construction, Cunningham augmentation — is
-    /// independent and runs across the ladder in parallel under the
-    /// `parallel` feature.
+    /// independent and fans out across the ladder on the pool.
     pub fn finalize(&self) -> Result<Solution> {
         let results: Vec<Option<(f64, Vec<PointId>)>> =
-            maybe_par_map(self.sequential, self.blind.len(), |j| self.process_guess(j));
+            maybe_par_map(self.blind.len(), |j| self.process_guess(j));
         // Serial reduction preserves the first-maximum tie-break regardless
         // of how the map above was scheduled.
         let mut best: Option<(f64, &Vec<PointId>)> = None;

@@ -20,9 +20,9 @@
 //!   [`PointStore`](crate::point::PointStore) arena
 //!   segment;
 //! * [`ShardedStream::insert_batch`] runs the shards **concurrently** on
-//!   rayon's persistent pool (under the `parallel` feature), each taking
-//!   its round-robin stride of the borrowed batch — shards share no mutable
-//!   state, so scheduling cannot affect results;
+//!   rayon's persistent pool, each taking its round-robin stride of the
+//!   borrowed batch — shards share no mutable state, so scheduling cannot
+//!   affect results;
 //! * [`ShardedStream::finalize`] streams the union of the shards' retained
 //!   elements (shard-major, arena order — deterministic) through one fresh
 //!   instance of the same algorithm and runs its full post-processing,
@@ -92,9 +92,6 @@ pub trait ShardAlgorithm: Sized + Send {
     /// Runs post-processing and returns the best feasible solution.
     fn finalize(&self) -> Result<Solution>;
 
-    /// Forces single-threaded execution inside this instance.
-    fn set_sequential(&mut self, sequential: bool);
-
     /// Number of elements seen.
     fn processed(&self) -> usize;
 
@@ -126,10 +123,6 @@ macro_rules! impl_shard_algorithm {
 
             fn finalize(&self) -> Result<Solution> {
                 <$alg>::finalize(self)
-            }
-
-            fn set_sequential(&mut self, sequential: bool) {
-                <$alg>::set_sequential(self, sequential);
             }
 
             fn processed(&self) -> usize {
@@ -177,7 +170,6 @@ pub struct ShardedStream<S: ShardAlgorithm> {
     shards: Vec<S>,
     /// Round-robin cursor: the shard the next arrival goes to.
     next: usize,
-    sequential: bool,
 }
 
 impl<S: ShardAlgorithm> ShardedStream<S> {
@@ -194,22 +186,12 @@ impl<S: ShardAlgorithm> ShardedStream<S> {
             config,
             shards: built,
             next: 0,
-            sequential: false,
         })
     }
 
     /// Number of shards `K`.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Forces single-threaded execution (shard fan-out and inside each
-    /// shard). Results are identical either way.
-    pub fn set_sequential(&mut self, sequential: bool) {
-        self.sequential = sequential;
-        for shard in &mut self.shards {
-            shard.set_sequential(sequential);
-        }
     }
 
     /// Read-only access to the shard instances.
@@ -225,18 +207,17 @@ impl<S: ShardAlgorithm> ShardedStream<S> {
     }
 
     /// Routes a batch of arrivals round-robin and runs the shards
-    /// concurrently (under the `parallel` feature) on the persistent pool.
-    /// Shard `s` takes, in order, the batch positions `i` with
-    /// `(next + i) mod K = s`, borrowed in place. Equivalent to
-    /// element-by-element [`ShardedStream::insert`] in batch order: shards
-    /// share no mutable state, so scheduling cannot affect any shard's
-    /// result.
+    /// concurrently on the persistent pool. Shard `s` takes, in order, the
+    /// batch positions `i` with `(next + i) mod K = s`, borrowed in place.
+    /// Equivalent to element-by-element [`ShardedStream::insert`] in batch
+    /// order: shards share no mutable state, so scheduling cannot affect any
+    /// shard's result.
     pub fn insert_batch(&mut self, batch: &[Element]) {
         let k = self.shards.len();
         let next = self.next;
         self.next = (next + batch.len()) % k;
         let work: Vec<(usize, &mut S)> = self.shards.iter_mut().enumerate().collect();
-        maybe_par_for_each(self.sequential, work, |(s, shard)| {
+        maybe_par_for_each(work, |(s, shard)| {
             for element in batch.iter().skip((s + k - next) % k).step_by(k) {
                 shard.insert(element);
             }
@@ -269,7 +250,6 @@ impl<S: ShardAlgorithm> ShardedStream<S> {
         let unions: Vec<Vec<Element>> = self.shards.iter().map(S::retained_elements).collect();
         let union_len = unions.iter().map(Vec::len).sum();
         let mut merge = S::merge_instance(&self.config, union_len)?;
-        merge.set_sequential(self.sequential);
         for union in &unions {
             merge.insert_batch(union);
         }
@@ -420,7 +400,6 @@ impl<S: ShardAlgorithm + Snapshottable> Snapshottable for ShardedStream<S> {
             config: shards[0].config(),
             shards,
             next,
-            sequential: false,
         })
     }
 }

@@ -51,7 +51,6 @@ pub struct SlidingWindowFdm {
     /// Younger instance, promoted at the next checkpoint.
     secondary: Sfdm2,
     arrivals: usize,
-    sequential: bool,
 }
 
 impl SlidingWindowFdm {
@@ -66,7 +65,6 @@ impl SlidingWindowFdm {
             primary,
             secondary,
             arrivals: 0,
-            sequential: false,
         })
     }
 
@@ -98,15 +96,6 @@ impl SlidingWindowFdm {
         }
     }
 
-    /// Forces single-threaded processing in both staggered instances (and
-    /// in every instance started at future rotations). Results are
-    /// identical either way.
-    pub fn set_sequential(&mut self, sequential: bool) {
-        self.sequential = sequential;
-        self.primary.set_sequential(sequential);
-        self.secondary.set_sequential(sequential);
-    }
-
     /// Rotation cadence `W/2` (≥ 1).
     fn half(&self) -> usize {
         (self.window / 2).max(1)
@@ -114,8 +103,7 @@ impl SlidingWindowFdm {
 
     /// Promotes the younger instance and starts a fresh one.
     fn rotate(&mut self) {
-        let mut fresh = Sfdm2::new(self.config.clone()).expect("config validated at construction");
-        fresh.set_sequential(self.sequential);
+        let fresh = Sfdm2::new(self.config.clone()).expect("config validated at construction");
         self.primary = std::mem::replace(&mut self.secondary, fresh);
     }
 
@@ -201,10 +189,6 @@ impl ShardAlgorithm for SlidingWindowFdm {
 
     fn finalize(&self) -> Result<Solution> {
         SlidingWindowFdm::finalize(self)
-    }
-
-    fn set_sequential(&mut self, sequential: bool) {
-        SlidingWindowFdm::set_sequential(self, sequential);
     }
 
     fn processed(&self) -> usize {
@@ -351,7 +335,6 @@ impl Snapshottable for SlidingWindowFdm {
             primary,
             secondary,
             arrivals,
-            sequential: false,
         })
     }
 }

@@ -54,9 +54,6 @@ pub trait DynSummary: Send + Sync + std::fmt::Debug {
     /// Distinct retained elements (the paper's space metric).
     fn stored_elements(&self) -> usize;
 
-    /// Forces single-threaded execution inside the summary.
-    fn set_sequential(&mut self, sequential: bool);
-
     /// The envelope parameters describing this summary's configuration —
     /// the compatibility identity used by re-attach and restore checks.
     fn params(&self) -> SnapshotParams;
@@ -119,10 +116,6 @@ where
         ShardAlgorithm::stored_elements(self)
     }
 
-    fn set_sequential(&mut self, sequential: bool) {
-        ShardAlgorithm::set_sequential(self, sequential);
-    }
-
     fn params(&self) -> SnapshotParams {
         self.snapshot_params()
     }
@@ -172,10 +165,6 @@ where
 
     fn stored_elements(&self) -> usize {
         ShardedStream::stored_elements(self)
-    }
-
-    fn set_sequential(&mut self, sequential: bool) {
-        ShardedStream::set_sequential(self, sequential);
     }
 
     fn params(&self) -> SnapshotParams {

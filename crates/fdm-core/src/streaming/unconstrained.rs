@@ -8,9 +8,9 @@
 //!
 //! Retained elements are interned exactly once into a shared [`PointStore`]
 //! arena; candidates hold [`PointId`]s and test thresholds in proxy space
-//! (see [`crate::metric`]). With the `parallel` feature the per-guess
-//! diversity scan of [`StreamingDiversityMaximization::finalize`] runs
-//! across the ladder in parallel.
+//! (see [`crate::metric`]). The per-guess diversity scan of
+//! [`StreamingDiversityMaximization::finalize`] fans out across the ladder
+//! on the pool.
 
 use std::collections::HashSet;
 
@@ -53,7 +53,6 @@ pub struct StreamingDiversityMaximization {
     /// [`ArrivalProxies`]).
     scratch: ArrivalProxies,
     processed: usize,
-    sequential: bool,
     store_initialized: bool,
 }
 
@@ -80,17 +79,8 @@ impl StreamingDiversityMaximization {
             bounds: config.bounds,
             scratch: ArrivalProxies::new(),
             processed: 0,
-            sequential: false,
             store_initialized: false,
         })
-    }
-
-    /// Forces single-threaded processing even when the crate is built with
-    /// the `parallel` feature (results are identical either way; this
-    /// exists for determinism tests and for embedding in already-parallel
-    /// callers).
-    pub fn set_sequential(&mut self, sequential: bool) {
-        self.sequential = sequential;
     }
 
     fn ensure_store_dim(&mut self, dim: usize) {
@@ -170,11 +160,10 @@ impl StreamingDiversityMaximization {
 
     /// Algorithm 1, line 7: the full candidate maximizing `div(S_µ)`.
     pub fn finalize(&self) -> Result<Solution> {
-        let diversities: Vec<Option<f64>> =
-            maybe_par_map(self.sequential, self.candidates.len(), |j| {
-                let c = &self.candidates[j];
-                (c.len() == self.k).then(|| c.diversity(&self.store))
-            });
+        let diversities: Vec<Option<f64>> = maybe_par_map(self.candidates.len(), |j| {
+            let c = &self.candidates[j];
+            (c.len() == self.k).then(|| c.diversity(&self.store))
+        });
         let best = diversities
             .iter()
             .enumerate()
