@@ -1,17 +1,16 @@
 //! Criterion micro-benchmarks of snapshot/restore persistence: capture
-//! and restore in both encodings (v1 JSON text vs the v2 binary codec),
-//! the full round trip, and incremental (delta) capture, on an SFDM2
-//! summary fed the same 5 000-element workload as `stream_insert`'s
-//! headline case.
+//! and restore in the v2 binary codec, the full round trip, and
+//! incremental (delta) capture, on an SFDM2 summary fed the same
+//! 5 000-element workload as `stream_insert`'s headline case.
 //!
 //! The paper's space bound is what makes this cheap: the summary holds
 //! `O(m·k·log ∆/ε)` elements regardless of how long the stream ran, so
 //! checkpoint cost is flat in stream length — worth pinning with a bench
 //! so a persistence regression (e.g. accidentally serializing per-arrival
-//! scratch state) shows up as a step change. The JSON-vs-binary pairs are
-//! the headline numbers behind `docs/performance.md`'s snapshot section;
-//! the process also prints the encoded sizes (continuous *and*
-//! categorical coordinates) so size ratios land in the bench log.
+//! scratch state) shows up as a step change. These are the headline
+//! numbers behind `docs/performance.md`'s snapshot section; the process
+//! also prints the encoded sizes (continuous *and* categorical
+//! coordinates) so they land in the bench log.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fdm_core::fairness::FairnessConstraint;
@@ -65,13 +64,9 @@ fn loaded_categorical() -> Sfdm2 {
     alg
 }
 
-fn report_sizes(label: &str, snap: &Snapshot) {
-    let json = snap.to_bytes(SnapshotFormat::Json).len();
+fn report_size(label: &str, snap: &Snapshot) {
     let bin = snap.to_bytes(SnapshotFormat::Binary).len();
-    eprintln!(
-        "snapshot-size {label}: json={json}B bin={bin}B ratio={:.2}x",
-        json as f64 / bin as f64
-    );
+    eprintln!("snapshot-size {label}: bin={bin}B");
 }
 
 fn bench_snapshot_roundtrip(c: &mut Criterion) {
@@ -79,29 +74,14 @@ fn bench_snapshot_roundtrip(c: &mut Criterion) {
     for dim in [16usize, 128] {
         let alg = loaded_sfdm2(dim);
         let snap = alg.snapshot();
-        report_sizes(&format!("sfdm2_d{dim}"), &snap);
-        let json = snap.to_bytes(SnapshotFormat::Json);
+        report_size(&format!("sfdm2_d{dim}"), &snap);
         let bin = snap.to_bytes(SnapshotFormat::Binary);
-        group.bench_with_input(BenchmarkId::new("capture_json_d", dim), &dim, |b, _| {
-            b.iter(|| {
-                black_box(&alg)
-                    .snapshot()
-                    .to_bytes(SnapshotFormat::Json)
-                    .len()
-            })
-        });
         group.bench_with_input(BenchmarkId::new("capture_bin_d", dim), &dim, |b, _| {
             b.iter(|| {
                 black_box(&alg)
                     .snapshot()
                     .to_bytes(SnapshotFormat::Binary)
                     .len()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("restore_json_d", dim), &dim, |b, _| {
-            b.iter(|| {
-                let snap = Snapshot::from_bytes(black_box(&json)).unwrap();
-                Sfdm2::restore(&snap).unwrap().stored_elements()
             })
         });
         group.bench_with_input(BenchmarkId::new("restore_bin_d", dim), &dim, |b, _| {
@@ -122,15 +102,7 @@ fn bench_snapshot_roundtrip(c: &mut Criterion) {
     // Categorical coordinates: the bit-packed fast path.
     {
         let alg = loaded_categorical();
-        report_sizes("sfdm2_categorical_d40", &alg.snapshot());
-        group.bench_function("capture_json_categorical", |b| {
-            b.iter(|| {
-                black_box(&alg)
-                    .snapshot()
-                    .to_bytes(SnapshotFormat::Json)
-                    .len()
-            })
-        });
+        report_size("sfdm2_categorical_d40", &alg.snapshot());
         group.bench_function("capture_bin_categorical", |b| {
             b.iter(|| {
                 black_box(&alg)

@@ -61,7 +61,6 @@ fn persist_opts(opts: &Options, algo: Algo, dataset: &str) -> PersistOpts {
         snapshot_path: opts
             .snapshot_every
             .map(|_| results_dir().join("snapshots").join(&cell_file)),
-        snapshot_format: opts.snapshot_format,
         restore_from,
         restore_snapshot: None,
     }

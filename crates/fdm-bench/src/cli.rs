@@ -14,16 +14,14 @@
 //! * `--restore-from PATH` — resume each streaming run from a snapshot
 //!   (the already-processed prefix of the permuted stream is skipped, so a
 //!   resumed run finishes with results identical to an uninterrupted one;
-//!   incompatible snapshots are rejected with a typed error);
-//! * `--snapshot-format json|bin` — encoding for written checkpoints
-//!   (default `bin`, the v2 binary codec; resume reads both);
+//!   incompatible snapshots are rejected with a typed error). Checkpoints
+//!   are written in the v2 binary codec; resume also reads v1 JSON files;
 //! * `--algorithm NAME` — add an extra streaming scenario to experiments
 //!   that support it (today: `sliding` on table2);
 //! * `--window N` — sliding-window size for `--algorithm sliding`
 //!   (required with it, rejected without it).
 
 use crate::workloads::SizeMode;
-use fdm_core::persist::SnapshotFormat;
 
 /// Parsed common options.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,9 +41,6 @@ pub struct Options {
     pub snapshot_every: Option<usize>,
     /// Snapshot to resume the streaming runs from.
     pub restore_from: Option<String>,
-    /// Encoding for written checkpoints (`json` or `bin`; resume sniffs
-    /// the format either way).
-    pub snapshot_format: SnapshotFormat,
     /// Extra streaming scenario to run (today: `sliding` on table2).
     pub algorithm: Option<String>,
     /// Sliding-window size for `--algorithm sliding`.
@@ -62,7 +57,6 @@ impl Default for Options {
             shards: 1,
             snapshot_every: None,
             restore_from: None,
-            snapshot_format: SnapshotFormat::default(),
             algorithm: None,
             window: 0,
         }
@@ -94,12 +88,6 @@ impl Options {
                             .ok_or_else(|| "--restore-from requires a path".to_string())?,
                     )
                 }
-                "--snapshot-format" => {
-                    let value = args
-                        .next()
-                        .ok_or_else(|| "--snapshot-format requires json or bin".to_string())?;
-                    opts.snapshot_format = SnapshotFormat::parse(&value)?;
-                }
                 "--algorithm" => {
                     let value = args
                         .next()
@@ -116,7 +104,7 @@ impl Options {
                 "--help" | "-h" => {
                     return Err(
                         "usage: [--quick|--full] [--trials N] [--k N] [--seed N] [--shards N] \
-                         [--snapshot-every N] [--restore-from PATH] [--snapshot-format json|bin] \
+                         [--snapshot-every N] [--restore-from PATH] \
                          [--algorithm sliding --window N]"
                             .to_string(),
                     )

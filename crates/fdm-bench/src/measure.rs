@@ -22,7 +22,7 @@ use fdm_core::offline::fair_flow::{FairFlow, FairFlowConfig};
 use fdm_core::offline::fair_gmm::{FairGmm, FairGmmConfig};
 use fdm_core::offline::fair_swap::{FairSwap, FairSwapConfig};
 use fdm_core::offline::gmm::gmm;
-use fdm_core::persist::{Snapshot, SnapshotFormat};
+use fdm_core::persist::Snapshot;
 use fdm_core::point::Element;
 use fdm_core::streaming::summary::{self, DynSummary, SummarySpec};
 use fdm_datasets::stream::{shuffled_indices, stream_elements};
@@ -114,7 +114,7 @@ impl RunResult {
 }
 
 /// Snapshot/restore options for the streaming runs (the `--snapshot-every`
-/// / `--restore-from` / `--snapshot-format` CLI flags land here).
+/// / `--restore-from` CLI flags land here).
 #[derive(Debug, Clone, Default)]
 pub struct PersistOpts {
     /// Checkpoint the summary every N ingested arrivals.
@@ -122,9 +122,6 @@ pub struct PersistOpts {
     /// Where periodic checkpoints are written (required when
     /// `snapshot_every` is set; overwritten in place, latest wins).
     pub snapshot_path: Option<PathBuf>,
-    /// Encoding for written checkpoints (restore sniffs the format, so
-    /// either reads back).
-    pub snapshot_format: SnapshotFormat,
     /// Resume from this snapshot: the summary is restored (after a
     /// compatibility check against the run's own configuration — a
     /// mismatching snapshot is a typed error, never garbage distances) and
@@ -374,7 +371,6 @@ fn run_streaming(algo: Algo, dataset: &Dataset, run: &RunConfig) -> Result<RunRe
 struct Checkpointer<'a> {
     every: Option<usize>,
     path: Option<&'a PathBuf>,
-    format: SnapshotFormat,
     since_snapshot: usize,
 }
 
@@ -388,7 +384,6 @@ impl<'a> Checkpointer<'a> {
         Ok(Checkpointer {
             every: persist.snapshot_every,
             path: persist.snapshot_path.as_ref(),
-            format: persist.snapshot_format,
             since_snapshot: 0,
         })
     }
@@ -400,7 +395,7 @@ impl<'a> Checkpointer<'a> {
         self.since_snapshot += ingested;
         if self.since_snapshot >= every {
             let path = self.path.expect("validated in Checkpointer::new");
-            alg.snapshot().write_to_file_format(path, self.format)?;
+            alg.snapshot().write_to_file(path)?;
             self.since_snapshot = 0;
         }
         Ok(())
@@ -818,27 +813,22 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fdm_ckpt_format_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        for (format, probe) in [
-            (SnapshotFormat::Binary, &b"FDMSNAP2"[..]),
-            (SnapshotFormat::Json, &b"{"[..]),
-        ] {
-            let snap = dir.join(format!("ckpt.{}", format.name()));
-            let opts = PersistOpts {
-                snapshot_every: Some(700),
-                snapshot_path: Some(snap.clone()),
-                snapshot_format: format,
-                ..Default::default()
-            };
-            run_averaged_sharded_persist(&d, Algo::Sfdm2, &c, 0.1, 1, 1, &opts).unwrap();
-            let bytes = std::fs::read(&snap).unwrap();
-            assert!(bytes.starts_with(probe), "{format:?}");
-            // Either format resumes through the same sniffing reader.
-            let resume = PersistOpts {
-                restore_from: Some(snap),
-                ..Default::default()
-            };
-            run_averaged_sharded_persist(&d, Algo::Sfdm2, &c, 0.1, 1, 1, &resume).unwrap();
-        }
+        // Checkpoints are always the v2 binary frame.
+        let snap = dir.join("ckpt.bin");
+        let opts = PersistOpts {
+            snapshot_every: Some(700),
+            snapshot_path: Some(snap.clone()),
+            ..Default::default()
+        };
+        run_averaged_sharded_persist(&d, Algo::Sfdm2, &c, 0.1, 1, 1, &opts).unwrap();
+        let bytes = std::fs::read(&snap).unwrap();
+        assert!(bytes.starts_with(b"FDMSNAP2"));
+        // The checkpoint resumes through the sniffing reader.
+        let resume = PersistOpts {
+            restore_from: Some(snap),
+            ..Default::default()
+        };
+        run_averaged_sharded_persist(&d, Algo::Sfdm2, &c, 0.1, 1, 1, &resume).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -14,7 +14,6 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::Duration;
 
-use fdm_core::persist::SnapshotFormat;
 use fdm_core::point::Element;
 use fdm_core::solution::Solution;
 
@@ -379,12 +378,11 @@ impl Client {
         })
     }
 
-    /// `SNAPSHOT <path> [format=...]` — returns the arrivals captured.
-    pub fn snapshot(&mut self, path: &str, format: Option<SnapshotFormat>) -> Result<usize> {
+    /// `SNAPSHOT <path>` — returns the arrivals captured.
+    pub fn snapshot(&mut self, path: &str) -> Result<usize> {
         self.expect(
             &Request::Snapshot {
                 path: path.to_string(),
-                format,
             },
             |p| match p {
                 Payload::SnapshotWritten { processed, .. } => Ok(processed),

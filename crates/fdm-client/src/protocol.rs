@@ -19,7 +19,6 @@
 //! answered locally.
 
 use fdm_core::metric::Metric;
-use fdm_core::persist::SnapshotFormat;
 use fdm_core::point::Element;
 
 /// Upper bound on a `MERGE` reply's announced binary tail. Far above any
@@ -50,13 +49,11 @@ pub enum Request {
         /// Optional solution size; must match the configured `k`.
         k: Option<usize>,
     },
-    /// `SNAPSHOT <path> [format=json|bin]` — checkpoint the bound stream
-    /// to a file.
+    /// `SNAPSHOT <path>` — checkpoint the bound stream to a file (binary
+    /// v2).
     Snapshot {
         /// Destination path.
         path: String,
-        /// Explicit encoding; `None` uses the server's configured format.
-        format: Option<SnapshotFormat>,
     },
     /// `RESTORE <path>` — load a snapshot into the session.
     Restore {
@@ -122,14 +119,9 @@ impl Request {
             Request::Query { k: Some(k) } => {
                 let _ = write!(out, "QUERY {k}");
             }
-            Request::Snapshot { path, format } => match format {
-                None => {
-                    let _ = write!(out, "SNAPSHOT {path}");
-                }
-                Some(f) => {
-                    let _ = write!(out, "SNAPSHOT {path} format={}", format_token(*f));
-                }
-            },
+            Request::Snapshot { path } => {
+                let _ = write!(out, "SNAPSHOT {path}");
+            }
             Request::Restore { path } => {
                 let _ = write!(out, "RESTORE {path}");
             }
@@ -224,15 +216,6 @@ fn render_metric(metric: &Metric) -> String {
         Metric::Chebyshev => "chebyshev".to_string(),
         Metric::Angular => "angular".to_string(),
         Metric::Minkowski(p) => format!("minkowski:{p}"),
-    }
-}
-
-/// The wire token of a snapshot format (`format=` value, STATS/SNAPSHOT
-/// reply field).
-pub fn format_token(format: SnapshotFormat) -> &'static str {
-    match format {
-        SnapshotFormat::Json => "json",
-        SnapshotFormat::Binary => "bin",
     }
 }
 
@@ -439,19 +422,10 @@ pub fn parse_line(line: &str) -> std::result::Result<Option<Request>, String> {
         }
         "SNAPSHOT" => {
             let path = fields.get(1).ok_or("SNAPSHOT requires a path")?.to_string();
-            let format = match fields.get(2) {
-                None => None,
-                Some(field) => {
-                    let value = field
-                        .strip_prefix("format=")
-                        .ok_or_else(|| format!("expected format=json|bin, found `{field}`"))?;
-                    Some(SnapshotFormat::parse(value)?)
-                }
-            };
-            if fields.len() > 3 {
-                return Err("SNAPSHOT takes at most <path> format=json|bin".into());
+            if fields.len() > 2 {
+                return Err("SNAPSHOT takes exactly <path>".into());
             }
-            Request::Snapshot { path, format }
+            Request::Snapshot { path }
         }
         "RESTORE" => Request::Restore {
             path: fields.get(1).ok_or("RESTORE requires a path")?.to_string(),
@@ -537,13 +511,10 @@ pub enum Payload {
     },
     /// `k=<k> diversity=<f> ids=<a,b,...>` — a QUERY answer.
     Query(QueryReply),
-    /// `snapshot <path> format=<json|bin> processed=<n>` — checkpoint
-    /// written.
+    /// `snapshot <path> processed=<n>` — checkpoint written.
     SnapshotWritten {
         /// Destination path, as requested.
         path: String,
-        /// Encoding actually used.
-        format: SnapshotFormat,
         /// Arrivals captured by the checkpoint.
         processed: usize,
     },
@@ -619,14 +590,9 @@ impl Payload {
                 let ids: Vec<String> = q.ids.iter().map(|id| id.to_string()).collect();
                 format!("k={} diversity={} ids={}", q.k, q.diversity, ids.join(","))
             }
-            Payload::SnapshotWritten {
-                path,
-                format,
-                processed,
-            } => format!(
-                "snapshot {path} format={} processed={processed}",
-                format_token(*format)
-            ),
+            Payload::SnapshotWritten { path, processed } => {
+                format!("snapshot {path} processed={processed}")
+            }
             Payload::Restored { name, processed } => {
                 format!("restored {name} processed={processed}")
             }
@@ -700,9 +666,8 @@ impl Payload {
                 seq: numeric("processed=")?,
                 count: numeric("count=")?,
             }),
-            "snapshot" if fields.len() == 4 => Some(Payload::SnapshotWritten {
+            "snapshot" if fields.len() == 3 => Some(Payload::SnapshotWritten {
                 path: fields[1].to_string(),
-                format: SnapshotFormat::parse(&field("format=")?).ok()?,
                 processed: numeric("processed=")?,
             }),
             "restored" if fields.len() == 3 => Some(Payload::Restored {
@@ -988,30 +953,16 @@ mod tests {
             parse_line("SNAPSHOT /tmp/x.snap").unwrap().unwrap(),
             Request::Snapshot {
                 path: "/tmp/x.snap".into(),
-                format: None
             }
         );
-        assert_eq!(
-            parse_line("SNAPSHOT /tmp/x.snap format=json")
-                .unwrap()
-                .unwrap(),
-            Request::Snapshot {
-                path: "/tmp/x.snap".into(),
-                format: Some(SnapshotFormat::Json)
-            }
-        );
-        assert_eq!(
-            parse_line("SNAPSHOT /tmp/x.snap format=bin")
-                .unwrap()
-                .unwrap(),
-            Request::Snapshot {
-                path: "/tmp/x.snap".into(),
-                format: Some(SnapshotFormat::Binary)
-            }
-        );
-        assert!(parse_line("SNAPSHOT /tmp/x.snap format=xml").is_err());
+        // The encoding is not selectable: any field after the path is a
+        // parse error, the retired `format=` switch included.
+        assert!(parse_line("SNAPSHOT").is_err());
+        for retired in ["json", "bin"] {
+            assert!(parse_line(&format!("SNAPSHOT /tmp/x.snap format={retired}")).is_err());
+        }
         assert!(parse_line("SNAPSHOT /tmp/x.snap json").is_err());
-        assert!(parse_line("SNAPSHOT /tmp/x.snap format=bin extra").is_err());
+        assert!(parse_line("SNAPSHOT /tmp/x.snap extra field").is_err());
     }
 
     #[test]
@@ -1081,7 +1032,6 @@ mod tests {
             "QUERY",
             "QUERY 4",
             "SNAPSHOT /tmp/x.snap",
-            "SNAPSHOT /tmp/x.snap format=bin",
             "RESTORE /tmp/x.snap",
             "STATS",
             "MERGE",
@@ -1107,7 +1057,7 @@ mod tests {
             "OK inserted processed=41",
             "OK inserted processed=48 count=7",
             "OK k=4 diversity=11.65311262292763 ids=3,17,29,40",
-            "OK snapshot /tmp/x.snap format=bin processed=40",
+            "OK snapshot /tmp/x.snap processed=40",
             "OK restored jobs processed=40",
             "OK stream=jobs algorithm=sfdm2 processed=40 stored=12",
             "OK merge algorithm=sfdm2 processed=40 bytes=2048",

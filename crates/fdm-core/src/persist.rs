@@ -6,11 +6,13 @@
 //! algorithm means persisting its candidate ladders and the shared
 //! [`PointStore`] arena, nothing else.
 //!
-//! A [`Snapshot`] is a versioned envelope with two on-disk encodings
-//! ([`SnapshotFormat`]):
+//! A [`Snapshot`] is a versioned envelope with one on-disk encoding, the
+//! **v2 binary** frame ([`codec`]): CRC32-checked little-endian sections
+//! with dense `f64` row blobs and varint-packed ids.
 //!
-//! * **v1 (JSON)** — one text document, frozen forever and still fully
-//!   readable:
+//! The older **v1 (JSON)** encoding is read-only and never written. Its
+//! reader ([`Snapshot::from_json`], sniffed by [`Snapshot::from_bytes`])
+//! stays forever, so old checkpoints and exported files keep restoring:
 //!
 //! ```json
 //! {
@@ -20,10 +22,6 @@
 //!   "state": { ... }
 //! }
 //! ```
-//!
-//! * **v2 (binary)** — the same envelope framed as CRC32-checked
-//!   little-endian sections with dense `f64` row blobs and varint-packed
-//!   ids ([`codec`]); ~3–4× smaller and faster to capture.
 //!
 //! On top of full snapshots, [`delta`] implements **incremental
 //! checkpoints**: a [`SnapshotDelta`] records only what changed since the
@@ -36,15 +34,15 @@
 //! count) so a consumer can check compatibility *before* decoding the full
 //! state, and so a restored instance can be cross-validated against the
 //! envelope. All failure modes are typed [`FdmError`] variants — bad magic,
-//! truncated JSON, or internally inconsistent state report
+//! a truncated document, or internally inconsistent state report
 //! [`FdmError::CorruptSnapshot`]; a newer format version reports
 //! [`FdmError::UnsupportedSnapshotVersion`]; a well-formed snapshot of the
 //! wrong algorithm/dimension/parameters reports
 //! [`FdmError::IncompatibleSnapshot`] — never a panic, and never garbage
 //! distances from silently mixing dimensions.
 //!
-//! Restoring is **bit-exact**: coordinates and thresholds round-trip
-//! through JSON via Rust's shortest-round-trip `f64` formatting, the norm
+//! Restoring is **bit-exact**: coordinates travel as raw `f64` bits in v2
+//! (and as Rust's shortest-round-trip `f64` text in v1), the norm
 //! cache and guess ladder are rebuilt through the same code paths the
 //! original run used, and continuing an interrupted stream after
 //! restore yields solutions bit-identical to an uninterrupted run (pinned
@@ -75,45 +73,22 @@ pub use delta::{CaptureMark, SnapshotDelta, StatePatch};
 /// Magic string identifying an FDM snapshot document.
 pub const SNAPSHOT_MAGIC: &str = "FDMSNAP";
 
-/// JSON (v1) snapshot format version: the version [`Snapshot::to_json`]
-/// writes and the only version [`Snapshot::from_json`] reads. Binary (v2)
+/// JSON (v1) snapshot format version: the only version
+/// [`Snapshot::from_json`] reads. Nothing writes v1 any more; binary (v2)
 /// snapshots carry their own container version
 /// ([`codec::BINARY_VERSION`]).
 pub const SNAPSHOT_VERSION: u64 = 1;
 
-/// On-disk encoding of a snapshot. Both encodings carry the identical
-/// logical envelope and restore bit-identically; binary is ~3–4× smaller
-/// and faster to capture (see `benches/snapshot.rs`), JSON is greppable
-/// and frozen as format v1.
+/// Argument of [`Snapshot::to_bytes`]. Inert: binary (v2) is the only
+/// encoding written, so this one-variant enum selects nothing. It is kept
+/// only because `perfbench/src/layers.rs` names
+/// `SnapshotFormat::Binary`; delete it once that caller drops the name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SnapshotFormat {
-    /// Format v1: one JSON document (`{"magic":"FDMSNAP","version":1,...}`).
-    Json,
     /// Format v2: framed little-endian binary with per-section CRC32
     /// (see [`codec`]).
     #[default]
     Binary,
-}
-
-impl SnapshotFormat {
-    /// Parses the protocol/CLI spelling (`json` | `bin` | `binary`).
-    pub fn parse(text: &str) -> std::result::Result<SnapshotFormat, String> {
-        match text {
-            "json" => Ok(SnapshotFormat::Json),
-            "bin" | "binary" => Ok(SnapshotFormat::Binary),
-            other => Err(format!(
-                "unknown snapshot format `{other}` (expected json or bin)"
-            )),
-        }
-    }
-
-    /// The canonical spelling (`json` / `bin`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            SnapshotFormat::Json => "json",
-            SnapshotFormat::Binary => "bin",
-        }
-    }
 }
 
 /// The load-bearing configuration of a snapshot, stored in the envelope so
@@ -271,20 +246,8 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Serializes the snapshot (envelope + state) to compact JSON.
-    pub fn to_json(&self) -> String {
-        let mut map = serde::Map::new();
-        map.insert("magic".to_string(), Value::String(SNAPSHOT_MAGIC.into()));
-        map.insert(
-            "version".to_string(),
-            Serialize::to_value(&SNAPSHOT_VERSION),
-        );
-        map.insert("params".to_string(), self.params.to_value());
-        map.insert("state".to_string(), self.state.clone());
-        serde_json::to_string(&Value::Object(map)).expect("value trees always serialize")
-    }
-
-    /// Parses a snapshot document, validating magic and format version.
+    /// Parses a v1 (JSON) snapshot document, validating magic and format
+    /// version. Read-only: v1 is never written.
     pub fn from_json(text: &str) -> Result<Snapshot> {
         let value = serde_json::parse_value(text).map_err(|e| FdmError::CorruptSnapshot {
             detail: format!("invalid JSON: {e}"),
@@ -329,17 +292,10 @@ impl Snapshot {
         Ok(Snapshot { params, state })
     }
 
-    /// Serializes the snapshot in the requested format: v1 JSON text (with
-    /// trailing newline) or the v2 binary frame.
-    pub fn to_bytes(&self, format: SnapshotFormat) -> Vec<u8> {
-        match format {
-            SnapshotFormat::Json => {
-                let mut text = self.to_json();
-                text.push('\n');
-                text.into_bytes()
-            }
-            SnapshotFormat::Binary => codec::encode_snapshot(self),
-        }
+    /// Serializes the snapshot as the v2 binary frame (the argument is
+    /// inert; see [`SnapshotFormat`]).
+    pub fn to_bytes(&self, _format: SnapshotFormat) -> Vec<u8> {
+        codec::encode_snapshot(self)
     }
 
     /// Parses a snapshot from bytes, sniffing the format: the v2 binary
@@ -363,14 +319,7 @@ impl Snapshot {
         Snapshot::from_json(text)
     }
 
-    /// Writes the snapshot to a file in the default format (binary v2, as
-    /// the daemon writes it; see [`Snapshot::write_to_file_format`] for the
-    /// format switch).
-    pub fn write_to_file(&self, path: impl AsRef<Path>) -> Result<()> {
-        self.write_to_file_format(path, SnapshotFormat::default())
-    }
-
-    /// Writes the snapshot to a file in the given format.
+    /// Writes the snapshot to a file as the v2 binary frame.
     ///
     /// The write is atomic and durable: the document goes to a sibling
     /// `.tmp` file, is fsynced, and is renamed into place (with a
@@ -378,15 +327,11 @@ impl Snapshot {
     /// power loss across the rename can destroy the previous checkpoint —
     /// a half-written snapshot would otherwise brick crash recovery, the
     /// exact failure snapshots exist to survive.
-    pub fn write_to_file_format(
-        &self,
-        path: impl AsRef<Path>,
-        format: SnapshotFormat,
-    ) -> Result<()> {
-        write_bytes_atomic(path.as_ref(), &self.to_bytes(format))
+    pub fn write_to_file(&self, path: impl AsRef<Path>) -> Result<()> {
+        write_bytes_atomic(path.as_ref(), &codec::encode_snapshot(self))
     }
 
-    /// Reads and parses a snapshot file (either format, sniffed).
+    /// Reads and parses a snapshot file (v2 or v1, sniffed).
     pub fn read_from_file(path: impl AsRef<Path>) -> Result<Snapshot> {
         let path = path.as_ref();
         let bytes = std::fs::read(path).map_err(|e| FdmError::SnapshotIo {
@@ -532,12 +477,12 @@ pub(crate) fn field<T: Deserialize>(state: &Value, key: &str) -> Result<T> {
 /// One candidate ladder's persisted form: a digest of the guesses and, per
 /// guess, the member ids into the shared arena.
 ///
-/// Compatibility contract: the v1 *reader* stays backward compatible
-/// forever (every document ever written keeps restoring — pinned by the
-/// legacy golden fixture), while the v1 *writer* may extend the state
-/// schema additively, as this digest did. Consequence: rolling back to a
-/// build older than a schema extension may require capturing a fresh
-/// snapshot with the old build rather than reading the new file.
+/// Compatibility contract: the v1 reader stays forever (every document
+/// ever written keeps restoring — pinned by the legacy golden fixture);
+/// nothing writes v1. The state schema may still grow additively, as
+/// this digest did. Consequence: rolling back to a build older than a
+/// schema extension may require capturing a fresh snapshot with the old
+/// build rather than reading the new file.
 ///
 /// The guess thresholds are redundant with the configuration (the ladder
 /// is rebuilt from `bounds`/`epsilon` on restore) and serve purely as an
@@ -815,23 +760,24 @@ mod tests {
         }
     }
 
+    /// A v1 document as the retired JSON writer emitted it for
+    /// `params("sfdm2")` with the state `"payload"`.
+    const V1_DOC: &str = r#"{"magic":"FDMSNAP","version":1,"params":{"algorithm":"sfdm2","dim":2,"epsilon":0.1,"metric":"Euclidean","bounds":{"lower":1,"upper":10},"quotas":[2,2],"k":4,"shards":1},"state":"payload"}"#;
+
     #[test]
     fn envelope_round_trips() {
         let snap = Snapshot {
             params: params("sfdm2"),
             state: Value::String("payload".into()),
         };
-        let back = Snapshot::from_json(&snap.to_json()).unwrap();
+        let back = Snapshot::from_bytes(&snap.to_bytes(SnapshotFormat::Binary)).unwrap();
         assert_eq!(snap, back);
+        assert_eq!(Snapshot::from_json(V1_DOC).unwrap(), snap);
     }
 
     #[test]
     fn bad_magic_and_version_are_typed_errors() {
-        let snap = Snapshot {
-            params: params("sfdm2"),
-            state: Value::Null,
-        };
-        let good = snap.to_json();
+        let good = V1_DOC;
         let bad_magic = good.replace("FDMSNAP", "NOTSNAP");
         assert!(matches!(
             Snapshot::from_json(&bad_magic),
@@ -883,16 +829,16 @@ mod tests {
                 Value::String("x".into()),
             ]),
         };
-        for format in [SnapshotFormat::Json, SnapshotFormat::Binary] {
-            let bytes = snap.to_bytes(format);
-            let back = Snapshot::from_bytes(&bytes).unwrap();
-            assert_eq!(snap, back, "{format:?}");
-        }
-        // The binary frame is sniffed by magic, JSON by elimination.
-        assert!(snap
-            .to_bytes(SnapshotFormat::Binary)
-            .starts_with(b"FDMSNAP2"));
-        assert!(snap.to_bytes(SnapshotFormat::Json).starts_with(b"{"));
+        // The binary frame is sniffed by magic...
+        let bytes = snap.to_bytes(SnapshotFormat::Binary);
+        assert!(bytes.starts_with(b"FDMSNAP2"));
+        assert_eq!(Snapshot::from_bytes(&bytes).unwrap(), snap);
+        // ...and v1 JSON by elimination.
+        let v1 = Snapshot {
+            params: params("sfdm2"),
+            state: Value::String("payload".into()),
+        };
+        assert_eq!(Snapshot::from_bytes(V1_DOC.as_bytes()).unwrap(), v1);
     }
 
     #[test]

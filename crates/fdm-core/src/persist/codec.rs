@@ -1,9 +1,10 @@
 //! Binary snapshot codec — format version 2.
 //!
 //! The v1 snapshot is a JSON document; readable, but the text encoding
-//! dominates capture time (every `f64` formats through shortest-round-trip
-//! printing and parses back digit by digit) and blows the arena up to ~3–4×
-//! its binary size. Format v2 keeps the *same* logical envelope
+//! dominated capture time (every `f64` formats through shortest-round-trip
+//! printing and parses back digit by digit) and blew the arena up to ~3–4×
+//! its binary size, so v1 is now only read, never written. Format v2 keeps
+//! the *same* logical envelope
 //! ([`Snapshot`]: params + state value tree) but frames it as little-endian
 //! binary sections:
 //!

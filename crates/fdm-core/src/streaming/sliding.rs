@@ -16,8 +16,8 @@
 //! The wrapper is a first-class member of the summary family: it implements
 //! [`ShardAlgorithm`] (so [`ShardedStream<SlidingWindowFdm>`](crate::streaming::sharded::ShardedStream) runs K
 //! staggered windows over a round-robin partition of the stream),
-//! [`Snapshottable`] (tag `sliding`, v1 JSON and v2 binary, delta chains —
-//! pinned by golden fixtures), and therefore
+//! [`Snapshottable`] (tag `sliding`, v2 binary with the v1 JSON reader,
+//! delta chains — pinned by golden fixtures), and therefore
 //! [`DynSummary`](crate::streaming::summary::DynSummary) through the
 //! blanket impl, which is what lets `fdm-serve` host it (`OPEN name
 //! sliding ... window=W`) and `fdm-bench` measure it (`--algorithm
@@ -475,10 +475,13 @@ mod tests {
         let snapshot = alg.snapshot();
         // Shift the arrivals counter: the rotation schedule no longer
         // matches the embedded instance positions.
-        let json = snapshot
-            .to_json()
+        let state = serde_json::to_string(&snapshot.state)
+            .unwrap()
             .replace("\"arrivals\":90", "\"arrivals\":91");
-        let tampered = Snapshot::from_json(&json).unwrap();
+        let tampered = Snapshot {
+            params: snapshot.params.clone(),
+            state: serde_json::parse_value(&state).unwrap(),
+        };
         let err = SlidingWindowFdm::restore(&tampered).unwrap_err();
         assert!(
             matches!(

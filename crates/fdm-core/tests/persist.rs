@@ -11,7 +11,7 @@ use fdm_core::dataset::DistanceBounds;
 use fdm_core::error::FdmError;
 use fdm_core::fairness::FairnessConstraint;
 use fdm_core::metric::Metric;
-use fdm_core::persist::{Snapshot, Snapshottable, SNAPSHOT_VERSION};
+use fdm_core::persist::{Snapshot, SnapshotFormat, Snapshottable, SNAPSHOT_VERSION};
 use fdm_core::point::Element;
 use fdm_core::streaming::sfdm1::{Sfdm1, Sfdm1Config};
 use fdm_core::streaming::sfdm2::{Sfdm2, Sfdm2Config};
@@ -69,8 +69,8 @@ fn dm_config() -> StreamingDmConfig {
     }
 }
 
-/// Runs the interrupted pipeline (prefix → snapshot → JSON → restore →
-/// suffix) against the uninterrupted reference and asserts bit-identity of
+/// Runs the interrupted pipeline (prefix → snapshot → binary frame →
+/// restore → suffix) against the uninterrupted reference and asserts bit-identity of
 /// the stored state and the final solution.
 macro_rules! assert_roundtrip_bit_identical {
     ($build:expr, $elements:expr, $split:expr) => {{
@@ -87,9 +87,9 @@ macro_rules! assert_roundtrip_bit_identical {
             prefix.insert(e);
         }
         let snap = prefix.snapshot();
-        let text = snap.to_json();
-        let parsed = Snapshot::from_json(&text).expect("snapshot JSON parses");
-        assert_eq!(parsed, snap, "envelope survives the text round trip");
+        let bytes = snap.to_bytes(SnapshotFormat::Binary);
+        let parsed = Snapshot::from_bytes(&bytes).expect("snapshot frame parses");
+        assert_eq!(parsed, snap, "envelope survives the byte round trip");
         let mut restored = restore_like(&prefix, &parsed).expect("snapshot restores");
         drop(prefix);
         for e in &elements[split..] {
@@ -202,9 +202,15 @@ fn sample_snapshot() -> Snapshot {
     alg.snapshot()
 }
 
+/// A committed v1 document: nothing writes v1 any more, so the reader is
+/// exercised on a frozen fixture.
+fn v1_document() -> &'static str {
+    include_str!("fixtures/snapshots/sfdm2.v1.json").trim_end()
+}
+
 #[test]
 fn truncated_and_garbage_documents_are_corrupt() {
-    let text = sample_snapshot().to_json();
+    let text = v1_document();
     for cut in [0, 1, text.len() / 2, text.len() - 1] {
         let err = Snapshot::from_json(&text[..cut]).unwrap_err();
         assert!(
@@ -224,9 +230,7 @@ fn truncated_and_garbage_documents_are_corrupt() {
 
 #[test]
 fn future_version_is_rejected() {
-    let text = sample_snapshot()
-        .to_json()
-        .replace("\"version\":1", "\"version\":2");
+    let text = v1_document().replace("\"version\":1", "\"version\":2");
     assert_eq!(
         Snapshot::from_json(&text).unwrap_err(),
         FdmError::UnsupportedSnapshotVersion {
@@ -360,24 +364,22 @@ fn mangled_state_fields_are_corrupt() {
 fn sliced_constraint_totals_are_rejected() {
     // A fairness constraint whose cached total disagrees with its quotas is
     // validation-level corruption, caught by the constraint deserializer.
-    let text = sample_snapshot().to_json();
+    let snap = sample_snapshot();
+    let text = serde_json::to_string(&snap.state).unwrap();
     let tampered = text.replace("\"total\":4", "\"total\":9");
     assert_ne!(text, tampered, "fixture must contain the quota total");
-    let snap = Snapshot::from_json(&tampered);
+    let snap = Snapshot {
+        params: snap.params,
+        state: serde_json::parse_value(&tampered).unwrap(),
+    };
     // The quotas live both in the envelope params and in the state config;
     // whichever is hit first, the outcome must be a typed error.
-    match snap {
-        Err(FdmError::CorruptSnapshot { .. }) => {}
-        Ok(snap) => {
-            let err = Sfdm2::restore(&snap).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    FdmError::CorruptSnapshot { .. } | FdmError::IncompatibleSnapshot { .. }
-                ),
-                "{err}"
-            );
-        }
-        Err(other) => panic!("unexpected error {other:?}"),
-    }
+    let err = Sfdm2::restore(&snap).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            FdmError::CorruptSnapshot { .. } | FdmError::IncompatibleSnapshot { .. }
+        ),
+        "{err}"
+    );
 }

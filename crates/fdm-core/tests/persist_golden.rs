@@ -1,19 +1,20 @@
 //! Golden snapshot fixtures: format compatibility pinned at the byte
 //! level.
 //!
-//! For each of the four summary types a canonical v1 (JSON) and v2
-//! (binary) snapshot is checked in under `tests/fixtures/snapshots/`. The
-//! tests assert that today's code (a) restores each fixture, (b) lands on
-//! the exact recorded stream position, and (c) re-encodes the restored
-//! summary **byte-identically** to the fixture — so any unannounced change
-//! to either format, the state schema, or the restore path fails CI here
-//! under its own name.
+//! For each summary type a canonical v1 (JSON) and v2 (binary) snapshot
+//! is checked in under `tests/fixtures/snapshots/`. The tests assert that
+//! today's code (a) decodes each fixture to exactly the snapshot of the
+//! live summary, (b) restores it to the exact recorded stream position,
+//! and (c) re-encodes the restored summary **byte-identically** to the v2
+//! fixture — so any unannounced change to the binary format, the state
+//! schema, the v1 reader or the restore path fails CI here under its own
+//! name.
 //!
 //! Re-recording: `UPDATE_GOLDEN=1 cargo test -p fdm-core --test
 //! persist_golden` rewrites the **v2** fixtures (the binary format may
-//! evolve with a version bump). The v1 fixtures are frozen forever — they
-//! are only written if missing, and a v1 mismatch means v1
-//! reading/writing compatibility broke, which must never happen silently.
+//! evolve with a version bump). The v1 fixtures are frozen forever and
+//! nothing writes v1 any more: a v1 mismatch means v1 reading
+//! compatibility broke, which must never happen silently.
 //!
 //! The fixture streams are closed-form (no RNG), so the fixtures do not
 //! depend on any random-number implementation detail.
@@ -152,58 +153,59 @@ fn sharded_sliding() -> ShardedStream<SlidingWindowFdm> {
 }
 
 fn check<T: Snapshottable>(name: &str, build: impl Fn() -> T) {
-    let update = std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1");
     let dir = fixture_dir();
-    std::fs::create_dir_all(&dir).unwrap();
     let live = build();
     let snapshot = live.snapshot();
-
-    for (format, file, frozen) in [
-        (SnapshotFormat::Json, format!("{name}.v1.json"), true),
-        (SnapshotFormat::Binary, format!("{name}.v2.bin"), false),
-    ] {
-        let path = dir.join(&file);
-        let expected = snapshot.to_bytes(format);
-        if update && (!frozen || !path.exists()) {
-            // v2 may be re-recorded; v1 is frozen — only created when the
-            // fixture does not exist yet.
-            std::fs::write(&path, &expected).unwrap();
-        }
-        let fixture = std::fs::read(&path).unwrap_or_else(|e| {
+    let read = |file: &str| {
+        let path = dir.join(file);
+        std::fs::read(&path).unwrap_or_else(|e| {
             panic!(
-                "missing golden fixture {} ({e}); run UPDATE_GOLDEN=1 once",
+                "missing golden fixture {} ({e}); v2 fixtures are recorded with UPDATE_GOLDEN=1",
                 path.display()
             )
-        });
+        })
+    };
 
-        // 1. Today's reader restores the fixture...
+    // v2 may be re-recorded with a version bump; v1 is frozen forever and
+    // nothing writes it any more.
+    let v2_file = format!("{name}.v2.bin");
+    if std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join(&v2_file),
+            snapshot.to_bytes(SnapshotFormat::Binary),
+        )
+        .unwrap();
+    }
+    let v2 = read(&v2_file);
+
+    for file in [format!("{name}.v1.json"), v2_file] {
+        let fixture = read(&file);
+
+        // 1. Today's reader decodes the fixture to the live snapshot...
         let parsed = Snapshot::from_bytes(&fixture)
             .unwrap_or_else(|e| panic!("{file}: fixture no longer parses: {e}"));
+        assert_eq!(parsed, snapshot, "{file}: decoded snapshot drifted");
+
+        // 2. ...restores it to the exact recorded stream position...
         let restored = T::restore(&parsed)
             .unwrap_or_else(|e| panic!("{file}: fixture no longer restores: {e}"));
-
-        // 2. ...to the exact recorded stream position and envelope...
         assert_eq!(
             restored.snapshot_params(),
             snapshot.params,
             "{file}: restored envelope drifted"
         );
 
-        // 3. ...and today's writer reproduces the fixture byte-for-byte.
-        let reencoded = restored.snapshot().to_bytes(format);
+        // 3. ...and re-encodes it to the v2 fixture byte-for-byte.
+        let reencoded = restored.snapshot().to_bytes(SnapshotFormat::Binary);
         assert_eq!(
             reencoded,
-            fixture,
-            "{file}: re-encoding the restored summary no longer matches the fixture \
-             ({} vs {} bytes){}",
+            v2,
+            "{file}: re-encoding the restored summary no longer matches the v2 fixture \
+             ({} vs {} bytes) — if this is an intended v2 format change, bump the \
+             version and re-record with UPDATE_GOLDEN=1",
             reencoded.len(),
-            fixture.len(),
-            if frozen {
-                " — v1 is frozen forever; keep the legacy read AND write paths intact"
-            } else {
-                " — if this is an intended v2 format change, bump the version and re-record \
-                 with UPDATE_GOLDEN=1"
-            }
+            v2.len(),
         );
     }
 }
@@ -269,57 +271,12 @@ fn sliding_fixture_envelope_carries_window() {
 /// the digest-form snapshot exactly.
 #[test]
 fn golden_v1_legacy_mus_shape_still_restores() {
-    use serde::{Map, Value};
-
-    let dir = fixture_dir();
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("sfdm2.v1-legacy-mus.json");
+    let path = fixture_dir().join("sfdm2.v1-legacy-mus.json");
     let live = sfdm2();
     let snapshot = live.snapshot();
 
-    if std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1") && !path.exists() {
-        // Synthesize the pre-digest shape once: every ladder object swaps
-        // its `mu_crc` for the explicit `mus` list the old writer emitted
-        // (all ladders share the configuration-implied guess values).
-        let mus: Vec<f64> = fdm_core::guess::GuessLadder::new(bounds(), 0.1)
-            .unwrap()
-            .values()
-            .to_vec();
-        fn legacify(value: &Value, mus: &[f64]) -> Value {
-            match value {
-                Value::Object(map) => {
-                    let mut out = Map::new();
-                    for (key, item) in map.iter() {
-                        if key == "mu_crc" {
-                            out.insert(
-                                "mus".to_string(),
-                                serde::Serialize::to_value(&mus.to_vec()),
-                            );
-                        } else {
-                            out.insert(key.clone(), legacify(item, mus));
-                        }
-                    }
-                    Value::Object(out)
-                }
-                Value::Array(items) => {
-                    Value::Array(items.iter().map(|i| legacify(i, mus)).collect())
-                }
-                other => other.clone(),
-            }
-        }
-        let legacy = Snapshot {
-            params: snapshot.params.clone(),
-            state: legacify(&snapshot.state, &mus),
-        };
-        std::fs::write(&path, legacy.to_bytes(SnapshotFormat::Json)).unwrap();
-    }
-
-    let fixture = std::fs::read(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing legacy fixture {} ({e}); run UPDATE_GOLDEN=1 once",
-            path.display()
-        )
-    });
+    let fixture = std::fs::read(&path)
+        .unwrap_or_else(|e| panic!("missing legacy fixture {} ({e})", path.display()));
     let text = String::from_utf8(fixture.clone()).unwrap();
     assert!(
         text.contains("\"mus\":["),
@@ -335,7 +292,7 @@ fn golden_v1_legacy_mus_shape_still_restores() {
 }
 
 /// The v1 fixtures must parse as plain JSON with the frozen envelope
-/// constants — belt and braces beyond the byte comparison above.
+/// constants — belt and braces beyond the decode comparison above.
 #[test]
 fn v1_fixtures_are_json_version_1() {
     for name in [

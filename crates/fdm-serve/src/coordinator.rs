@@ -82,7 +82,7 @@ use fdm_core::point::Element;
 use fdm_core::streaming::summary::{self, DynSummary};
 
 use crate::engine::lock;
-use crate::metrics::{help_type, render_histogram_as, StreamMetrics, Which};
+use crate::metrics::{help_type, StreamMetrics};
 use crate::protocol::{ErrorReply, Payload, QueryReply, StreamSpec};
 
 /// Total connect attempts per worker dial (first try + retries with
@@ -691,12 +691,10 @@ impl Coordinator {
             "Coordinator INSERT/INSERTB latency (routing + worker round-trips).",
         );
         for (name, metrics) in &streams {
-            render_histogram_as(
+            metrics.insert_latency.render(
                 out,
                 "fdm_coord_insert_latency_seconds",
-                Which::Insert,
-                name,
-                metrics,
+                &format!("stream=\"{name}\","),
             );
         }
         help_type(
@@ -706,12 +704,10 @@ impl Coordinator {
             "Coordinator QUERY latency (cache refresh + merge, or a cache hit).",
         );
         for (name, metrics) in &streams {
-            render_histogram_as(
+            metrics.query_latency.render(
                 out,
                 "fdm_coord_query_latency_seconds",
-                Which::Query,
-                name,
-                metrics,
+                &format!("stream=\"{name}\","),
             );
         }
         help_type(

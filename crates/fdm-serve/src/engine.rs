@@ -129,10 +129,6 @@ pub struct ServeConfig {
     /// Auto-checkpoint (and truncate the WAL) every N accepted inserts;
     /// `None` keeps the WAL growing until an explicit `SNAPSHOT`.
     pub snapshot_every: Option<u64>,
-    /// Encoding for auto-snapshots, deltas… and `SNAPSHOT` commands
-    /// without an explicit `format=`. Recovery reads both formats
-    /// regardless.
-    pub snapshot_format: SnapshotFormat,
     /// Chain length cap for incremental checkpoints: after this many
     /// deltas the next auto-checkpoint collapses the chain into a fresh
     /// full snapshot. `0` disables deltas (every checkpoint is full).
@@ -162,7 +158,6 @@ impl Default for ServeConfig {
         ServeConfig {
             data_dir: None,
             snapshot_every: None,
-            snapshot_format: SnapshotFormat::Binary,
             full_every: 8,
             max_pending_inserts: 256,
             rate_limit: None,
@@ -235,7 +230,8 @@ struct PersistCounters {
     compactions: u64,
     /// Encoded size of the most recent checkpoint/export, in bytes.
     last_snapshot_bytes: u64,
-    /// Encoding of the most recent checkpoint/export.
+    /// Kind of the most recent checkpoint/export: `bin` (full) or
+    /// `delta`.
     last_snapshot_format: Option<&'static str>,
 }
 
@@ -747,11 +743,10 @@ impl Engine {
         let (compactor_tx, compactor_thread) = match config.data_dir.clone() {
             Some(dir) => {
                 let (tx, rx) = mpsc::channel::<CompactJob>();
-                let format = config.snapshot_format;
                 let full_every = config.full_every;
                 let handle = std::thread::Builder::new()
                     .name("fdm-compactor".into())
-                    .spawn(move || run_compactor(rx, dir, format, full_every))
+                    .spawn(move || run_compactor(rx, dir, full_every))
                     .map_err(|e| FdmError::SnapshotIo {
                         detail: format!("spawn compactor thread: {e}"),
                     })?;
@@ -918,7 +913,7 @@ impl Engine {
                 params: params.clone(),
                 state,
             };
-            let bytes = snapshot.to_bytes(self.config.snapshot_format);
+            let bytes = snapshot.to_bytes(SnapshotFormat::Binary);
             if crash_requested("mid-full-snapshot") {
                 crash_mid_write(&snap_path, &bytes);
             }
@@ -926,7 +921,7 @@ impl Engine {
             fdm_core::persist::write_bytes_atomic(&snap_path, &bytes)?;
             durable.counters.full_snapshots += 1;
             durable.counters.last_snapshot_bytes = bytes.len() as u64;
-            durable.counters.last_snapshot_format = Some(self.config.snapshot_format.name());
+            durable.counters.last_snapshot_format = Some("bin");
             crash_point("between-full-and-delta-cleanup");
             self.remove_deltas(name);
             crash_point("between-full-and-wal-truncate");
@@ -1538,42 +1533,35 @@ impl Engine {
         })
     }
 
-    /// `SNAPSHOT`: checkpoint the named stream to an explicit path, in the
-    /// requested format (default: the server's configured format).
+    /// `SNAPSHOT`: checkpoint the named stream to an explicit path, as a
+    /// binary (v2) snapshot.
     ///
     /// Capture holds the summary read lock just long enough to clone the
     /// state tree; encoding and the disk write run with **no** lock on the
     /// summary and without the durable mutex, so neither readers nor
     /// writers of this stream stall behind the I/O (pinned by the
     /// concurrency suite via `FDM_SERVE_SNAPSHOT_PAUSE_MS`).
-    pub fn snapshot(
-        &self,
-        name: &str,
-        path: &str,
-        format: Option<SnapshotFormat>,
-    ) -> std::result::Result<Payload, ErrorReply> {
+    pub fn snapshot(&self, name: &str, path: &str) -> std::result::Result<Payload, ErrorReply> {
         if self.coordinator.is_some() {
             return Err(generic(
                 "SNAPSHOT is not supported in coordinator mode (snapshot the workers)",
             ));
         }
-        let format = format.unwrap_or(self.config.snapshot_format);
         let entry = self.entry(name)?;
         let (snapshot, processed) = {
             let summary = read_lock(&entry.summary);
             (summary.snapshot(), summary.processed())
         };
         // Off-lock from here on.
-        let bytes = snapshot.to_bytes(format);
+        let bytes = snapshot.to_bytes(SnapshotFormat::Binary);
         snapshot_write_pause();
         fdm_core::persist::write_bytes_atomic(Path::new(path), &bytes).map_err(generic)?;
         let mut durable = lock(&entry.durable);
         durable.counters.full_snapshots += 1;
         durable.counters.last_snapshot_bytes = bytes.len() as u64;
-        durable.counters.last_snapshot_format = Some(format.name());
+        durable.counters.last_snapshot_format = Some("bin");
         Ok(Payload::SnapshotWritten {
             path: path.to_string(),
-            format,
             processed,
         })
     }
@@ -1631,7 +1619,7 @@ impl Engine {
 
     /// `STATS` for one stream: stream geometry plus the per-stream
     /// persistence counters (WAL records appended, checkpoints written,
-    /// size + format of the last checkpoint) so operators can see
+    /// size + kind of the last checkpoint) so operators can see
     /// checkpoint health over the wire.
     pub fn stats(&self, name: &str) -> std::result::Result<Payload, ErrorReply> {
         if let Some(coordinator) = &self.coordinator {
@@ -1826,12 +1814,10 @@ impl Engine {
             "Accepted-INSERT latency (WAL append through checkpoint decision).",
         );
         for s in &samples {
-            metrics::render_stream_histograms(
-                &mut out,
-                metrics::Which::Insert,
-                &s.name,
-                &s.metrics,
-            );
+            let labels = format!("stream=\"{}\",", s.name);
+            s.metrics
+                .insert_latency
+                .render(&mut out, "fdm_insert_latency_seconds", &labels);
         }
         metrics::help_type(
             &mut out,
@@ -1840,7 +1826,10 @@ impl Engine {
             "QUERY latency (post-processing under the summary read lock).",
         );
         for s in &samples {
-            metrics::render_stream_histograms(&mut out, metrics::Which::Query, &s.name, &s.metrics);
+            let labels = format!("stream=\"{}\",", s.name);
+            s.metrics
+                .query_latency
+                .render(&mut out, "fdm_query_latency_seconds", &labels);
         }
         if let Some(coordinator) = &self.coordinator {
             coordinator.render_metrics(&mut out);
@@ -1860,15 +1849,10 @@ impl Engine {
 /// `full_every` deltas, and so does the join in `Engine::drop`. Failures
 /// are logged and the flag cleared — the next over-length checkpoint
 /// simply re-enqueues.
-fn run_compactor(
-    rx: mpsc::Receiver<CompactJob>,
-    dir: PathBuf,
-    format: SnapshotFormat,
-    full_every: u64,
-) {
+fn run_compactor(rx: mpsc::Receiver<CompactJob>, dir: PathBuf, full_every: u64) {
     while let Ok(job) = rx.recv() {
         loop {
-            let consumed = compact_chain(&dir, format, &job).unwrap_or_else(|e| {
+            let consumed = compact_chain(&dir, &job).unwrap_or_else(|e| {
                 eprintln!(
                     "fdm-serve: compaction of `{}` failed (chain left as-is): {e}",
                     job.name
@@ -1897,7 +1881,7 @@ fn run_compactor(
 /// removed; if an inline anchor ran in between, the work is discarded.
 /// Returns the number of delta files the committed collapse consumed (0
 /// when nothing was committed).
-fn compact_chain(dir: &Path, format: SnapshotFormat, job: &CompactJob) -> Result<usize> {
+fn compact_chain(dir: &Path, job: &CompactJob) -> Result<usize> {
     let name = &job.name;
     let snap_path = dir.join(format!("{name}.snap"));
     let chain = list_deltas(dir, name);
@@ -1922,7 +1906,7 @@ fn compact_chain(dir: &Path, format: SnapshotFormat, job: &CompactJob) -> Result
         }
         consumed.push(delta_path);
     }
-    let bytes = snapshot.to_bytes(format);
+    let bytes = snapshot.to_bytes(SnapshotFormat::Binary);
     if crash_requested("compactor-mid-collapse") {
         crash_mid_write(&snap_path, &bytes);
     }

@@ -31,13 +31,14 @@
 //! bound to at most one named stream at a time, while the process serves
 //! all of them. See `docs/serve.md` for the full grammar.
 //!
-//! **Durability** comes from `fdm-core`'s versioned snapshots (v1 JSON or
-//! the v2 binary codec, `--snapshot-format`) plus a per-stream write-ahead
-//! log: with `--data-dir` every accepted `INSERT` is appended to
-//! `<name>.wal` before it is applied, and every `--snapshot-every N`
-//! inserts the stream's summary is checkpointed — as an incremental
-//! `<name>.delta.<i>` while the chain is short, collapsing into a fresh
-//! full `<name>.snap` every `--full-every` deltas — and the log truncated.
+//! **Durability** comes from `fdm-core`'s versioned snapshots (always
+//! written as the v2 binary codec; v1 JSON files still restore) plus a
+//! per-stream write-ahead log: with `--data-dir` every accepted `INSERT`
+//! is appended to `<name>.wal` before it is applied, and every
+//! `--snapshot-every N` inserts the stream's summary is checkpointed — as
+//! an incremental `<name>.delta.<i>` while the chain is short, collapsing
+//! into a fresh full `<name>.snap` every `--full-every` deltas — and the
+//! log truncated.
 //! On startup the engine restores every snapshot it finds, chains the
 //! deltas, and replays the tail of the log — the summary is the whole
 //! recoverable state, so recovery is restore-then-replay and the recovered

@@ -3,20 +3,18 @@
 //! auto-snapshot durability.
 //!
 //! ```text
-//! fdm-serve [--data-dir DIR] [--snapshot-every N] [--snapshot-format json|bin]
-//!           [--full-every N] [--socket PATH] [--listen ADDR:PORT]
-//!           [--read-timeout SECS] [--metrics ADDR:PORT] [--auth-token TOKEN]
-//!           [--max-connections N] [--max-pending N] [--rate-limit N]
-//!           [--drain-grace SECS] [--worker ADDR:PORT]... [--coord-batch N]
+//! fdm-serve [--data-dir DIR] [--snapshot-every N] [--full-every N]
+//!           [--socket PATH] [--listen ADDR:PORT] [--read-timeout SECS]
+//!           [--metrics ADDR:PORT] [--auth-token TOKEN] [--max-connections N]
+//!           [--max-pending N] [--rate-limit N] [--drain-grace SECS]
+//!           [--worker ADDR:PORT]... [--coord-batch N]
 //! ```
 //!
 //! * `--data-dir DIR` — enable durability: per-stream WAL + snapshots in
 //!   `DIR`, with restore-then-replay crash recovery on startup.
 //! * `--snapshot-every N` — auto-checkpoint (and truncate the WAL) every N
-//!   accepted inserts per stream.
-//! * `--snapshot-format json|bin` — encoding for checkpoints and for
-//!   `SNAPSHOT` commands without an explicit `format=` (default `bin`;
-//!   recovery reads both).
+//!   accepted inserts per stream. Checkpoints and `SNAPSHOT` exports are
+//!   always binary (v2); recovery and `RESTORE` also read v1 JSON files.
 //! * `--full-every N` — collapse the incremental-delta chain into a fresh
 //!   full snapshot every N deltas (default 8; `0` disables deltas).
 //! * `--socket PATH` — additionally accept protocol sessions on a Unix
@@ -63,7 +61,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fdm_core::persist::SnapshotFormat;
 use fdm_serve::{
     serve_metrics, serve_tcp, serve_unix, signal, Engine, NetOptions, ServeConfig, Session,
 };
@@ -100,9 +97,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "--snapshot-every: invalid number".to_string())?;
                 config.snapshot_every = Some(n);
-            }
-            "--snapshot-format" => {
-                config.snapshot_format = SnapshotFormat::parse(&value("--snapshot-format")?)?;
             }
             "--full-every" => {
                 config.full_every = value("--full-every")?
@@ -157,11 +151,10 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err("usage: fdm-serve [--data-dir DIR] [--snapshot-every N] \
-                            [--snapshot-format json|bin] [--full-every N] [--socket PATH] \
-                            [--listen ADDR:PORT] [--read-timeout SECS] [--metrics ADDR:PORT] \
-                            [--auth-token TOKEN] [--max-connections N] [--max-pending N] \
-                            [--rate-limit N] [--drain-grace SECS] [--worker ADDR:PORT]... \
-                            [--coord-batch N]"
+                            [--full-every N] [--socket PATH] [--listen ADDR:PORT] \
+                            [--read-timeout SECS] [--metrics ADDR:PORT] [--auth-token TOKEN] \
+                            [--max-connections N] [--max-pending N] [--rate-limit N] \
+                            [--drain-grace SECS] [--worker ADDR:PORT]... [--coord-batch N]"
                     .to_string())
             }
             other => return Err(format!("unknown flag {other}; try --help")),

@@ -81,8 +81,11 @@ impl Histogram {
     }
 
     /// Appends this histogram's `_bucket`/`_sum`/`_count` series for one
-    /// label set (e.g. `stream="jobs"`).
-    fn render(&self, out: &mut String, name: &str, labels: &str) {
+    /// label set, written with a trailing comma (e.g. `stream="jobs",`).
+    /// The family's `# HELP`/`# TYPE` must already have been emitted by
+    /// the caller, once: Prometheus requires all series of one family to
+    /// be contiguous under a single `# TYPE`.
+    pub(crate) fn render(&self, out: &mut String, name: &str, labels: &str) {
         let mut cumulative = 0u64;
         for ((_, le), bucket) in LATENCY_BOUNDS.iter().zip(&self.buckets) {
             cumulative += bucket.load(Ordering::Relaxed);
@@ -270,52 +273,6 @@ impl Metrics {
 /// Appends one family's `# HELP`/`# TYPE` preamble.
 pub(crate) fn help_type(out: &mut String, name: &str, kind: &str, help: &str) {
     out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-}
-
-/// Appends one stream's latency histograms (both families must already
-/// have had their `# HELP`/`# TYPE` emitted by the caller, once).
-pub(crate) fn render_stream_histograms(
-    out: &mut String,
-    which: Which,
-    name: &str,
-    m: &StreamMetrics,
-) {
-    let labels = format!("stream=\"{name}\",");
-    match which {
-        Which::Insert => m
-            .insert_latency
-            .render(out, "fdm_insert_latency_seconds", &labels),
-        Which::Query => m
-            .query_latency
-            .render(out, "fdm_query_latency_seconds", &labels),
-    }
-}
-
-/// Selector for [`render_stream_histograms`]: Prometheus requires all
-/// series of one family to be contiguous under a single `# TYPE`, so the
-/// engine renders all streams' insert histograms, then all query ones.
-#[derive(Clone, Copy)]
-pub(crate) enum Which {
-    Insert,
-    Query,
-}
-
-/// [`render_stream_histograms`] under an explicit family name — the
-/// coordinator exports its routing latencies as `fdm_coord_*` families so
-/// they can never collide with the engine's (unconditionally emitted)
-/// single-node preambles.
-pub(crate) fn render_histogram_as(
-    out: &mut String,
-    family: &str,
-    which: Which,
-    stream: &str,
-    m: &StreamMetrics,
-) {
-    let labels = format!("stream=\"{stream}\",");
-    match which {
-        Which::Insert => m.insert_latency.render(out, family, &labels),
-        Which::Query => m.query_latency.render(out, family, &labels),
-    }
 }
 
 /// Longest request head the scrape listener will buffer before giving up

@@ -112,9 +112,9 @@ impl Session {
                 let name = bound(&self.current)?;
                 self.engine.query(&name, k)
             }
-            Request::Snapshot { path, format } => {
+            Request::Snapshot { path } => {
                 let name = bound(&self.current)?;
-                self.engine.snapshot(&name, &path, format)
+                self.engine.snapshot(&name, &path)
             }
             Request::Restore { path } => {
                 // Without an explicit binding the stream takes its name

@@ -346,7 +346,7 @@ fn recovery_skips_stale_mid_chain_delta() {
         let engine = Arc::new(Engine::new(ServeConfig::default()).unwrap());
         let mut script = vec![OPEN.to_string()];
         script.extend(insert_lines(n));
-        script.push(format!("SNAPSHOT {} format=bin", path.display()));
+        script.push(format!("SNAPSHOT {}", path.display()));
         let replies = run_script(&engine, &script.join("\n"));
         assert!(
             replies.last().unwrap().starts_with("OK snapshot"),

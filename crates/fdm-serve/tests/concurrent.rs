@@ -17,7 +17,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fdm_core::persist::SnapshotFormat;
 use fdm_serve::protocol::{parse_line, Payload, Request as Cmd, StreamSpec};
 use fdm_serve::{Engine, ServeConfig, Session};
 
@@ -86,7 +85,6 @@ fn storm_matches_serial_replay() {
         Engine::new(ServeConfig {
             data_dir: Some(dir.clone()),
             snapshot_every: Some(16),
-            snapshot_format: SnapshotFormat::Binary,
             full_every: 3,
             ..ServeConfig::default()
         })
@@ -143,7 +141,7 @@ fn storm_matches_serial_replay() {
             while !stop.load(Ordering::SeqCst) {
                 let name = &names[i % names.len()];
                 let path = dir.join(format!("export-{snapper}-{}.snap", i % 4));
-                engine.snapshot(name, path.to_str().unwrap(), None).unwrap();
+                engine.snapshot(name, path.to_str().unwrap()).unwrap();
                 i += 1;
             }
         }));
@@ -182,7 +180,6 @@ fn storm_matches_serial_replay() {
     let recovered = Engine::new(ServeConfig {
         data_dir: Some(dir.clone()),
         snapshot_every: Some(16),
-        snapshot_format: SnapshotFormat::Binary,
         full_every: 3,
         ..ServeConfig::default()
     })
@@ -250,7 +247,7 @@ fn snapshot_pause_probe_inner() {
     let snapshot_thread = {
         let path = snap_path.to_str().unwrap().to_string();
         std::thread::spawn(move || {
-            snap_engine.snapshot("beta", &path, None).unwrap();
+            snap_engine.snapshot("beta", &path).unwrap();
         })
     };
     // Give the snapshot thread time to capture and enter its paused write.

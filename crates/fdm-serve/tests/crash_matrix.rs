@@ -493,7 +493,7 @@ fn sliding_snapshot_kill_restore_is_byte_identical() {
     let mut stdout = BufReader::new(child.stdout.take().unwrap());
     let mut script = vec![OPEN_SLIDING.to_string()];
     script.extend(insert_lines(INSERTS));
-    script.push(format!("SNAPSHOT {} format=bin", snap.display()));
+    script.push(format!("SNAPSHOT {}", snap.display()));
     script.push("QUERY".into());
     stdin
         .write_all(format!("{}\n", script.join("\n")).as_bytes())
@@ -509,9 +509,9 @@ fn sliding_snapshot_kill_restore_is_byte_identical() {
     let pre_kill_query = lines.last().unwrap().clone();
     assert!(pre_kill_query.starts_with("OK k=4"), "{pre_kill_query}");
     assert!(
-        lines[lines.len() - 2].contains("format=bin"),
-        "{:?}",
-        lines.last()
+        lines[lines.len() - 2].starts_with("OK snapshot"),
+        "{}",
+        lines[lines.len() - 2]
     );
     // The no-cleanup death.
     child.kill().unwrap();
@@ -531,7 +531,7 @@ fn sliding_snapshot_kill_restore_is_byte_identical() {
         let mut stdin = child.stdin.take().unwrap();
         write!(
             stdin,
-            "RESTORE {}\nQUERY\nSNAPSHOT {} format=bin\nQUIT\n",
+            "RESTORE {}\nQUERY\nSNAPSHOT {}\nQUIT\n",
             snap.display(),
             snap2.display()
         )
@@ -667,7 +667,7 @@ fn sigterm_drains_with_zero_replay_recovery() {
         let mut output = Vec::new();
         let mut script = vec![OPEN.to_string()];
         script.extend(insert_lines(INSERTS));
-        script.push(format!("SNAPSHOT {} format=bin", reference_snap.display()));
+        script.push(format!("SNAPSHOT {}", reference_snap.display()));
         Session::new(engine)
             .run(
                 std::io::Cursor::new(script.join("\n").into_bytes()),

@@ -1,9 +1,9 @@
 //! End-to-end protocol tests: scripted sessions, snapshot/kill/restore
-//! byte-identity, WAL crash recovery, Unix-socket sessions, and error
-//! surfaces.
+//! byte-identity, WAL crash recovery, v1 (JSON) snapshot files, Unix-socket
+//! sessions, and error surfaces.
 
 use std::io::Cursor;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use fdm_serve::{Engine, ServeConfig, Session};
@@ -446,15 +446,18 @@ fn stats_reports_persistence_counters() {
         "the delta checkpoint must count its bytes: {stats}"
     );
 
-    // An explicit export bumps the full-snapshot counter and the format.
+    // An explicit export bumps the full-snapshot counter and the kind.
     let export = dir.join("x.snap").display().to_string();
     let replies = run_script(
         &engine,
-        &format!("OPEN jobs sfdm2 quotas=2,2 eps=0.1 dmin=0.05 dmax=30\nSNAPSHOT {export} format=json\nSTATS"),
+        &format!("OPEN jobs sfdm2 quotas=2,2 eps=0.1 dmin=0.05 dmax=30\nSNAPSHOT {export}\nSTATS"),
     );
     let stats = replies.last().unwrap();
     assert!(stats.contains("snapshots=2"), "{stats}");
-    assert!(stats.contains("last_snapshot_format=json"), "{stats}");
+    let kind = stats
+        .split_whitespace()
+        .find_map(|f| f.strip_prefix("last_snapshot_format="));
+    assert_eq!(kind, Some("bin"), "{stats}");
 
     // A memory-only engine reports zeroed counters (no WAL, no files).
     let engine = memory_engine();
@@ -465,5 +468,100 @@ fn stats_reports_persistence_counters() {
     let stats = replies.last().unwrap();
     assert!(stats.contains("wal_records=0"), "{stats}");
     assert!(stats.contains("last_snapshot_format=none"), "{stats}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// v1 (JSON) snapshots at the serve layer. Nothing writes v1 any more, so
+// a daemon meets it only in old data directories and old exported files;
+// both must keep working. The fixtures are copies of `fdm-core`'s `sfdm2`
+// golden pair: one summary (90 arrivals, quotas 2,1,2, Manhattan)
+// encoded as v1 JSON and as the v2 binary frame.
+
+const V1_OPEN: &str = "OPEN sfdm2 sfdm2 quotas=2,1,2 eps=0.1 dmin=0.05 dmax=25 metric=manhattan";
+
+fn fixture(file: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("fixtures")
+        .join(file)
+}
+
+/// `RESTORE`s fixture `file` into a fresh in-memory engine, re-exports it
+/// to `export`, and returns the `QUERY` reply.
+fn restore_query_export(file: &str, export: &Path) -> String {
+    let replies = run_script(
+        &memory_engine(),
+        &format!(
+            "{V1_OPEN}\nRESTORE {}\nQUERY\nSNAPSHOT {}",
+            fixture(file).display(),
+            export.display()
+        ),
+    );
+    assert_eq!(replies[1], "OK restored sfdm2 processed=90", "{file}");
+    assert!(
+        replies[2].starts_with("OK k=5 diversity="),
+        "{file}: {}",
+        replies[2]
+    );
+    assert_eq!(
+        replies[3],
+        format!("OK snapshot {} processed=90", export.display()),
+        "{file}"
+    );
+    replies[2].clone()
+}
+
+#[test]
+fn v1_and_v2_exports_restore_to_the_same_answer() {
+    let dir = scratch("v1_restore");
+    let v2 = std::fs::read(fixture("sfdm2.v2.bin")).unwrap();
+    let from_v1 = restore_query_export("sfdm2.v1.json", &dir.join("from_v1.snap"));
+    let from_v2 = restore_query_export("sfdm2.v2.bin", &dir.join("from_v2.snap"));
+    // Same ids, same diversity bits (the reply prints the shortest
+    // round-trip decimal of the f64).
+    assert_eq!(from_v1, from_v2);
+    // Re-exporting a restored v1 file writes exactly the v2 encoding.
+    assert_eq!(std::fs::read(dir.join("from_v1.snap")).unwrap(), v2);
+    assert_eq!(std::fs::read(dir.join("from_v2.snap")).unwrap(), v2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn data_dir_with_a_v1_snapshot_recovers() {
+    let dir = scratch("v1_data_dir");
+    std::fs::copy(fixture("sfdm2.v1.json"), dir.join("sfdm2.snap")).unwrap();
+    let engine = Arc::new(
+        Engine::new(ServeConfig {
+            data_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        })
+        .unwrap(),
+    );
+    let replies = run_script(&engine, &format!("{V1_OPEN}\nQUERY"));
+    assert_eq!(replies[0], "OK attached sfdm2 processed=90");
+    let reference = restore_query_export("sfdm2.v2.bin", &dir.join("reference.snap"));
+    assert_eq!(replies[1], reference);
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn snapshot_refuses_a_format_field() {
+    let dir = scratch("format_field");
+    let engine = memory_engine();
+    for retired in ["json", "bin"] {
+        let path = dir.join(format!("x.{retired}"));
+        let replies = run_script(
+            &engine,
+            &format!("{V1_OPEN}\nSNAPSHOT {} format={retired}", path.display()),
+        );
+        assert!(replies[0].starts_with("OK "), "{}", replies[0]);
+        assert!(
+            replies[1].starts_with("ERR ") && replies[1].contains("SNAPSHOT takes exactly <path>"),
+            "{}",
+            replies[1]
+        );
+        assert!(!path.exists(), "a refused SNAPSHOT must not create a file");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -13,7 +13,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fdm_client::{Client, ClientError};
-use fdm_core::persist::SnapshotFormat;
 use fdm_serve::protocol::{parse_line, Request, StreamSpec};
 use fdm_serve::{serve_tcp, serve_unix, Engine, NetOptions, ServeConfig, Session};
 
@@ -308,9 +307,7 @@ fn tcp_snapshot_kill_restore_round_trip() {
             let reply = client.roundtrip(&line).unwrap();
             assert!(reply.starts_with("OK "), "{reply}");
         }
-        let captured = client
-            .snapshot(&snap.display().to_string(), Some(SnapshotFormat::Binary))
-            .unwrap();
+        let captured = client.snapshot(&snap.display().to_string()).unwrap();
         assert_eq!(captured, 40);
         client.quit().unwrap();
     }

@@ -89,7 +89,7 @@ kill -9 "$SERVER"; wait "$SERVER" 2>/dev/null || true; SERVER=""
 
 echo "== interrupted: first half over TCP, binary SNAPSHOT, SIGKILL =="
 start_server
-{ echo "$OPEN"; gen_inserts 0 40; echo "SNAPSHOT $WORK/jobs.snap format=bin"; echo "QUIT"; } > "$WORK/half.in"
+{ echo "$OPEN"; gen_inserts 0 40; echo "SNAPSHOT $WORK/jobs.snap"; echo "QUIT"; } > "$WORK/half.in"
 tcp_session "$WORK/half.in" "$WORK/half.out"
 grep -q '^OK snapshot' "$WORK/half.out" || { cat "$WORK/half.out"; echo "snapshot failed"; exit 1; }
 head -c 8 "$WORK/jobs.snap" | grep -q "FDMSNAP2" || { echo "snapshot is not v2 binary"; exit 1; }
