@@ -211,12 +211,18 @@ impl<S: ShardAlgorithm> ShardedStream<S> {
     /// batch positions `i` with `(next + i) mod K = s`, borrowed in place.
     /// Equivalent to element-by-element [`ShardedStream::insert`] in batch
     /// order: shards share no mutable state, so scheduling cannot affect any
-    /// shard's result.
+    /// shard's result. Only shards that receive an element are handed to
+    /// the pool, so a one-element batch runs inline like `insert`.
     pub fn insert_batch(&mut self, batch: &[Element]) {
         let k = self.shards.len();
         let next = self.next;
         self.next = (next + batch.len()) % k;
-        let work: Vec<(usize, &mut S)> = self.shards.iter_mut().enumerate().collect();
+        let work: Vec<(usize, &mut S)> = self
+            .shards
+            .iter_mut()
+            .enumerate()
+            .filter(|(s, _)| (s + k - next) % k < batch.len())
+            .collect();
         maybe_par_for_each(work, |(s, shard)| {
             for element in batch.iter().skip((s + k - next) % k).step_by(k) {
                 shard.insert(element);

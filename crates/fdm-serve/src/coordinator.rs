@@ -7,14 +7,14 @@
 //! * `OPEN` forwards the (unsharded) spec to every worker, so each worker
 //!   hosts one **shard** of the logical stream — with its own WAL,
 //!   snapshot chain, and crash recovery;
-//! * `INSERT` round-robins across the workers in fixed order, exactly the
+//! * `INSERTB` round-robins across the workers in fixed order, exactly the
 //!   element-to-shard assignment
 //!   [`ShardedStream`](fdm_core::streaming::sharded::ShardedStream) uses
-//!   for arrival order; `INSERTB` splits a batch into per-worker
-//!   sub-sequences by the same arithmetic (element *i* of a flush goes to
-//!   worker `(cursor + i) % K`) and flushes all K sub-batches
-//!   **concurrently**, one thread per worker — the round-trip cost of a
-//!   batch is one RTT plus the slowest worker's apply, not N RTTs;
+//!   for arrival order: element *i* of a flush goes to worker
+//!   `(cursor + i) % K`, and all K per-worker sub-batches flush
+//!   **concurrently** — the round-trip cost of a batch is one RTT plus the
+//!   slowest worker's apply, not N RTTs. `INSERT` is a one-element
+//!   `INSERTB` (same routing, same heal-by-skip, same failure handling);
 //! * `QUERY` pulls every worker's summary through the incremental
 //!   `MERGE since=<epoch>:<crc>` verb: each worker answers an `FDMDELT2`
 //!   delta against the coordinator's cached copy of its state when the
@@ -319,83 +319,33 @@ impl Coordinator {
         })
     }
 
-    /// `INSERT`: route to the cursor's worker; advance the cursor only on
-    /// an acknowledged apply, so the round-robin assignment stays exactly
+    /// `INSERTB` (and so `INSERT`, a one-element batch): the pipelined
+    /// fan-out. Returns the stream position after the batch. The batch is
+    /// flushed in rounds of at most `coord_batch` elements; each round is
+    /// partitioned into per-worker sub-sequences by pure cursor arithmetic
+    /// and all sub-batches fly **concurrently**, each over that worker's
+    /// own cached connection — the first on the calling thread, the rest
+    /// on scoped threads, so a one-element round spawns nothing. The
+    /// cursor advances only on acknowledged applies, so the round-robin
+    /// assignment stays exactly
     /// [`ShardedStream`](fdm_core::streaming::sharded::ShardedStream)'s.
-    /// An element the target worker already holds (landed by a partial
-    /// batch whose ack was lost) is acknowledged without re-sending.
-    pub fn insert(&self, name: &str, element: &Element) -> Result<Payload, ErrorReply> {
-        let stream = self.stream(name)?;
-        let mut stream = lock(&stream);
-        let start = Instant::now();
-        // The send below can apply on the worker even if its ack is lost,
-        // so the merged solution goes stale on the *attempt*.
-        stream.cached_query = None;
-        let k = self.workers.len();
-        let g = stream.processed; // 0-based global index of this element
-        let widx = stream.cursor; // == g % k by the cursor invariant
-        let pos = g / k + 1; // 1-based position in widx's sub-stream
-        if stream.positions[widx] >= pos {
-            // Heal-by-skip: replay is deterministic, so the element the
-            // worker already holds is this one.
-            stream.processed += 1;
-            stream.cursor = stream.processed % k;
-            let seq = stream.processed;
-            stream.metrics.insert_latency.observe(start.elapsed());
-            return Ok(Payload::Inserted { seq });
-        }
-        let client = self.conn(&mut stream, name, widx)?;
-        match client.insert(element) {
-            Ok(worker_seq) => {
-                self.workers[widx].up.store(true, Ordering::SeqCst);
-                stream.positions[widx] = stream.positions[widx].max(worker_seq);
-                stream.processed += 1;
-                stream.cursor = stream.processed % k;
-                let seq = stream.processed;
-                stream.metrics.insert_latency.observe(start.elapsed());
-                Ok(Payload::Inserted { seq })
-            }
-            // The worker answered: a typed rejection (dimension mismatch,
-            // busy, ...) relays verbatim; the element was not applied, so
-            // the cursor stays.
-            Err(ClientError::Server(err)) => Err(err),
-            Err(e) => {
-                // Transport failure: the connection is poisoned (we may
-                // have written the line without reading an ack — the
-                // worker's WAL decides whether it applied; the re-attach
-                // on the next command refreshes `p_w` either way). Drop
-                // it, name the worker, leave the cursor for the client's
-                // retry.
-                stream.conns[widx] = None;
-                Err(self.unavailable(&self.workers[widx], &e))
-            }
-        }
-    }
-
-    /// `INSERTB`: the pipelined fan-out. The batch is flushed in rounds
-    /// of at most `coord_batch` elements; each round is partitioned into
-    /// per-worker sub-sequences by pure cursor arithmetic and all
-    /// sub-batches fly **concurrently**, one thread per worker, each over
-    /// that worker's own cached connection. An element is acknowledged
-    /// only once its worker acknowledged the sub-batch containing it (or
-    /// it was skipped as already held); on any failure the round acks the
-    /// longest contiguous prefix and the typed error names the first
-    /// blocking worker.
+    /// An element is acknowledged only once its worker acknowledged the
+    /// sub-batch containing it (or it was skipped as already held); on any
+    /// failure the round acks the longest contiguous prefix and the typed
+    /// error names the first blocking worker.
     pub fn insert_batch(
         &self,
         name: &str,
         elements: &[Element],
         coord_batch: usize,
-    ) -> Result<Payload, ErrorReply> {
-        if elements.is_empty() {
-            return Err(ErrorReply::generic("INSERTB requires at least one element"));
-        }
+    ) -> Result<usize, ErrorReply> {
         let stream = self.stream(name)?;
         let mut stream = lock(&stream);
         let start = Instant::now();
+        // A send can apply on a worker even if its ack is lost, so the
+        // merged solution goes stale on the *attempt*.
         stream.cached_query = None;
         let k = self.workers.len();
-        let count = elements.len();
         for chunk in elements.chunks(coord_batch.max(1)) {
             // Partition: element i of the chunk is global g = processed +
             // i, owned by worker g % k at 1-based position g / k + 1.
@@ -427,20 +377,23 @@ impl Coordinator {
                     jobs.push((widx, client, std::mem::take(sub)));
                 }
             }
+            let flush = |(widx, mut client, batch): (usize, Client, Vec<Element>)| {
+                let result = client.insert_batch(&batch).map(|(seq, _count)| seq);
+                (widx, client, result)
+            };
+            let mut jobs = jobs.into_iter();
+            let first = jobs.next();
             let results: Vec<(usize, Client, Result<usize, ClientError>)> =
                 std::thread::scope(|scope| {
-                    let handles: Vec<_> = jobs
+                    let handles: Vec<_> = jobs.map(|job| scope.spawn(move || flush(job))).collect();
+                    first
+                        .map(flush)
                         .into_iter()
-                        .map(|(widx, mut client, batch)| {
-                            scope.spawn(move || {
-                                let result = client.insert_batch(&batch).map(|(seq, _count)| seq);
-                                (widx, client, result)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|handle| handle.join().expect("batch flush thread panicked"))
+                        .chain(
+                            handles
+                                .into_iter()
+                                .map(|handle| handle.join().expect("batch flush thread panicked")),
+                        )
                         .collect()
                 });
             let mut worker_err: Vec<Option<ErrorReply>> = (0..k).map(|_| None).collect();
@@ -485,9 +438,8 @@ impl Coordinator {
                     .expect("the prefix stopped at a failed worker"));
             }
         }
-        let seq = stream.processed;
         stream.metrics.insert_latency.observe(start.elapsed());
-        Ok(Payload::InsertedBatch { seq, count })
+        Ok(stream.processed)
     }
 
     /// One `MERGE since=` round-trip against worker `widx`, accounting

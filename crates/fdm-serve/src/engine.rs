@@ -188,10 +188,6 @@ impl TokenBucket {
         }
     }
 
-    fn try_take(&mut self) -> bool {
-        self.try_take_n(1)
-    }
-
     /// Batch admission: charges one token per element. A batch larger
     /// than the one-second burst capacity is clamped to it — it drains
     /// the bucket completely instead of being unpassable forever.
@@ -1172,130 +1168,78 @@ impl Engine {
         })
     }
 
-    /// `INSERT`: write-ahead (sequence-numbered), apply, maybe
-    /// auto-checkpoint (a delta while the chain is short, a fresh full
-    /// snapshot every [`ServeConfig::full_every`] deltas). Holds only this
-    /// stream's durable mutex across the operation — other tenants keep
-    /// running during the disk I/O — and the summary write lock only for
-    /// the in-memory apply, so concurrent `QUERY`s overlap with everything
-    /// but that instant.
-    ///
-    /// Protection happens *before* the durable mutex is touched:
-    ///
-    /// * the token-bucket rate limiter (when configured) rejects
-    ///   over-limit inserts with `ERR busy` instead of queueing them;
-    /// * the bounded pending counter rejects inserts that would pile more
-    ///   than [`ServeConfig::max_pending_inserts`] blocked threads onto
-    ///   this stream's write path.
-    ///
-    /// A panic inside the summary apply (the only window where in-memory
-    /// state can diverge from the log) is **contained**: the WAL is rolled
-    /// back to its pre-append length so log and state stay in lockstep,
-    /// and the caller gets a typed `ERR` instead of a dead connection.
+    /// `INSERT`: a one-element [`Engine::insert_batch`] — the same
+    /// admission, WAL record and atomic apply. The WAL body is the
+    /// client's own `raw_line` (trimmed) rather than a re-render: it
+    /// parsed to exactly this element, and skipping the render keeps the
+    /// per-element path cheap.
     pub fn insert(
         &self,
         name: &str,
         element: &Element,
         raw_line: &str,
     ) -> std::result::Result<Payload, ErrorReply> {
-        if let Some(coordinator) = &self.coordinator {
-            return coordinator.insert(name, element);
-        }
-        let start = Instant::now();
-        let entry = self.entry(name)?;
-        if let Some(limiter) = entry.limiter.as_ref() {
-            if !lock(limiter).try_take() {
-                self.metrics.busy_rate_limited();
-                return Err(ErrorReply::busy(format!(
-                    "stream `{name}` is over its insert rate limit; retry later"
-                )));
-            }
-        }
-        let queued = entry.pending_inserts.fetch_add(1, Ordering::SeqCst);
-        let _pending = PendingGuard(&entry.pending_inserts);
-        if queued >= self.config.max_pending_inserts {
-            self.metrics.busy_queue_full();
-            return Err(ErrorReply::busy(format!(
-                "stream `{name}` has {queued} pending inserts (max {}); retry later",
-                self.config.max_pending_inserts
-            )));
-        }
-        let mut durable = lock(&entry.durable);
-        // `durable` serializes writers, so the sequence number read here
-        // cannot race another insert's apply.
-        let seq = {
-            let summary = read_lock(&entry.summary);
-            check_element(&summary.params(), element).map_err(ErrorReply::generic)?;
-            summary.processed() as u64 + 1
-        };
-        let mut wal_len_before = 0u64;
-        if let Some(wal) = durable.wal.as_mut() {
-            wal_len_before = wal.metadata().map(|m| m.len()).unwrap_or(0);
-            // One pre-formatted buffer, one write syscall: a crash can
-            // still tear the record (recovery tolerates a torn tail), but
-            // the window is a single partial write, not the several
-            // writes `writeln!` would issue.
-            let record = wal_record(&format!("{seq} {}", raw_line.trim()));
-            wal.write_all(record.as_bytes())
-                .and_then(|()| wal.flush())
-                .map_err(|e| generic(format!("append WAL for {name}: {e}")))?;
-            durable.counters.wal_records += 1;
-        }
-        crash_point("between-wal-append-and-apply");
-        let applied = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut summary = write_lock(&entry.summary);
-            panic_point("insert-apply", name);
-            summary.insert(element);
-        }));
-        if let Err(payload) = applied {
-            // The apply never happened: un-append the WAL record so the
-            // log matches the in-memory state — otherwise the next insert
-            // would reuse this sequence number and replay after a crash
-            // would apply the wrong record.
-            if let Some(wal) = durable.wal.as_mut() {
-                let _ = wal.set_len(wal_len_before);
-                durable.counters.wal_records = durable.counters.wal_records.saturating_sub(1);
-            }
-            self.metrics.panic_contained();
-            return Err(generic(format!(
-                "internal error (panic contained) applying INSERT to `{name}`: {}",
-                panic_message(&*payload)
-            )));
-        }
-        durable.inserts_since_snapshot += 1;
-        if let Some(every) = self.config.snapshot_every {
-            if every > 0 && durable.inserts_since_snapshot >= every {
-                self.checkpoint(name, &entry, &mut durable)
-                    .map_err(generic)?;
-            }
-        }
-        entry.metrics.insert_latency.observe(start.elapsed());
-        Ok(Payload::Inserted { seq: seq as usize })
+        let seq = self.ingest(name, std::slice::from_ref(element), Some(raw_line))?;
+        Ok(Payload::Inserted { seq })
     }
 
-    /// `INSERTB`: the batched insert — one WAL append covering every
-    /// element (each record sequence-numbered and CRC-suffixed exactly as
-    /// the per-element path writes it, so replay cannot tell the two
-    /// apart), then **one atomic apply** via [`DynSummary::insert_batch`]
-    /// under a single write-lock acquisition. Atomicity is the contract
-    /// the coordinator's mid-batch failure semantics lean on: a worker
-    /// either applied its whole sub-batch or none of it, so the set of
-    /// elements it holds is always a prefix of its sub-stream.
+    /// `INSERTB`: the one insert path — one WAL append covering every
+    /// element (each record sequence-numbered and CRC-suffixed, so replay
+    /// cannot tell a batch from per-element `INSERT`s), then **one atomic
+    /// apply** via [`DynSummary::insert_batch`] under a single write-lock
+    /// acquisition. Atomicity is the contract the coordinator's mid-batch
+    /// failure semantics lean on: a worker either applied its whole
+    /// sub-batch or none of it, so the set of elements it holds is always
+    /// a prefix of its sub-stream. On a coordinator the batch is routed
+    /// instead (see [`crate::coordinator`]).
     ///
-    /// Admission control charges the batch size: the token bucket takes
-    /// `n` tokens (clamped to its burst capacity), and the reply/latency
-    /// accounting treats the batch as one request. A contained apply
-    /// panic rolls the WAL back across all `n` records.
+    /// Holds only this stream's durable mutex across the operation —
+    /// other tenants keep running during the disk I/O — and the summary
+    /// write lock only for the in-memory apply, so concurrent `QUERY`s
+    /// overlap with everything but that instant. Afterwards it maybe
+    /// auto-checkpoints (a delta while the chain is short, a fresh full
+    /// snapshot every [`ServeConfig::full_every`] deltas).
+    ///
+    /// Protection happens *before* the durable mutex is touched:
+    ///
+    /// * the token-bucket rate limiter (when configured) takes one token
+    ///   per element (clamped to its burst capacity) and rejects an
+    ///   over-limit request with `ERR busy` instead of queueing it;
+    /// * the bounded pending counter rejects requests that would pile more
+    ///   than [`ServeConfig::max_pending_inserts`] blocked threads onto
+    ///   this stream's write path.
+    ///
+    /// A panic inside the summary apply (the only window where in-memory
+    /// state can diverge from the log) is **contained**: the WAL is rolled
+    /// back across all the request's records so log and state stay in
+    /// lockstep, and the caller gets a typed `ERR` instead of a dead
+    /// connection.
     pub fn insert_batch(
         &self,
         name: &str,
         elements: &[Element],
     ) -> std::result::Result<Payload, ErrorReply> {
-        if let Some(coordinator) = &self.coordinator {
-            return coordinator.insert_batch(name, elements, self.config.coord_batch);
-        }
         if elements.is_empty() {
             return Err(generic("INSERTB requires at least one element"));
+        }
+        let seq = self.ingest(name, elements, None)?;
+        Ok(Payload::InsertedBatch {
+            seq,
+            count: elements.len(),
+        })
+    }
+
+    /// The body of [`Engine::insert_batch`] (and so of `INSERT`): returns
+    /// the stream position after the last element. `raw_line`, when
+    /// given, is the WAL body of a one-element request.
+    fn ingest(
+        &self,
+        name: &str,
+        elements: &[Element],
+        raw_line: Option<&str>,
+    ) -> std::result::Result<usize, ErrorReply> {
+        if let Some(coordinator) = &self.coordinator {
+            return coordinator.insert_batch(name, elements, self.config.coord_batch);
         }
         let start = Instant::now();
         let entry = self.entry(name)?;
@@ -1317,6 +1261,8 @@ impl Engine {
             )));
         }
         let mut durable = lock(&entry.durable);
+        // `durable` serializes writers, so the sequence number read here
+        // cannot race another insert's apply.
         let base_seq = {
             let summary = read_lock(&entry.summary);
             let params = summary.params();
@@ -1325,25 +1271,32 @@ impl Engine {
             }
             summary.processed() as u64 + 1
         };
+        let count = elements.len() as u64;
         crash_point("before-batch-wal-append");
         let mut wal_len_before = 0u64;
         if let Some(wal) = durable.wal.as_mut() {
             wal_len_before = wal.metadata().map(|m| m.len()).unwrap_or(0);
-            // All n records in one pre-formatted buffer, one write
-            // syscall: the torn-write window is a single partial write,
-            // and recovery's per-record CRCs make any truncation point
-            // detectable. Each body is re-rendered through the protocol
+            // All records in one pre-formatted buffer, one write syscall:
+            // the torn-write window is a single partial write, and
+            // recovery's per-record CRCs make any truncation point
+            // detectable. A batch body is re-rendered through the protocol
             // (not sliced from the raw line) so it is byte-identical to
-            // what a per-element INSERT would have logged.
-            let mut records = String::new();
-            for (i, element) in elements.iter().enumerate() {
-                let line = Request::Insert(element.clone()).render();
-                records.push_str(&wal_record(&format!("{} {line}", base_seq + i as u64)));
-            }
+            // what a per-element INSERT of the rendered line would log.
+            let records = match raw_line {
+                Some(line) => wal_record(&format!("{base_seq} {}", line.trim())),
+                None => elements
+                    .iter()
+                    .enumerate()
+                    .map(|(i, element)| {
+                        let line = Request::Insert(element.clone()).render();
+                        wal_record(&format!("{} {line}", base_seq + i as u64))
+                    })
+                    .collect(),
+            };
             wal.write_all(records.as_bytes())
                 .and_then(|()| wal.flush())
                 .map_err(|e| generic(format!("append WAL for {name}: {e}")))?;
-            durable.counters.wal_records += elements.len() as u64;
+            durable.counters.wal_records += count;
         }
         crash_point("between-wal-append-and-apply");
         let applied = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1352,22 +1305,22 @@ impl Engine {
             summary.insert_batch(elements);
         }));
         if let Err(payload) = applied {
-            // None of the batch was applied (`insert_batch` is one call
-            // under one lock): un-append all n records.
+            // None of the request was applied (`insert_batch` is one call
+            // under one lock): un-append its records so the log matches
+            // the in-memory state — otherwise the next insert would reuse
+            // these sequence numbers and replay after a crash would apply
+            // the wrong records.
             if let Some(wal) = durable.wal.as_mut() {
                 let _ = wal.set_len(wal_len_before);
-                durable.counters.wal_records = durable
-                    .counters
-                    .wal_records
-                    .saturating_sub(elements.len() as u64);
+                durable.counters.wal_records = durable.counters.wal_records.saturating_sub(count);
             }
             self.metrics.panic_contained();
             return Err(generic(format!(
-                "internal error (panic contained) applying INSERTB to `{name}`: {}",
+                "internal error (panic contained) applying insert to `{name}`: {}",
                 panic_message(&*payload)
             )));
         }
-        durable.inserts_since_snapshot += elements.len() as u64;
+        durable.inserts_since_snapshot += count;
         if let Some(every) = self.config.snapshot_every {
             if every > 0 && durable.inserts_since_snapshot >= every {
                 self.checkpoint(name, &entry, &mut durable)
@@ -1375,10 +1328,7 @@ impl Engine {
             }
         }
         entry.metrics.insert_latency.observe(start.elapsed());
-        Ok(Payload::InsertedBatch {
-            seq: (base_seq - 1) as usize + elements.len(),
-            count: elements.len(),
-        })
+        Ok((base_seq - 1 + count) as usize)
     }
 
     /// `QUERY`: post-processing of the named stream. `k`, when given, must

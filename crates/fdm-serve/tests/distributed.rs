@@ -19,8 +19,9 @@
 
 use std::io::Write as _;
 use std::net::TcpListener;
+use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -362,21 +363,43 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+/// A spawned worker process, SIGKILLed and reaped on drop so no test —
+/// passing or panicking — leaves a worker listening. Derefs to the
+/// [`Child`] for explicit mid-test `kill()`/`wait()`.
+struct Worker(Child);
+
+impl Drop for Worker {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+impl Deref for Worker {
+    type Target = Child;
+
+    fn deref(&self) -> &Child {
+        &self.0
+    }
+}
+
+impl DerefMut for Worker {
+    fn deref_mut(&mut self) -> &mut Child {
+        &mut self.0
+    }
+}
+
 /// Spawns a real `fdm-serve` worker with a TCP listener and returns the
-/// child plus its `ADDR:PORT` (parsed from the "listening on" stderr
-/// line). Mirrors the crash-matrix helper; stdin is held open so the
-/// process keeps serving.
-fn spawn_worker(dir: &Path, crash_point: Option<&str>) -> (std::process::Child, String) {
+/// guarded child plus its `ADDR:PORT` (parsed from the "listening on"
+/// stderr line). Mirrors the crash-matrix helper; stdin is held open so
+/// the process keeps serving.
+fn spawn_worker(dir: &Path, crash_point: Option<&str>) -> (Worker, String) {
     spawn_worker_on(dir, crash_point, "127.0.0.1:0")
 }
 
 /// `spawn_worker` with an explicit listen address, for restarting a
 /// killed worker on the port a still-running coordinator already holds.
-fn spawn_worker_on(
-    dir: &Path,
-    crash_point: Option<&str>,
-    listen: &str,
-) -> (std::process::Child, String) {
+fn spawn_worker_on(dir: &Path, crash_point: Option<&str>, listen: &str) -> (Worker, String) {
     use std::io::{BufRead, BufReader};
     let mut command = Command::new(env!("CARGO_BIN_EXE_fdm-serve"));
     command
@@ -394,7 +417,7 @@ fn spawn_worker_on(
     if let Some(point) = crash_point {
         command.env("FDM_SERVE_CRASH_POINT", point);
     }
-    let mut child = command.spawn().expect("spawn fdm-serve worker");
+    let mut child = Worker(command.spawn().expect("spawn fdm-serve worker"));
     let mut stderr = BufReader::new(child.stderr.take().unwrap());
     let mut addr = None;
     let mut line = String::new();
@@ -641,12 +664,20 @@ fn worker_killed_mid_query_cycle_recovers_bit_identical() {
 /// landed extras. After worker 0 restarts, a fresh coordinator
 /// re-derives the acked prefix from the workers' positions and the
 /// client's replay of the whole unacked suffix heals worker 1's half by
-/// skip — ending bit-identical to the uninterrupted reference.
+/// skip — ending bit-identical to the uninterrupted reference. The
+/// replay runs both as one `INSERTB` and as per-element `INSERT`s: the
+/// skip must hold for either verb.
 #[test]
 fn batch_crash_before_wal_append_acks_exact_prefix() {
+    for per_element in [false, true] {
+        batch_crash_before_wal_append_then_replay(per_element);
+    }
+}
+
+fn batch_crash_before_wal_append_then_replay(per_element: bool) {
     let arrivals = deterministic_arrivals(16);
-    let dir0 = scratch("batch_pre_w0");
-    let dir1 = scratch("batch_pre_w1");
+    let dir0 = scratch(&format!("batch_pre_w0_{per_element}"));
+    let dir1 = scratch(&format!("batch_pre_w1_{per_element}"));
     let (_w0, addr0) = spawn_worker(&dir0, Some("before-batch-wal-append:2"));
     let (_w1, addr1) = spawn_worker(&dir1, None);
     let engine = coordinator_over(vec![addr0.clone(), addr1.clone()]);
@@ -692,11 +723,20 @@ fn batch_crash_before_wal_append_acks_exact_prefix() {
 
     // Replay the whole unacked suffix: worker 1's four extras are healed
     // by skip, worker 0 receives its missing half.
-    match engine.insert_batch(&name, &arrivals[8..]).unwrap() {
-        Payload::InsertedBatch { seq, count } => {
-            assert_eq!((seq, count), (16, 8));
+    if per_element {
+        for (i, e) in arrivals[8..].iter().enumerate() {
+            match insert_via(&engine, &name, e).unwrap() {
+                Payload::Inserted { seq } => assert_eq!(seq, 9 + i),
+                other => panic!("{other:?}"),
+            }
         }
-        other => panic!("{other:?}"),
+    } else {
+        match engine.insert_batch(&name, &arrivals[8..]).unwrap() {
+            Payload::InsertedBatch { seq, count } => {
+                assert_eq!((seq, count), (16, 8));
+            }
+            other => panic!("{other:?}"),
+        }
     }
     let reference = feed_and_query(
         &Engine::new(ServeConfig::default()).unwrap(),
@@ -704,7 +744,11 @@ fn batch_crash_before_wal_append_acks_exact_prefix() {
         &arrivals,
     )
     .unwrap();
-    assert_eq!(engine.query(&name, None).unwrap(), reference);
+    assert_eq!(
+        engine.query(&name, None).unwrap(),
+        reference,
+        "per_element={per_element}"
+    );
     let _ = std::fs::remove_dir_all(&dir0);
     let _ = std::fs::remove_dir_all(&dir1);
 }

@@ -71,10 +71,10 @@ fn roundtrip(client: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &s
 }
 
 /// The headline acceptance: inserts into `victim` panic (every hit, via
-/// the stream-name filter), and that must cost each request one `ERR` —
-/// the victim connection survives, the victim stream's WAL stays in
-/// lockstep with its (unchanged) state, and the `healthy` stream serves
-/// normally throughout on another connection.
+/// the stream-name filter), and that must cost each request (`INSERT` or
+/// `INSERTB`) one `ERR` — the victim connection survives, the victim
+/// stream's WAL stays in lockstep with its (unchanged) state, and the
+/// `healthy` stream serves normally throughout on another connection.
 #[test]
 fn insert_panic_degrades_to_one_err_and_other_tenants_keep_serving() {
     let dir = scratch("insert_apply");
@@ -110,6 +110,16 @@ fn insert_panic_degrades_to_one_err_and_other_tenants_keep_serving() {
         );
         assert_eq!(reply, format!("OK inserted processed={}", i + 1));
     }
+    // A batch panics in the same apply and must roll back all its records.
+    let reply = roundtrip(
+        &mut victim,
+        &mut victim_r,
+        "INSERTB 8 0 1.0 8 | 9 1 4.0 9 | 10 0 7.0 10",
+    );
+    assert!(
+        reply.starts_with("ERR internal error (panic contained)"),
+        "insert batch: {reply}"
+    );
     // The victim connection itself still serves (no poisoned-lock panic
     // on the read paths), and its state never advanced.
     let stats = roundtrip(&mut victim, &mut victim_r, "STATS");
