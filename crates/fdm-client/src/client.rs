@@ -17,7 +17,10 @@ use std::time::Duration;
 use fdm_core::point::Element;
 use fdm_core::solution::Solution;
 
-use crate::protocol::{ErrorReply, Payload, QueryReply, Request, Response, StreamSpec};
+use crate::protocol::{
+    render_entry, render_insert_batch, ErrorReply, Payload, QueryReply, Request, Response,
+    StreamSpec,
+};
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -218,6 +221,12 @@ impl Client {
     pub fn request(&mut self, request: &Request) -> Result<Payload> {
         self.write_buf.clear();
         request.render_into(&mut self.write_buf);
+        self.send_write_buf()
+    }
+
+    /// The one send path: writes the request line already rendered into
+    /// `write_buf` (newline appended), then reads and parses the reply.
+    fn send_write_buf(&mut self) -> Result<Payload> {
         self.write_buf.push('\n');
         match &mut self.transport {
             Transport::Tcp { writer, .. } => {
@@ -274,8 +283,7 @@ impl Client {
         extract: impl FnOnce(Payload) -> std::result::Result<T, Payload>,
     ) -> Result<T> {
         let payload = self.request(request)?;
-        extract(payload)
-            .map_err(|other| ClientError::Protocol(format!("unexpected reply payload: {other:?}")))
+        extract(payload).map_err(unexpected)
     }
 
     /// `AUTH <token>`.
@@ -309,19 +317,40 @@ impl Client {
 
     /// `INSERT` one element — returns its sequence number.
     pub fn insert(&mut self, element: &Element) -> Result<usize> {
-        self.expect(&Request::Insert(element.clone()), |p| match p {
+        self.write_buf.clear();
+        self.write_buf.push_str("INSERT ");
+        render_entry(element, &mut self.write_buf);
+        match self.send_write_buf()? {
             Payload::Inserted { seq } => Ok(seq),
-            other => Err(other),
-        })
+            other => Err(unexpected(other)),
+        }
     }
 
     /// `INSERTB` a batch of elements in one round trip — returns
     /// `(stream position after the batch, elements acknowledged)`.
     pub fn insert_batch(&mut self, elements: &[Element]) -> Result<(usize, usize)> {
-        self.expect(&Request::InsertBatch(elements.to_vec()), |p| match p {
+        self.send_insert_batch(elements, render_entry)
+    }
+
+    /// `INSERTB` of entry texts (`<id> <group> <x1> ... <xd>` each) sent
+    /// verbatim, without parsing or re-rendering them — the coordinator
+    /// forwards its clients' spelling this way. Same reply as
+    /// [`Client::insert_batch`].
+    pub fn insert_entries(&mut self, entries: &[&str]) -> Result<(usize, usize)> {
+        self.send_insert_batch(entries, |entry, out| out.push_str(entry))
+    }
+
+    fn send_insert_batch<T>(
+        &mut self,
+        entries: &[T],
+        entry: impl FnMut(&T, &mut String),
+    ) -> Result<(usize, usize)> {
+        self.write_buf.clear();
+        render_insert_batch(entries, &mut self.write_buf, entry);
+        match self.send_write_buf()? {
             Payload::InsertedBatch { seq, count } => Ok((seq, count)),
-            other => Err(other),
-        })
+            other => Err(unexpected(other)),
+        }
     }
 
     /// `QUERY [k]`.
@@ -419,6 +448,10 @@ impl Client {
             other => Err(other),
         })
     }
+}
+
+fn unexpected(payload: Payload) -> ClientError {
+    ClientError::Protocol(format!("unexpected reply payload: {payload:?}"))
 }
 
 /// A typed `MERGE since=` reply: one exported frame plus the cache anchor

@@ -105,16 +105,11 @@ impl Request {
             Request::Open { name, spec } => {
                 let _ = write!(out, "OPEN {name} {}", spec.render());
             }
-            Request::Insert(e) => render_insert_tail("INSERT", e, out),
-            Request::InsertBatch(elements) => {
-                out.push_str("INSERTB");
-                for (i, e) in elements.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(" |");
-                    }
-                    render_insert_tail("", e, out);
-                }
+            Request::Insert(e) => {
+                out.push_str("INSERT ");
+                render_entry(e, out);
             }
+            Request::InsertBatch(elements) => render_insert_batch(elements, out, render_entry),
             Request::Query { k: None } => out.push_str("QUERY"),
             Request::Query { k: Some(k) } => {
                 let _ = write!(out, "QUERY {k}");
@@ -141,16 +136,41 @@ impl Request {
     }
 }
 
-/// Appends `<verb> <id> <group> <x1> ... <xd>` to `out` (the shared tail
-/// shape of `INSERT` and each `INSERTB` batch entry; an empty verb appends
-/// just the fields, each space-prefixed).
-fn render_insert_tail(verb: &str, e: &Element, out: &mut String) {
+/// Appends one entry, `<id> <group> <x1> ... <xd>`, to `out` — the tail of
+/// an `INSERT` and each `|`-separated piece of an `INSERTB`.
+pub fn render_entry(e: &Element, out: &mut String) {
     use std::fmt::Write as _;
-    out.push_str(verb);
-    let _ = write!(out, " {} {}", e.id, e.group);
+    let _ = write!(out, "{} {}", e.id, e.group);
     for x in e.point.iter() {
         let _ = write!(out, " {x}");
     }
+}
+
+/// Appends `INSERTB <e₁> | <e₂> | ...` to `out`, each entry written by
+/// `entry` — the one batch layout, for parsed elements and for entry
+/// texts forwarded verbatim alike.
+pub(crate) fn render_insert_batch<T>(
+    entries: &[T],
+    out: &mut String,
+    mut entry: impl FnMut(&T, &mut String),
+) {
+    out.push_str("INSERTB");
+    for (i, e) in entries.iter().enumerate() {
+        out.push_str(if i == 0 { " " } else { " | " });
+        entry(e, out);
+    }
+}
+
+/// The entry texts of an `INSERT`/`INSERTB` line that [`parse_line`]
+/// accepted, in order: the body after the verb, split on `|`, each piece
+/// trimmed — the client's own spelling of each element. Sound because no
+/// id, group or f64 token can contain `|`, so in an accepted line every
+/// `|` byte is a separator token. A byte scan, not a second tokenizer:
+/// the entries are never split into fields again here.
+pub fn insert_entries(line: &str) -> impl Iterator<Item = &str> {
+    let line = line.trim_start();
+    let body = &line[line.find(char::is_whitespace).unwrap_or(line.len())..];
+    body.split('|').map(str::trim)
 }
 
 /// Algorithm choice + parameters from an `OPEN` command.
@@ -856,6 +876,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_open_variants() {
@@ -1047,6 +1068,137 @@ mod tests {
                 "{line}"
             );
         }
+    }
+
+    /// Whitespace runs the tokenizer accepts between fields (and around
+    /// the line), each non-empty.
+    fn separator() -> impl Strategy<Value = String> {
+        proptest::collection::vec(
+            prop_oneof![
+                Just(" "),
+                Just("\t"),
+                Just("\x0B"),
+                Just("\x0C"),
+                Just("\r")
+            ],
+            1..4,
+        )
+        .prop_map(|run| run.concat())
+    }
+
+    /// One coordinate token in a spelling a client may send: `Display`,
+    /// `Debug`, exponent forms, an explicit `+`, `%.17g`-style 17
+    /// significant digits, trailing zeros, and fixed oddities.
+    fn coordinate() -> impl Strategy<Value = String> {
+        (-1.0e6f64..1.0e6, 0usize..9).prop_map(|(x, spelling)| match spelling {
+            0 => format!("{x}"),
+            1 => format!("{x:?}"),
+            2 => format!("{x:e}"),
+            3 => format!("{x:E}"),
+            4 => format!("{x:+}"),
+            5 => format!("{x:.16e}"),
+            6 => format!("{x:+.2}0"),
+            7 => "-0.0".to_string(),
+            _ => "1E5".to_string(),
+        })
+    }
+
+    /// One entry's tokens: id (sometimes zero-padded), group, 1–4
+    /// coordinates.
+    fn entry_tokens() -> impl Strategy<Value = Vec<String>> {
+        (
+            0usize..1_000_000,
+            0usize..4,
+            proptest::collection::vec(coordinate(), 1..5),
+            0usize..2,
+        )
+            .prop_map(|(id, group, coords, pad)| {
+                let mut tokens = vec![if pad == 1 {
+                    format!("00{id}")
+                } else {
+                    id.to_string()
+                }];
+                tokens.push(group.to_string());
+                tokens.extend(coords);
+                tokens
+            })
+    }
+
+    /// An accepted `INSERT` (one entry) or `INSERTB` (1–6 entries) line,
+    /// in any letter case, with a separator run before every token and
+    /// around the whole line.
+    fn insert_line() -> impl Strategy<Value = String> {
+        (
+            prop_oneof![
+                Just("INSERT"),
+                Just("insert"),
+                Just("INSERTB"),
+                Just("insertb"),
+                Just("InsertB")
+            ],
+            proptest::collection::vec(entry_tokens(), 1..7),
+            proptest::collection::vec(separator(), 64),
+        )
+            .prop_map(|(verb, mut entries, seps)| {
+                if !verb.eq_ignore_ascii_case("INSERTB") {
+                    entries.truncate(1);
+                }
+                let mut seps = seps.into_iter().cycle();
+                let mut line = seps.next().unwrap();
+                line.push_str(verb);
+                for (i, tokens) in entries.iter().enumerate() {
+                    if i > 0 {
+                        line.push_str(&seps.next().unwrap());
+                        line.push('|');
+                    }
+                    for token in tokens {
+                        line.push_str(&seps.next().unwrap());
+                        line.push_str(token);
+                    }
+                }
+                line.push_str(&seps.next().unwrap());
+                line
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `insert_entries` slices exactly one entry per parsed element,
+        /// and each entry re-parses to that element bit for bit.
+        #[test]
+        fn insert_entries_slice_exactly_the_parsed_elements(line in insert_line()) {
+            let elements = match parse_line(&line) {
+                Ok(Some(Request::Insert(e))) => vec![e],
+                Ok(Some(Request::InsertBatch(elements))) => elements,
+                other => return Err(TestCaseError::fail(format!("{line:?}: {other:?}"))),
+            };
+            let entries: Vec<&str> = insert_entries(&line).collect();
+            prop_assert_eq!(entries.len(), elements.len(), "{:?}", line);
+            for (entry, element) in entries.iter().zip(&elements) {
+                prop_assert!(!entry.contains('|') && entry.trim() == *entry, "{:?}", entry);
+                let fields: Vec<&str> = entry.split_whitespace().collect();
+                let parsed = parse_insert(&fields).unwrap();
+                prop_assert_eq!(parsed.id, element.id);
+                prop_assert_eq!(parsed.group, element.group);
+                let bits = |e: &Element| e.point.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&parsed), bits(element), "{:?}", entry);
+            }
+        }
+    }
+
+    #[test]
+    fn insert_entries_keep_the_client_spelling() {
+        let line = " insertB\t7 1 +1.50\x0B0.10000000000000001 |\r8 0  1E5 -0.0\x0C";
+        assert!(parse_line(line).unwrap().is_some());
+        assert_eq!(
+            insert_entries(line).collect::<Vec<_>>(),
+            ["7 1 +1.50\x0B0.10000000000000001", "8 0  1E5 -0.0"]
+        );
+        assert_eq!(
+            insert_entries("INSERT 3 0 2.50").collect::<Vec<_>>(),
+            ["3 0 2.50"]
+        );
     }
 
     #[test]

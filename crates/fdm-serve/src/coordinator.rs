@@ -14,7 +14,13 @@
 //!   `(cursor + i) % K`, and all K per-worker sub-batches flush
 //!   **concurrently** — the round-trip cost of a batch is one RTT plus the
 //!   slowest worker's apply, not N RTTs. `INSERT` is a one-element
-//!   `INSERTB` (same routing, same heal-by-skip, same failure handling);
+//!   `INSERTB` (same routing, same heal-by-skip, same failure handling).
+//!   The coordinator routes **text**: the session has already parsed and
+//!   validated the client's line (a bad line is refused whole, before any
+//!   worker sees it), and each worker receives the entry texts sliced from
+//!   that line exactly as the client spelled them — nothing is
+//!   re-rendered, so a worker's WAL holds the client's spelling of every
+//!   float and answers stay bit-identical (f64 parsing is deterministic);
 //! * `QUERY` pulls every worker's summary through the incremental
 //!   `MERGE since=<epoch>:<crc>` verb: each worker answers an `FDMDELT2`
 //!   delta against the coordinator's cached copy of its state when the
@@ -78,7 +84,6 @@ use std::time::{Duration, Instant};
 
 use fdm_client::{Client, ClientError, MergeFrame};
 use fdm_core::persist::{Snapshot, SnapshotDelta};
-use fdm_core::point::Element;
 use fdm_core::streaming::summary::{self, DynSummary};
 
 use crate::engine::lock;
@@ -320,23 +325,25 @@ impl Coordinator {
     }
 
     /// `INSERTB` (and so `INSERT`, a one-element batch): the pipelined
-    /// fan-out. Returns the stream position after the batch. The batch is
-    /// flushed in rounds of at most `coord_batch` elements; each round is
-    /// partitioned into per-worker sub-sequences by pure cursor arithmetic
-    /// and all sub-batches fly **concurrently**, each over that worker's
-    /// own cached connection — the first on the calling thread, the rest
-    /// on scoped threads, so a one-element round spawns nothing. The
-    /// cursor advances only on acknowledged applies, so the round-robin
-    /// assignment stays exactly
+    /// fan-out of already validated entry texts (`<id> <group> <x1> ...
+    /// <xd>` each, as the client spelled them). Returns the stream
+    /// position after the batch. The batch is flushed in rounds of at most
+    /// `coord_batch` entries; each round is partitioned into per-worker
+    /// sub-sequences by pure cursor arithmetic and all sub-batches fly
+    /// **concurrently** as one `INSERTB` line each, written verbatim into
+    /// that worker's cached connection — the first on the calling thread,
+    /// the rest on scoped threads, so a one-element round spawns nothing.
+    /// The cursor advances only on acknowledged applies, so the
+    /// round-robin assignment stays exactly
     /// [`ShardedStream`](fdm_core::streaming::sharded::ShardedStream)'s.
-    /// An element is acknowledged only once its worker acknowledged the
+    /// An entry is acknowledged only once its worker acknowledged the
     /// sub-batch containing it (or it was skipped as already held); on any
     /// failure the round acks the longest contiguous prefix and the typed
     /// error names the first blocking worker.
     pub fn insert_batch(
         &self,
         name: &str,
-        elements: &[Element],
+        entries: &[&str],
         coord_batch: usize,
     ) -> Result<usize, ErrorReply> {
         let stream = self.stream(name)?;
@@ -346,20 +353,20 @@ impl Coordinator {
         // merged solution goes stale on the *attempt*.
         stream.cached_query = None;
         let k = self.workers.len();
-        for chunk in elements.chunks(coord_batch.max(1)) {
-            // Partition: element i of the chunk is global g = processed +
-            // i, owned by worker g % k at 1-based position g / k + 1.
-            // Elements the target worker already holds are skipped (see
-            // the module docs on heal-by-skip).
+        for chunk in entries.chunks(coord_batch.max(1)) {
+            // Partition: entry i of the chunk is global g = processed + i,
+            // owned by worker g % k at 1-based position g / k + 1. Entries
+            // the target worker already holds are skipped (see the module
+            // docs on heal-by-skip).
             let base = stream.processed;
-            let mut subs: Vec<Vec<Element>> = (0..k).map(|_| Vec::new()).collect();
+            let mut subs: Vec<Vec<&str>> = (0..k).map(|_| Vec::new()).collect();
             let mut routed: Vec<(usize, bool)> = Vec::with_capacity(chunk.len());
-            for (i, element) in chunk.iter().enumerate() {
+            for (i, entry) in chunk.iter().enumerate() {
                 let g = base + i;
                 let widx = g % k;
                 let skip = stream.positions[widx] > g / k;
                 if !skip {
-                    subs[widx].push(element.clone());
+                    subs[widx].push(entry);
                 }
                 routed.push((widx, skip));
             }
@@ -370,15 +377,15 @@ impl Coordinator {
                     self.conn(&mut stream, name, widx)?;
                 }
             }
-            let mut jobs: Vec<(usize, Client, Vec<Element>)> = Vec::new();
+            let mut jobs: Vec<(usize, Client, Vec<&str>)> = Vec::new();
             for (widx, sub) in subs.iter_mut().enumerate() {
                 if !sub.is_empty() {
                     let client = stream.conns[widx].take().expect("dialed above");
                     jobs.push((widx, client, std::mem::take(sub)));
                 }
             }
-            let flush = |(widx, mut client, batch): (usize, Client, Vec<Element>)| {
-                let result = client.insert_batch(&batch).map(|(seq, _count)| seq);
+            let flush = |(widx, mut client, batch): (usize, Client, Vec<&str>)| {
+                let result = client.insert_entries(&batch).map(|(seq, _count)| seq);
                 (widx, client, result)
             };
             let mut jobs = jobs.into_iter();

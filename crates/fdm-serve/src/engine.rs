@@ -85,7 +85,9 @@ use serde::Value;
 
 use crate::coordinator::Coordinator;
 use crate::metrics::{self, Metrics, StreamMetrics};
-use crate::protocol::{parse_insert, ErrorReply, Payload, QueryReply, Request, StreamSpec};
+use crate::protocol::{
+    insert_entries, parse_insert, render_entry, ErrorReply, Payload, QueryReply, StreamSpec,
+};
 
 /// Acquires a shared read lock, recovering from poison: a panic in one
 /// tenant's session (contained at the session boundary) must degrade to
@@ -495,6 +497,32 @@ fn wal_record(body: &str) -> String {
         "{body} #{:08x}\n",
         fdm_core::persist::codec::crc32(body.as_bytes())
     )
+}
+
+/// One entry text per element (`<id> <group> <x1> ... <xd>`): slices of
+/// the client's `raw_line` when there is one, otherwise each element
+/// rendered once into `rendered`.
+fn entry_texts<'a>(
+    elements: &[Element],
+    raw_line: Option<&'a str>,
+    rendered: &'a mut Vec<String>,
+) -> Vec<&'a str> {
+    let entries: Vec<&str> = match raw_line {
+        Some(line) => insert_entries(line).collect(),
+        None => {
+            *rendered = elements
+                .iter()
+                .map(|e| {
+                    let mut entry = String::new();
+                    render_entry(e, &mut entry);
+                    entry
+                })
+                .collect();
+            rendered.iter().map(String::as_str).collect()
+        }
+    };
+    debug_assert_eq!(entries.len(), elements.len(), "one entry per element");
+    entries
 }
 
 /// Splits a WAL record into its body and stored checksum, when the
@@ -1168,11 +1196,9 @@ impl Engine {
         })
     }
 
-    /// `INSERT`: a one-element [`Engine::insert_batch`] — the same
-    /// admission, WAL record and atomic apply. The WAL body is the
-    /// client's own `raw_line` (trimmed) rather than a re-render: it
-    /// parsed to exactly this element, and skipping the render keeps the
-    /// per-element path cheap.
+    /// `INSERT`: a one-element [`Engine::insert_batch_line`] — the same
+    /// admission, WAL record and atomic apply. `raw_line` is the line the
+    /// element was parsed from (see [`Engine::insert_batch_line`]).
     pub fn insert(
         &self,
         name: &str,
@@ -1183,15 +1209,37 @@ impl Engine {
         Ok(Payload::Inserted { seq })
     }
 
-    /// `INSERTB`: the one insert path — one WAL append covering every
-    /// element (each record sequence-numbered and CRC-suffixed, so replay
-    /// cannot tell a batch from per-element `INSERT`s), then **one atomic
-    /// apply** via [`DynSummary::insert_batch`] under a single write-lock
-    /// acquisition. Atomicity is the contract the coordinator's mid-batch
-    /// failure semantics lean on: a worker either applied its whole
-    /// sub-batch or none of it, so the set of elements it holds is always
-    /// a prefix of its sub-stream. On a coordinator the batch is routed
-    /// instead (see [`crate::coordinator`]).
+    /// `INSERTB` from elements alone (in-process callers): each element's
+    /// entry text is rendered once, for the WAL or the coordinator's
+    /// forward. Otherwise exactly [`Engine::insert_batch_line`].
+    pub fn insert_batch(
+        &self,
+        name: &str,
+        elements: &[Element],
+    ) -> std::result::Result<Payload, ErrorReply> {
+        let seq = self.ingest(name, elements, None)?;
+        Ok(Payload::InsertedBatch {
+            seq,
+            count: elements.len(),
+        })
+    }
+
+    /// `INSERTB` as a session receives it: `elements` parsed from the
+    /// client's `raw_line`. The one insert path — one WAL append covering
+    /// every element (each record sequence-numbered and CRC-suffixed, so
+    /// replay cannot tell a batch from per-element `INSERT`s), then **one
+    /// atomic apply** via [`DynSummary::insert_batch`] under a single
+    /// write-lock acquisition. Atomicity is the contract the coordinator's
+    /// mid-batch failure semantics lean on: a worker either applied its
+    /// whole sub-batch or none of it, so the set of elements it holds is
+    /// always a prefix of its sub-stream. On a coordinator the batch is
+    /// routed instead (see [`crate::coordinator`]).
+    ///
+    /// Both the WAL records and the coordinator's per-worker lines carry
+    /// the entry texts sliced from `raw_line` ([`insert_entries`]) — the
+    /// client's own spelling, never a re-render of the parsed elements.
+    /// f64 parsing is deterministic, so replaying or re-parsing that text
+    /// yields exactly `elements`.
     ///
     /// Holds only this stream's durable mutex across the operation —
     /// other tenants keep running during the disk I/O — and the summary
@@ -1214,32 +1262,35 @@ impl Engine {
     /// back across all the request's records so log and state stay in
     /// lockstep, and the caller gets a typed `ERR` instead of a dead
     /// connection.
-    pub fn insert_batch(
+    pub fn insert_batch_line(
         &self,
         name: &str,
         elements: &[Element],
+        raw_line: &str,
     ) -> std::result::Result<Payload, ErrorReply> {
-        if elements.is_empty() {
-            return Err(generic("INSERTB requires at least one element"));
-        }
-        let seq = self.ingest(name, elements, None)?;
+        let seq = self.ingest(name, elements, Some(raw_line))?;
         Ok(Payload::InsertedBatch {
             seq,
             count: elements.len(),
         })
     }
 
-    /// The body of [`Engine::insert_batch`] (and so of `INSERT`): returns
-    /// the stream position after the last element. `raw_line`, when
-    /// given, is the WAL body of a one-element request.
+    /// The body of every insert: returns the stream position after the
+    /// last element. `raw_line`, when given, is the line `elements` were
+    /// parsed from.
     fn ingest(
         &self,
         name: &str,
         elements: &[Element],
         raw_line: Option<&str>,
     ) -> std::result::Result<usize, ErrorReply> {
+        if elements.is_empty() {
+            return Err(generic("INSERTB requires at least one element"));
+        }
+        let mut rendered = Vec::new();
         if let Some(coordinator) = &self.coordinator {
-            return coordinator.insert_batch(name, elements, self.config.coord_batch);
+            let entries = entry_texts(elements, raw_line, &mut rendered);
+            return coordinator.insert_batch(name, &entries, self.config.coord_batch);
         }
         let start = Instant::now();
         let entry = self.entry(name)?;
@@ -1279,20 +1330,14 @@ impl Engine {
             // All records in one pre-formatted buffer, one write syscall:
             // the torn-write window is a single partial write, and
             // recovery's per-record CRCs make any truncation point
-            // detectable. A batch body is re-rendered through the protocol
-            // (not sliced from the raw line) so it is byte-identical to
-            // what a per-element INSERT of the rendered line would log.
-            let records = match raw_line {
-                Some(line) => wal_record(&format!("{base_seq} {}", line.trim())),
-                None => elements
-                    .iter()
-                    .enumerate()
-                    .map(|(i, element)| {
-                        let line = Request::Insert(element.clone()).render();
-                        wal_record(&format!("{} {line}", base_seq + i as u64))
-                    })
-                    .collect(),
-            };
+            // detectable. Each record is `<seq> INSERT <entry>`, so a
+            // batch logs exactly what per-element INSERTs of the same
+            // entries would.
+            let records: String = entry_texts(elements, raw_line, &mut rendered)
+                .iter()
+                .enumerate()
+                .map(|(i, entry)| wal_record(&format!("{} INSERT {entry}", base_seq + i as u64)))
+                .collect();
             wal.write_all(records.as_bytes())
                 .and_then(|()| wal.flush())
                 .map_err(|e| generic(format!("append WAL for {name}: {e}")))?;

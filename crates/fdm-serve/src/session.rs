@@ -106,7 +106,7 @@ impl Session {
             }
             Request::InsertBatch(elements) => {
                 let name = bound(&self.current)?;
-                self.engine.insert_batch(&name, &elements)
+                self.engine.insert_batch_line(&name, &elements, raw_line)
             }
             Request::Query { k } => {
                 let name = bound(&self.current)?;

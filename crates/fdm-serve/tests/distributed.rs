@@ -301,6 +301,145 @@ fn golden_coordinator_session_matches_sharded_reference() {
 /// here is a wire-visible behavior change of the whole merge path.
 const GOLDEN_QUERY: &str = "OK k=4 diversity=10.713654459069144 ids=0,6,9,15";
 
+/// Runs one scripted session and returns its reply lines.
+fn session_replies(engine: Arc<Engine>, script: &[String]) -> Vec<String> {
+    let mut output = Vec::new();
+    Session::new(engine)
+        .run(
+            std::io::Cursor::new(script.join("\n").into_bytes()),
+            &mut output,
+        )
+        .unwrap();
+    String::from_utf8(output)
+        .unwrap()
+        .lines()
+        .map(str::to_string)
+        .collect()
+}
+
+/// The coordinator forwards the client's entry text, so a valid line
+/// never grows on its way to a worker. Re-rendering did: `Display` spells
+/// `1e-300` as a 302-byte decimal, which inflated this 59 KB INSERTB (256
+/// elements, d=32) past the worker's 1 MiB frame guard and got it
+/// refused. Now it is acked whole and answers like a K=2
+/// `ShardedStream` fed the same elements.
+#[test]
+fn insertb_of_short_spellings_stays_under_the_worker_frame_guard() {
+    let entries: Vec<String> = (0..256usize)
+        .map(|i| {
+            let coords: Vec<&str> = (0..32usize)
+                .map(|j| {
+                    if (i.wrapping_mul(2_654_435_761) + j * 40_503) >> 7 & 1 == 1 {
+                        "2e-300"
+                    } else {
+                        "1e-300"
+                    }
+                })
+                .collect();
+            format!("{i} {} {}", i % 2, coords.join(" "))
+        })
+        .collect();
+    let insertb = format!("INSERTB {}", entries.join(" | "));
+    assert!(insertb.len() < 64 << 10, "{}", insertb.len());
+    // Manhattan keeps these distances representable (squares underflow).
+    let open = |shards: usize| {
+        let mut line =
+            "OPEN jobs sfdm2 quotas=2,2 eps=0.1 dmin=1e-300 dmax=4e-299 metric=manhattan"
+                .to_string();
+        if shards > 1 {
+            line.push_str(&format!(" shards={shards}"));
+        }
+        line
+    };
+    let script = |shards: usize| vec![open(shards), insertb.clone(), "QUERY".to_string()];
+    let distributed = session_replies(coordinator(2), &script(1));
+    let reference = session_replies(
+        Arc::new(Engine::new(ServeConfig::default()).unwrap()),
+        &script(2),
+    );
+    assert_eq!(distributed[1], "OK inserted processed=256 count=256");
+    assert!(distributed[2].starts_with("OK k=4 "), "{}", distributed[2]);
+    assert_eq!(distributed, reference);
+}
+
+/// The client's spelling of every float reaches a durable worker's WAL
+/// verbatim — `0.10000000000000001` and `1.50` are not what `Display`
+/// renders — and a SIGKILLed worker replays those records to a state
+/// whose merged QUERY is bit-identical to a K=2 `ShardedStream` fed the
+/// same elements.
+#[test]
+fn client_spelling_reaches_worker_wals_and_replays_exactly() {
+    let entries: Vec<String> = (0..12usize)
+        .map(|i| {
+            format!(
+                "{i} {} {}.{}0 0.10000000000000001 1.50",
+                i % 2,
+                (i * 5) % 11,
+                i % 10
+            )
+        })
+        .collect();
+    let insertb = format!("INSERTB {}", entries.join(" | "));
+    let dirs = [scratch("spelling_w0"), scratch("spelling_w1")];
+    let (mut w0, addr0) = spawn_worker(&dirs[0], None);
+    let (mut w1, addr1) = spawn_worker(&dirs[1], None);
+    let replies = session_replies(
+        coordinator_over(vec![addr0, addr1]),
+        &[open_line("sfdm2", 1), insertb.clone()],
+    );
+    assert_eq!(replies[1], "OK inserted processed=12 count=12");
+
+    // Six arrivals per worker stay below `--snapshot-every 8`, so every
+    // record is still in the WAL: worker w holds entries w, w+2, ... at
+    // positions 1, 2, ....
+    for (w, dir) in dirs.iter().enumerate() {
+        let wal = std::fs::read_to_string(dir.join("jobs.wal")).unwrap();
+        for (pos, entry) in entries.iter().skip(w).step_by(2).enumerate() {
+            let record = format!("{} INSERT {entry} #", pos + 1);
+            assert!(
+                wal.lines().any(|line| line.starts_with(&record)),
+                "worker {w} WAL lacks `{record}`:\n{wal}"
+            );
+        }
+    }
+
+    for worker in [&mut w0, &mut w1] {
+        worker.kill().unwrap();
+        let _ = worker.wait();
+    }
+    let (_w0b, addr0b) = spawn_worker(&dirs[0], None);
+    let (_w1b, addr1b) = spawn_worker(&dirs[1], None);
+    let engine = coordinator_over(vec![addr0b, addr1b]);
+    let (name, spec) = spec_of(&open_line("sfdm2", 1));
+    match engine.open(&name, &spec).unwrap() {
+        Payload::Attached { processed, .. } => assert_eq!(processed, 12, "WAL replay"),
+        other => panic!("{other:?}"),
+    }
+    let reference = Engine::new(ServeConfig::default()).unwrap();
+    let (ref_name, ref_spec) = spec_of(&open_line("sfdm2", 2));
+    reference.open(&ref_name, &ref_spec).unwrap();
+    let elements = match parse_line(&insertb).unwrap().unwrap() {
+        Cmd::InsertBatch(elements) => elements,
+        other => panic!("{other:?}"),
+    };
+    reference.insert_batch(&ref_name, &elements).unwrap();
+    let (distributed, expected) = match (
+        engine.query(&name, None).unwrap(),
+        reference.query(&ref_name, None).unwrap(),
+    ) {
+        (Payload::Query(d), Payload::Query(r)) => (d, r),
+        other => panic!("{other:?}"),
+    };
+    assert_eq!(distributed, expected);
+    assert_eq!(
+        distributed.diversity.to_bits(),
+        expected.diversity.to_bits()
+    );
+    for dir in &dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
 // --- Typed failure cells ---------------------------------------------------
 
 /// A worker nobody listens on: OPEN fails with the typed

@@ -219,6 +219,59 @@ fn recovery_skips_wal_records_already_in_snapshot() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every WAL record is `<seq> INSERT <entry>` with the client's spelling
+/// of the entry, so one `INSERTB` logs byte for byte what per-element
+/// `INSERT`s of the same entries log — and replays from it.
+#[test]
+fn insertb_logs_the_same_wal_records_as_per_element_inserts() {
+    let entries = [
+        "0 0 +1.50 0.10000000000000001",
+        "1 1 2.5e0\t-0.0",
+        "2 0 1E1  3",
+        "3 1 0.25 7.000",
+    ];
+    let wal_of = |tag: &str, inserts: Vec<String>| -> String {
+        let dir = scratch(tag);
+        let config = ServeConfig {
+            data_dir: Some(dir.clone()),
+            snapshot_every: Some(100),
+            ..ServeConfig::default()
+        };
+        {
+            let engine = Arc::new(Engine::new(config.clone()).unwrap());
+            let mut script = vec![OPEN.to_string()];
+            script.extend(inserts);
+            let replies = run_script(&engine, &script.join("\n"));
+            assert!(replies.iter().all(|r| r.starts_with("OK ")), "{replies:?}");
+        }
+        let wal = std::fs::read_to_string(dir.join("jobs.wal")).unwrap();
+        let engine = Arc::new(Engine::new(config).unwrap());
+        assert_eq!(
+            run_script(&engine, OPEN),
+            ["OK attached jobs processed=4"],
+            "the records replay"
+        );
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
+        wal
+    };
+    let batched = wal_of(
+        "wal_batch_records",
+        vec![format!(" insertb {} ", entries.join(" | "))],
+    );
+    let per_element = wal_of(
+        "wal_insert_records",
+        entries.iter().map(|e| format!("INSERT {e}")).collect(),
+    );
+    assert_eq!(batched, per_element);
+    let records: Vec<&str> = batched.lines().skip(1).collect();
+    assert_eq!(records.len(), entries.len(), "{batched}");
+    for (i, (record, entry)) in records.iter().zip(entries).enumerate() {
+        let body = format!("{} INSERT {entry}", i + 1);
+        assert!(record.starts_with(&format!("{body} #")), "{record}");
+    }
+}
+
 #[test]
 fn wal_sequence_gaps_are_corrupt() {
     let dir = scratch("wal_gap");
