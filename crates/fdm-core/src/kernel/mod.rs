@@ -18,18 +18,18 @@
 //! reduced as `(acc0 + acc1) + (acc2 + acc3)`, then a 4-chunk middle region
 //! and a scalar tail — using vector lanes as the accumulator lanes and no
 //! FMA contraction (which would change rounding). A summary ingesting the
-//! same stream therefore retains the same elements under `FDM_KERNEL=auto`
-//! and `FDM_KERNEL=scalar`, which is what lets golden fixtures, snapshots,
-//! and replicated deployments mix backends freely. `tests/kernel_parity.rs`
+//! same stream therefore retains the same elements on every backend, which
+//! is what lets golden fixtures, snapshots, and replicated deployments mix
+//! hosts freely. `tests/kernel_parity.rs`
 //! pins exact equality across dimensions 1–257.
 //!
 //! # Selection
 //!
-//! The `FDM_KERNEL` environment variable picks the policy, read once on
-//! first use: `scalar` forces the reference kernels; `auto` (the default,
-//! and any other value) uses the best backend the architecture offers. The
-//! resolved backend is one relaxed atomic load per kernel call
-//! ([`active_kernel`] reports it for `STATS`).
+//! The backend is detected once, on first use: the best one the
+//! architecture offers. There is no setting; the scalar reference stays
+//! reachable in process through [`force_mode`], which is how the parity
+//! and dispatch tests pin it. The resolved backend is one relaxed atomic
+//! load per kernel call ([`active_kernel`] reports it for `STATS`).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -37,7 +37,7 @@ use crate::metric::kernels;
 
 pub mod simd;
 
-/// Kernel selection policy (the parsed `FDM_KERNEL` value).
+/// Kernel selection policy for [`force_mode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelMode {
     /// Scalar reference kernels only.
@@ -55,15 +55,6 @@ const LEVEL_SCALAR: u8 = 1;
 const LEVEL_SSE2: u8 = 2;
 #[cfg(target_arch = "x86_64")]
 const LEVEL_AVX2: u8 = 3;
-
-fn parse_mode(raw: Option<&str>) -> KernelMode {
-    match raw.map(str::trim) {
-        Some(s) if s.eq_ignore_ascii_case("scalar") => KernelMode::Scalar,
-        // `auto`, unset, and unrecognized values all mean "best available";
-        // a typo must never silently force the slow path in production.
-        _ => KernelMode::Auto,
-    }
-}
 
 fn resolve_level(mode: KernelMode) -> u8 {
     match mode {
@@ -85,8 +76,7 @@ fn resolve_level(mode: KernelMode) -> u8 {
 
 #[cold]
 fn init_level() -> u8 {
-    let mode = parse_mode(std::env::var("FDM_KERNEL").ok().as_deref());
-    let level = resolve_level(mode);
+    let level = resolve_level(KernelMode::Auto);
     ACTIVE.store(level, Ordering::Relaxed);
     level
 }
@@ -114,9 +104,9 @@ pub fn active_kernel() -> &'static str {
     }
 }
 
-/// Overrides (or with `None`, re-resolves from the environment) the cached
-/// backend decision. Test-only plumbing: lets one process compare backends
-/// without re-exec; production selection is the `FDM_KERNEL` variable.
+/// Overrides (or with `None`, re-detects on next use) the cached backend
+/// decision. Test-only plumbing: lets one process compare backends without
+/// re-exec; production always auto-detects.
 #[doc(hidden)]
 pub fn force_mode(mode: Option<KernelMode>) {
     match mode {
@@ -210,16 +200,6 @@ pub fn sum_abs_diff_at_least(a: &[f64], b: &[f64], bound: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mode_parsing() {
-        assert_eq!(parse_mode(Some("scalar")), KernelMode::Scalar);
-        assert_eq!(parse_mode(Some("SCALAR")), KernelMode::Scalar);
-        assert_eq!(parse_mode(Some(" simd ")), KernelMode::Auto);
-        assert_eq!(parse_mode(Some("auto")), KernelMode::Auto);
-        assert_eq!(parse_mode(Some("warp-drive")), KernelMode::Auto);
-        assert_eq!(parse_mode(None), KernelMode::Auto);
-    }
 
     #[test]
     fn scalar_mode_resolves_to_scalar_everywhere() {

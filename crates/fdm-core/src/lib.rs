@@ -80,7 +80,6 @@ pub mod guess;
 pub mod kernel;
 pub mod matroid;
 pub mod metric;
-pub mod multifair;
 pub mod offline;
 mod par;
 pub mod persist;

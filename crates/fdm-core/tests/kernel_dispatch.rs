@@ -1,8 +1,9 @@
 //! End-to-end bit-identity of the kernel dispatch layer: the same stream
-//! fed to SFDM2 (plain and sliding-window) under `FDM_KERNEL=scalar` and
-//! `auto` must retain exactly the same elements and finalize to exactly the
-//! same solution — the SIMD backends reproduce scalar arithmetic bit for
-//! bit.
+//! fed to SFDM2 (plain and sliding-window) under the scalar reference and
+//! the auto-detected backend must retain exactly the same elements and
+//! finalize to exactly the same solution — the SIMD backends reproduce
+//! scalar arithmetic bit for bit. Dispatch has no setting, so this test
+//! (with `tests/kernel_parity.rs`) is what keeps the scalar path honest.
 //!
 //! This binary holds a SINGLE test on purpose: `kernel::force_mode` flips a
 //! process-global override, so it must never race a concurrently running
@@ -82,7 +83,7 @@ fn all_kernel_modes_produce_bit_identical_summaries() {
     kernel::force_mode(Some(KernelMode::Auto));
     let auto = run(&d);
 
-    // Restore env-driven resolution for any other code in this process.
+    // Restore auto-detection for any other code in this process.
     kernel::force_mode(None);
 
     assert_solutions_identical(&scalar.0, &auto.0, "plain sfdm2 scalar vs auto");

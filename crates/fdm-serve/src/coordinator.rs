@@ -87,7 +87,7 @@ use fdm_core::persist::{Snapshot, SnapshotDelta};
 use fdm_core::streaming::summary::{self, DynSummary};
 
 use crate::engine::lock;
-use crate::metrics::{help_type, StreamMetrics};
+use crate::metrics::{self, StreamMetrics, StreamSample};
 use crate::protocol::{ErrorReply, Payload, QueryReply, StreamSpec};
 
 /// Total connect attempts per worker dial (first try + retries with
@@ -104,12 +104,12 @@ const MERGE_FAN_IN: usize = 8;
 
 /// Health of one worker node, shared between command paths and the
 /// `/metrics` renderer.
-struct WorkerState {
-    addr: String,
+pub(crate) struct WorkerState {
+    pub(crate) addr: String,
     /// Last dial/command against this worker succeeded.
-    up: AtomicBool,
+    pub(crate) up: AtomicBool,
     /// Commands that failed against this worker (transport-level).
-    failures: AtomicU64,
+    pub(crate) failures: AtomicU64,
 }
 
 /// The coordinator's cached copy of one worker's summary, kept current by
@@ -163,14 +163,14 @@ struct CoordStream {
 /// consistent cut of the round-robin order), while different streams
 /// proceed independently.
 pub struct Coordinator {
-    workers: Vec<Arc<WorkerState>>,
+    pub(crate) workers: Vec<Arc<WorkerState>>,
     streams: Mutex<HashMap<String, Arc<Mutex<CoordStream>>>>,
     /// Snapshot bytes pulled from workers, split by frame kind — the
     /// direct measure of what the delta path saves.
-    merge_bytes_full: AtomicU64,
-    merge_bytes_delta: AtomicU64,
+    pub(crate) merge_bytes_full: AtomicU64,
+    pub(crate) merge_bytes_delta: AtomicU64,
     /// `QUERY`s answered from the cached merged solution.
-    merge_cache_hits: AtomicU64,
+    pub(crate) merge_cache_hits: AtomicU64,
 }
 
 impl Coordinator {
@@ -613,111 +613,29 @@ impl Coordinator {
     pub fn stats(&self, name: &str) -> Result<Payload, ErrorReply> {
         let stream = self.stream(name)?;
         let stream = lock(&stream);
-        let mut line = format!(
-            "stream={name} coordinator=1 workers={} processed={} cursor={}",
-            self.workers.len(),
-            stream.processed,
-            stream.cursor
-        );
-        for (widx, worker) in self.workers.iter().enumerate() {
-            line.push_str(&format!(
-                " worker{widx}={} worker{widx}_up={} worker{widx}_failures={} \
-                 worker{widx}_position={}",
-                worker.addr,
-                u8::from(worker.up.load(Ordering::SeqCst)),
-                worker.failures.load(Ordering::SeqCst),
-                stream.positions[widx]
-            ));
-        }
-        Ok(Payload::Stats(line))
+        Ok(Payload::Stats(metrics::coordinator_stats(
+            &sample(name, &stream),
+            &self.workers,
+            &stream.positions,
+        )))
     }
 
-    /// Appends the coordinator's metric families to a `/metrics`
-    /// exposition: per-stream routing latency histograms (`fdm_coord_*` —
-    /// distinct names because the engine always emits the single-node
-    /// family preambles), merge transfer volume by frame kind, solution
-    /// cache hits, and per-worker health.
-    pub fn render_metrics(&self, out: &mut String) {
-        let mut streams: Vec<(String, Arc<StreamMetrics>)> = lock(&self.streams)
+    /// Every logical stream, as `/metrics` reports it.
+    pub(crate) fn stream_samples(&self) -> Vec<StreamSample> {
+        lock(&self.streams)
             .iter()
-            .map(|(name, stream)| (name.clone(), lock(stream).metrics.clone()))
-            .collect();
-        streams.sort_by(|a, b| a.0.cmp(&b.0));
-        help_type(
-            out,
-            "fdm_coord_insert_latency_seconds",
-            "histogram",
-            "Coordinator INSERT/INSERTB latency (routing + worker round-trips).",
-        );
-        for (name, metrics) in &streams {
-            metrics.insert_latency.render(
-                out,
-                "fdm_coord_insert_latency_seconds",
-                &format!("stream=\"{name}\","),
-            );
-        }
-        help_type(
-            out,
-            "fdm_coord_query_latency_seconds",
-            "histogram",
-            "Coordinator QUERY latency (cache refresh + merge, or a cache hit).",
-        );
-        for (name, metrics) in &streams {
-            metrics.query_latency.render(
-                out,
-                "fdm_coord_query_latency_seconds",
-                &format!("stream=\"{name}\","),
-            );
-        }
-        help_type(
-            out,
-            "fdm_merge_bytes_total",
-            "counter",
-            "Snapshot bytes pulled from workers by QUERY fan-in, by frame kind.",
-        );
-        out.push_str(&format!(
-            "fdm_merge_bytes_total{{kind=\"full\"}} {}\n",
-            self.merge_bytes_full.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "fdm_merge_bytes_total{{kind=\"delta\"}} {}\n",
-            self.merge_bytes_delta.load(Ordering::Relaxed)
-        ));
-        help_type(
-            out,
-            "fdm_merge_cache_hits_total",
-            "counter",
-            "QUERYs answered from the cached merged solution without touching the fleet.",
-        );
-        out.push_str(&format!(
-            "fdm_merge_cache_hits_total {}\n",
-            self.merge_cache_hits.load(Ordering::Relaxed)
-        ));
-        help_type(
-            out,
-            "fdm_worker_up",
-            "gauge",
-            "Whether the last command against each worker succeeded.",
-        );
-        for worker in &self.workers {
-            out.push_str(&format!(
-                "fdm_worker_up{{worker=\"{}\"}} {}\n",
-                worker.addr,
-                u8::from(worker.up.load(Ordering::SeqCst))
-            ));
-        }
-        help_type(
-            out,
-            "fdm_worker_failures_total",
-            "counter",
-            "Transport-level command failures per worker.",
-        );
-        for worker in &self.workers {
-            out.push_str(&format!(
-                "fdm_worker_failures_total{{worker=\"{}\"}} {}\n",
-                worker.addr,
-                worker.failures.load(Ordering::SeqCst)
-            ));
-        }
+            .map(|(name, stream)| sample(name, &lock(stream)))
+            .collect()
+    }
+}
+
+/// What `STATS` and `/metrics` report of one logical stream.
+fn sample(name: &str, stream: &CoordStream) -> StreamSample {
+    StreamSample {
+        name: name.to_string(),
+        processed: stream.processed as u64,
+        latency: stream.metrics.clone(),
+        node: None,
+        cursor: Some(stream.cursor as u64),
     }
 }

@@ -84,7 +84,7 @@ use fdm_core::streaming::summary::{self, DynSummary};
 use serde::Value;
 
 use crate::coordinator::Coordinator;
-use crate::metrics::{self, Metrics, StreamMetrics};
+use crate::metrics::{self, Metrics, NodeSample, PersistCounters, StreamMetrics, StreamSample};
 use crate::protocol::{
     insert_entries, parse_insert, render_entry, ErrorReply, Payload, QueryReply, StreamSpec,
 };
@@ -206,31 +206,6 @@ impl TokenBucket {
             false
         }
     }
-}
-
-/// Per-stream persistence health, reported over the wire by `STATS` so an
-/// operator can see checkpointing working (or not) without shelling into
-/// the data directory.
-#[derive(Debug, Clone, Copy, Default)]
-struct PersistCounters {
-    /// WAL records appended since this process opened the stream.
-    wal_records: u64,
-    /// Full snapshot files written (auto-checkpoints, anchors, and
-    /// explicit `SNAPSHOT` exports).
-    full_snapshots: u64,
-    /// Incremental delta files written.
-    delta_snapshots: u64,
-    /// Total encoded bytes of the dirty-set deltas written — the actual
-    /// checkpoint I/O volume, which should track the change rate, not the
-    /// stream size.
-    dirty_bytes: u64,
-    /// Background chain collapses committed by the compactor.
-    compactions: u64,
-    /// Encoded size of the most recent checkpoint/export, in bytes.
-    last_snapshot_bytes: u64,
-    /// Kind of the most recent checkpoint/export: `bin` (full) or
-    /// `delta`.
-    last_snapshot_format: Option<&'static str>,
 }
 
 /// WAL + checkpoint-chain state of one stream, guarded by its own
@@ -1621,216 +1596,55 @@ impl Engine {
             return coordinator.stats(name);
         }
         let entry = self.entry(name)?;
-        let (params, processed, stored) = {
-            let summary = read_lock(&entry.summary);
-            (
-                summary.params(),
-                summary.processed(),
-                summary.stored_elements(),
-            )
-        };
-        let counters = lock(&entry.durable).counters;
-        let window = if params.window != 0 {
-            format!(" window={}", params.window)
-        } else {
-            String::new()
-        };
-        Ok(Payload::Stats(format!(
-            "stream={name} algorithm={} processed={processed} stored={stored} dim={} k={} \
-             shards={}{window} wal_records={} snapshots={} deltas={} dirty_bytes={} \
-             compactions={} last_snapshot_bytes={} last_snapshot_format={} kernel={}",
-            params.algorithm,
-            params.dim,
-            params.k,
-            params.shards,
-            counters.wal_records,
-            counters.full_snapshots,
-            counters.delta_snapshots,
-            counters.dirty_bytes,
-            counters.compactions,
-            counters.last_snapshot_bytes,
-            counters.last_snapshot_format.unwrap_or("none"),
-            fdm_core::kernel::active_kernel(),
-        )))
+        Ok(Payload::Stats(metrics::stream_stats(&sample(name, &entry))))
     }
 
     /// Renders the full Prometheus text exposition for `/metrics`: the
     /// per-stream series (geometry, persistence gauges, latency
-    /// histograms) followed by the process-wide ones.
+    /// histograms) followed by the process-wide ones. On a coordinator
+    /// the streams are its logical streams, plus its fleet families.
     ///
-    /// Same lock discipline as `STATS`: per stream, a short summary read
-    /// lock to copy the cheap numbers, dropped *before* the durable mutex
-    /// is taken (never both at once, so a scrape cannot deadlock against
-    /// an insert holding durable and waiting on the summary) — and the
-    /// rest is atomic loads. A scrape never blocks inserts for longer
-    /// than those copies.
+    /// Per stream the scrape takes the same locks as `STATS` (see
+    /// `sample`); the rest is atomic loads. A scrape never blocks inserts
+    /// for longer than those copies.
     pub fn render_metrics(&self) -> String {
-        struct StreamSample {
-            name: String,
-            processed: usize,
-            stored: usize,
-            counters: PersistCounters,
-            metrics: Arc<StreamMetrics>,
-        }
-        let entries: Vec<(String, Arc<StreamEntry>)> = {
-            let streams = read_lock(&self.streams);
-            let mut entries: Vec<_> = streams
-                .iter()
-                .map(|(name, entry)| (name.clone(), entry.clone()))
-                .collect();
-            entries.sort_by(|a, b| a.0.cmp(&b.0));
-            entries
-        };
-        let samples: Vec<StreamSample> = entries
-            .into_iter()
-            .map(|(name, entry)| {
-                let (processed, stored) = {
-                    let summary = read_lock(&entry.summary);
-                    (summary.processed(), summary.stored_elements())
-                };
-                let counters = lock(&entry.durable).counters;
-                StreamSample {
-                    name,
-                    processed,
-                    stored,
-                    counters,
-                    metrics: entry.metrics.clone(),
-                }
-            })
-            .collect();
-        let mut out = String::new();
-        metrics::help_type(&mut out, "fdm_streams", "gauge", "Hosted streams.");
-        out.push_str(&format!("fdm_streams {}\n", samples.len()));
-        metrics::help_type(
-            &mut out,
-            "fdm_stream_processed_total",
-            "counter",
-            "Elements accepted into each stream since it was opened.",
-        );
-        for s in &samples {
-            out.push_str(&format!(
-                "fdm_stream_processed_total{{stream=\"{}\"}} {}\n",
-                s.name, s.processed
-            ));
-        }
-        metrics::help_type(
-            &mut out,
-            "fdm_stream_stored",
-            "gauge",
-            "Elements currently held in each stream's summary.",
-        );
-        for s in &samples {
-            out.push_str(&format!(
-                "fdm_stream_stored{{stream=\"{}\"}} {}\n",
-                s.name, s.stored
-            ));
-        }
-        metrics::help_type(
-            &mut out,
-            "fdm_wal_records_total",
-            "counter",
-            "WAL records appended per stream since this process opened it.",
-        );
-        for s in &samples {
-            out.push_str(&format!(
-                "fdm_wal_records_total{{stream=\"{}\"}} {}\n",
-                s.name, s.counters.wal_records
-            ));
-        }
-        metrics::help_type(
-            &mut out,
-            "fdm_snapshots_total",
-            "counter",
-            "Checkpoints written per stream, by kind.",
-        );
-        for s in &samples {
-            out.push_str(&format!(
-                "fdm_snapshots_total{{stream=\"{}\",kind=\"full\"}} {}\n",
-                s.name, s.counters.full_snapshots
-            ));
-            out.push_str(&format!(
-                "fdm_snapshots_total{{stream=\"{}\",kind=\"delta\"}} {}\n",
-                s.name, s.counters.delta_snapshots
-            ));
-        }
-        metrics::help_type(
-            &mut out,
-            "fdm_delta_dirty_bytes_total",
-            "counter",
-            "Encoded bytes of dirty-set delta checkpoints written per stream.",
-        );
-        for s in &samples {
-            out.push_str(&format!(
-                "fdm_delta_dirty_bytes_total{{stream=\"{}\"}} {}\n",
-                s.name, s.counters.dirty_bytes
-            ));
-        }
-        metrics::help_type(
-            &mut out,
-            "fdm_compactions_total",
-            "counter",
-            "Background chain collapses committed per stream.",
-        );
-        for s in &samples {
-            out.push_str(&format!(
-                "fdm_compactions_total{{stream=\"{}\"}} {}\n",
-                s.name, s.counters.compactions
-            ));
-        }
-        metrics::help_type(
-            &mut out,
-            "fdm_last_snapshot_bytes",
-            "gauge",
-            "Encoded size of each stream's most recent checkpoint/export.",
-        );
-        for s in &samples {
-            out.push_str(&format!(
-                "fdm_last_snapshot_bytes{{stream=\"{}\"}} {}\n",
-                s.name, s.counters.last_snapshot_bytes
-            ));
-        }
-        metrics::help_type(
-            &mut out,
-            "fdm_kernel_info",
-            "gauge",
-            "Active distance-kernel backend (constant 1; the label carries the name).",
-        );
-        out.push_str(&format!(
-            "fdm_kernel_info{{kernel=\"{}\"}} 1\n",
-            fdm_core::kernel::active_kernel()
-        ));
-        // Histogram families: all streams' insert series under one
-        // preamble, then all query series (Prometheus requires a family's
-        // series to be contiguous).
-        metrics::help_type(
-            &mut out,
-            "fdm_insert_latency_seconds",
-            "histogram",
-            "Accepted-INSERT latency (WAL append through checkpoint decision).",
-        );
-        for s in &samples {
-            let labels = format!("stream=\"{}\",", s.name);
-            s.metrics
-                .insert_latency
-                .render(&mut out, "fdm_insert_latency_seconds", &labels);
-        }
-        metrics::help_type(
-            &mut out,
-            "fdm_query_latency_seconds",
-            "histogram",
-            "QUERY latency (post-processing under the summary read lock).",
-        );
-        for s in &samples {
-            let labels = format!("stream=\"{}\",", s.name);
-            s.metrics
-                .query_latency
-                .render(&mut out, "fdm_query_latency_seconds", &labels);
-        }
         if let Some(coordinator) = &self.coordinator {
-            coordinator.render_metrics(&mut out);
+            let samples = coordinator.stream_samples();
+            return metrics::exposition(samples, Some(coordinator), &self.metrics);
         }
-        self.metrics.render_globals(&mut out);
-        out
+        let entries: Vec<(String, Arc<StreamEntry>)> = read_lock(&self.streams)
+            .iter()
+            .map(|(name, entry)| (name.clone(), entry.clone()))
+            .collect();
+        let samples = entries.iter().map(|(name, entry)| sample(name, entry));
+        metrics::exposition(samples.collect(), None, &self.metrics)
+    }
+}
+
+/// Copies what `STATS` and `/metrics` report of one hosted stream: a short
+/// summary read lock, dropped *before* the durable mutex is taken (never
+/// both at once, so a scrape cannot deadlock against an insert holding
+/// durable and waiting on the summary).
+fn sample(name: &str, entry: &StreamEntry) -> StreamSample {
+    let (params, processed, stored) = {
+        let summary = read_lock(&entry.summary);
+        (
+            summary.params(),
+            summary.processed() as u64,
+            summary.stored_elements() as u64,
+        )
+    };
+    let persist = lock(&entry.durable).counters;
+    StreamSample {
+        name: name.to_string(),
+        processed,
+        latency: entry.metrics.clone(),
+        node: Some(NodeSample {
+            params,
+            stored,
+            persist,
+        }),
+        cursor: None,
     }
 }
 

@@ -1,5 +1,19 @@
-//! Fleet observability: lock-free counters/histograms and a hand-rolled
-//! HTTP `/metrics` endpoint in Prometheus text exposition format.
+//! Fleet observability: lock-free counters/histograms, the one registry
+//! every `/metrics` family and every `STATS` counter comes from, and a
+//! hand-rolled HTTP `/metrics` endpoint in Prometheus text exposition
+//! format.
+//!
+//! ## The registry
+//!
+//! Which counters exist, what they are called and how they render is
+//! decided here and nowhere else. Each `*_FAMILIES` table holds one `Row`
+//! per series — `(name, kind, help, label, STATS key, read)` — over a
+//! `StreamSample` the engine or the coordinator copies under its stream
+//! locks at scrape/`STATS` time, or over live atomics (the coordinator's
+//! fleet counters, its workers' health, the process-wide [`Metrics`]).
+//! Two renderers walk the same rows: `exposition` writes Prometheus text,
+//! `stream_stats` and `coordinator_stats` write the `STATS` `key=value`
+//! line. A counter is added by adding a row.
 //!
 //! The environment is offline, so there is no client library: this module
 //! renders the format directly (`# HELP`/`# TYPE` comments, cumulative
@@ -17,12 +31,15 @@
 //! blocks inserts for longer than a counter copy (pinned by the storm test
 //! in `tests/metrics.rs`).
 
-use std::io::{Read, Write};
+use std::io::{Read as _, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use fdm_core::persist::SnapshotParams;
+
+use crate::coordinator::{Coordinator, WorkerState};
 use crate::engine::Engine;
 
 /// Upper bounds (seconds) of the latency histogram buckets, with their
@@ -81,36 +98,31 @@ impl Histogram {
     }
 
     /// Appends this histogram's `_bucket`/`_sum`/`_count` series for one
-    /// label set, written with a trailing comma (e.g. `stream="jobs",`).
-    /// The family's `# HELP`/`# TYPE` must already have been emitted by
-    /// the caller, once: Prometheus requires all series of one family to
-    /// be contiguous under a single `# TYPE`.
-    pub(crate) fn render(&self, out: &mut String, name: &str, labels: &str) {
+    /// (non-empty) label set, e.g. `stream="jobs"`, under a family
+    /// preamble the caller has already written.
+    fn render(&self, out: &mut String, name: &str, labels: &str) {
         let mut cumulative = 0u64;
         for ((_, le), bucket) in LATENCY_BOUNDS.iter().zip(&self.buckets) {
             cumulative += bucket.load(Ordering::Relaxed);
             out.push_str(&format!(
-                "{name}_bucket{{{labels}le=\"{le}\"}} {cumulative}\n"
+                "{name}_bucket{{{labels},le=\"{le}\"}} {cumulative}\n"
             ));
         }
         let count = self.count();
-        out.push_str(&format!("{name}_bucket{{{labels}le=\"+Inf\"}} {count}\n"));
+        out.push_str(&format!("{name}_bucket{{{labels},le=\"+Inf\"}} {count}\n"));
         let sum = self.sum_nanos.load(Ordering::Relaxed) as f64 / 1e9;
-        out.push_str(&format!(
-            "{name}_sum{{{labels_trim}}} {sum}\n",
-            labels_trim = labels.trim_end_matches(',')
-        ));
-        out.push_str(&format!(
-            "{name}_count{{{labels_trim}}} {count}\n",
-            labels_trim = labels.trim_end_matches(',')
-        ));
+        out.push_str(&format!("{name}_sum{{{labels}}} {sum}\n"));
+        out.push_str(&format!("{name}_count{{{labels}}} {count}\n"));
     }
 }
 
-/// Per-stream request metrics, owned by the engine's stream entry so the
-/// hot path reaches them without a map lookup.
+/// Per-stream request metrics, owned by the engine's stream entry (or the
+/// coordinator's stream) so the hot path reaches them without a map
+/// lookup.
 pub struct StreamMetrics {
-    /// Accepted-`INSERT` latency (WAL append through checkpoint decision).
+    /// `INSERT`/`INSERTB` request latency: one observation per accepted
+    /// request (not per element), timed from admission — the rate limiter
+    /// and the pending queue — through the checkpoint decision.
     pub insert_latency: Histogram,
     /// `QUERY` latency (post-processing under the read lock).
     pub query_latency: Histogram,
@@ -125,8 +137,55 @@ impl StreamMetrics {
     }
 }
 
-/// Process-wide counters and gauges; per-stream series live with the
-/// engine's stream entries and are rendered by [`Engine::render_metrics`].
+/// Per-stream persistence health, recorded by the engine under the
+/// stream's durable mutex and reported by `STATS` and `/metrics`, so an
+/// operator can see checkpointing working (or not) without shelling into
+/// the data directory.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PersistCounters {
+    /// WAL records appended since this process opened the stream.
+    pub(crate) wal_records: u64,
+    /// Full snapshot files written (auto-checkpoints, anchors, and
+    /// explicit `SNAPSHOT` exports).
+    pub(crate) full_snapshots: u64,
+    /// Incremental delta files written.
+    pub(crate) delta_snapshots: u64,
+    /// Total encoded bytes of the dirty-set deltas written — the actual
+    /// checkpoint I/O volume, which should track the change rate, not the
+    /// stream size.
+    pub(crate) dirty_bytes: u64,
+    /// Background chain collapses committed by the compactor.
+    pub(crate) compactions: u64,
+    /// Encoded size of the most recent checkpoint/export, in bytes.
+    pub(crate) last_snapshot_bytes: u64,
+    /// Kind of the most recent checkpoint/export: `bin` (full) or
+    /// `delta`.
+    pub(crate) last_snapshot_format: Option<&'static str>,
+}
+
+/// One stream as a scrape or `STATS` sees it: a hosted stream on a single
+/// node, or a logical stream on a coordinator.
+pub(crate) struct StreamSample {
+    pub(crate) name: String,
+    /// Elements accepted (a coordinator: contiguously acknowledged).
+    pub(crate) processed: u64,
+    pub(crate) latency: Arc<StreamMetrics>,
+    /// What only a hosted stream has; `None` on a coordinator, whose
+    /// summaries and checkpoints live on the workers.
+    pub(crate) node: Option<NodeSample>,
+    /// A coordinator stream's round-robin cursor; `None` on a node.
+    pub(crate) cursor: Option<u64>,
+}
+
+/// The hosted-stream part of a [`StreamSample`].
+pub(crate) struct NodeSample {
+    pub(crate) params: SnapshotParams,
+    pub(crate) stored: u64,
+    pub(crate) persist: PersistCounters,
+}
+
+/// Process-wide counters and gauges; per-stream series are sampled from
+/// the engine's (or coordinator's) streams at scrape time.
 pub struct Metrics {
     /// Live connections per transport (shared with the listener loops'
     /// slot accounting).
@@ -202,77 +261,276 @@ impl Metrics {
     pub(crate) fn busy_rate_limited(&self) {
         self.busy_rate_limited.fetch_add(1, Ordering::Relaxed);
     }
+}
 
-    /// Appends the process-wide series (everything not per-stream).
-    pub(crate) fn render_globals(&self, out: &mut String) {
-        help_type(
-            out,
-            "fdm_connections",
-            "gauge",
-            "Live protocol connections per transport.",
-        );
-        out.push_str(&format!(
-            "fdm_connections{{transport=\"tcp\"}} {}\n",
-            self.tcp_connections.load(Ordering::SeqCst)
-        ));
-        out.push_str(&format!(
-            "fdm_connections{{transport=\"unix\"}} {}\n",
-            self.unix_connections.load(Ordering::SeqCst)
-        ));
-        help_type(
-            out,
-            "fdm_connections_refused_total",
-            "counter",
-            "Connections refused at the connection cap or while draining.",
-        );
-        out.push_str(&format!(
-            "fdm_connections_refused_total{{transport=\"tcp\"}} {}\n",
-            self.tcp_refused.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "fdm_connections_refused_total{{transport=\"unix\"}} {}\n",
-            self.unix_refused.load(Ordering::Relaxed)
-        ));
-        help_type(
-            out,
-            "fdm_panics_contained_total",
-            "counter",
-            "Panics caught at the session/insert boundary and degraded to one ERR reply.",
-        );
-        out.push_str(&format!(
-            "fdm_panics_contained_total {}\n",
-            self.panics_contained.load(Ordering::Relaxed)
-        ));
-        help_type(
-            out,
-            "fdm_auth_failures_total",
-            "counter",
-            "AUTH attempts with an invalid token.",
-        );
-        out.push_str(&format!(
-            "fdm_auth_failures_total {}\n",
-            self.auth_failures.load(Ordering::Relaxed)
-        ));
-        help_type(
-            out,
-            "fdm_busy_rejections_total",
-            "counter",
-            "INSERTs rejected with ERR busy, by backpressure reason.",
-        );
-        out.push_str(&format!(
-            "fdm_busy_rejections_total{{reason=\"queue_full\"}} {}\n",
-            self.busy_queue_full.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "fdm_busy_rejections_total{{reason=\"rate_limit\"}} {}\n",
-            self.busy_rate_limited.load(Ordering::Relaxed)
-        ));
+/// How a [`Row`] reads its value off a sample; `None` leaves the series
+/// (and the `STATS` field) out for that sample.
+enum Read<S> {
+    Value(fn(&S) -> Option<u64>),
+    Histogram(fn(&S) -> Option<&Histogram>),
+}
+
+use Read::{Histogram as Hist, Value};
+
+/// One series of a family and/or one `STATS` field:
+/// `(name, kind, help, label, STATS key, read)`. Consecutive rows with the
+/// same name form one family under a single `# HELP`/`# TYPE`.
+struct Row<S>(
+    /// Family name; empty for a `STATS`-only field.
+    &'static str,
+    /// `counter`, `gauge` or `histogram`.
+    &'static str,
+    /// `# HELP` text.
+    &'static str,
+    /// The row's own `key="value"` label, after the sample's; or empty.
+    &'static str,
+    /// `STATS` key; empty for a `/metrics`-only series.
+    &'static str,
+    Read<S>,
+);
+
+const fn stats_only<S>(stats: &'static str, read: fn(&S) -> Option<u64>) -> Row<S> {
+    Row("", "", "", "", stats, Value(read))
+}
+
+const COUNTER: &str = "counter";
+const GAUGE: &str = "gauge";
+const HISTOGRAM: &str = "histogram";
+
+/// The `fdm_streams` gauge, over the number of streams a scrape saw.
+#[rustfmt::skip]
+const STREAM_COUNT_FAMILIES: &[Row<usize>] = &[
+    Row("fdm_streams", GAUGE, "Hosted streams.", "", "", Value(|n| Some(*n as u64))),
+];
+
+/// Per-stream counters, in exposition and `STATS` order. A coordinator's
+/// stream has `processed` and `cursor`; a hosted stream has the rest.
+#[rustfmt::skip]
+const STREAM_FAMILIES: &[Row<StreamSample>] = &[
+    Row("fdm_stream_processed_total", COUNTER, "Elements accepted into each stream since it was opened.",
+        "", "processed", Value(|s| Some(s.processed))),
+    stats_only("cursor", |s| s.cursor),
+    Row("fdm_stream_stored", GAUGE, "Elements currently held in each stream's summary.",
+        "", "stored", Value(|s| Some(s.node.as_ref()?.stored))),
+    stats_only("dim", |s| Some(s.node.as_ref()?.params.dim as u64)),
+    stats_only("k", |s| Some(s.node.as_ref()?.params.k as u64)),
+    stats_only("shards", |s| Some(s.node.as_ref()?.params.shards as u64)),
+    stats_only("window", |s| Some(s.node.as_ref()?.params.window as u64).filter(|w| *w != 0)),
+    Row("fdm_wal_records_total", COUNTER, "WAL records appended per stream since this process opened it.",
+        "", "wal_records", Value(|s| Some(s.node.as_ref()?.persist.wal_records))),
+    Row("fdm_snapshots_total", COUNTER, "Checkpoints written per stream, by kind.",
+        "kind=\"full\"", "snapshots", Value(|s| Some(s.node.as_ref()?.persist.full_snapshots))),
+    Row("fdm_snapshots_total", COUNTER, "Checkpoints written per stream, by kind.",
+        "kind=\"delta\"", "deltas", Value(|s| Some(s.node.as_ref()?.persist.delta_snapshots))),
+    Row("fdm_delta_dirty_bytes_total", COUNTER, "Encoded bytes of dirty-set delta checkpoints written per stream.",
+        "", "dirty_bytes", Value(|s| Some(s.node.as_ref()?.persist.dirty_bytes))),
+    Row("fdm_compactions_total", COUNTER, "Background chain collapses committed per stream.",
+        "", "compactions", Value(|s| Some(s.node.as_ref()?.persist.compactions))),
+    Row("fdm_last_snapshot_bytes", GAUGE, "Encoded size of each stream's most recent checkpoint/export.",
+        "", "last_snapshot_bytes", Value(|s| Some(s.node.as_ref()?.persist.last_snapshot_bytes))),
+];
+
+/// `fdm_kernel_info`, over the active kernel's name (its label).
+#[rustfmt::skip]
+const KERNEL_FAMILIES: &[Row<&str>] = &[
+    Row("fdm_kernel_info", GAUGE, "Active distance-kernel backend (constant 1; the label carries the name).",
+        "", "", Value(|_| Some(1))),
+];
+
+/// A hosted stream's request latencies.
+#[rustfmt::skip]
+const LATENCY_FAMILIES: &[Row<StreamSample>] = &[
+    Row("fdm_insert_latency_seconds", HISTOGRAM,
+        "INSERT/INSERTB request latency, one observation per accepted request (admission through the checkpoint decision).",
+        "", "", Hist(|s| s.node.as_ref().map(|_| &s.latency.insert_latency))),
+    Row("fdm_query_latency_seconds", HISTOGRAM,
+        "QUERY latency (post-processing under the summary read lock).",
+        "", "", Hist(|s| s.node.as_ref().map(|_| &s.latency.query_latency))),
+];
+
+/// A coordinator stream's request latencies (distinct names: a coordinator
+/// still writes the single-node families' preambles).
+#[rustfmt::skip]
+const COORD_LATENCY_FAMILIES: &[Row<StreamSample>] = &[
+    Row("fdm_coord_insert_latency_seconds", HISTOGRAM,
+        "Coordinator INSERT/INSERTB latency (routing + worker round-trips).",
+        "", "", Hist(|s| s.node.is_none().then_some(&s.latency.insert_latency))),
+    Row("fdm_coord_query_latency_seconds", HISTOGRAM,
+        "Coordinator QUERY latency (cache refresh + merge, or a cache hit).",
+        "", "", Hist(|s| s.node.is_none().then_some(&s.latency.query_latency))),
+];
+
+/// A coordinator's merge transfer volume and solution cache.
+#[rustfmt::skip]
+const FLEET_FAMILIES: &[Row<Coordinator>] = &[
+    Row("fdm_merge_bytes_total", COUNTER, "Snapshot bytes pulled from workers by QUERY fan-in, by frame kind.",
+        "kind=\"full\"", "", Value(|c| Some(c.merge_bytes_full.load(Ordering::Relaxed)))),
+    Row("fdm_merge_bytes_total", COUNTER, "Snapshot bytes pulled from workers by QUERY fan-in, by frame kind.",
+        "kind=\"delta\"", "", Value(|c| Some(c.merge_bytes_delta.load(Ordering::Relaxed)))),
+    Row("fdm_merge_cache_hits_total", COUNTER,
+        "QUERYs answered from the cached merged solution without touching the fleet.",
+        "", "", Value(|c| Some(c.merge_cache_hits.load(Ordering::Relaxed)))),
+];
+
+/// A coordinator's per-worker health; `STATS` keys are `worker<i>_<key>`.
+#[rustfmt::skip]
+const WORKER_FAMILIES: &[Row<Arc<WorkerState>>] = &[
+    Row("fdm_worker_up", GAUGE, "Whether the last command against each worker succeeded.",
+        "", "up", Value(|w| Some(u64::from(w.up.load(Ordering::SeqCst))))),
+    Row("fdm_worker_failures_total", COUNTER, "Transport-level command failures per worker.",
+        "", "failures", Value(|w| Some(w.failures.load(Ordering::SeqCst)))),
+];
+
+#[rustfmt::skip]
+const PROCESS_FAMILIES: &[Row<Metrics>] = &[
+    Row("fdm_connections", GAUGE, "Live protocol connections per transport.",
+        "transport=\"tcp\"", "", Value(|m| Some(m.tcp_connections.load(Ordering::SeqCst) as u64))),
+    Row("fdm_connections", GAUGE, "Live protocol connections per transport.",
+        "transport=\"unix\"", "", Value(|m| Some(m.unix_connections.load(Ordering::SeqCst) as u64))),
+    Row("fdm_connections_refused_total", COUNTER, "Connections refused at the connection cap or while draining.",
+        "transport=\"tcp\"", "", Value(|m| Some(m.tcp_refused.load(Ordering::Relaxed)))),
+    Row("fdm_connections_refused_total", COUNTER, "Connections refused at the connection cap or while draining.",
+        "transport=\"unix\"", "", Value(|m| Some(m.unix_refused.load(Ordering::Relaxed)))),
+    Row("fdm_panics_contained_total", COUNTER,
+        "Panics caught at the session/insert boundary and degraded to one ERR reply.",
+        "", "", Value(|m| Some(m.panics_contained.load(Ordering::Relaxed)))),
+    Row("fdm_auth_failures_total", COUNTER, "AUTH attempts with an invalid token.",
+        "", "", Value(|m| Some(m.auth_failures.load(Ordering::Relaxed)))),
+    Row("fdm_busy_rejections_total", COUNTER, "INSERTs rejected with ERR busy, by backpressure reason.",
+        "reason=\"queue_full\"", "", Value(|m| Some(m.busy_queue_full.load(Ordering::Relaxed)))),
+    Row("fdm_busy_rejections_total", COUNTER, "INSERTs rejected with ERR busy, by backpressure reason.",
+        "reason=\"rate_limit\"", "", Value(|m| Some(m.busy_rate_limited.load(Ordering::Relaxed)))),
+];
+
+/// Appends the families of `rows` over `samples` as Prometheus text: one
+/// preamble per family, then every sample's series (a family's series
+/// must be contiguous), labelled `labels(sample)` plus the row's label.
+fn render<S>(out: &mut String, rows: &[Row<S>], samples: &[S], labels: impl Fn(&S) -> String) {
+    for family in rows.chunk_by(|a, b| a.0 == b.0) {
+        let Row(name, kind, help, ..) = family[0];
+        if name.is_empty() {
+            continue;
+        }
+        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+        for sample in samples {
+            let sample_labels = labels(sample);
+            for Row(_, _, _, label, _, read) in family {
+                let labels = match (sample_labels.as_str(), *label) {
+                    (a, "") | ("", a) => a.to_string(),
+                    (a, b) => format!("{a},{b}"),
+                };
+                match read {
+                    Value(read) => match (read(sample), labels.is_empty()) {
+                        (None, _) => {}
+                        (Some(v), true) => out.push_str(&format!("{name} {v}\n")),
+                        (Some(v), false) => out.push_str(&format!("{name}{{{labels}}} {v}\n")),
+                    },
+                    Hist(read) => {
+                        if let Some(histogram) = read(sample) {
+                            histogram.render(out, name, &labels);
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
-/// Appends one family's `# HELP`/`# TYPE` preamble.
-pub(crate) fn help_type(out: &mut String, name: &str, kind: &str, help: &str) {
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+/// Appends ` <prefix><key>=<value>` for every `STATS` row of `rows` that
+/// `sample` has a value for.
+fn push_stats<S>(line: &mut String, prefix: &str, rows: &[Row<S>], sample: &S) {
+    for Row(.., key, read) in rows.iter().filter(|row| !row.4.is_empty()) {
+        if let Value(read) = read {
+            if let Some(value) = read(sample) {
+                line.push_str(&format!(" {prefix}{key}={value}"));
+            }
+        }
+    }
+}
+
+fn stream_label(s: &StreamSample) -> String {
+    format!("stream=\"{}\"", s.name)
+}
+
+fn no_label<S>(_: &S) -> String {
+    String::new()
+}
+
+/// The whole `/metrics` exposition: per-stream families (sorted by stream
+/// name), the coordinator's fleet families on a coordinator, then
+/// the process-wide families.
+pub(crate) fn exposition(
+    mut streams: Vec<StreamSample>,
+    coordinator: Option<&Coordinator>,
+    process: &Metrics,
+) -> String {
+    streams.sort_by(|a, b| a.name.cmp(&b.name));
+    let kernel = fdm_core::kernel::active_kernel();
+    let mut out = String::new();
+    render(&mut out, STREAM_COUNT_FAMILIES, &[streams.len()], no_label);
+    render(&mut out, STREAM_FAMILIES, &streams, stream_label);
+    render(&mut out, KERNEL_FAMILIES, &[kernel], |k| {
+        format!("kernel=\"{k}\"")
+    });
+    render(&mut out, LATENCY_FAMILIES, &streams, stream_label);
+    if let Some(coordinator) = coordinator {
+        render(&mut out, COORD_LATENCY_FAMILIES, &streams, stream_label);
+        render(
+            &mut out,
+            FLEET_FAMILIES,
+            std::slice::from_ref(coordinator),
+            no_label,
+        );
+        render(&mut out, WORKER_FAMILIES, &coordinator.workers, |w| {
+            format!("worker=\"{}\"", w.addr)
+        });
+    }
+    render(
+        &mut out,
+        PROCESS_FAMILIES,
+        std::slice::from_ref(process),
+        no_label,
+    );
+    out
+}
+
+/// A hosted stream's `STATS` line: its algorithm, the table-driven
+/// counters and geometry, then the kind of its last checkpoint and the
+/// kernel backend.
+pub(crate) fn stream_stats(sample: &StreamSample) -> String {
+    let node = sample
+        .node
+        .as_ref()
+        .expect("a hosted stream's sample has its node part");
+    let mut line = format!("stream={} algorithm={}", sample.name, node.params.algorithm);
+    push_stats(&mut line, "", STREAM_FAMILIES, sample);
+    line.push_str(&format!(
+        " last_snapshot_format={} kernel={}",
+        node.persist.last_snapshot_format.unwrap_or("none"),
+        fdm_core::kernel::active_kernel()
+    ));
+    line
+}
+
+/// A coordinator stream's `STATS` line: its routing counters, then each
+/// worker's address, health and position.
+pub(crate) fn coordinator_stats(
+    sample: &StreamSample,
+    workers: &[Arc<WorkerState>],
+    positions: &[usize],
+) -> String {
+    let mut line = format!(
+        "stream={} coordinator=1 workers={}",
+        sample.name,
+        workers.len()
+    );
+    push_stats(&mut line, "", STREAM_FAMILIES, sample);
+    for (i, worker) in workers.iter().enumerate() {
+        line.push_str(&format!(" worker{i}={}", worker.addr));
+        push_stats(&mut line, &format!("worker{i}_"), WORKER_FAMILIES, worker);
+        line.push_str(&format!(" worker{i}_position={}", positions[i]));
+    }
+    line
 }
 
 /// Longest request head the scrape listener will buffer before giving up

@@ -4,15 +4,15 @@
 //! buckets) — and scraping must stay cheap enough that a storm of
 //! concurrent inserts is never blocked behind a scrape.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fdm_serve::protocol::{parse_line, Request as Cmd};
-use fdm_serve::{serve_metrics, Engine, ServeConfig};
+use fdm_serve::protocol::{parse_line, Payload, Request as Cmd};
+use fdm_serve::{serve_metrics, serve_tcp, Engine, NetOptions, ServeConfig};
 
 const OPENS: [&str; 2] = [
     "OPEN alpha sfdm2 quotas=2,2 eps=0.1 dmin=0.05 dmax=30",
@@ -245,4 +245,182 @@ fn scrapes_under_concurrent_load_stay_valid_and_do_not_block_inserts() {
         .map(|(_, v)| *v)
         .sum();
     assert_eq!(processed as usize, done + 10, "5 warmup inserts per stream");
+}
+
+/// `STATS` and `/metrics` are two renderings of one registry: each STATS
+/// counter equals its family's sample. Checked on a durable single node
+/// (full snapshots, deltas and compactions all non-zero) and on a
+/// coordinator over two in-process workers, whose logical streams count in
+/// `fdm_streams` and report `processed` as `fdm_stream_processed_total`.
+#[test]
+fn stats_counters_equal_their_exposition_samples() {
+    let stats = |engine: &Engine, name: &str| -> HashMap<String, String> {
+        match engine.stats(name).unwrap() {
+            Payload::Stats(line) => line
+                .split_whitespace()
+                .map(|field| {
+                    let (key, value) = field.split_once('=').unwrap();
+                    (key.to_string(), value.to_string())
+                })
+                .collect(),
+            other => panic!("{other:?}"),
+        }
+    };
+    let get = |samples: &[(String, f64)], series: &str| -> f64 {
+        samples
+            .iter()
+            .find(|(s, _)| s == series)
+            .map(|(_, v)| *v)
+            .unwrap_or_else(|| panic!("missing series {series}"))
+    };
+    let open_and_insert = |engine: &Engine, open: &str, inserts: usize| -> String {
+        let (name, spec) = match parse_line(open).unwrap().unwrap() {
+            Cmd::Open { name, spec } => (name, spec),
+            other => panic!("{other:?}"),
+        };
+        engine.open(&name, &spec).unwrap();
+        for i in 0..inserts {
+            let line = format!(
+                "INSERT {i} {} {} {}",
+                i % 2,
+                (i as f64 * 0.7391).sin() * 9.0,
+                (i as f64 * 0.2113).cos() * 9.0
+            );
+            match parse_line(&line).unwrap().unwrap() {
+                Cmd::Insert(e) => {
+                    engine.insert(&name, &e, &line).unwrap();
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+        name
+    };
+
+    // Durable single node. The compactor bumps `compactions` off the
+    // insert path, so compare a scrape taken between two equal STATS
+    // reads (the counters only grow), once compactions have happened.
+    let dir = std::env::temp_dir().join(format!("fdm_metrics_agree_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let engine = Engine::new(ServeConfig {
+        data_dir: Some(dir.clone()),
+        snapshot_every: Some(5),
+        full_every: 2,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let names: Vec<String> = OPENS
+        .iter()
+        .map(|open| open_and_insert(&engine, open, 60))
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let (lines, samples) = loop {
+        let before: Vec<_> = names.iter().map(|n| stats(&engine, n)).collect();
+        let text = engine.render_metrics();
+        let after: Vec<_> = names.iter().map(|n| stats(&engine, n)).collect();
+        let total =
+            |key: &str| -> u64 { after.iter().map(|l| l[key].parse::<u64>().unwrap()).sum() };
+        if before == after && total("compactions") > 0 {
+            for key in ["snapshots", "deltas", "dirty_bytes", "wal_records"] {
+                assert!(total(key) > 0, "{key} stayed 0: {after:?}");
+            }
+            break (after, lint_exposition(&text));
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no stable compacted state: {after:?}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    for (name, line) in names.iter().zip(&lines) {
+        for (key, series) in [
+            (
+                "processed",
+                format!("fdm_stream_processed_total{{stream=\"{name}\"}}"),
+            ),
+            ("stored", format!("fdm_stream_stored{{stream=\"{name}\"}}")),
+            (
+                "wal_records",
+                format!("fdm_wal_records_total{{stream=\"{name}\"}}"),
+            ),
+            (
+                "snapshots",
+                format!("fdm_snapshots_total{{stream=\"{name}\",kind=\"full\"}}"),
+            ),
+            (
+                "deltas",
+                format!("fdm_snapshots_total{{stream=\"{name}\",kind=\"delta\"}}"),
+            ),
+            (
+                "dirty_bytes",
+                format!("fdm_delta_dirty_bytes_total{{stream=\"{name}\"}}"),
+            ),
+            (
+                "compactions",
+                format!("fdm_compactions_total{{stream=\"{name}\"}}"),
+            ),
+            (
+                "last_snapshot_bytes",
+                format!("fdm_last_snapshot_bytes{{stream=\"{name}\"}}"),
+            ),
+        ] {
+            let stat: f64 = line[key].parse().unwrap();
+            assert_eq!(
+                stat,
+                get(&samples, &series),
+                "{name}: STATS {key} vs {series}"
+            );
+        }
+    }
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Coordinator over two in-process workers; the streams get different
+    // traffic so a crossed mapping shows.
+    let workers: Vec<String> = (0..2)
+        .map(|_| {
+            let engine = Arc::new(Engine::new(ServeConfig::default()).unwrap());
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            std::thread::spawn(move || serve_tcp(engine, listener, NetOptions::default()));
+            addr
+        })
+        .collect();
+    let coordinator = Engine::new(ServeConfig {
+        workers: workers.clone(),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let opens = [
+        (OPENS[0], 30),
+        (OPENS[1], 11),
+        ("OPEN gamma sfdm2 quotas=2,2 eps=0.1 dmin=0.05 dmax=30", 0),
+    ];
+    let names: Vec<String> = opens
+        .iter()
+        .map(|(open, inserts)| open_and_insert(&coordinator, open, *inserts))
+        .collect();
+    coordinator.query("alpha", None).unwrap();
+    let samples = lint_exposition(&coordinator.render_metrics());
+    assert_eq!(get(&samples, "fdm_streams"), names.len() as f64);
+    for (name, (_, inserts)) in names.iter().zip(opens) {
+        let line = stats(&coordinator, name);
+        assert_eq!(line["processed"], inserts.to_string(), "{name}");
+        let series = format!("fdm_stream_processed_total{{stream=\"{name}\"}}");
+        assert_eq!(inserts as f64, get(&samples, &series), "{name}: {series}");
+        for (i, addr) in workers.iter().enumerate() {
+            assert_eq!(line[&format!("worker{i}")], *addr);
+            for (key, family) in [
+                ("up", "fdm_worker_up"),
+                ("failures", "fdm_worker_failures_total"),
+            ] {
+                let stat: f64 = line[&format!("worker{i}_{key}")].parse().unwrap();
+                let series = format!("{family}{{worker=\"{addr}\"}}");
+                assert_eq!(
+                    stat,
+                    get(&samples, &series),
+                    "{name}: worker{i}_{key} vs {series}"
+                );
+            }
+        }
+    }
 }
