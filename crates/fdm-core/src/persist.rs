@@ -364,7 +364,7 @@ pub fn write_bytes_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
         WRITE_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
     let tmp = std::path::PathBuf::from(tmp);
-    {
+    let staged = (|| {
         use std::io::Write as _;
         let mut file = std::fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
         file.write_all(bytes)
@@ -373,10 +373,16 @@ pub fn write_bytes_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
         // otherwise the journal can persist the rename but not the
         // contents, leaving a valid-looking empty snapshot.
         file.sync_all().map_err(|e| io_err("sync", &tmp, e))?;
+        std::fs::rename(&tmp, path).map_err(|e| FdmError::SnapshotIo {
+            detail: format!("rename {} to {}: {e}", tmp.display(), path.display()),
+        })
+    })();
+    if staged.is_err() {
+        // A failed write must not leave its temp file behind for a
+        // long-running writer to accumulate.
+        let _ = std::fs::remove_file(&tmp);
     }
-    std::fs::rename(&tmp, path).map_err(|e| FdmError::SnapshotIo {
-        detail: format!("rename {} to {}: {e}", tmp.display(), path.display()),
-    })?;
+    staged?;
     // Persist the rename itself (directory entry). Best-effort: not
     // every platform/filesystem supports fsync on directories.
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {

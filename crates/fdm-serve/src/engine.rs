@@ -49,20 +49,25 @@
 //!   the last capture, lowered against a retained [`CaptureMark`] digest
 //!   tree — the full state is neither cloned nor re-walked, and the bytes
 //!   are identical to what a full-tree diff would have produced;
-//! * once the chain holds [`ServeConfig::full_every`] deltas a
-//!   **background compactor** collapses `full + delta*` into a fresh
-//!   `<name>.snap` off the insert path (the decode/encode runs off every
-//!   lock; only the final rename and cleanup briefly take the stream's
-//!   durable mutex, guarded by a chain epoch). Full snapshots are written
-//!   inline only where a delta cannot exist: stream creation, recovery,
-//!   drain, `RESTORE`, a summary rewrite the dirty set cannot express
-//!   (e.g. a sliding-window rotation), `full_every = 0`, and the backstop
-//!   when the chain outgrows `COMPACTION_BACKSTOP`× the cap;
+//! * once the chain holds [`ServeConfig::full_every`] deltas, the next
+//!   auto-checkpoint **collapses** it: it writes a full `<name>.snap`
+//!   inline (the summary is small by construction, so a full capture
+//!   costs about what a delta does) and sweeps the deltas. The on-disk
+//!   chain is therefore a pure function of the insert sequence: after
+//!   every acknowledged insert it holds exactly the deltas written since
+//!   the last full anchor, at most `full_every` of them. Full snapshots
+//!   are also written at stream creation, recovery, drain, `RESTORE`, on
+//!   a summary rewrite the dirty set cannot express (e.g. a
+//!   sliding-window rotation), and always with `full_every = 0`;
+//! * a failed auto-checkpoint never fails the insert that triggered it:
+//!   that insert is already logged and applied, so it is acknowledged,
+//!   the error goes to stderr, and the next insert retries the
+//!   checkpoint as a full anchor;
 //! * [`Engine::new`] recovers by restoring each `.snap`, chaining every
 //!   `<name>.delta.*` found on disk in index order (each link's base
-//!   checksum is verified; a stale link left by a crash inside an anchor
-//!   or compaction cleanup window is skipped, later links may chain off
-//!   the collapsed state), and replaying the WAL through the same parser
+//!   checksum is verified; a stale link left by a crash between a full
+//!   anchor and its delta sweep is skipped, later links may chain off
+//!   the new state), and replaying the WAL through the same parser
 //!   the live protocol uses. Sequence numbers make replay exactly-once: a
 //!   crash between a checkpoint write and the WAL truncation leaves
 //!   records the checkpoint already contains, and recovery skips them
@@ -74,7 +79,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 use fdm_core::error::{FdmError, Result};
@@ -214,29 +219,20 @@ impl TokenBucket {
 struct DurableState {
     /// Open append handle to the WAL (present iff `data_dir` is set).
     wal: Option<File>,
-    /// Digest tree of the last captured state (present iff `data_dir` is
-    /// set): the [`CaptureMark`] dirty-set deltas are lowered against. It
-    /// retains per-node lengths and CRCs — O(structure), not O(data) —
-    /// replacing the full `Snapshot` clone the old full-tree diff needed.
+    /// Digest tree of the last committed checkpoint (present iff
+    /// `data_dir` is set and that checkpoint succeeded): the
+    /// [`CaptureMark`] dirty-set deltas are lowered against. It retains
+    /// per-node lengths and CRCs — O(structure), not O(data). `None`
+    /// makes the next checkpoint a full anchor.
     mark: Option<CaptureMark>,
     /// The summary's own capture cursor paired with `mark`: the opaque
     /// watermark value [`DynSummary::state_patch_since`] diffs from.
     cursor: Option<Value>,
-    /// Index the next `<name>.delta.<i>` file will use. Monotonic within
-    /// a chain epoch (the compactor removes collapsed prefixes without
-    /// renumbering the survivors); reset to 1 by every inline anchor.
+    /// Index the next `<name>.delta.<i>` file will use; reset to 1 by
+    /// every full anchor.
     next_delta_index: u64,
-    /// Bumped by every inline full anchor. A compaction job commits only
-    /// if the epoch still matches the one it was enqueued under — an
-    /// anchor in between means the job's collapsed snapshot describes a
-    /// superseded chain and must be discarded.
-    chain_epoch: u64,
-    /// Live (uncollapsed) deltas on disk (drives `full_every` and the
-    /// inline backstop).
+    /// Deltas written since the last full anchor (drives `full_every`).
     deltas_since_full: u64,
-    /// Set while a compaction job for this stream is queued or running;
-    /// prevents the checkpoint path from flooding the compactor queue.
-    compaction_pending: bool,
     /// Inserts applied since the last auto-checkpoint (drives
     /// `snapshot_every`).
     inserts_since_snapshot: u64,
@@ -250,9 +246,7 @@ impl DurableState {
             mark: None,
             cursor: None,
             next_delta_index: 1,
-            chain_epoch: 0,
             deltas_since_full: 0,
-            compaction_pending: false,
             inserts_since_snapshot: 0,
             counters: PersistCounters::default(),
         }
@@ -641,42 +635,11 @@ pub struct Engine {
     /// stream-touching command is delegated to the worker fleet instead of
     /// the local registry.
     coordinator: Option<Coordinator>,
-    /// Work queue of the background chain compactor (present iff
-    /// `data_dir` is set). Dropping it is the shutdown signal.
-    compactor_tx: Option<mpsc::Sender<CompactJob>>,
-    /// Joined (after the queue drains) when the engine drops, so a
-    /// successor engine over the same data dir can never race a ghost
-    /// compaction commit.
-    compactor_thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for Engine {
-    fn drop(&mut self) {
-        drop(self.compactor_tx.take());
-        if let Some(handle) = self.compactor_thread.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Chain-length backstop: if the compactor cannot keep up (queue starved,
-/// thread dead), the checkpoint path collapses inline once the chain
-/// reaches `full_every × COMPACTION_BACKSTOP` deltas — a bounded, rare
-/// stall instead of an unbounded chain.
-const COMPACTION_BACKSTOP: u64 = 4;
-
-/// One queued chain collapse. The job carries its stream entry (so the
-/// compactor never touches the registry lock) and the chain epoch it was
-/// enqueued under.
-struct CompactJob {
-    name: String,
-    entry: Arc<StreamEntry>,
-    epoch: u64,
 }
 
 /// Files of one stream's on-disk delta chain, sorted by index. Listing
 /// the directory (instead of probing contiguous indices from 1) is what
-/// makes gapped chains — a failed removal, a compacted prefix — visible
+/// makes gapped chains — a failed removal, a crash mid-sweep — visible
 /// at all.
 fn list_deltas(dir: &Path, name: &str) -> Vec<(u64, PathBuf)> {
     let prefix = format!("{name}.delta.");
@@ -739,28 +702,12 @@ impl Engine {
         } else {
             Some(Coordinator::new(config.workers.clone()))
         };
-        let (compactor_tx, compactor_thread) = match config.data_dir.clone() {
-            Some(dir) => {
-                let (tx, rx) = mpsc::channel::<CompactJob>();
-                let full_every = config.full_every;
-                let handle = std::thread::Builder::new()
-                    .name("fdm-compactor".into())
-                    .spawn(move || run_compactor(rx, dir, full_every))
-                    .map_err(|e| FdmError::SnapshotIo {
-                        detail: format!("spawn compactor thread: {e}"),
-                    })?;
-                (Some(tx), Some(handle))
-            }
-            None => (None, None),
-        };
         let engine = Engine {
             streams: RwLock::new(HashMap::new()),
             config,
             metrics: Metrics::new(),
             draining: AtomicBool::new(false),
             coordinator,
-            compactor_tx,
-            compactor_thread,
         };
         if let Some(dir) = engine.config.data_dir.clone() {
             std::fs::create_dir_all(&dir).map_err(|e| FdmError::SnapshotIo {
@@ -841,8 +788,8 @@ impl Engine {
     }
 
     /// Removes every `<name>.delta.*` of a superseded chain, found by
-    /// directory listing — a gapped chain (compacted prefix, an earlier
-    /// failed removal) must not strand the survivors, so one failure is
+    /// directory listing — a gapped chain (an earlier failed removal)
+    /// must not strand the survivors, so one failure is
     /// logged and the sweep continues.
     fn remove_deltas(&self, name: &str) {
         let Some(dir) = self.config.data_dir.as_ref() else {
@@ -884,8 +831,8 @@ impl Engine {
     /// Called at `OPEN` (so a crash before the first auto-checkpoint
     /// still recovers), after recovery, after `RESTORE`, at drain, when a
     /// summary reports a patch the mark cannot lower, with
-    /// `full_every = 0`, and as the chain-length backstop. No-op without
-    /// a data dir.
+    /// `full_every = 0`, when the chain reaches `full_every` deltas, and
+    /// to retry a failed checkpoint. No-op without a data dir.
     ///
     /// Capture is **chunked**: each frame section's source (params, then
     /// the state tree) is cloned under its own short summary read lock
@@ -898,9 +845,11 @@ impl Engine {
     /// deltas are removed and the WAL truncated, so a crash at any point
     /// in between leaves either the old complete chain + full WAL, or the
     /// new snapshot + stale-but-detectable deltas + dedupable WAL records
-    /// — never a gap.
+    /// — never a gap. The mark is dropped first and rebuilt last, so an
+    /// anchor that fails midway leaves the next checkpoint anchoring too.
     fn anchor(&self, name: &str, entry: &StreamEntry, durable: &mut DurableState) -> Result<()> {
         if let (Some(snap_path), Some(wal_path)) = (self.snap_path(name), self.wal_path(name)) {
+            durable.mark = None;
             let params = read_lock(&entry.summary).params();
             crash_point("mid-chunked-capture");
             snapshot_write_pause();
@@ -927,11 +876,9 @@ impl Engine {
             Self::truncate_wal(&wal_path, durable)?;
             durable.mark = Some(CaptureMark::of(params, &snapshot.state));
             durable.cursor = Some(cursor);
-            durable.chain_epoch += 1;
             durable.next_delta_index = 1;
         }
         durable.deltas_since_full = 0;
-        durable.compaction_pending = false;
         durable.inserts_since_snapshot = 0;
         Ok(())
     }
@@ -943,16 +890,21 @@ impl Engine {
     /// full-tree diff without walking (or cloning) the full state. Falls
     /// back to a full [`Engine::anchor`] when the summary rewrote
     /// structure the mark cannot track (sliding-window rotation, lane
-    /// reshuffle, bit-pack width growth) or deltas are disabled.
+    /// reshuffle, bit-pack width growth), when deltas are disabled, or
+    /// when the previous checkpoint failed (no mark).
     ///
-    /// Chain-length management happens here too: at
-    /// [`ServeConfig::full_every`] live deltas a collapse is handed to
-    /// the background compactor (no stall); only past the
-    /// [`COMPACTION_BACKSTOP`] bound does the checkpoint collapse inline.
+    /// Chain-length management happens here too: once
+    /// [`ServeConfig::full_every`] deltas were written since the last full
+    /// anchor, this checkpoint collapses the chain with an inline anchor
+    /// instead of writing another delta, and counts it in `compactions`.
+    ///
+    /// The mark and cursor leave `durable` until the delta and the WAL
+    /// truncation are committed, so a failure anywhere leaves no mark and
+    /// the retry anchors.
     fn checkpoint(
         &self,
         name: &str,
-        entry: &Arc<StreamEntry>,
+        entry: &StreamEntry,
         durable: &mut DurableState,
     ) -> Result<()> {
         if self.config.data_dir.is_none() {
@@ -960,25 +912,29 @@ impl Engine {
             return Ok(());
         }
         let full_every = self.config.full_every;
-        if full_every == 0 || durable.mark.is_none() {
+        if full_every == 0 {
             return self.anchor(name, entry, durable);
         }
+        if durable.deltas_since_full >= full_every {
+            self.anchor(name, entry, durable)?;
+            durable.counters.compactions += 1;
+            return Ok(());
+        }
+        let (Some(mut mark), Some(cursor)) = (durable.mark.take(), durable.cursor.take()) else {
+            return self.anchor(name, entry, durable);
+        };
         let (params, patch, next_cursor) = {
             let summary = read_lock(&entry.summary);
-            let cursor = durable.cursor.take().unwrap_or(Value::Null);
             (
                 summary.params(),
                 summary.state_patch_since(&cursor),
                 summary.capture_cursor(),
             )
         };
-        let delta = patch.and_then(|patch| {
-            let mark = durable.mark.as_mut().expect("checked above");
-            SnapshotDelta::from_patch(mark, &params, patch)
-        });
+        let delta = patch.and_then(|patch| SnapshotDelta::from_patch(&mut mark, &params, patch));
         let Some(delta) = delta else {
-            // Unlowerable patch: the mark may be partially advanced and
-            // is invalid — the anchor below rebuilds it from scratch.
+            // Unlowerable patch: the mark may be partially advanced — the
+            // anchor rebuilds it from scratch.
             return self.anchor(name, entry, durable);
         };
         let index = durable.next_delta_index;
@@ -998,27 +954,11 @@ impl Engine {
         durable.counters.last_snapshot_format = Some("delta");
         crash_point("between-delta-and-wal-truncate");
         Self::truncate_wal(&wal_path, durable)?;
+        durable.mark = Some(mark);
         durable.cursor = Some(next_cursor);
         durable.next_delta_index += 1;
         durable.deltas_since_full += 1;
         durable.inserts_since_snapshot = 0;
-        if durable.deltas_since_full >= full_every.saturating_mul(COMPACTION_BACKSTOP) {
-            // The compactor is starved or dead; collapse inline rather
-            // than let the chain (and recovery time) grow without bound.
-            return self.anchor(name, entry, durable);
-        }
-        if durable.deltas_since_full >= full_every && !durable.compaction_pending {
-            if let Some(tx) = &self.compactor_tx {
-                let job = CompactJob {
-                    name: name.to_string(),
-                    entry: entry.clone(),
-                    epoch: durable.chain_epoch,
-                };
-                if tx.send(job).is_ok() {
-                    durable.compaction_pending = true;
-                }
-            }
-        }
         Ok(())
     }
 
@@ -1058,15 +998,14 @@ impl Engine {
             }
             let mut snapshot = Snapshot::read_from_file(&path)?;
             // Chain the deltas — discovered by *listing* the directory,
-            // not by probing consecutive indices, because a crashed
-            // compactor may have removed only a prefix of the files it
-            // consumed and the survivors need not start at 1. Each link's
+            // not by probing consecutive indices, because a crashed or
+            // failed sweep may have removed only some of a superseded
+            // chain and the survivors need not start at 1. Each link's
             // base checksum is verified: a mismatch marks a *stale* delta
             // (left behind by a crash between a full-snapshot write and
-            // the delta cleanup, or a partially cleaned-up compaction)
-            // and is skipped — later links may still chain off the
-            // collapsed snapshot. A delta file that fails its own section
-            // checksums is real corruption and refuses recovery.
+            // the delta cleanup) and is skipped — later links may still
+            // chain off the new snapshot. A delta file that fails its own
+            // section checksums is real corruption and refuses recovery.
             for (index, delta_path) in list_deltas(dir, &name) {
                 let delta = SnapshotDelta::read_from_file(&delta_path)?;
                 match delta.apply_to(&snapshot) {
@@ -1343,8 +1282,15 @@ impl Engine {
         durable.inserts_since_snapshot += count;
         if let Some(every) = self.config.snapshot_every {
             if every > 0 && durable.inserts_since_snapshot >= every {
-                self.checkpoint(name, &entry, &mut durable)
-                    .map_err(generic)?;
+                // The request is already logged and applied, so it is
+                // acknowledged either way: an `ERR` would invite a retry
+                // that applies it twice. `inserts_since_snapshot` stays
+                // over the bound, so the next insert retries.
+                if let Err(e) = self.checkpoint(name, &entry, &mut durable) {
+                    eprintln!(
+                        "fdm-serve: auto-checkpoint of `{name}` failed (retried on the next insert): {e}"
+                    );
+                }
             }
         }
         entry.metrics.insert_latency.observe(start.elapsed());
@@ -1646,123 +1592,6 @@ fn sample(name: &str, entry: &StreamEntry) -> StreamSample {
         }),
         cursor: None,
     }
-}
-
-/// The background compactor loop: drains [`CompactJob`]s until the
-/// engine drops its sender, collapsing each stream's `full + delta*`
-/// chain off every hot-path lock. Checkpoints that land while a collapse
-/// runs see the pending flag and enqueue nothing, so after each collapse
-/// the loop re-checks the chain under the durable mutex and collapses
-/// again while it still holds `full_every` deltas; the flag is cleared
-/// under that same lock. A quiet stream therefore settles below
-/// `full_every` deltas, and so does the join in `Engine::drop`. Failures
-/// are logged and the flag cleared — the next over-length checkpoint
-/// simply re-enqueues.
-fn run_compactor(rx: mpsc::Receiver<CompactJob>, dir: PathBuf, full_every: u64) {
-    while let Ok(job) = rx.recv() {
-        loop {
-            let consumed = compact_chain(&dir, &job).unwrap_or_else(|e| {
-                eprintln!(
-                    "fdm-serve: compaction of `{}` failed (chain left as-is): {e}",
-                    job.name
-                );
-                0
-            });
-            let mut durable = lock(&job.entry.durable);
-            if consumed == 0
-                || durable.chain_epoch != job.epoch
-                || durable.deltas_since_full < full_every
-            {
-                durable.compaction_pending = false;
-                break;
-            }
-        }
-    }
-}
-
-/// One chain collapse. Everything expensive — reading the base snapshot,
-/// applying the delta files, encoding, writing + fsyncing the temp file —
-/// runs with **no** engine lock held; delta files are write-once and the
-/// base `.snap` is only replaced by epoch-bumping inline anchors, so the
-/// off-lock read sees a stable prefix. The durable mutex is taken only
-/// for the commit: if the chain epoch still matches the job's, the
-/// collapsed snapshot renames into place and the consumed delta files are
-/// removed; if an inline anchor ran in between, the work is discarded.
-/// Returns the number of delta files the committed collapse consumed (0
-/// when nothing was committed).
-fn compact_chain(dir: &Path, job: &CompactJob) -> Result<usize> {
-    let name = &job.name;
-    let snap_path = dir.join(format!("{name}.snap"));
-    let chain = list_deltas(dir, name);
-    if chain.is_empty() {
-        return Ok(0);
-    }
-    let mut snapshot = Snapshot::read_from_file(&snap_path)?;
-    let mut consumed: Vec<PathBuf> = Vec::with_capacity(chain.len());
-    for (index, delta_path) in chain {
-        let delta = SnapshotDelta::read_from_file(&delta_path)?;
-        match delta.apply_to(&snapshot) {
-            Ok(next) => snapshot = next,
-            Err(FdmError::IncompatibleSnapshot { .. }) => {
-                // A stale link (crash debris): recovery would skip it too,
-                // so consuming (removing) it below is safe.
-                eprintln!(
-                    "fdm-serve: compactor skipping stale delta {} (index {index})",
-                    delta_path.display()
-                );
-            }
-            Err(other) => return Err(other),
-        }
-        consumed.push(delta_path);
-    }
-    let bytes = snapshot.to_bytes(SnapshotFormat::Binary);
-    if crash_requested("compactor-mid-collapse") {
-        crash_mid_write(&snap_path, &bytes);
-    }
-    // Write the collapsed snapshot to a `.tmp.` sibling by hand (instead
-    // of `write_bytes_atomic`) so the rename can be deferred into the
-    // epoch-checked commit below. The `.tmp.` infix keeps a crashed
-    // leftover inside recovery's sweep.
-    let tmp_path = dir.join(format!("{name}.snap.tmp.{}.compact", std::process::id()));
-    let io_err = |op: &str, e: std::io::Error| FdmError::SnapshotIo {
-        detail: format!("{op} {}: {e}", tmp_path.display()),
-    };
-    {
-        let mut tmp = File::create(&tmp_path).map_err(|e| io_err("create", e))?;
-        tmp.write_all(&bytes).map_err(|e| io_err("write", e))?;
-        tmp.sync_all().map_err(|e| io_err("sync", e))?;
-    }
-    let mut durable = lock(&job.entry.durable);
-    if durable.chain_epoch != job.epoch {
-        // An inline anchor replaced the chain while we worked; this
-        // collapsed snapshot describes a base that no longer exists.
-        drop(durable);
-        let _ = std::fs::remove_file(&tmp_path);
-        return Ok(0);
-    }
-    std::fs::rename(&tmp_path, &snap_path).map_err(|e| FdmError::SnapshotIo {
-        detail: format!(
-            "rename {} -> {}: {e}",
-            tmp_path.display(),
-            snap_path.display()
-        ),
-    })?;
-    crash_point("between-compaction-and-delta-cleanup");
-    for path in &consumed {
-        if let Err(e) = std::fs::remove_file(path) {
-            // A leftover is stale (its base CRC no longer matches) and
-            // recovery skips it; the next sweep removes it.
-            eprintln!(
-                "fdm-serve: failed to remove compacted delta {}: {e}",
-                path.display()
-            );
-        }
-    }
-    durable.deltas_since_full = durable
-        .deltas_since_full
-        .saturating_sub(consumed.len() as u64);
-    durable.counters.compactions += 1;
-    Ok(consumed.len())
 }
 
 /// Validates an arriving element against a stream's live parameters:

@@ -154,7 +154,7 @@ pub(crate) struct PersistCounters {
     /// checkpoint I/O volume, which should track the change rate, not the
     /// stream size.
     pub(crate) dirty_bytes: u64,
-    /// Background chain collapses committed by the compactor.
+    /// Delta chains collapsed into a full snapshot at `--full-every`.
     pub(crate) compactions: u64,
     /// Encoded size of the most recent checkpoint/export, in bytes.
     pub(crate) last_snapshot_bytes: u64,
@@ -324,7 +324,7 @@ const STREAM_FAMILIES: &[Row<StreamSample>] = &[
         "kind=\"delta\"", "deltas", Value(|s| Some(s.node.as_ref()?.persist.delta_snapshots))),
     Row("fdm_delta_dirty_bytes_total", COUNTER, "Encoded bytes of dirty-set delta checkpoints written per stream.",
         "", "dirty_bytes", Value(|s| Some(s.node.as_ref()?.persist.dirty_bytes))),
-    Row("fdm_compactions_total", COUNTER, "Background chain collapses committed per stream.",
+    Row("fdm_compactions_total", COUNTER, "Delta chains collapsed into a full snapshot at --full-every, per stream.",
         "", "compactions", Value(|s| Some(s.node.as_ref()?.persist.compactions))),
     Row("fdm_last_snapshot_bytes", GAUGE, "Encoded size of each stream's most recent checkpoint/export.",
         "", "last_snapshot_bytes", Value(|s| Some(s.node.as_ref()?.persist.last_snapshot_bytes))),

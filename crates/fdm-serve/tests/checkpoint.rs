@@ -1,14 +1,15 @@
 //! Checkpoint-pipeline tests: stream-name safety at the engine boundary,
 //! the directory-listing delta sweep, the `full_every` edge cases (`0` =
-//! deltas disabled, `1` = collapse after every checkpoint), deterministic
-//! background-compaction commit, and recovery over a chain with a stale
-//! (mismatched base-CRC) delta in the *middle* of the list.
+//! deltas disabled, `1` = collapse after every delta), the exact collapse
+//! schedule (the delta files on disk after every acknowledged insert), a
+//! failed auto-checkpoint that must still acknowledge its insert, and
+//! recovery over a chain with a stale (mismatched base-CRC) delta in the
+//! *middle* of the list.
 
 use std::io::Cursor;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use fdm_client::Client;
 use fdm_core::persist::{Snapshot, SnapshotDelta, SnapshotFormat};
@@ -205,8 +206,8 @@ fn anchor_sweep_removes_gapped_delta_files() {
     let engine = durable_engine(&dir, 4, 0); // full_every=0: every checkpoint anchors
     let replies = run_script(&engine, OPEN);
     assert_eq!(replies[0], "OK opened jobs");
-    // Plant a gapped chain of stale droppings, as a crashed compactor
-    // that removed only a prefix of its consumed deltas would leave.
+    // Plant a gapped chain of stale droppings, as an earlier sweep that
+    // failed on some of its removals would leave.
     for index in [1u64, 4, 9] {
         std::fs::write(dir.join(format!("jobs.delta.{index}")), b"stale").unwrap();
     }
@@ -250,9 +251,9 @@ fn full_every_zero_disables_deltas() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `full_every = 1` hands a collapse to the compactor after *every* delta
-/// checkpoint; the on-disk chain stays collapsed without a single inline
-/// stall, and recovery is exact.
+/// `full_every = 1` collapses the chain at every checkpoint after a
+/// delta: deltas and full anchors alternate, so the on-disk chain never
+/// holds more than one delta, and recovery is exact.
 #[test]
 fn full_every_one_collapses_after_every_checkpoint() {
     let dir = scratch("full_every_one");
@@ -261,8 +262,6 @@ fn full_every_one_collapses_after_every_checkpoint() {
     script.extend(insert_lines(40));
     let replies = run_script(&engine, &script.join("\n"));
     assert!(replies[1..].iter().all(|r| r.starts_with("OK inserted")));
-    // Dropping the engine joins the compactor: every enqueued collapse
-    // has committed (or been superseded by an inline fallback anchor).
     drop(engine);
     assert!(
         delta_files(&dir, "jobs").len() <= 1,
@@ -275,67 +274,97 @@ fn full_every_one_collapses_after_every_checkpoint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Deterministic background-commit pin: every checkpoint of this insert
-/// sequence lowers to a delta, so with `--full-every 2` the chain reaches
-/// the cap at insert 8 (deltas at 4 and 8) and nothing after the enqueue
-/// can bump the epoch, so the compactor MUST commit: the counter reaches
-/// 1 and both consumed delta files disappear while the stream stays open.
-/// The rest of the run re-grows the chain; however the collapses
-/// interleave with the inserts, the chain is back under the cap once the
-/// compactor drains on drop, and recovery from disk alone is exact.
+/// The collapse schedule, pinned after every insert with no sleep: with
+/// `snapshot_every = 4` and `full_every = 2` every checkpoint of this
+/// insert sequence lowers to a delta, so checkpoints at 4 and 8 write
+/// `delta.1` and `delta.2`, and the one at 12 finds the chain at its cap
+/// and writes a full anchor instead, sweeping both. The delta files on
+/// disk are always exactly those written since the last full anchor, and
+/// recovery from the directory alone is exact.
 #[test]
-fn compactor_commits_in_the_background() {
-    let dir = scratch("compactor_commit");
+fn chain_collapses_inline_on_a_fixed_schedule() {
+    let dir = scratch("collapse_schedule");
     let engine = durable_engine(&dir, 4, 2);
-    let mut script = vec![OPEN.to_string()];
-    script.extend(insert_lines(8));
-    let replies = run_script(&engine, &script.join("\n"));
-    assert!(replies[1..].iter().all(|r| r.starts_with("OK inserted")));
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let stats = run_script(&engine, &format!("{OPEN}\nSTATS"))[1].clone();
-        if stats.contains("compactions=1") {
-            break;
+    assert_eq!(run_script(&engine, OPEN), ["OK opened jobs"]);
+    for (i, line) in insert_lines(28).iter().enumerate() {
+        let n = i + 1;
+        let replies = run_script(&engine, &format!("{OPEN}\n{line}\nSTATS"));
+        assert_eq!(replies[1], format!("OK inserted processed={n}"));
+        let checkpoints = n / 4;
+        let collapses = checkpoints / 3;
+        let live: Vec<String> = (1..=checkpoints % 3)
+            .map(|index| format!("jobs.delta.{index}"))
+            .collect();
+        assert_eq!(delta_files(&dir, "jobs"), live, "after insert {n}");
+        let stats = &replies[2];
+        for field in [
+            format!("snapshots={}", 1 + collapses),
+            format!("deltas={}", checkpoints - collapses),
+            format!("compactions={collapses}"),
+        ] {
+            assert!(
+                stats.split_whitespace().any(|f| f == field),
+                "after insert {n}: expected {field} in {stats}"
+            );
         }
-        assert!(
-            Instant::now() < deadline,
-            "compaction never committed: {stats}"
-        );
-        std::thread::sleep(Duration::from_millis(20));
     }
-    assert_eq!(
-        delta_files(&dir, "jobs"),
-        Vec::<String>::new(),
-        "the committed collapse must consume both deltas"
-    );
-    // Keep streaming: later checkpoints hand the compactor more
-    // collapses, whose consumed sets depend on the interleaving — only
-    // the bound is deterministic.
-    let more = format!("{OPEN}\n{}", insert_lines(20)[8..].join("\n"));
-    let replies = run_script(&engine, &more);
-    assert!(replies[1..].iter().all(|r| r.starts_with("OK inserted")));
-    // Dropping the engine joins the compactor: every enqueued collapse
-    // has committed, so at most one uncollapsed delta can remain.
     drop(engine);
-    assert!(
-        delta_files(&dir, "jobs").len() <= 1,
-        "chain must stay collapsed after the compactor drains: {:?}",
-        delta_files(&dir, "jobs")
-    );
-    // The collapsed snapshot carries the full state: wipe the WAL records
-    // by re-reading from disk alone.
     let engine = durable_engine(&dir, 4, 2);
     let replies = run_script(&engine, &format!("{OPEN}\nQUERY"));
-    assert_eq!(replies[1], reference_query(20));
+    assert_eq!(replies[1], reference_query(28));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// --- Failed checkpoint -----------------------------------------------------
+
+/// A failed auto-checkpoint must not fail the insert that triggered it:
+/// that insert is already in the WAL and applied, so an `ERR` would make
+/// a retrying client apply it twice. A directory planted where the first
+/// delta goes makes the insert-4 checkpoint fail; the insert is still
+/// acknowledged, the next insert retries the checkpoint as a full anchor,
+/// and recovery lands exactly on the acknowledged inserts.
+#[test]
+fn failed_auto_checkpoint_still_acknowledges_the_insert() {
+    let dir = scratch("failed_checkpoint");
+    let engine = durable_engine(&dir, 4, 2);
+    assert_eq!(run_script(&engine, OPEN), ["OK opened jobs"]);
+    let blocker = dir.join("jobs.delta.1");
+    std::fs::create_dir(&blocker).unwrap();
+    let lines = insert_lines(8);
+    let replies = run_script(&engine, &format!("{OPEN}\n{}", lines[..4].join("\n")));
+    assert_eq!(replies[4], "OK inserted processed=4", "{replies:?}");
+    assert!(
+        !files_in(&dir).iter().any(|f| f.contains(".tmp.")),
+        "the failed write must remove its temp file: {:?}",
+        files_in(&dir)
+    );
+
+    std::fs::remove_dir(&blocker).unwrap();
+    let mut script = vec![OPEN.to_string()];
+    script.extend(lines[4..].iter().cloned());
+    script.push("STATS".into());
+    let replies = run_script(&engine, &script.join("\n"));
+    assert_eq!(replies[4], "OK inserted processed=8", "{replies:?}");
+    let stats = &replies[5];
+    assert!(
+        stats.contains("snapshots=2") && stats.contains("deltas=0"),
+        "the insert-5 retry must anchor: {stats}"
+    );
+    drop(engine);
+
+    let engine = durable_engine(&dir, 4, 2);
+    let replies = run_script(&engine, &format!("{OPEN}\nSTATS\nQUERY"));
+    assert!(replies[1].contains("processed=8"), "{}", replies[1]);
+    assert_eq!(replies[2], reference_query(8));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 // --- Stale mid-chain delta -------------------------------------------------
 
-/// A chain whose *middle* delta has a mismatched base CRC — exactly what a
-/// compactor crash between rename and cleanup leaves when a later live
-/// delta already chained off the collapsed snapshot. Recovery must skip
-/// the stale link and keep applying the rest, not end the chain there.
+/// A chain whose *middle* delta has a mismatched base CRC — a superseded
+/// link that survived its sweep, with a live delta behind it. Recovery
+/// must skip the stale link and keep applying the rest, not end the chain
+/// there.
 #[test]
 fn recovery_skips_stale_mid_chain_delta() {
     let dir = scratch("stale_mid_chain");

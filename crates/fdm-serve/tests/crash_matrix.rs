@@ -15,9 +15,10 @@
 //! * between a full-snapshot rename and the stale-delta cleanup (the
 //!   stale-chain window the delta base-checksum exists for);
 //! * between the delta cleanup and the WAL truncation;
-//! * inside the background compactor: mid-collapse (torn temp file) and
-//!   between the collapsed-snapshot rename and the consumed-delta
-//!   cleanup (stale mid-chain deltas recovery must skip over).
+//! * the chain collapse at `--full-every`: mid-write of the collapsing
+//!   full snapshot (torn temp file, the chain untouched) and between its
+//!   rename and the sweep of the collapsed deltas (stale deltas recovery
+//!   must skip).
 //!
 //! Plus the **graceful** cells: SIGTERM must drain (in-flight inserts
 //! complete, final checkpoint leaves zero WAL records to replay, durable
@@ -88,16 +89,11 @@ fn reference_query(n: usize) -> String {
 /// feeds `open` + INSERTS, and returns its stdout lines after it dies (or
 /// finishes, for scenarios whose point never fires). `full_every`
 /// parameterizes the chain-length bound (`"0"` disables deltas entirely).
-/// With `hold_stdin_open`, no `QUIT` is sent and stdin stays open until
-/// the child dies — the shape the *compactor* cells need, because the
-/// crash fires on a background thread whose timing is independent of the
-/// input stream, and exiting on EOF would race it.
 fn run_until_crash_opts(
     open: &str,
     dir: &Path,
     crash_point: &str,
     full_every: &str,
-    hold_stdin_open: bool,
 ) -> Vec<String> {
     let mut child = Command::new(env!("CARGO_BIN_EXE_fdm-serve"))
         .args([
@@ -117,15 +113,12 @@ fn run_until_crash_opts(
     let mut stdin = child.stdin.take().unwrap();
     let mut script = vec![open.to_string()];
     script.extend(insert_lines(INSERTS));
-    if !hold_stdin_open {
-        script.push("QUIT".into());
-    }
+    script.push("QUIT".into());
     // The child aborts mid-stream; EPIPE on the remainder is expected.
     let _ = stdin.write_all(script.join("\n").as_bytes());
     let _ = stdin.write_all(b"\n");
-    let stdin_keepalive = if hold_stdin_open { Some(stdin) } else { None };
+    drop(stdin);
     let output = child.wait_with_output().expect("wait for fdm-serve");
-    drop(stdin_keepalive);
     String::from_utf8_lossy(&output.stdout)
         .lines()
         .map(str::to_string)
@@ -133,7 +126,7 @@ fn run_until_crash_opts(
 }
 
 fn run_until_crash_with(open: &str, dir: &Path, crash_point: &str) -> Vec<String> {
-    run_until_crash_opts(open, dir, crash_point, "2", false)
+    run_until_crash_opts(open, dir, crash_point, "2")
 }
 
 fn run_until_crash(dir: &Path, crash_point: &str) -> Vec<String> {
@@ -189,12 +182,21 @@ fn crash_and_recover(tag: &str, crash_point: &str, expect_processed: usize) {
 fn crash_and_recover_with(open: &str, tag: &str, crash_point: &str, expect_processed: usize) {
     let dir = scratch(tag);
     let live = run_until_crash_with(open, &dir, crash_point);
+    recovers_exactly(open, tag, &dir, &live, expect_processed);
+}
+
+/// The recovery half of a cell: the crash fired before the stream ended
+/// (`live` is the crashed run's stdout), and a restart over `dir` lands
+/// exactly on `expect_processed` arrivals, never behind an acknowledged
+/// insert, answering byte-identically to an uninterrupted run. Removes
+/// `dir`.
+fn recovers_exactly(open: &str, tag: &str, dir: &Path, live: &[String], expect_processed: usize) {
     let acked = live.iter().filter(|l| l.starts_with("OK inserted")).count();
     assert!(
         acked < INSERTS,
         "{tag}: the crash point must fire before the stream ends ({acked} acked)"
     );
-    let (processed, query) = recover_with(open, &dir);
+    let (processed, query) = recover_with(open, dir);
     assert_eq!(
         processed, expect_processed,
         "{tag}: recovered to an unexpected stream position ({acked} acked)"
@@ -208,7 +210,7 @@ fn crash_and_recover_with(open: &str, tag: &str, crash_point: &str, expect_proce
         reference_query_for(open, processed),
         "{tag}: recovered QUERY differs from an uninterrupted run over {processed} arrivals"
     );
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 // Checkpoint schedule with --snapshot-every 4 --full-every 2 under the
@@ -217,17 +219,15 @@ fn crash_and_recover_with(open: &str, tag: &str, crash_point: &str, expect_proce
 // instead of refusing the patch):
 //
 // OPEN → full#1 (processed 0); insert 4 → delta 1; 8 → delta 2 (chain at
-// full-every → background compaction enqueued); 12..28 → more deltas,
-// with collapses interleaving.
+// full-every); 12 → the collapse: full#2, deltas 1 and 2 swept; 16, 20 →
+// deltas 1, 2; 24 → full#3; 28 → delta 1.
 //
 // Deterministic for this fixed insert sequence — the delta/full decision
-// depends only on the stream's own state, never on compactor timing (the
-// compactor changes which *files* hold the prefix, not the live mark).
-// Mid-stream inline full anchors therefore happen only with
-// `--full-every 0` (deltas disabled) or on a summary whose patch is
-// genuinely unlowerable — the sliding window's rotation crossing at
-// insert 8 (window=16, half 8) — and the full-anchor cells below arm one
-// of those two shapes.
+// depends only on the stream's own state and the chain length. The other
+// mid-stream full anchors happen with `--full-every 0` (deltas disabled)
+// or on a summary whose patch is genuinely unlowerable — the sliding
+// window's rotation crossing at insert 8 (window=16, half 8) — and the
+// full-anchor cells below arm one of those three shapes.
 
 #[test]
 fn kill_between_wal_append_and_apply() {
@@ -256,14 +256,8 @@ fn kill_mid_full_snapshot() {
     // 1 is the OPEN anchor and hit 2 the insert-4 checkpoint. Torn full#2
     // temp file, never renamed: recovery walks full#1 (empty) + WAL 1..4.
     let dir = scratch("mid_full");
-    let live = run_until_crash_opts(OPEN, &dir, "mid-full-snapshot:2", "0", false);
-    let acked = live.iter().filter(|l| l.starts_with("OK inserted")).count();
-    assert!(acked < INSERTS, "the crash point must fire ({acked} acked)");
-    let (processed, query) = recover(&dir);
-    assert_eq!(processed, 4, "mid_full: expected full#1 + WAL 1..4");
-    assert!(processed >= acked, "lost acknowledged inserts");
-    assert_eq!(query, reference_query(4));
-    let _ = std::fs::remove_dir_all(&dir);
+    let live = run_until_crash_opts(OPEN, &dir, "mid-full-snapshot:2", "0");
+    recovers_exactly(OPEN, "mid_full", &dir, &live, 4);
 }
 
 #[test]
@@ -301,14 +295,8 @@ fn kill_mid_chunked_capture() {
     // is the OPEN anchor and hit 2 the insert-4 checkpoint. Nothing was
     // written yet: recovery is full#1 (empty) + WAL 1..4.
     let dir = scratch("mid_chunked");
-    let live = run_until_crash_opts(OPEN, &dir, "mid-chunked-capture:2", "0", false);
-    let acked = live.iter().filter(|l| l.starts_with("OK inserted")).count();
-    assert!(acked < INSERTS, "the crash point must fire ({acked} acked)");
-    let (processed, query) = recover(&dir);
-    assert_eq!(processed, 4, "mid_chunked: expected full#1 + WAL 1..4");
-    assert!(processed >= acked, "lost acknowledged inserts");
-    assert_eq!(query, reference_query(4));
-    let _ = std::fs::remove_dir_all(&dir);
+    let live = run_until_crash_opts(OPEN, &dir, "mid-chunked-capture:2", "0");
+    recovers_exactly(OPEN, "mid_chunked", &dir, &live, 4);
 }
 
 /// A torn final WAL record (crash mid-append) must be dropped with a
@@ -380,69 +368,37 @@ fn stale_delta_window_leaves_files_that_recovery_ignores() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-// --- Background-compactor cells -------------------------------------------
+// --- Chain-collapse cells -------------------------------------------------
 //
-// The compactor collapses `full + delta*` on its own thread, so the crash
-// lands at a point whose *insert-stream* position is nondeterministic (the
-// first job is enqueued at insert 8; inserts keep flowing while it runs). The
-// assertions are therefore relational rather than positional: recovery
-// must land exactly on an uninterrupted run over however many arrivals
-// survived, never behind an acknowledged insert — and the on-disk debris
-// each window leaves must actually be there.
+// The collapse at insert 12 is full anchor hit 2 (hit 1 is the OPEN
+// anchor). Both windows leave the collapsed chain's deltas on disk.
 
-/// Kills the process from inside the compactor, after it read the chain
-/// but before the collapsed temp file is renamed: the live chain must be
-/// untouched (both consumed deltas still on disk) and recovery exact.
+/// Torn collapsing snapshot, never renamed: the chain is untouched, so
+/// recovery walks full#1 + deltas 1, 2 + WAL 9..12.
 #[test]
-fn kill_compactor_mid_collapse() {
-    let dir = scratch("compactor_mid_collapse");
-    let live = run_until_crash_opts(OPEN, &dir, "compactor-mid-collapse:1", "2", true);
-    let acked = live.iter().filter(|l| l.starts_with("OK inserted")).count();
-    assert!(
-        acked >= 7,
-        "the job is enqueued during insert 8's checkpoint; it cannot crash earlier ({acked} acked)"
-    );
-    assert!(
-        dir.join("jobs.delta.1").exists() && dir.join("jobs.delta.2").exists(),
-        "a collapse that never renamed must leave the chain untouched"
-    );
-    let (processed, query) = recover(&dir);
-    assert!(
-        processed >= acked,
-        "recovery lost acknowledged inserts ({acked} acked, {processed} recovered)"
-    );
-    assert_eq!(query, reference_query(processed));
-    let _ = std::fs::remove_dir_all(&dir);
+fn kill_mid_collapse() {
+    collapse_cell("collapse_torn", "mid-full-snapshot:2");
 }
 
-/// Kills the process between the compactor's snapshot rename and the
-/// consumed-delta cleanup: the consumed deltas linger as *stale* files
-/// whose base checksums no longer match the collapsed snapshot, possibly
-/// with a *live* later delta behind them — recovery must skip the stale
-/// links and keep walking.
+/// The collapsing full#2 landed but the sweep never ran: deltas 1 and 2
+/// linger as stale links whose base checksums no longer match, and the
+/// WAL records 9..12 overlap full#2 — recovery must skip the one and
+/// dedupe the other.
 #[test]
-fn kill_between_compaction_and_delta_cleanup() {
-    let dir = scratch("compactor_stale_deltas");
-    let live = run_until_crash_opts(
-        OPEN,
-        &dir,
-        "between-compaction-and-delta-cleanup:1",
-        "2",
-        true,
-    );
-    let acked = live.iter().filter(|l| l.starts_with("OK inserted")).count();
-    assert!(acked >= 7, "{acked} acked before the compactor window");
+fn kill_between_collapse_and_delta_cleanup() {
+    collapse_cell("collapse_stale_deltas", "between-full-and-delta-cleanup:2");
+}
+
+/// [`crash_and_recover`] at the insert-12 collapse, plus the debris check
+/// between the crash and the restart (recovery's re-anchor sweeps it).
+fn collapse_cell(tag: &str, crash_point: &str) {
+    let dir = scratch(tag);
+    let live = run_until_crash(&dir, crash_point);
     assert!(
         dir.join("jobs.delta.1").exists() && dir.join("jobs.delta.2").exists(),
-        "the crash window must leave the consumed (now stale) deltas behind"
+        "{tag}: the crash must leave the collapsed chain's deltas on disk"
     );
-    let (processed, query) = recover(&dir);
-    assert!(
-        processed >= acked,
-        "recovery lost acknowledged inserts ({acked} acked, {processed} recovered)"
-    );
-    assert_eq!(query, reference_query(processed));
-    let _ = std::fs::remove_dir_all(&dir);
+    recovers_exactly(OPEN, tag, &dir, &live, 12);
 }
 
 // --- Sliding-window cells -------------------------------------------------

@@ -477,7 +477,7 @@ fn stats_reports_persistence_counters() {
     // 25 inserts → every record write-ahead logged; the OPEN anchor wrote
     // the first (and only) full, and the checkpoints at 10 and 20 both
     // lower to dirty-set deltas — a chain of 2, under `full_every`, so
-    // the compactor never runs.
+    // nothing collapses.
     assert!(stats.contains("wal_records=25"), "{stats}");
     assert!(stats.contains("snapshots=1"), "{stats}");
     assert!(stats.contains("deltas=2"), "{stats}");
