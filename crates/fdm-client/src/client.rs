@@ -156,15 +156,24 @@ impl Client {
 
     /// Writes one raw line (newline appended) and flushes.
     pub fn send_line(&mut self, line: &str) -> Result<()> {
+        self.write_buf.clear();
+        self.write_buf.push_str(line);
+        self.write_line()
+    }
+
+    /// Appends the newline to the line in `write_buf` and sends both in
+    /// one write: with Nagle off, a separate newline write would be a
+    /// second segment, and the peer would wake on a partial line.
+    fn write_line(&mut self) -> Result<()> {
+        self.write_buf.push('\n');
+        let line = self.write_buf.as_bytes();
         match &mut self.transport {
             Transport::Tcp { writer, .. } => {
-                writer.write_all(line.as_bytes())?;
-                writer.write_all(b"\n")?;
+                writer.write_all(line)?;
                 writer.flush()?;
             }
             Transport::Unix { writer, .. } => {
-                writer.write_all(line.as_bytes())?;
-                writer.write_all(b"\n")?;
+                writer.write_all(line)?;
                 writer.flush()?;
             }
         }
@@ -227,17 +236,7 @@ impl Client {
     /// The one send path: writes the request line already rendered into
     /// `write_buf` (newline appended), then reads and parses the reply.
     fn send_write_buf(&mut self) -> Result<Payload> {
-        self.write_buf.push('\n');
-        match &mut self.transport {
-            Transport::Tcp { writer, .. } => {
-                writer.write_all(self.write_buf.as_bytes())?;
-                writer.flush()?;
-            }
-            Transport::Unix { writer, .. } => {
-                writer.write_all(self.write_buf.as_bytes())?;
-                writer.flush()?;
-            }
-        }
+        self.write_line()?;
         self.fill_reply_line()?;
         match Response::parse(&self.line_buf).map_err(ClientError::Protocol)? {
             Response::Ok(Payload::Merge {

@@ -596,32 +596,40 @@ pub enum Payload {
 }
 
 impl Payload {
-    fn render(&self) -> String {
-        match self {
-            Payload::Opened { name } => format!("opened {name}"),
+    /// Appends the text after `OK ` to `out`.
+    fn render_into(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = match self {
+            Payload::Opened { name } => write!(out, "opened {name}"),
             Payload::Attached { name, processed } => {
-                format!("attached {name} processed={processed}")
+                write!(out, "attached {name} processed={processed}")
             }
-            Payload::Inserted { seq } => format!("inserted processed={seq}"),
+            Payload::Inserted { seq } => write!(out, "inserted processed={seq}"),
             Payload::InsertedBatch { seq, count } => {
-                format!("inserted processed={seq} count={count}")
+                write!(out, "inserted processed={seq} count={count}")
             }
             Payload::Query(q) => {
-                let ids: Vec<String> = q.ids.iter().map(|id| id.to_string()).collect();
-                format!("k={} diversity={} ids={}", q.k, q.diversity, ids.join(","))
+                let _ = write!(out, "k={} diversity={} ids=", q.k, q.diversity);
+                for (i, id) in q.ids.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    let _ = write!(out, "{id}");
+                }
+                Ok(())
             }
             Payload::SnapshotWritten { path, processed } => {
-                format!("snapshot {path} processed={processed}")
+                write!(out, "snapshot {path} processed={processed}")
             }
             Payload::Restored { name, processed } => {
-                format!("restored {name} processed={processed}")
+                write!(out, "restored {name} processed={processed}")
             }
-            Payload::Stats(line) => line.clone(),
             Payload::Merge {
                 algorithm,
                 processed,
                 bytes,
-            } => format!(
+            } => write!(
+                out,
                 "merge algorithm={algorithm} processed={processed} bytes={}",
                 bytes.len()
             ),
@@ -632,18 +640,19 @@ impl Payload {
                 epoch,
                 crc,
                 bytes,
-            } => format!(
+            } => write!(
+                out,
                 "merge algorithm={algorithm} processed={processed} kind={} \
                  epoch={epoch} crc={crc:08x} bytes={}",
                 if *delta { "delta" } else { "full" },
                 bytes.len()
             ),
-            Payload::Authenticated => "authenticated".to_string(),
-            Payload::AuthNotRequired => "auth not required".to_string(),
-            Payload::Pong => "pong".to_string(),
-            Payload::Bye => "bye".to_string(),
-            Payload::Other(text) => text.clone(),
-        }
+            Payload::Authenticated => write!(out, "authenticated"),
+            Payload::AuthNotRequired => write!(out, "auth not required"),
+            Payload::Pong => write!(out, "pong"),
+            Payload::Bye => write!(out, "bye"),
+            Payload::Stats(text) | Payload::Other(text) => write!(out, "{text}"),
+        };
     }
 
     /// Parses the text after `OK `. Unrecognized payloads land in
@@ -849,12 +858,27 @@ pub enum Response {
 
 impl Response {
     /// Renders the reply line (no trailing newline). For
-    /// [`Payload::Merge`] this is the header line only; the binary tail is
-    /// written separately by the session.
+    /// [`Payload::Merge`] this is the header line only; the session
+    /// appends the binary tail.
     pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out);
+        out
+    }
+
+    /// Appends the reply line to `out` (no trailing newline) — the
+    /// allocation-free form of [`Response::render`], used by the session
+    /// to build each reply in one reused buffer.
+    pub fn render_into(&self, out: &mut String) {
+        use std::fmt::Write as _;
         match self {
-            Response::Ok(payload) => format!("OK {}", payload.render()),
-            Response::Err(err) => format!("ERR {err}"),
+            Response::Ok(payload) => {
+                out.push_str("OK ");
+                payload.render_into(out);
+            }
+            Response::Err(err) => {
+                let _ = write!(out, "ERR {err}");
+            }
         }
     }
 

@@ -40,7 +40,10 @@
 //! * every accepted `INSERT` is appended to `<data_dir>/<name>.wal`
 //!   *before* it is applied (write-ahead), one sequence-numbered protocol
 //!   line per element, each carrying a CRC32 of its own body (so a torn
-//!   append can never replay as silently-wrong state);
+//!   append can never replay as silently-wrong state). A failed append is
+//!   cut back to the WAL's committed length (tracked in memory, so the
+//!   insert path never `fstat`s the log) and answers `ERR`; the next
+//!   record never shares a line with a torn one;
 //! * every [`ServeConfig::snapshot_every`] inserts the summary is
 //!   checkpointed (atomically — temp file + rename) and the WAL
 //!   truncated. The checkpoint is an **incremental delta**
@@ -61,8 +64,8 @@
 //!   sliding-window rotation), and always with `full_every = 0`;
 //! * a failed auto-checkpoint never fails the insert that triggered it:
 //!   that insert is already logged and applied, so it is acknowledged,
-//!   the error goes to stderr, and the next insert retries the
-//!   checkpoint as a full anchor;
+//!   the error goes to stderr and the `checkpoint_failures` counter, and
+//!   the next insert retries the checkpoint as a full anchor;
 //! * [`Engine::new`] recovers by restoring each `.snap`, chaining every
 //!   `<name>.delta.*` found on disk in index order (each link's base
 //!   checksum is verified; a stale link left by a crash between a full
@@ -219,6 +222,14 @@ impl TokenBucket {
 struct DurableState {
     /// Open append handle to the WAL (present iff `data_dir` is set).
     wal: Option<File>,
+    /// Committed byte length of the WAL: every record up to here was
+    /// appended whole. A failed append or a rolled-back apply cuts the
+    /// file back to it.
+    wal_len: u64,
+    /// A failed append left bytes past `wal_len` and cutting them off
+    /// failed too: every insert retries the cut first, and is refused
+    /// until it succeeds.
+    wal_torn: bool,
     /// Digest tree of the last committed checkpoint (present iff
     /// `data_dir` is set and that checkpoint succeeded): the
     /// [`CaptureMark`] dirty-set deltas are lowered against. It retains
@@ -243,6 +254,8 @@ impl DurableState {
     fn new() -> DurableState {
         DurableState {
             wal: None,
+            wal_len: 0,
+            wal_torn: false,
             mark: None,
             cursor: None,
             next_delta_index: 1,
@@ -251,6 +264,50 @@ impl DurableState {
             counters: PersistCounters::default(),
         }
     }
+
+    /// Appends `records` to the WAL in one write and advances `wal_len`.
+    /// On failure the partial bytes are cut off again (see
+    /// [`DurableState::rollback_wal`]), so the next record never lands
+    /// on the same line as a torn one.
+    fn append_wal(&mut self, records: &[u8]) -> std::io::Result<()> {
+        let Some(wal) = self.wal.as_mut() else {
+            return Ok(());
+        };
+        if let Err(e) = wal.write_all(records).and_then(|()| wal.flush()) {
+            return Err(match self.rollback_wal() {
+                Ok(()) => e,
+                Err(cut) => std::io::Error::new(e.kind(), format!("{e}; rollback failed: {cut}")),
+            });
+        }
+        self.wal_len += records.len() as u64;
+        check_wal_len(wal, self.wal_len);
+        Ok(())
+    }
+
+    /// Cuts the WAL back to `wal_len`. A failed cut sets `wal_torn`, and
+    /// the next insert retries it before appending.
+    fn rollback_wal(&mut self) -> std::io::Result<()> {
+        let Some(wal) = self.wal.as_ref() else {
+            return Ok(());
+        };
+        let cut = wal.set_len(self.wal_len);
+        self.wal_torn = cut.is_err();
+        if cut.is_ok() {
+            check_wal_len(wal, self.wal_len);
+        }
+        cut
+    }
+}
+
+/// Debug builds verify the WAL length bookkeeping against the file after
+/// every append and rollback; release builds never `fstat` the WAL on the
+/// insert path (`debug_assert_eq!` does not evaluate its arguments there).
+fn check_wal_len(wal: &File, wal_len: u64) {
+    debug_assert_eq!(
+        wal.metadata().map(|m| m.len()).ok(),
+        Some(wal_len),
+        "WAL length bookkeeping drifted"
+    );
 }
 
 /// Wire-export anchor for the incremental `MERGE since=` path: the
@@ -818,9 +875,16 @@ impl Engine {
     /// Truncates the WAL to just its header and reopens the append
     /// handle — the step every committed checkpoint ends with.
     fn truncate_wal(wal_path: &Path, durable: &mut DurableState) -> Result<()> {
-        std::fs::write(wal_path, format!("{WAL_HEADER}\n")).map_err(|e| FdmError::SnapshotIo {
-            detail: format!("truncate WAL {}: {e}", wal_path.display()),
-        })?;
+        let header = format!("{WAL_HEADER}\n");
+        if let Err(e) = std::fs::write(wal_path, &header) {
+            // The write may have truncated the file before it failed.
+            durable.wal_len = std::fs::metadata(wal_path).map_or(0, |m| m.len());
+            return Err(FdmError::SnapshotIo {
+                detail: format!("truncate WAL {}: {e}", wal_path.display()),
+            });
+        }
+        durable.wal_len = header.len() as u64;
+        durable.wal_torn = false;
         durable.wal = Some(Self::open_wal(wal_path)?);
         Ok(())
     }
@@ -1054,7 +1118,9 @@ impl Engine {
             let entry = StreamEntry::new(stream, self.config.rate_limit);
             {
                 let mut durable = lock(&entry.durable);
-                durable.wal = Some(Self::open_wal(&wal_path)?);
+                let wal = Self::open_wal(&wal_path)?;
+                durable.wal_len = wal.metadata().map_or(0, |m| m.len());
+                durable.wal = Some(wal);
                 durable.counters.wal_records = replayed;
                 self.anchor(&name, &entry, &mut durable)?;
             }
@@ -1238,9 +1304,16 @@ impl Engine {
         };
         let count = elements.len() as u64;
         crash_point("before-batch-wal-append");
-        let mut wal_len_before = 0u64;
-        if let Some(wal) = durable.wal.as_mut() {
-            wal_len_before = wal.metadata().map(|m| m.len()).unwrap_or(0);
+        let committed = durable.wal_len;
+        if durable.wal.is_some() {
+            if durable.wal_torn {
+                durable.rollback_wal().map_err(|e| {
+                    generic(format!(
+                        "WAL for {name} still holds a failed append that could not be \
+                         rolled back (retried on the next insert): {e}"
+                    ))
+                })?;
+            }
             // All records in one pre-formatted buffer, one write syscall:
             // the torn-write window is a single partial write, and
             // recovery's per-record CRCs make any truncation point
@@ -1252,8 +1325,8 @@ impl Engine {
                 .enumerate()
                 .map(|(i, entry)| wal_record(&format!("{} INSERT {entry}", base_seq + i as u64)))
                 .collect();
-            wal.write_all(records.as_bytes())
-                .and_then(|()| wal.flush())
+            durable
+                .append_wal(records.as_bytes())
                 .map_err(|e| generic(format!("append WAL for {name}: {e}")))?;
             durable.counters.wal_records += count;
         }
@@ -1269,8 +1342,9 @@ impl Engine {
             // the in-memory state — otherwise the next insert would reuse
             // these sequence numbers and replay after a crash would apply
             // the wrong records.
-            if let Some(wal) = durable.wal.as_mut() {
-                let _ = wal.set_len(wal_len_before);
+            if durable.wal.is_some() {
+                durable.wal_len = committed;
+                let _ = durable.rollback_wal();
                 durable.counters.wal_records = durable.counters.wal_records.saturating_sub(count);
             }
             self.metrics.panic_contained();
@@ -1287,6 +1361,7 @@ impl Engine {
                 // that applies it twice. `inserts_since_snapshot` stays
                 // over the bound, so the next insert retries.
                 if let Err(e) = self.checkpoint(name, &entry, &mut durable) {
+                    durable.counters.checkpoint_failures += 1;
                     eprintln!(
                         "fdm-serve: auto-checkpoint of `{name}` failed (retried on the next insert): {e}"
                     );

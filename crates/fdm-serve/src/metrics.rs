@@ -156,6 +156,9 @@ pub(crate) struct PersistCounters {
     pub(crate) dirty_bytes: u64,
     /// Delta chains collapsed into a full snapshot at `--full-every`.
     pub(crate) compactions: u64,
+    /// Auto-checkpoints that failed (each retry counts again); the insert
+    /// that triggered one is still acknowledged.
+    pub(crate) checkpoint_failures: u64,
     /// Encoded size of the most recent checkpoint/export, in bytes.
     pub(crate) last_snapshot_bytes: u64,
     /// Kind of the most recent checkpoint/export: `bin` (full) or
@@ -326,6 +329,8 @@ const STREAM_FAMILIES: &[Row<StreamSample>] = &[
         "", "dirty_bytes", Value(|s| Some(s.node.as_ref()?.persist.dirty_bytes))),
     Row("fdm_compactions_total", COUNTER, "Delta chains collapsed into a full snapshot at --full-every, per stream.",
         "", "compactions", Value(|s| Some(s.node.as_ref()?.persist.compactions))),
+    Row("fdm_checkpoint_failures_total", COUNTER, "Auto-checkpoints that failed per stream (each retry counts); the triggering insert is still acknowledged.",
+        "", "checkpoint_failures", Value(|s| Some(s.node.as_ref()?.persist.checkpoint_failures))),
     Row("fdm_last_snapshot_bytes", GAUGE, "Encoded size of each stream's most recent checkpoint/export.",
         "", "last_snapshot_bytes", Value(|s| Some(s.node.as_ref()?.persist.last_snapshot_bytes))),
 ];

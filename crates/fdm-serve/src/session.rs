@@ -5,12 +5,13 @@
 //! loop serves stdin/stdout, each Unix-socket connection, the WAL-driven
 //! tests, and the scripted CI session.
 //!
-//! Every reply line is produced by [`Response::render`] — the session
-//! never formats an `OK `/`ERR ` string itself (CI greps for strays), so
-//! the wire grammar has exactly one implementation on each side. The
-//! [`Payload::Merge`]/[`Payload::MergeSince`] replies are the two-part
-//! frames: their header line is rendered like any other, then the raw
-//! binary snapshot (or delta) bytes follow.
+//! Every reply line is produced by [`Response::render_into`] — the
+//! session never formats an `OK `/`ERR ` string itself (CI greps for
+//! strays), so the wire grammar has exactly one implementation on each
+//! side. The [`Payload::Merge`]/[`Payload::MergeSince`] replies are the
+//! two-part frames: their header line is rendered like any other, then the
+//! raw binary snapshot (or delta) bytes follow. Each reply, tail included,
+//! reaches the writer as one `write_all` followed by one `flush`.
 //!
 //! The loop is also the process's **panic boundary**: every command runs
 //! under `catch_unwind`, so a panic anywhere below (algorithm code, a
@@ -176,17 +177,28 @@ impl Session {
         mut writer: impl Write,
         max_line: usize,
     ) -> std::io::Result<()> {
-        // The sanctioned reply path: one rendered line, flushed — plus,
-        // for a MERGE header, the announced raw byte tail.
-        fn reply(writer: &mut impl Write, response: &Response) -> std::io::Result<()> {
-            writeln!(writer, "{}", response.render())?;
-            if let Response::Ok(Payload::Merge { bytes, .. } | Payload::MergeSince { bytes, .. }) =
-                response
-            {
-                writer.write_all(bytes)?;
+        // The sanctioned reply path: the rendered line, its newline and,
+        // for a MERGE header, the announced raw byte tail, handed to the
+        // writer in one `write_all`. On an unbuffered socket with Nagle off
+        // every write is a segment, so a split reply would wake the client
+        // on a partial line. `out` is reused across requests.
+        fn reply(
+            writer: &mut impl Write,
+            out: &mut String,
+            response: &Response,
+        ) -> std::io::Result<()> {
+            out.clear();
+            response.render_into(out);
+            out.push('\n');
+            match response {
+                Response::Ok(Payload::Merge { bytes, .. } | Payload::MergeSince { bytes, .. }) => {
+                    writer.write_all(&[out.as_bytes(), bytes].concat())?
+                }
+                _ => writer.write_all(out.as_bytes())?,
             }
             writer.flush()
         }
+        let mut out = String::new();
         let mut buf: Vec<u8> = Vec::new();
         loop {
             buf.clear();
@@ -202,6 +214,7 @@ impl Session {
             } else if buf.len() > max_line {
                 reply(
                     &mut writer,
+                    &mut out,
                     &Response::Err(ErrorReply::generic(format!(
                         "line exceeds {max_line} bytes; discarding the rest of it"
                     ))),
@@ -228,6 +241,7 @@ impl Session {
                 Err(_) => {
                     reply(
                         &mut writer,
+                        &mut out,
                         &Response::Err(ErrorReply::generic("line is not valid UTF-8")),
                     )?;
                     continue;
@@ -259,15 +273,151 @@ impl Session {
                             )))
                         }
                     };
-                    reply(&mut writer, &response)?;
+                    reply(&mut writer, &mut out, &response)?;
                     if quit {
                         return Ok(());
                     }
                 }
                 Err(message) => {
-                    reply(&mut writer, &Response::Err(ErrorReply::generic(message)))?;
+                    reply(
+                        &mut writer,
+                        &mut out,
+                        &Response::Err(ErrorReply::generic(message)),
+                    )?;
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::Cursor;
+
+    use super::*;
+    use crate::engine::ServeConfig;
+
+    /// A writer that keeps each `write` call it receives as one frame.
+    #[derive(Default)]
+    struct Frames(Vec<Vec<u8>>);
+
+    impl Write for Frames {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// What a session answers to one input line, as separate writes of
+    /// the rendered line, its newline and any MERGE tail would send it.
+    fn expected_reply(session: &mut Session, line: &[u8], max_line: usize) -> Vec<u8> {
+        let response = if line.len() > max_line {
+            Response::Err(ErrorReply::generic(format!(
+                "line exceeds {max_line} bytes; discarding the rest of it"
+            )))
+        } else {
+            match std::str::from_utf8(line) {
+                Err(_) => Response::Err(ErrorReply::generic("line is not valid UTF-8")),
+                Ok(text) => match parse_line(text) {
+                    Ok(Some(request)) => match session.execute(request, text) {
+                        Ok(payload) => Response::Ok(payload),
+                        Err(err) => Response::Err(err),
+                    },
+                    Ok(None) => unreachable!("the script has no blank lines"),
+                    Err(message) => Response::Err(ErrorReply::generic(message)),
+                },
+            }
+        };
+        let mut bytes = response.render().into_bytes();
+        bytes.push(b'\n');
+        if let Response::Ok(
+            Payload::Merge { bytes: tail, .. } | Payload::MergeSince { bytes: tail, .. },
+        ) = &response
+        {
+            bytes.extend_from_slice(tail);
+        }
+        bytes
+    }
+
+    /// Every reply — OK, ERR, parse error, oversized line, non-UTF-8 line,
+    /// and both MERGE frames with their binary tails — leaves the session
+    /// as exactly one `write`, and its bytes are unchanged: the rendered
+    /// line, a newline, then the tail.
+    #[test]
+    fn each_reply_is_one_write_of_unchanged_bytes() {
+        const MAX_LINE: usize = 128;
+        let mut lines: Vec<Vec<u8>> = [
+            "PING",
+            "OPEN jobs sfdm2 quotas=1,1 eps=0.1 dmin=0.05 dmax=30",
+            "INSERT 0 0 1.5 -2",
+            "INSERTB 1 1 3 4 | 2 0 0.25 1 | 3 1 -4 0.5",
+            "INSERT 4 0 zebra",
+            "QUERY",
+            "MERGE",
+            "MERGE since=0:00000000",
+        ]
+        .iter()
+        .map(|line| line.as_bytes().to_vec())
+        .collect();
+        lines.push(vec![b'x'; MAX_LINE + 10]);
+        lines.push(b"INSERT 5 0 \xff 1".to_vec());
+        lines.push(b"QUIT".to_vec());
+        let input: Vec<u8> = lines
+            .iter()
+            .flat_map(|l| l.iter().chain(b"\n"))
+            .copied()
+            .collect();
+
+        let mut frames = Frames::default();
+        let engine = Arc::new(Engine::new(ServeConfig::default()).unwrap());
+        Session::new(engine)
+            .run_bounded(Cursor::new(input), &mut frames, MAX_LINE)
+            .unwrap();
+
+        let mut twin = Session::new(Arc::new(Engine::new(ServeConfig::default()).unwrap()));
+        let expected: Vec<Vec<u8>> = lines
+            .iter()
+            .map(|line| expected_reply(&mut twin, line, MAX_LINE))
+            .collect();
+        assert_eq!(
+            frames.0.len(),
+            lines.len(),
+            "one write per reply: {:?}",
+            frames
+                .0
+                .iter()
+                .map(|f| String::from_utf8_lossy(f))
+                .collect::<Vec<_>>()
+        );
+        for ((line, frame), want) in lines.iter().zip(&frames.0).zip(&expected) {
+            assert_eq!(frame, want, "reply to `{}`", String::from_utf8_lossy(line));
+        }
+        // The script reaches every reply shape it names.
+        let heads: Vec<String> = frames
+            .0
+            .iter()
+            .map(|f| {
+                String::from_utf8_lossy(f)
+                    .lines()
+                    .next()
+                    .unwrap()
+                    .to_string()
+            })
+            .collect();
+        assert!(heads[2].starts_with("OK inserted processed=1"), "{heads:?}");
+        assert!(
+            heads[3].starts_with("OK inserted processed=4 count=3"),
+            "{heads:?}"
+        );
+        assert!(heads[4].starts_with("ERR "), "{heads:?}");
+        assert!(heads[5].starts_with("OK k="), "{heads:?}");
+        assert!(heads[6].starts_with("OK merge") && frames.0[6].len() > heads[6].len() + 1);
+        assert!(heads[7].contains("kind=full") && frames.0[7].len() > heads[7].len() + 1);
+        assert!(heads[8].contains("line exceeds"), "{heads:?}");
+        assert!(heads[9].contains("not valid UTF-8"), "{heads:?}");
     }
 }

@@ -321,35 +321,61 @@ fn chain_collapses_inline_on_a_fixed_schedule() {
 /// that insert is already in the WAL and applied, so an `ERR` would make
 /// a retrying client apply it twice. A directory planted where the first
 /// delta goes makes the insert-4 checkpoint fail; the insert is still
-/// acknowledged, the next insert retries the checkpoint as a full anchor,
-/// and recovery lands exactly on the acknowledged inserts.
+/// acknowledged. A second directory planted over `jobs.snap` then makes
+/// the full-anchor retries of inserts 5 and 6 fail too. Each failed
+/// attempt counts in `checkpoint_failures`; once the directories are gone
+/// the insert-7 retry anchors, the counter stays flat, and recovery lands
+/// exactly on the acknowledged inserts.
 #[test]
 fn failed_auto_checkpoint_still_acknowledges_the_insert() {
     let dir = scratch("failed_checkpoint");
     let engine = durable_engine(&dir, 4, 2);
     assert_eq!(run_script(&engine, OPEN), ["OK opened jobs"]);
+    let failures = |stats: &str, n: u64| {
+        let field = format!("checkpoint_failures={n}");
+        assert!(
+            stats.split_whitespace().any(|f| f == field),
+            "expected {field} in {stats}"
+        );
+    };
     let blocker = dir.join("jobs.delta.1");
     std::fs::create_dir(&blocker).unwrap();
     let lines = insert_lines(8);
-    let replies = run_script(&engine, &format!("{OPEN}\n{}", lines[..4].join("\n")));
+    let replies = run_script(
+        &engine,
+        &format!("{OPEN}\n{}\nSTATS", lines[..4].join("\n")),
+    );
     assert_eq!(replies[4], "OK inserted processed=4", "{replies:?}");
+    failures(&replies[5], 1);
     assert!(
         !files_in(&dir).iter().any(|f| f.contains(".tmp.")),
         "the failed write must remove its temp file: {:?}",
         files_in(&dir)
     );
 
+    let snap = dir.join("jobs.snap");
+    std::fs::remove_file(&snap).unwrap();
+    std::fs::create_dir(&snap).unwrap();
+    let replies = run_script(
+        &engine,
+        &format!("{OPEN}\n{}\nSTATS", lines[4..6].join("\n")),
+    );
+    assert_eq!(replies[2], "OK inserted processed=6", "{replies:?}");
+    failures(&replies[3], 3);
+
+    std::fs::remove_dir(&snap).unwrap();
     std::fs::remove_dir(&blocker).unwrap();
     let mut script = vec![OPEN.to_string()];
-    script.extend(lines[4..].iter().cloned());
+    script.extend(lines[6..].iter().cloned());
     script.push("STATS".into());
     let replies = run_script(&engine, &script.join("\n"));
-    assert_eq!(replies[4], "OK inserted processed=8", "{replies:?}");
-    let stats = &replies[5];
+    assert_eq!(replies[2], "OK inserted processed=8", "{replies:?}");
+    let stats = &replies[3];
     assert!(
         stats.contains("snapshots=2") && stats.contains("deltas=0"),
-        "the insert-5 retry must anchor: {stats}"
+        "the insert-7 retry must anchor: {stats}"
     );
+    failures(stats, 3);
     drop(engine);
 
     let engine = durable_engine(&dir, 4, 2);

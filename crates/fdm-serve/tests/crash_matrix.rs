@@ -8,6 +8,9 @@
 //! Covered kill windows:
 //!
 //! * during the WAL append → apply gap of one `INSERT`;
+//! * after a WAL append that failed part-way (the live process's
+//!   file-size limit lowered with `prlimit`): the partial bytes are rolled
+//!   back, so later acknowledged inserts still recover;
 //! * mid-delta write (torn temp file, no rename);
 //! * between a delta rename and the WAL truncation (overlap records);
 //! * between the chunked-capture sections of a full anchor;
@@ -350,6 +353,81 @@ fn corrupt_mid_wal_record_still_refuses_recovery() {
     );
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("recovery failed"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sets the soft file-size limit (`RLIMIT_FSIZE`) of a live process.
+fn set_fsize_limit(pid: u32, soft: &str) {
+    let status = Command::new("prlimit")
+        .args(["--pid", &pid.to_string(), &format!("--fsize={soft}:")])
+        .status()
+        .expect("prlimit (util-linux) is required by this cell");
+    assert!(status.success(), "prlimit --fsize={soft}: failed");
+}
+
+/// A WAL append that fails part-way must not leave its partial bytes in
+/// front of the next record. The file-size limit of the live process is
+/// lowered to 10 bytes past the committed WAL, so the next record is torn
+/// (`EFBIG`; the shell wrapper ignores `SIGXFSZ` for the binary it
+/// execs). The insert answers `ERR append WAL …`, the WAL is back at its
+/// committed length, and the stream keeps serving. Once the limit is
+/// lifted the retried insert and two more are acknowledged, and after a
+/// SIGKILL recovery lands exactly on the acknowledged inserts.
+#[test]
+fn failed_wal_append_rolls_back_and_recovery_keeps_every_ack() {
+    use std::io::{BufRead, BufReader};
+    let dir = scratch("wal_append_rollback");
+    let mut child = Command::new("sh")
+        .args([
+            "-c",
+            "trap '' XFSZ; exec \"$0\" --data-dir \"$1\"",
+            env!("CARGO_BIN_EXE_fdm-serve"),
+            dir.to_str().unwrap(),
+        ])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn fdm-serve");
+    let mut stdin = child.stdin.take().unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut say = |line: &str| -> String {
+        writeln!(stdin, "{line}").unwrap();
+        let mut reply = String::new();
+        stdout.read_line(&mut reply).unwrap();
+        reply.trim_end().to_string()
+    };
+    assert_eq!(say(OPEN), "OK opened jobs");
+    let lines = insert_lines(8);
+    for (i, line) in lines[..5].iter().enumerate() {
+        assert_eq!(say(line), format!("OK inserted processed={}", i + 1));
+    }
+    let wal = dir.join("jobs.wal");
+    let committed = std::fs::metadata(&wal).unwrap().len();
+    set_fsize_limit(child.id(), &(committed + 10).to_string());
+    for _ in 0..2 {
+        let reply = say(&lines[5]);
+        assert!(reply.starts_with("ERR append WAL for jobs"), "{reply}");
+        assert_eq!(
+            std::fs::metadata(&wal).unwrap().len(),
+            committed,
+            "the torn append must be cut off"
+        );
+    }
+    assert_eq!(say("PING"), "OK pong");
+    set_fsize_limit(child.id(), "unlimited");
+    for (i, line) in lines[5..].iter().enumerate() {
+        assert_eq!(say(line), format!("OK inserted processed={}", i + 6));
+    }
+    child.kill().unwrap();
+    child.wait().unwrap();
+
+    let (processed, query) = recover(&dir);
+    assert_eq!(
+        processed, 8,
+        "recovery must land on the 8 acknowledged inserts"
+    );
+    assert_eq!(query, reference_query(8));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

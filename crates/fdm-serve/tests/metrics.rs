@@ -307,6 +307,11 @@ fn stats_counters_equal_their_exposition_samples() {
         ..ServeConfig::default()
     })
     .unwrap();
+    // A directory where alpha's first delta goes fails every delta
+    // checkpoint of alpha (each retry anchors, and the next delta is
+    // `alpha.delta.1` again), so `checkpoint_failures` moves on one
+    // stream only.
+    std::fs::create_dir_all(dir.join("alpha.delta.1")).unwrap();
     let names: Vec<String> = OPENS
         .iter()
         .map(|open| open_and_insert(&engine, open, 60))
@@ -319,10 +324,12 @@ fn stats_counters_equal_their_exposition_samples() {
         "dirty_bytes",
         "wal_records",
         "compactions",
+        "checkpoint_failures",
     ] {
         let total: u64 = lines.iter().map(|l| l[key].parse::<u64>().unwrap()).sum();
         assert!(total > 0, "{key} stayed 0: {lines:?}");
     }
+    assert_eq!(lines[1]["checkpoint_failures"], "0", "{lines:?}");
     for (name, line) in names.iter().zip(&lines) {
         for (key, series) in [
             (
@@ -349,6 +356,10 @@ fn stats_counters_equal_their_exposition_samples() {
             (
                 "compactions",
                 format!("fdm_compactions_total{{stream=\"{name}\"}}"),
+            ),
+            (
+                "checkpoint_failures",
+                format!("fdm_checkpoint_failures_total{{stream=\"{name}\"}}"),
             ),
             (
                 "last_snapshot_bytes",
