@@ -10,12 +10,10 @@
 //! 2. **Batched INSERTB** — the pipelined fan-out: per flush round the
 //!    coordinator splits a batch into per-worker sub-sequences and lands
 //!    them concurrently, one round-trip per *worker* per round.
-//! 3. **MERGE refresh** — the first QUERY anchors every worker cache with
-//!    a full snapshot frame; after a 10% insert burst the next QUERY
-//!    rides incremental `FDMDELT2` deltas; a repeat QUERY with no
-//!    intervening insert is a merged-solution cache hit. Transfer volume
-//!    per kind is read off the coordinator's own
-//!    `fdm_merge_bytes_total{kind=...}` counters.
+//! 3. **MERGE fan-in** — the first QUERY pulls one full snapshot frame
+//!    per worker (transfer volume read off the coordinator's own
+//!    `fdm_merge_bytes_total{kind="full"}` counter); a repeat QUERY with
+//!    no intervening insert is a merged-solution cache hit.
 //!
 //! Run: `cargo run --release -p fdm-bench --bin distributed -- \
 //!           --workers 2 --batch 256 --out BENCH_distributed.json`
@@ -65,13 +63,10 @@ fn coordinator(k: usize) -> Arc<Engine> {
 }
 
 /// The synthetic two-group workload plus the OPEN spec tail that admits
-/// it. One generator run yields `n` warm-up arrivals and a 10% tail used
-/// as the post-anchor burst — the burst is more of the *same* traffic,
-/// not a fresh draw with relocated blob centers (which would model a
-/// distribution shift and re-admit a new summary's worth of points).
-fn workload(n: usize) -> (Vec<Element>, Vec<Element>, String) {
+/// it.
+fn workload(n: usize) -> (Vec<Element>, String) {
     let data = synthetic_blobs(SyntheticConfig {
-        n: n + n / 10,
+        n,
         m: 2,
         blobs: 10,
         seed: 1,
@@ -85,9 +80,7 @@ fn workload(n: usize) -> (Vec<Element>, Vec<Element>, String) {
         "sfdm2 quotas=8,8 eps=0.1 dmin={} dmax={}",
         bounds.lower, bounds.upper
     );
-    let mut all: Vec<Element> = data.iter().collect();
-    let burst = all.split_off(n);
-    (all, burst, spec)
+    (data.iter().collect(), spec)
 }
 
 fn open(engine: &Engine, name: &str, spec_tail: &str) -> StreamSpec {
@@ -165,7 +158,7 @@ fn main() {
     }
 
     let n = stream_len();
-    let (elements, burst, spec_tail) = workload(n);
+    let (elements, spec_tail) = workload(n);
     let engine = coordinator(workers);
     let mut results = Vec::new();
 
@@ -221,8 +214,8 @@ fn main() {
         ("speedup_vs_per_element", serde_json::json!(speedup)),
     ]));
 
-    // Phase 3: MERGE refresh — full anchor, then a 10% burst and the
-    // incremental delta, then a pure cache hit.
+    // Phase 3: MERGE fan-in — one full frame per worker, then a pure
+    // cache hit.
     let start = Instant::now();
     engine.query("batched", None).expect("cold QUERY");
     let full_query = start.elapsed();
@@ -237,46 +230,6 @@ fn main() {
         ("elements", serde_json::json!(n as f64)),
         ("query_ns", serde_json::json!(full_query.as_nanos() as f64)),
         ("bytes", serde_json::json!(full_bytes)),
-    ]));
-
-    for chunk in burst.chunks(batch) {
-        engine
-            .insert_batch("batched", chunk)
-            .expect("burst INSERTB");
-    }
-    let start = Instant::now();
-    engine.query("batched", None).expect("delta QUERY");
-    let delta_query = start.elapsed();
-    let metrics = engine.render_metrics();
-    let delta_bytes = counter(&metrics, "fdm_merge_bytes_total{kind=\"delta\"}");
-    let full_after = counter(&metrics, "fdm_merge_bytes_total{kind=\"full\"}");
-    if full_after > full_bytes {
-        eprintln!(
-            "distributed: warning — the burst QUERY re-anchored \
-             {} extra full bytes instead of riding deltas",
-            full_after - full_bytes
-        );
-    }
-    let bytes_ratio = if full_bytes > 0.0 {
-        delta_bytes / full_bytes
-    } else {
-        f64::NAN
-    };
-    eprintln!(
-        "distributed: delta merge {delta_bytes:.0} B vs full {full_bytes:.0} B \
-         ({:.1}% of full) after a 10% burst",
-        bytes_ratio * 100.0
-    );
-    results.push(result_object(&[
-        (
-            "id",
-            serde_json::json!(format!("distributed/k{workers}/merge/delta")),
-        ),
-        ("workers", serde_json::json!(workers as f64)),
-        ("burst_elements", serde_json::json!(burst.len() as f64)),
-        ("query_ns", serde_json::json!(delta_query.as_nanos() as f64)),
-        ("bytes", serde_json::json!(delta_bytes)),
-        ("bytes_ratio_vs_full", serde_json::json!(bytes_ratio)),
     ]));
 
     let start = Instant::now();

@@ -253,24 +253,6 @@ impl Client {
                     bytes,
                 })
             }
-            Response::Ok(Payload::MergeSince {
-                algorithm,
-                processed,
-                delta,
-                epoch,
-                crc,
-                mut bytes,
-            }) => {
-                self.read_exact(&mut bytes)?;
-                Ok(Payload::MergeSince {
-                    algorithm,
-                    processed,
-                    delta,
-                    epoch,
-                    crc,
-                    bytes,
-                })
-            }
             Response::Ok(payload) => Ok(payload),
             Response::Err(err) => Err(ClientError::Server(err)),
         }
@@ -363,37 +345,12 @@ impl Client {
     /// `MERGE` — pulls the bound stream's summary as a v2 binary snapshot
     /// frame: `(algorithm, processed, frame bytes)`.
     pub fn merge(&mut self) -> Result<(String, usize, Vec<u8>)> {
-        self.expect(&Request::Merge { since: None }, |p| match p {
+        self.expect(&Request::Merge, |p| match p {
             Payload::Merge {
                 algorithm,
                 processed,
                 bytes,
             } => Ok((algorithm, processed, bytes)),
-            other => Err(other),
-        })
-    }
-
-    /// `MERGE since=<epoch>:<crc>` — pulls the bound stream's summary
-    /// incrementally: the server ships an `FDMDELT2` delta frame when the
-    /// named base still matches its export cursor, a fresh full frame
-    /// otherwise. The returned frame's `epoch`/`crc` anchor the next call.
-    pub fn merge_since(&mut self, since: (u64, u32)) -> Result<MergeFrame> {
-        self.expect(&Request::Merge { since: Some(since) }, |p| match p {
-            Payload::MergeSince {
-                algorithm,
-                processed,
-                delta,
-                epoch,
-                crc,
-                bytes,
-            } => Ok(MergeFrame {
-                algorithm,
-                processed,
-                delta,
-                epoch,
-                crc,
-                bytes,
-            }),
             other => Err(other),
         })
     }
@@ -451,26 +408,6 @@ impl Client {
 
 fn unexpected(payload: Payload) -> ClientError {
     ClientError::Protocol(format!("unexpected reply payload: {payload:?}"))
-}
-
-/// A typed `MERGE since=` reply: one exported frame plus the cache anchor
-/// for the next incremental round trip.
-#[derive(Debug, Clone)]
-pub struct MergeFrame {
-    /// Algorithm tag of the exported summary.
-    pub algorithm: String,
-    /// Arrivals captured by the exported summary.
-    pub processed: usize,
-    /// `true` — `bytes` is an `FDMDELT2` delta against the requested base;
-    /// `false` — a fresh full `FDMSNAP2` snapshot frame.
-    pub delta: bool,
-    /// Export-cursor epoch (bumped on every full re-anchor).
-    pub epoch: u64,
-    /// CRC32 of the exported state; pass `(epoch, crc)` as the next
-    /// `since`.
-    pub crc: u32,
-    /// The binary frame.
-    pub bytes: Vec<u8>,
 }
 
 /// Decodes a `MERGE` frame back into a live summary and finalizes it —

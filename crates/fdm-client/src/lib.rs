@@ -21,5 +21,5 @@
 pub mod client;
 pub mod protocol;
 
-pub use client::{Client, ClientError, MergeFrame};
+pub use client::{Client, ClientError};
 pub use protocol::{ErrorKind, ErrorReply, Payload, QueryReply, Request, Response, StreamSpec};

@@ -62,19 +62,10 @@ pub enum Request {
     },
     /// `STATS` — processed/stored counters of the bound stream.
     Stats,
-    /// `MERGE [since=<epoch>:<crc>]` — export the bound stream's summary
-    /// as an inline binary frame (header line + raw byte tail). The
-    /// coordinator's QUERY fan-out pulls worker summaries through this
-    /// verb. The plain form always ships a full v2 snapshot frame; the
-    /// `since=` form names the caller's cached base (the `epoch`/`crc`
-    /// pair from a previous `MERGE since=` reply) and lets the server
-    /// answer with an incremental `FDMDELT2` delta frame when the base
-    /// still matches its export cursor — or a fresh full frame otherwise.
-    Merge {
-        /// Cached-base identity from the previous `MERGE since=` reply;
-        /// `None` requests the version-1 full-frame reply shape.
-        since: Option<(u64, u32)>,
-    },
+    /// `MERGE` — export the bound stream's summary as an inline full v2
+    /// snapshot frame (header line + raw byte tail). The coordinator's
+    /// QUERY fan-out pulls worker summaries through this verb.
+    Merge,
     /// `AUTH <token>` — authenticate the session (required first when the
     /// server runs with `--auth-token`).
     Auth {
@@ -121,12 +112,7 @@ impl Request {
                 let _ = write!(out, "RESTORE {path}");
             }
             Request::Stats => out.push_str("STATS"),
-            Request::Merge { since: None } => out.push_str("MERGE"),
-            Request::Merge {
-                since: Some((epoch, crc)),
-            } => {
-                let _ = write!(out, "MERGE since={epoch}:{crc:08x}");
-            }
+            Request::Merge => out.push_str("MERGE"),
             Request::Auth { token } => {
                 let _ = write!(out, "AUTH {token}");
             }
@@ -451,26 +437,12 @@ pub fn parse_line(line: &str) -> std::result::Result<Option<Request>, String> {
             path: fields.get(1).ok_or("RESTORE requires a path")?.to_string(),
         },
         "STATS" => Request::Stats,
-        "MERGE" => match fields.len() {
-            1 => Request::Merge { since: None },
-            2 => {
-                let value = fields[1].strip_prefix("since=").ok_or_else(|| {
-                    format!("expected since=<epoch>:<crc>, found `{}`", fields[1])
-                })?;
-                let (epoch, crc) = value.split_once(':').ok_or_else(|| {
-                    format!("expected since=<epoch>:<crc>, found `{}`", fields[1])
-                })?;
-                let epoch: u64 = epoch
-                    .parse()
-                    .map_err(|_| format!("invalid since epoch `{epoch}`"))?;
-                let crc = u32::from_str_radix(crc, 16)
-                    .map_err(|_| format!("invalid since crc `{crc}`"))?;
-                Request::Merge {
-                    since: Some((epoch, crc)),
-                }
+        "MERGE" => {
+            if fields.len() > 1 {
+                return Err("MERGE takes no arguments".into());
             }
-            _ => return Err("MERGE takes at most since=<epoch>:<crc>".into()),
-        },
+            Request::Merge
+        }
         "AUTH" => {
             if fields.len() != 2 {
                 return Err("AUTH requires exactly one <token>".into());
@@ -561,27 +533,6 @@ pub enum Payload {
         /// The v2 binary snapshot frame.
         bytes: Vec<u8>,
     },
-    /// `merge algorithm=<tag> processed=<n> kind=<full|delta> epoch=<e>
-    /// crc=<hex> bytes=<len>` — the reply to `MERGE since=...`: like
-    /// [`Payload::Merge`] (the raw frame follows the header line), but the
-    /// frame is an incremental `FDMDELT2` delta against the caller's cached
-    /// base when `kind=delta`, and `epoch`/`crc` name the exported state so
-    /// the caller can anchor its cache for the next round trip.
-    MergeSince {
-        /// Algorithm tag of the exported summary.
-        algorithm: String,
-        /// Arrivals captured by the exported summary.
-        processed: usize,
-        /// `true` when the byte tail is a delta frame against the
-        /// requested base; `false` for a fresh full snapshot frame.
-        delta: bool,
-        /// Export-cursor epoch (bumped on every full re-anchor).
-        epoch: u64,
-        /// CRC32 of the exported state (the next request's `since=` crc).
-        crc: u32,
-        /// The binary frame (`FDMSNAP2` full or `FDMDELT2` delta).
-        bytes: Vec<u8>,
-    },
     /// `authenticated`.
     Authenticated,
     /// `auth not required`.
@@ -631,20 +582,6 @@ impl Payload {
             } => write!(
                 out,
                 "merge algorithm={algorithm} processed={processed} bytes={}",
-                bytes.len()
-            ),
-            Payload::MergeSince {
-                algorithm,
-                processed,
-                delta,
-                epoch,
-                crc,
-                bytes,
-            } => write!(
-                out,
-                "merge algorithm={algorithm} processed={processed} kind={} \
-                 epoch={epoch} crc={crc:08x} bytes={}",
-                if *delta { "delta" } else { "full" },
                 bytes.len()
             ),
             Payload::Authenticated => write!(out, "authenticated"),
@@ -711,25 +648,6 @@ impl Payload {
                 Some(Payload::Merge {
                     algorithm: field("algorithm=")?,
                     processed: numeric("processed=")?,
-                    bytes: vec![0u8; len],
-                })
-            }
-            "merge" if fields.len() == 7 => {
-                let len = numeric("bytes=")?;
-                if len > MAX_MERGE_BYTES {
-                    return None;
-                }
-                let delta = match field("kind=")?.as_str() {
-                    "delta" => true,
-                    "full" => false,
-                    _ => return None,
-                };
-                Some(Payload::MergeSince {
-                    algorithm: field("algorithm=")?,
-                    processed: numeric("processed=")?,
-                    delta,
-                    epoch: field("epoch=")?.parse().ok()?,
-                    crc: u32::from_str_radix(&field("crc=")?, 16).ok()?,
                     bytes: vec![0u8; len],
                 })
             }
@@ -1020,25 +938,15 @@ mod tests {
 
     #[test]
     fn merge_parses_and_rejects_arguments() {
-        assert_eq!(
-            parse_line("MERGE").unwrap(),
-            Some(Request::Merge { since: None })
-        );
-        assert_eq!(
-            parse_line("merge").unwrap(),
-            Some(Request::Merge { since: None })
-        );
-        assert_eq!(
-            parse_line("MERGE since=3:00ab12cd").unwrap(),
-            Some(Request::Merge {
-                since: Some((3, 0x00ab_12cd))
-            })
-        );
+        assert_eq!(parse_line("MERGE").unwrap(), Some(Request::Merge));
+        assert_eq!(parse_line("merge").unwrap(), Some(Request::Merge));
         assert!(parse_line("MERGE now").is_err());
-        assert!(parse_line("MERGE since=3").is_err());
-        assert!(parse_line("MERGE since=x:00ab12cd").is_err());
-        assert!(parse_line("MERGE since=3:zz").is_err());
-        assert!(parse_line("MERGE since=1:2 extra").is_err());
+        // An old coordinator's incremental pull is refused with one typed
+        // message.
+        assert_eq!(
+            parse_line("MERGE since=3:00ab12cd").unwrap_err(),
+            "MERGE takes no arguments"
+        );
     }
 
     #[test]
@@ -1080,7 +988,6 @@ mod tests {
             "RESTORE /tmp/x.snap",
             "STATS",
             "MERGE",
-            "MERGE since=7:00c0ffee",
             "AUTH s3cret",
             "PING",
             "QUIT",
@@ -1237,8 +1144,6 @@ mod tests {
             "OK restored jobs processed=40",
             "OK stream=jobs algorithm=sfdm2 processed=40 stored=12",
             "OK merge algorithm=sfdm2 processed=40 bytes=2048",
-            "OK merge algorithm=sfdm2 processed=40 kind=full epoch=2 crc=00c0ffee bytes=2048",
-            "OK merge algorithm=sfdm2 processed=44 kind=delta epoch=2 crc=8badf00d bytes=96",
             "OK authenticated",
             "OK auth not required",
             "OK pong",
@@ -1270,44 +1175,12 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        // A corrupt astronomical length must not allocate; it degrades to
+        // A corrupt astronomical length must not allocate, and a version-2
+        // `MERGE since=` header is no longer a known shape: both degrade to
         // an opaque payload.
-        match Response::parse("OK merge algorithm=sliding processed=9 bytes=999999999999").unwrap()
-        {
-            Response::Ok(Payload::Other(_)) => {}
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn merge_since_header_parses_and_degrades() {
-        match Response::parse(
-            "OK merge algorithm=sfdm2 processed=44 kind=delta epoch=2 crc=8badf00d bytes=96",
-        )
-        .unwrap()
-        {
-            Response::Ok(Payload::MergeSince {
-                algorithm,
-                processed,
-                delta,
-                epoch,
-                crc,
-                bytes,
-            }) => {
-                assert_eq!(algorithm, "sfdm2");
-                assert_eq!(processed, 44);
-                assert!(delta);
-                assert_eq!(epoch, 2);
-                assert_eq!(crc, 0x8bad_f00d);
-                assert_eq!(bytes.len(), 96);
-            }
-            other => panic!("{other:?}"),
-        }
-        // Unknown kind / oversized length degrade to an opaque payload
-        // instead of erroring (forward compatibility).
         for line in [
-            "OK merge algorithm=sfdm2 processed=44 kind=mystery epoch=2 crc=8badf00d bytes=96",
-            "OK merge algorithm=sfdm2 processed=44 kind=delta epoch=2 crc=8badf00d bytes=999999999999",
+            "OK merge algorithm=sliding processed=9 bytes=999999999999",
+            "OK merge algorithm=sfdm2 processed=44 kind=delta epoch=2 crc=8badf00d bytes=96",
         ] {
             match Response::parse(line).unwrap() {
                 Response::Ok(Payload::Other(_)) => {}

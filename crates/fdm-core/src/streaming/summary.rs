@@ -485,10 +485,8 @@ pub fn merge_summaries(
     merge_summary_parts(spec, &refs, fan_in)
 }
 
-/// [`merge_summaries`] over borrowed parts: identical semantics, but the
-/// summaries stay owned by the caller — a coordinator that caches one
-/// restored summary per worker merges them on every `QUERY` without
-/// moving (or cloning) the cache.
+/// [`merge_summaries`] over borrowed parts: identical semantics, for a
+/// caller whose summaries are not boxed in one slice.
 pub fn merge_summary_parts(
     spec: &SummarySpec,
     parts: &[&dyn DynSummary],

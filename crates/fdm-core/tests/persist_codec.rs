@@ -452,3 +452,83 @@ fn deltas_are_much_smaller_than_full_snapshots() {
          (delta {delta_len} B vs full {full_len} B)"
     );
 }
+
+/// `n` rows of ten 16-dimensional Gaussian blobs over two groups — the
+/// shape of `fdm-datasets`' `synthetic_blobs` (centers in `[−10, 10]^d`,
+/// unit variance, the first rows pinned to groups 0 and 1), with ids
+/// starting at `first_id`.
+fn blob_rows(n: usize, seed: u64, first_id: usize) -> Vec<Element> {
+    const DIM: usize = 16;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let centers: Vec<Vec<f64>> = (0..10)
+        .map(|_| {
+            (0..DIM)
+                .map(|_| rng.random::<f64>() * 20.0 - 10.0)
+                .collect()
+        })
+        .collect();
+    let standard_normal = |rng: &mut StdRng| loop {
+        let u = rng.random::<f64>() * 2.0 - 1.0;
+        let v = rng.random::<f64>() * 2.0 - 1.0;
+        let s = u * u + v * v;
+        if s > 0.0 && s < 1.0 {
+            break u * (-2.0 * s.ln() / s).sqrt();
+        }
+    };
+    (0..n)
+        .map(|i| {
+            let center = centers.choose(&mut rng).expect("ten blobs");
+            let point: Vec<f64> = center
+                .iter()
+                .map(|c| c + standard_normal(&mut rng))
+                .collect();
+            let drawn = rng.random_range(0..2);
+            Element::new(first_id + i, point, if i < 2 { i } else { drawn })
+        })
+        .collect()
+}
+
+/// A burst of new arrivals into a blob-shaped SFDM2 summary lowers to a
+/// dirty-set delta through the calls the durable checkpoint chain makes
+/// (`state_patch_since` + `SnapshotDelta::from_patch` against the base's
+/// `CaptureMark`), and that delta applied to the base reproduces the
+/// summary's `snapshot()` bit for bit.
+#[test]
+fn blob_burst_lowers_to_a_delta_that_applies_exactly() {
+    let base_rows = blob_rows(750, 1, 0);
+    let data = fdm_core::dataset::Dataset::from_rows(
+        base_rows.iter().map(|e| e.point.to_vec()).collect(),
+        base_rows.iter().map(|e| e.group).collect(),
+        Metric::Euclidean,
+    )
+    .unwrap();
+    let mut alg = Sfdm2::new(Sfdm2Config {
+        constraint: FairnessConstraint::new(vec![8, 8]).unwrap(),
+        epsilon: 0.1,
+        bounds: data.sampled_distance_bounds(300, 4.0).unwrap(),
+        metric: Metric::Euclidean,
+    })
+    .unwrap();
+    for e in &base_rows {
+        alg.insert(e);
+    }
+    let base = alg.snapshot();
+    let mut mark = CaptureMark::of(base.params.clone(), &base.state);
+    let cursor = alg.capture_cursor();
+    for e in &blob_rows(75, 2, 750) {
+        alg.insert(e);
+    }
+    let next = alg.snapshot();
+    let delta = alg
+        .state_patch_since(&cursor)
+        .and_then(|patch| SnapshotDelta::from_patch(&mut mark, &next.params, patch))
+        .expect("the burst must lower to a delta");
+    let applied = delta
+        .apply_to(&base)
+        .expect("the delta applies to its base");
+    assert_eq!(
+        applied.to_bytes(SnapshotFormat::Binary),
+        next.to_bytes(SnapshotFormat::Binary)
+    );
+    assert_eq!(applied, next);
+}

@@ -21,12 +21,10 @@
 //!   that line exactly as the client spelled them — nothing is
 //!   re-rendered, so a worker's WAL holds the client's spelling of every
 //!   float and answers stay bit-identical (f64 parsing is deterministic);
-//! * `QUERY` pulls every worker's summary through the incremental
-//!   `MERGE since=<epoch>:<crc>` verb: each worker answers an `FDMDELT2`
-//!   delta against the coordinator's cached copy of its state when the
-//!   anchor matches, or a full v2 frame otherwise. The per-worker caches
-//!   merge through the registry's
-//!   [`merge_summary_parts`](fdm_core::streaming::summary::merge_summary_parts)
+//! * `QUERY` pulls every worker's summary as a full v2 frame through the
+//!   bare `MERGE` verb, decodes and restores each one, and merges the
+//!   parts through the registry's
+//!   [`merge_summaries`](fdm_core::streaming::summary::merge_summaries)
 //!   — the same instance + insertion order `ShardedStream::finalize`
 //!   uses, so a coordinator over K workers answers **byte-identically**
 //!   to a single-process `ShardedStream` with K shards fed the same
@@ -39,10 +37,9 @@
 //! The routing state is `processed` (elements acknowledged, in arrival
 //! order), the cursor (`cursor ≡ processed mod K`), and per-worker
 //! positions `p_w` (how many elements worker `w` holds, refreshed from
-//! the worker's own count on every attach). Everything else — the cached
-//! per-worker summaries and the cached merged solution — is soft state
-//! protected by `(epoch, crc)` anchors: a stale or missing cache costs a
-//! full frame, never a wrong answer.
+//! the worker's own count on every attach). The only other state is the
+//! cached merged solution, which every insert attempt drops; the
+//! coordinator keeps no copy of any worker's summary.
 //!
 //! After a coordinator restart, re-`OPEN` recomputes the **contiguous
 //! acknowledged prefix** from the workers' positions alone: worker `w`
@@ -82,8 +79,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use fdm_client::{Client, ClientError, MergeFrame};
-use fdm_core::persist::{Snapshot, SnapshotDelta};
+use fdm_client::{Client, ClientError};
+use fdm_core::persist::Snapshot;
 use fdm_core::streaming::summary::{self, DynSummary};
 
 use crate::engine::lock;
@@ -99,7 +96,7 @@ const INITIAL_BACKOFF: Duration = Duration::from_millis(25);
 
 /// Tree-merge fan-in for wide worker fleets: more than this many summaries
 /// reduce in chunks before the final merge (see
-/// [`summary::merge_summary_parts`]).
+/// [`summary::merge_summaries`]).
 const MERGE_FAN_IN: usize = 8;
 
 /// Health of one worker node, shared between command paths and the
@@ -110,28 +107,6 @@ pub(crate) struct WorkerState {
     pub(crate) up: AtomicBool,
     /// Commands that failed against this worker (transport-level).
     pub(crate) failures: AtomicU64,
-}
-
-/// The coordinator's cached copy of one worker's summary, kept current by
-/// the incremental `MERGE since=` exchange. `(epoch, crc)` is the anchor
-/// echoed back to the worker: a match means the worker's export mark
-/// still describes `base`, so its reply is a delta `apply_to` accepts
-/// (the delta's own `base_crc` re-verifies this before any bytes are
-/// trusted). Any mismatch — first contact, worker restart, a second
-/// consumer polling the same worker — yields a full frame that replaces
-/// the whole cache.
-struct WorkerCache {
-    /// The worker's state as of the last frame, the base deltas chain on.
-    base: Snapshot,
-    /// `base`, restored — the merge input. Kept alongside the snapshot so
-    /// a cache-hit `QUERY` restores nothing.
-    summary: Box<dyn DynSummary>,
-    /// Export anchor: bumped by the worker on every full frame…
-    epoch: u64,
-    /// …and the CRC of the exported state, advanced by every delta.
-    crc: u32,
-    /// The worker's processed count as of the last frame.
-    processed: usize,
 }
 
 /// Coordinator-side state of one logical stream.
@@ -150,8 +125,6 @@ struct CoordStream {
     positions: Vec<usize>,
     /// One cached connection per worker, re-dialed lazily after a failure.
     conns: Vec<Option<Client>>,
-    /// Per-worker summary caches for the incremental `QUERY` fan-in.
-    caches: Vec<Option<WorkerCache>>,
     /// The last merged solution; invalidated by any insert attempt.
     cached_query: Option<QueryReply>,
     /// Coordinator-side request latencies (`fdm_coord_*` families).
@@ -165,10 +138,8 @@ struct CoordStream {
 pub struct Coordinator {
     pub(crate) workers: Vec<Arc<WorkerState>>,
     streams: Mutex<HashMap<String, Arc<Mutex<CoordStream>>>>,
-    /// Snapshot bytes pulled from workers, split by frame kind — the
-    /// direct measure of what the delta path saves.
+    /// Snapshot bytes pulled from workers by `QUERY` fan-in.
     pub(crate) merge_bytes_full: AtomicU64,
-    pub(crate) merge_bytes_delta: AtomicU64,
     /// `QUERY`s answered from the cached merged solution.
     pub(crate) merge_cache_hits: AtomicU64,
 }
@@ -189,7 +160,6 @@ impl Coordinator {
                 .collect(),
             streams: Mutex::new(HashMap::new()),
             merge_bytes_full: AtomicU64::new(0),
-            merge_bytes_delta: AtomicU64::new(0),
             merge_cache_hits: AtomicU64::new(0),
         }
     }
@@ -290,7 +260,6 @@ impl Coordinator {
             .min()
             .unwrap_or(0);
         let cursor = processed % self.workers.len();
-        let k = self.workers.len();
         streams.insert(
             name.to_string(),
             Arc::new(Mutex::new(CoordStream {
@@ -299,7 +268,6 @@ impl Coordinator {
                 cursor,
                 positions,
                 conns,
-                caches: (0..k).map(|_| None).collect(),
                 cached_query: None,
                 metrics: StreamMetrics::new(),
             })),
@@ -449,114 +417,38 @@ impl Coordinator {
         Ok(stream.processed)
     }
 
-    /// One `MERGE since=` round-trip against worker `widx`, accounting
-    /// the transferred bytes by frame kind. A transport failure drops the
-    /// connection *and* the worker's cache (the next contact re-anchors
-    /// from scratch — a restarted worker's export epoch is fresh anyway).
-    fn merge_frame(
+    /// One `MERGE` round trip against worker `widx`: the worker's full
+    /// frame, CRC-checked and restored, with its processed count. A
+    /// transport failure drops the connection; the next contact re-dials.
+    fn pull_worker(
         &self,
         stream: &mut CoordStream,
         name: &str,
         widx: usize,
-        anchor: (u64, u32),
-    ) -> Result<MergeFrame, ErrorReply> {
+    ) -> Result<(usize, Box<dyn DynSummary>), ErrorReply> {
         let client = self.conn(stream, name, widx)?;
-        match client.merge_since(anchor) {
-            Ok(frame) => {
-                self.workers[widx].up.store(true, Ordering::SeqCst);
-                let counter = if frame.delta {
-                    &self.merge_bytes_delta
-                } else {
-                    &self.merge_bytes_full
-                };
-                counter.fetch_add(frame.bytes.len() as u64, Ordering::Relaxed);
-                Ok(frame)
-            }
-            Err(ClientError::Server(err)) => Err(err),
+        let (_algorithm, processed, bytes) = match client.merge() {
+            Ok(frame) => frame,
+            Err(ClientError::Server(err)) => return Err(err),
             Err(e) => {
                 stream.conns[widx] = None;
-                stream.caches[widx] = None;
-                Err(self.unavailable(&self.workers[widx], &e))
+                return Err(self.unavailable(&self.workers[widx], &e));
             }
-        }
-    }
-
-    /// Replaces worker `widx`'s cache with a full frame.
-    fn anchor_full(
-        &self,
-        stream: &mut CoordStream,
-        widx: usize,
-        frame: MergeFrame,
-    ) -> Result<(), ErrorReply> {
-        if frame.delta {
-            // Unreachable by construction (a worker never answers a delta
-            // to a `(0, 0)` anchor — export epochs start at 1), but a
-            // protocol violation must not become a panic.
-            return Err(ErrorReply::generic(format!(
-                "worker {} answered a delta frame to an unanchored MERGE",
-                self.workers[widx].addr
-            )));
-        }
-        let base =
-            Snapshot::from_bytes(&frame.bytes).map_err(|e| ErrorReply::generic(e.to_string()))?;
-        let summary = summary::restore(&base).map_err(|e| ErrorReply::generic(e.to_string()))?;
-        stream.caches[widx] = Some(WorkerCache {
-            base,
-            summary,
-            epoch: frame.epoch,
-            crc: frame.crc,
-            processed: frame.processed,
-        });
-        Ok(())
-    }
-
-    /// Brings worker `widx`'s cache current: one `MERGE since=` carrying
-    /// the cached anchor. A delta reply advances the cache in place; a
-    /// full reply replaces it. A delta that fails to apply (a cache the
-    /// crc anchor says should match but does not — defensive, not an
-    /// expected state) is retried once as a forced full fetch.
-    fn refresh_worker(
-        &self,
-        stream: &mut CoordStream,
-        name: &str,
-        widx: usize,
-    ) -> Result<(), ErrorReply> {
-        let anchor = stream.caches[widx]
-            .as_ref()
-            .map_or((0, 0), |c| (c.epoch, c.crc));
-        let frame = self.merge_frame(stream, name, widx, anchor)?;
-        if frame.delta {
-            let cache = stream.caches[widx]
-                .as_mut()
-                .expect("a delta reply implies a cached anchor was sent");
-            let applied = SnapshotDelta::from_bytes(&frame.bytes)
-                .and_then(|delta| delta.apply_to(&cache.base));
-            match applied {
-                Ok(next) => {
-                    let summary =
-                        summary::restore(&next).map_err(|e| ErrorReply::generic(e.to_string()))?;
-                    cache.base = next;
-                    cache.summary = summary;
-                    cache.epoch = frame.epoch;
-                    cache.crc = frame.crc;
-                    cache.processed = frame.processed;
-                    return Ok(());
-                }
-                Err(_) => {
-                    stream.caches[widx] = None;
-                    let frame = self.merge_frame(stream, name, widx, (0, 0))?;
-                    return self.anchor_full(stream, widx, frame);
-                }
-            }
-        }
-        self.anchor_full(stream, widx, frame)
+        };
+        self.workers[widx].up.store(true, Ordering::SeqCst);
+        self.merge_bytes_full
+            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        let snapshot =
+            Snapshot::from_bytes(&bytes).map_err(|e| ErrorReply::generic(e.to_string()))?;
+        let summary =
+            summary::restore(&snapshot).map_err(|e| ErrorReply::generic(e.to_string()))?;
+        Ok((processed, summary))
     }
 
     /// `QUERY`: answered from the cached merged solution when no insert
     /// intervened; otherwise a consistent cut under the stream mutex —
-    /// refresh every worker's cache (deltas where anchored, full frames
-    /// where not) and merge the caches through the registry in worker
-    /// order (= shard order), without moving them.
+    /// pull every worker's full frame and merge the restored summaries
+    /// through the registry in worker order (= shard order).
     pub fn query(&self, name: &str, k: Option<usize>) -> Result<Payload, ErrorReply> {
         let stream = self.stream(name)?;
         let mut stream = lock(&stream);
@@ -574,14 +466,13 @@ impl Coordinator {
             stream.metrics.query_latency.observe(start.elapsed());
             return Ok(Payload::Query(cached));
         }
+        let mut total = 0;
+        let mut summaries = Vec::with_capacity(self.workers.len());
         for widx in 0..self.workers.len() {
-            self.refresh_worker(&mut stream, name, widx)?;
+            let (processed, summary) = self.pull_worker(&mut stream, name, widx)?;
+            total += processed;
+            summaries.push(summary);
         }
-        let total: usize = stream
-            .caches
-            .iter()
-            .map(|c| c.as_ref().map_or(0, |c| c.processed))
-            .sum();
         if total == 0 {
             return Err(ErrorReply::empty_stream(format!(
                 "stream `{name}` has processed no elements; INSERT before QUERY"
@@ -591,12 +482,7 @@ impl Coordinator {
             .spec
             .to_summary_spec()
             .map_err(|e| ErrorReply::generic(e.to_string()))?;
-        let parts: Vec<&dyn DynSummary> = stream
-            .caches
-            .iter()
-            .map(|c| c.as_ref().expect("refreshed above").summary.as_ref())
-            .collect();
-        let solution = summary::merge_summary_parts(&spec, &parts, MERGE_FAN_IN)
+        let solution = summary::merge_summaries(&spec, &summaries, MERGE_FAN_IN)
             .map_err(|e| ErrorReply::generic(e.to_string()))?;
         let reply = QueryReply {
             k: solution.len(),

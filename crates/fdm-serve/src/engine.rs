@@ -310,52 +310,12 @@ fn check_wal_len(wal: &File, wal_len: u64) {
     );
 }
 
-/// Wire-export anchor for the incremental `MERGE since=` path: the
-/// [`CaptureMark`] + capture cursor of the state this stream last shipped
-/// to a merge consumer, plus the `(epoch, crc)` pair that consumer must
-/// echo back to receive a delta instead of a full frame.
-///
-/// This is **soft state, fully independent of the checkpoint chain**: the
-/// summary's capture cursors are stateless positional markers, so the
-/// export path diffing from `cursor` never perturbs the durable path
-/// diffing from its own. Guarded by its own mutex — taken *before* the
-/// summary read lock, never together with the durable mutex. One export
-/// anchor serves one consumer: two coordinators polling the same worker
-/// ping-pong each other back to full frames (correct, just uncached).
-struct ExportState {
-    /// Digest tree of the last exported state; `None` until the first
-    /// full frame is served (or after an unlowerable rewrite invalidated
-    /// it).
-    mark: Option<CaptureMark>,
-    /// The summary capture cursor paired with `mark`.
-    cursor: Value,
-    /// Bumped on every full frame served. An `(epoch, crc)` echo matches
-    /// only if both halves do, so a consumer anchored on a superseded
-    /// full frame can never be fed a delta built for a newer one.
-    epoch: u64,
-    /// CRC of the last exported state — the other half of the anchor.
-    crc: u32,
-}
-
-impl ExportState {
-    fn new() -> ExportState {
-        ExportState {
-            mark: None,
-            cursor: Value::Null,
-            epoch: 0,
-            crc: 0,
-        }
-    }
-}
-
 /// One hosted stream: the summary behind a readers–writer lock, with the
 /// durability state split off behind its own mutex (see the module docs
 /// for the locking protocol).
 struct StreamEntry {
     summary: RwLock<Box<dyn DynSummary>>,
     durable: Mutex<DurableState>,
-    /// Soft anchor for incremental `MERGE since=` exports.
-    export: Mutex<ExportState>,
     /// Latency histograms, reachable from the hot path without a map
     /// lookup; rendered by [`Engine::render_metrics`].
     metrics: Arc<StreamMetrics>,
@@ -371,7 +331,6 @@ impl StreamEntry {
         StreamEntry {
             summary: RwLock::new(summary),
             durable: Mutex::new(DurableState::new()),
-            export: Mutex::new(ExportState::new()),
             metrics: StreamMetrics::new(),
             pending_inserts: AtomicUsize::new(0),
             limiter: rate_limit.map(|per_sec| Mutex::new(TokenBucket::new(per_sec))),
@@ -727,12 +686,12 @@ fn list_deltas(dir: &Path, name: &str) -> Vec<(u64, PathBuf)> {
 /// the engine-level gate that holds even for callers that bypass the
 /// parser — without it `OPEN ../../x` walks out of the data directory.
 fn ensure_safe_stream_name(name: &str) -> std::result::Result<(), ErrorReply> {
-    let unsafe_name = name.is_empty()
+    let invalid = name.is_empty()
         || name.starts_with('.')
         || name.contains('/')
         || name.contains('\\')
         || name.contains("..");
-    if unsafe_name {
+    if invalid {
         return Err(ErrorReply::generic(format!(
             "invalid stream name `{name}`: must be non-empty and free of \
              `/`, `\\`, `..`, and a leading `.`"
@@ -1435,91 +1394,6 @@ impl Engine {
         Ok(Payload::Merge {
             algorithm,
             processed,
-            bytes,
-        })
-    }
-
-    /// `MERGE since=<epoch>:<crc>`: the incremental export. When the
-    /// caller's anchor matches this stream's `ExportState`, the reply is
-    /// an `FDMDELT2` delta frame built from the summary's own dirty set —
-    /// O(changed) bytes instead of O(state) — and the export anchor
-    /// advances (same epoch, new crc). On any mismatch, a missing mark, or
-    /// an unlowerable structural rewrite, the reply is a **full** v2
-    /// snapshot frame under a fresh epoch, which re-anchors the caller.
-    ///
-    /// Lock order: the export mutex, then short summary read locks; the
-    /// durable mutex is never touched, so exports overlap inserts' disk
-    /// I/O and never perturb the checkpoint chain (capture cursors are
-    /// stateless, each path diffs from its own).
-    pub fn merge_since(
-        &self,
-        name: &str,
-        since: (u64, u32),
-    ) -> std::result::Result<Payload, ErrorReply> {
-        if self.coordinator.is_some() {
-            return Err(generic(
-                "MERGE is not supported in coordinator mode (the workers own the summaries)",
-            ));
-        }
-        let entry = self.entry(name)?;
-        let mut export = lock(&entry.export);
-        if since == (export.epoch, export.crc) && export.mark.is_some() {
-            let (params, patch, next_cursor, processed) = {
-                let summary = read_lock(&entry.summary);
-                (
-                    summary.params(),
-                    summary.state_patch_since(&export.cursor),
-                    summary.capture_cursor(),
-                    summary.processed(),
-                )
-            };
-            let algorithm = params.algorithm.clone();
-            let delta = patch.and_then(|patch| {
-                let mark = export.mark.as_mut().expect("checked above");
-                SnapshotDelta::from_patch(mark, &params, patch)
-            });
-            match delta {
-                Some(delta) => {
-                    let bytes = delta.to_bytes();
-                    export.cursor = next_cursor;
-                    export.crc = export.mark.as_ref().expect("advanced above").state_crc();
-                    return Ok(Payload::MergeSince {
-                        algorithm,
-                        processed,
-                        delta: true,
-                        epoch: export.epoch,
-                        crc: export.crc,
-                        bytes,
-                    });
-                }
-                None => {
-                    // The mark may be partially advanced and is invalid;
-                    // the full path below rebuilds it from scratch.
-                    export.mark = None;
-                }
-            }
-        }
-        let (snapshot, cursor, processed) = {
-            let summary = read_lock(&entry.summary);
-            (
-                summary.snapshot(),
-                summary.capture_cursor(),
-                summary.processed(),
-            )
-        };
-        let algorithm = snapshot.params.algorithm.clone();
-        let mark = CaptureMark::of(snapshot.params.clone(), &snapshot.state);
-        export.crc = mark.state_crc();
-        export.mark = Some(mark);
-        export.cursor = cursor;
-        export.epoch += 1;
-        let bytes = snapshot.to_bytes(SnapshotFormat::Binary);
-        Ok(Payload::MergeSince {
-            algorithm,
-            processed,
-            delta: false,
-            epoch: export.epoch,
-            crc: export.crc,
             bytes,
         })
     }

@@ -361,17 +361,15 @@ const COORD_LATENCY_FAMILIES: &[Row<StreamSample>] = &[
         "Coordinator INSERT/INSERTB latency (routing + worker round-trips).",
         "", "", Hist(|s| s.node.is_none().then_some(&s.latency.insert_latency))),
     Row("fdm_coord_query_latency_seconds", HISTOGRAM,
-        "Coordinator QUERY latency (cache refresh + merge, or a cache hit).",
+        "Coordinator QUERY latency (worker pulls + merge, or a cache hit).",
         "", "", Hist(|s| s.node.is_none().then_some(&s.latency.query_latency))),
 ];
 
 /// A coordinator's merge transfer volume and solution cache.
 #[rustfmt::skip]
 const FLEET_FAMILIES: &[Row<Coordinator>] = &[
-    Row("fdm_merge_bytes_total", COUNTER, "Snapshot bytes pulled from workers by QUERY fan-in, by frame kind.",
+    Row("fdm_merge_bytes_total", COUNTER, "Full snapshot frame bytes pulled from workers by QUERY fan-in.",
         "kind=\"full\"", "", Value(|c| Some(c.merge_bytes_full.load(Ordering::Relaxed)))),
-    Row("fdm_merge_bytes_total", COUNTER, "Snapshot bytes pulled from workers by QUERY fan-in, by frame kind.",
-        "kind=\"delta\"", "", Value(|c| Some(c.merge_bytes_delta.load(Ordering::Relaxed)))),
     Row("fdm_merge_cache_hits_total", COUNTER,
         "QUERYs answered from the cached merged solution without touching the fleet.",
         "", "", Value(|c| Some(c.merge_cache_hits.load(Ordering::Relaxed)))),

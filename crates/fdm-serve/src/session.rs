@@ -8,9 +8,9 @@
 //! Every reply line is produced by [`Response::render_into`] — the
 //! session never formats an `OK `/`ERR ` string itself (CI greps for
 //! strays), so the wire grammar has exactly one implementation on each
-//! side. The [`Payload::Merge`]/[`Payload::MergeSince`] replies are the
-//! two-part frames: their header line is rendered like any other, then the
-//! raw binary snapshot (or delta) bytes follow. Each reply, tail included,
+//! side. The [`Payload::Merge`] reply is the one two-part frame: its
+//! header line is rendered like any other, then the raw binary snapshot
+//! bytes follow. Each reply, tail included,
 //! reaches the writer as one `write_all` followed by one `flush`.
 //!
 //! The loop is also the process's **panic boundary**: every command runs
@@ -144,12 +144,9 @@ impl Session {
                 let name = bound(&self.current)?;
                 self.engine.stats(&name)
             }
-            Request::Merge { since } => {
+            Request::Merge => {
                 let name = bound(&self.current)?;
-                match since {
-                    None => self.engine.merge(&name),
-                    Some(since) => self.engine.merge_since(&name, since),
-                }
+                self.engine.merge(&name)
             }
             Request::Auth { .. } => unreachable!("AUTH is handled before the dispatch"),
             Request::Ping => Ok(Payload::Pong),
@@ -191,7 +188,7 @@ impl Session {
             response.render_into(out);
             out.push('\n');
             match response {
-                Response::Ok(Payload::Merge { bytes, .. } | Payload::MergeSince { bytes, .. }) => {
+                Response::Ok(Payload::Merge { bytes, .. }) => {
                     writer.write_all(&[out.as_bytes(), bytes].concat())?
                 }
                 _ => writer.write_all(out.as_bytes())?,
@@ -334,17 +331,14 @@ mod tests {
         };
         let mut bytes = response.render().into_bytes();
         bytes.push(b'\n');
-        if let Response::Ok(
-            Payload::Merge { bytes: tail, .. } | Payload::MergeSince { bytes: tail, .. },
-        ) = &response
-        {
+        if let Response::Ok(Payload::Merge { bytes: tail, .. }) = &response {
             bytes.extend_from_slice(tail);
         }
         bytes
     }
 
     /// Every reply — OK, ERR, parse error, oversized line, non-UTF-8 line,
-    /// and both MERGE frames with their binary tails — leaves the session
+    /// and the MERGE frame with its binary tail — leaves the session
     /// as exactly one `write`, and its bytes are unchanged: the rendered
     /// line, a newline, then the tail.
     #[test]
@@ -359,6 +353,7 @@ mod tests {
             "QUERY",
             "MERGE",
             "MERGE since=0:00000000",
+            "PING",
         ]
         .iter()
         .map(|line| line.as_bytes().to_vec())
@@ -416,8 +411,11 @@ mod tests {
         assert!(heads[4].starts_with("ERR "), "{heads:?}");
         assert!(heads[5].starts_with("OK k="), "{heads:?}");
         assert!(heads[6].starts_with("OK merge") && frames.0[6].len() > heads[6].len() + 1);
-        assert!(heads[7].contains("kind=full") && frames.0[7].len() > heads[7].len() + 1);
-        assert!(heads[8].contains("line exceeds"), "{heads:?}");
-        assert!(heads[9].contains("not valid UTF-8"), "{heads:?}");
+        // An old coordinator's incremental pull gets one typed ERR, and
+        // the session keeps serving.
+        assert_eq!(heads[7], "ERR MERGE takes no arguments", "{heads:?}");
+        assert_eq!(heads[8], "OK pong", "{heads:?}");
+        assert!(heads[9].contains("line exceeds"), "{heads:?}");
+        assert!(heads[10].contains("not valid UTF-8"), "{heads:?}");
     }
 }

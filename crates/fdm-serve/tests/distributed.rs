@@ -161,21 +161,6 @@ proptest! {
     }
 }
 
-/// Steals a worker's export anchor: an external consumer pulling
-/// `MERGE since=0:0` straight off the worker bumps its export epoch, so
-/// the coordinator's cached `(epoch, crc)` no longer matches and its next
-/// refresh is forced through a full-frame re-anchor — no restart needed.
-fn poke_worker(addr: &str, open: &str) {
-    let (name, spec) = spec_of(open);
-    let mut client = Client::connect_tcp_retry(addr, 5, Duration::from_millis(25)).unwrap();
-    client.open(&name, &spec).unwrap();
-    let frame = client.merge_since((0, 0)).unwrap();
-    assert!(
-        !frame.delta,
-        "epoch 0 can never match: the frame must be full"
-    );
-}
-
 /// The batch-size grid for the pipelined INSERTB path: 1 (degenerate),
 /// 7 (coprime with every K in the grid, so flush rounds straddle worker
 /// boundaries), K (exactly one element per worker), 3K+1 (several whole
@@ -187,27 +172,23 @@ fn batch_sizes(k: usize) -> [usize; 4] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Batched fan-out × interleaved incremental MERGE. Arrivals feed via
+    /// Batched fan-out × interleaved MERGE fan-in. Arrivals feed via
     /// `INSERTB` in batches from `batch_sizes`, split into three segments
-    /// with a QUERY after each: the first QUERY anchors every worker
-    /// cache with a full frame, later ones ride `FDMDELT2` deltas, an
-    /// immediate repeat QUERY must come from the merged-solution cache,
-    /// and an optional "poke" (an external `MERGE since=0:0` consumer)
-    /// steals worker 0's anchor so the next refresh is a forced full
-    /// re-anchor. Every QUERY — full, delta, cached, or re-anchored —
-    /// must be bit-identical to a single-process `ShardedStream` fed the
-    /// same prefix.
+    /// with a QUERY after each: every such QUERY pulls a full frame from
+    /// each worker, and an immediate repeat QUERY must come from the
+    /// merged-solution cache. Every QUERY — pulled or cached — must be
+    /// bit-identical to a single-process `ShardedStream` fed the same
+    /// prefix.
     #[test]
-    fn batched_inserts_with_incremental_merge_are_bit_identical(
+    fn batched_inserts_with_merge_are_bit_identical(
         arrivals in arrivals_strategy(),
         k in prop_oneof![Just(1usize), Just(2), Just(4)],
         algo in prop_oneof![Just("sfdm1"), Just("sfdm2"), Just("sliding")],
         batch_sel in 0usize..4,
-        poke in prop_oneof![Just(false), Just(true)],
     ) {
         let batch = batch_sizes(k)[batch_sel];
         let workers: Vec<String> = (0..k).map(|_| start_worker()).collect();
-        let engine = coordinator_over(workers.clone());
+        let engine = coordinator_over(workers);
         let (name, spec) = spec_of(&open_line(algo, 1));
         engine.open(&name, &spec).unwrap();
         let reference = Engine::new(ServeConfig::default()).unwrap();
@@ -246,9 +227,6 @@ proptest! {
             // No insert intervened: this repeat must be a cache hit — and
             // identical anyway.
             prop_assert_eq!(&engine.query(&name, None).unwrap(), &expected);
-            if poke && i == 0 {
-                poke_worker(&workers[0], &open_line(algo, 1));
-            }
         }
     }
 }
@@ -721,14 +699,34 @@ fn worker_crash_in_wal_gap_replays_and_stays_identical() {
     let _ = std::fs::remove_dir_all(&dir1);
 }
 
+/// The value of one `/metrics` sample line (`<name>{labels} <value>`).
+fn metric(engine: &Engine, sample: &str) -> u64 {
+    let metrics = engine.render_metrics();
+    metrics
+        .lines()
+        .find_map(|line| line.strip_prefix(sample)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no `{sample}` in {metrics}"))
+        .parse()
+        .unwrap()
+}
+
+/// The length of the frame a bare `MERGE` pulls straight off a worker.
+fn worker_frame_len(addr: &str, open: &str) -> u64 {
+    let (name, spec) = spec_of(open);
+    let mut client = Client::connect_tcp_retry(addr, 5, Duration::from_millis(25)).unwrap();
+    client.open(&name, &spec).unwrap();
+    let (_algorithm, _processed, bytes) = client.merge().unwrap();
+    bytes.len() as u64
+}
+
 /// Kill a worker *after* the coordinator has fetched MERGE frames from
-/// the fleet (its per-worker caches are warm): a repeat QUERY with no
-/// intervening insert still answers — served from the merged-solution
-/// cache, dead worker notwithstanding; an insert invalidates that cache
-/// and the next QUERY fails typed, naming the dead worker, without
-/// corrupting the surviving caches; and once the worker restarts over
-/// its own data dir (same port) the next QUERY re-anchors it with a full
-/// frame and answers bit-identically to the uninterrupted reference.
+/// the fleet: a repeat QUERY with no intervening insert still answers —
+/// served from the merged-solution cache, dead worker notwithstanding,
+/// and pulling no bytes; an insert invalidates that cache and the next
+/// QUERY fails typed, naming the dead worker; and once the worker
+/// restarts over its own data dir (same port) the next QUERY pulls
+/// exactly one full frame per worker and answers bit-identically to the
+/// uninterrupted reference.
 #[test]
 fn worker_killed_mid_query_cycle_recovers_bit_identical() {
     let arrivals = deterministic_arrivals(21);
@@ -742,7 +740,7 @@ fn worker_killed_mid_query_cycle_recovers_bit_identical() {
     engine.open(&name, &spec).unwrap();
     engine.insert_batch(&name, &arrivals[..20]).unwrap();
 
-    // Warm the caches: this QUERY pulls one full frame per worker.
+    // This QUERY pulls one full frame per worker.
     let reference20 = feed_and_query(
         &Engine::new(ServeConfig::default()).unwrap(),
         &open_line("sfdm2", 2),
@@ -754,17 +752,15 @@ fn worker_killed_mid_query_cycle_recovers_bit_identical() {
     w1.kill().unwrap();
     let _ = w1.wait();
 
-    // No insert intervened: the merged solution is served from cache.
+    // No insert intervened: the merged solution is served from cache,
+    // and no worker is touched.
+    const FULL: &str = "fdm_merge_bytes_total{kind=\"full\"}";
+    const HITS: &str = "fdm_merge_cache_hits_total";
+    let (full0, hits0) = (metric(&engine, FULL), metric(&engine, HITS));
+    assert!(full0 > 0);
     assert_eq!(engine.query(&name, None).unwrap(), reference20);
-    let metrics = engine.render_metrics();
-    assert!(
-        metrics.contains("fdm_merge_cache_hits_total 1"),
-        "{metrics}"
-    );
-    assert!(
-        metrics.contains("fdm_merge_bytes_total{kind=\"full\"}"),
-        "{metrics}"
-    );
+    assert_eq!(metric(&engine, FULL), full0);
+    assert_eq!(metric(&engine, HITS), hits0 + 1);
 
     // Cursor is at worker 0 (20 % 2), so the insert lands on the live
     // worker — and invalidates the cached solution. The next QUERY must
@@ -775,10 +771,14 @@ fn worker_killed_mid_query_cycle_recovers_bit_identical() {
     assert!(err.message.starts_with(&addr1), "{err}");
 
     // Restart worker 1 on its old port over its own data dir: the
-    // coordinator re-dials lazily, and the restarted worker's export
-    // epoch restarts from zero, so the coordinator's stale anchor forces
-    // a full-frame re-anchor. The answer must be exact.
+    // coordinator re-dials lazily, and the next QUERY pulls exactly the
+    // frames a bare MERGE reads off each worker. The answer must be exact.
     let (_w1b, _) = spawn_worker_on(&dir1, None, &addr1);
+    let frames: u64 = [&addr0, &addr1]
+        .iter()
+        .map(|addr| worker_frame_len(addr, &open_line("sfdm2", 1)))
+        .sum();
+    let full1 = metric(&engine, FULL);
     let reference21 = feed_and_query(
         &Engine::new(ServeConfig::default()).unwrap(),
         &open_line("sfdm2", 2),
@@ -788,8 +788,9 @@ fn worker_killed_mid_query_cycle_recovers_bit_identical() {
     assert_eq!(
         engine.query(&name, None).unwrap(),
         reference21,
-        "post-restart QUERY must re-anchor and stay bit-identical"
+        "post-restart QUERY must stay bit-identical"
     );
+    assert_eq!(metric(&engine, FULL), full1 + frames);
     let _ = std::fs::remove_dir_all(&dir0);
     let _ = std::fs::remove_dir_all(&dir1);
 }
