@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use fdm_bench::cli::Options;
-use fdm_bench::measure::{run_averaged, Algo};
+use fdm_bench::measure::{run_averaged_cell, Algo};
 use fdm_bench::plot::{Chart, Scale};
 use fdm_bench::report::{fmt_secs, Table};
 use fdm_bench::workloads::{SizeMode, Workload};
@@ -43,7 +43,16 @@ fn main() {
                 algos.insert(2, Algo::Sfdm1);
             }
             for algo in algos {
-                let r = run_averaged(&dataset, algo, &constraint, 0.1, opts.trials).expect("run");
+                let r = run_averaged_cell(
+                    &dataset,
+                    algo,
+                    &constraint,
+                    0.1,
+                    opts.trials,
+                    opts.shards,
+                    0,
+                )
+                .expect("run");
                 table.push_row(vec![
                     m.to_string(),
                     n.to_string(),

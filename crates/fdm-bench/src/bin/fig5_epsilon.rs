@@ -9,7 +9,7 @@
 //! Run: `cargo run --release -p fdm-bench --bin fig5_epsilon [--quick|--full]`
 
 use fdm_bench::cli::Options;
-use fdm_bench::measure::{run_averaged, Algo};
+use fdm_bench::measure::{run_averaged_cell, Algo};
 use fdm_bench::report::{fmt_secs, Table};
 use fdm_bench::workloads::Workload;
 use fdm_core::fairness::FairnessConstraint;
@@ -46,7 +46,16 @@ fn main() {
                 &[Algo::Sfdm2]
             };
             for &algo in algos {
-                let r = run_averaged(&dataset, algo, &constraint, eps, opts.trials).expect("run");
+                let r = run_averaged_cell(
+                    &dataset,
+                    algo,
+                    &constraint,
+                    eps,
+                    opts.trials,
+                    opts.shards,
+                    0,
+                )
+                .expect("run");
                 table.push_row(vec![
                     workload.name(),
                     format!("{eps:.2}"),

@@ -8,7 +8,7 @@
 //! Run: `cargo run --release -p fdm-bench --bin fig8_space [--quick|--full]`
 
 use fdm_bench::cli::Options;
-use fdm_bench::measure::{run_averaged, Algo};
+use fdm_bench::measure::{run_averaged_cell, Algo};
 use fdm_bench::report::Table;
 use fdm_bench::workloads::Workload;
 use fdm_core::fairness::FairnessConstraint;
@@ -35,12 +35,14 @@ fn main() {
                 continue;
             }
             let constraint = FairnessConstraint::equal_representation(k, m).expect("constraint");
-            let r = run_averaged(
+            let r = run_averaged_cell(
                 &dataset,
                 algo,
                 &constraint,
                 workload.default_epsilon(),
                 opts.trials,
+                opts.shards,
+                0,
             )
             .expect("run");
             table.push_row(vec![

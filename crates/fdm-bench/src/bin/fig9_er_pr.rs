@@ -9,7 +9,7 @@
 //! Run: `cargo run --release -p fdm-bench --bin fig9_er_pr [--quick|--full]`
 
 use fdm_bench::cli::Options;
-use fdm_bench::measure::{run_averaged, Algo};
+use fdm_bench::measure::{run_averaged_cell, Algo};
 use fdm_bench::report::{fmt_secs, Table};
 use fdm_bench::workloads::Workload;
 use fdm_core::fairness::FairnessConstraint;
@@ -42,12 +42,14 @@ fn main() {
             FairnessConstraint::proportional_representation(k, dataset.group_sizes()).expect("PR");
         for (notion, constraint) in [("ER", &er), ("PR", &pr)] {
             for &algo in &algos {
-                let r = run_averaged(
+                let r = run_averaged_cell(
                     &dataset,
                     algo,
                     constraint,
                     workload.default_epsilon(),
                     opts.trials,
+                    opts.shards,
+                    0,
                 )
                 .expect("run");
                 table.push_row(vec![

@@ -8,63 +8,17 @@
 //! k = 20). Streaming "time" is average per-element update time; offline
 //! "time" is total runtime (§V-A convention).
 //!
-//! Run: `cargo run --release -p fdm-bench --bin table2 [--quick|--full] [--trials N]`
+//! Run: `cargo run --release -p fdm-bench --bin table2 [--quick|--full] [--trials N] [--window N]`
 //!
-//! `--algorithm sliding --window N` benchmarks the sliding-window scenario
-//! alongside the others: three extra columns (diversity, update time,
-//! stored elements) measured over the most recent `N`-element window of
-//! each permuted stream.
-//!
-//! Checkpointing: `--snapshot-every N` writes each streaming cell's summary
-//! to `results/snapshots/table2-<algo>-<dataset>.snap` every N arrivals;
-//! `--restore-from PATH` resumes from a snapshot (skipping the already-
-//! processed stream prefix). A checkpoint named by this binary's own
-//! convention resumes exactly its cell (the others run fresh); any other
-//! snapshot is offered to every streaming cell, and an incompatible one
-//! aborts with a typed error rather than feeding garbage. Use `--trials 1`
-//! with persistence flags — the trials share one checkpoint path.
+//! `--window N` benchmarks the sliding-window scenario alongside the
+//! others: three extra columns (diversity, update time, stored elements)
+//! measured over the most recent `N`-element window of each permuted stream.
 
 use fdm_bench::cli::Options;
-use fdm_bench::measure::{
-    run_averaged, run_averaged_sharded_persist, run_averaged_windowed, Algo, PersistOpts,
-};
-use fdm_bench::report::{fmt_secs, results_dir, Table};
+use fdm_bench::measure::{run_averaged, run_averaged_cell, Algo};
+use fdm_bench::report::{fmt_secs, Table};
 use fdm_bench::workloads::Workload;
 use fdm_core::fairness::FairnessConstraint;
-
-fn persist_opts(opts: &Options, algo: Algo, dataset: &str) -> PersistOpts {
-    // "CelebA (Sex+Age)" → "celeba-sex-age": keep checkpoint names shell-
-    // and filesystem-friendly.
-    let slug: String = dataset
-        .to_lowercase()
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-        .collect::<String>()
-        .split('-')
-        .filter(|s| !s.is_empty())
-        .collect::<Vec<_>>()
-        .join("-");
-    let cell_file = format!("table2-{}-{slug}.snap", algo.name().to_lowercase());
-    // A checkpoint written by this binary names its cell; resume only that
-    // cell and run the others fresh. A custom-named snapshot is handed to
-    // every streaming cell — an incompatible one aborts with the typed
-    // `IncompatibleSnapshot` error rather than feeding garbage.
-    let restore_from = opts.restore_from.as_ref().and_then(|p| {
-        let path = std::path::PathBuf::from(p);
-        match path.file_name().and_then(|f| f.to_str()) {
-            Some(name) if name.starts_with("table2-") => (name == cell_file).then_some(path),
-            _ => Some(path),
-        }
-    });
-    PersistOpts {
-        snapshot_every: opts.snapshot_every,
-        snapshot_path: opts
-            .snapshot_every
-            .map(|_| results_dir().join("snapshots").join(&cell_file)),
-        restore_from,
-        restore_snapshot: None,
-    }
-}
 
 fn main() {
     let opts = Options::from_env();
@@ -124,14 +78,14 @@ fn main() {
             .expect("FairFlow run");
 
         let (s1_div, s1_t, s1_e) = if m == 2 {
-            let r = run_averaged_sharded_persist(
+            let r = run_averaged_cell(
                 &dataset,
                 Algo::Sfdm1,
                 &constraint,
                 epsilon,
                 opts.trials,
                 opts.shards,
-                &persist_opts(&opts, Algo::Sfdm1, &workload.name()),
+                0,
             )
             .expect("SFDM1 run");
             (
@@ -143,16 +97,15 @@ fn main() {
             ("-".into(), "-".into(), "-".into())
         };
 
-        let (sl_div, sl_t, sl_e) = if opts.algorithm.as_deref() == Some("sliding") {
-            match run_averaged_windowed(
+        let (sl_div, sl_t, sl_e) = if let Some(window) = opts.window {
+            match run_averaged_cell(
                 &dataset,
                 Algo::Sliding,
                 &constraint,
                 epsilon,
                 opts.trials,
                 opts.shards,
-                opts.window,
-                &persist_opts(&opts, Algo::Sliding, &workload.name()),
+                window,
             ) {
                 Ok(r) => (
                     format!("{:.4}", r.diversity),
@@ -163,8 +116,7 @@ fn main() {
                 // answer — a real property of the scenario, not a crash.
                 Err(fdm_core::FdmError::NoFeasibleCandidate) => {
                     eprintln!(
-                        "  sliding: no feasible window of {} elements (rare group vs quota)",
-                        opts.window
+                        "  sliding: no feasible window of {window} elements (rare group vs quota)"
                     );
                     ("infeasible".into(), "-".into(), "-".into())
                 }
@@ -174,14 +126,14 @@ fn main() {
             ("-".into(), "-".into(), "-".into())
         };
 
-        let s2 = run_averaged_sharded_persist(
+        let s2 = run_averaged_cell(
             &dataset,
             Algo::Sfdm2,
             &constraint,
             epsilon,
             opts.trials,
             opts.shards,
-            &persist_opts(&opts, Algo::Sfdm2, &workload.name()),
+            0,
         )
         .expect("SFDM2 run");
 

@@ -9,17 +9,11 @@
 //! * `--seed N` — dataset generation seed (default 42);
 //! * `--shards N` — shard count for the streaming algorithms (default 1 =
 //!   unsharded; K > 1 routes streams through `ShardedStream`);
-//! * `--snapshot-every N` — checkpoint each streaming run every N arrivals
-//!   (table2 writes `results/snapshots/table2-<algo>-<dataset>.snap`);
-//! * `--restore-from PATH` — resume each streaming run from a snapshot
-//!   (the already-processed prefix of the permuted stream is skipped, so a
-//!   resumed run finishes with results identical to an uninterrupted one;
-//!   incompatible snapshots are rejected with a typed error). Checkpoints
-//!   are written in the v2 binary codec; resume also reads v1 JSON files;
-//! * `--algorithm NAME` — add an extra streaming scenario to experiments
-//!   that support it (today: `sliding` on table2);
-//! * `--window N` — sliding-window size for `--algorithm sliding`
-//!   (required with it, rejected without it).
+//! * `--window N` — add table2's sliding-window scenario over the most
+//!   recent `N` arrivals (N ≥ 2).
+//!
+//! Every run is one uninterrupted pass; the experiments take no
+//! checkpoints (durable summaries are `fdm-serve`'s job).
 
 use crate::workloads::SizeMode;
 
@@ -36,15 +30,8 @@ pub struct Options {
     pub seed: u64,
     /// Shard count for the streaming algorithms (1 = unsharded).
     pub shards: usize,
-    /// Checkpoint cadence for the streaming algorithms (arrivals between
-    /// snapshots); `None` disables checkpointing.
-    pub snapshot_every: Option<usize>,
-    /// Snapshot to resume the streaming runs from.
-    pub restore_from: Option<String>,
-    /// Extra streaming scenario to run (today: `sliding` on table2).
-    pub algorithm: Option<String>,
-    /// Sliding-window size for `--algorithm sliding`.
-    pub window: usize,
+    /// Sliding-window size of table2's sliding scenario; `None` skips it.
+    pub window: Option<usize>,
 }
 
 impl Default for Options {
@@ -55,10 +42,7 @@ impl Default for Options {
             k: 20,
             seed: 42,
             shards: 1,
-            snapshot_every: None,
-            restore_from: None,
-            algorithm: None,
-            window: 0,
+            window: None,
         }
     }
 }
@@ -79,33 +63,11 @@ impl Options {
                 "--k" => opts.k = take_num(&mut args, "--k")? as usize,
                 "--seed" => opts.seed = take_num(&mut args, "--seed")?,
                 "--shards" => opts.shards = take_num(&mut args, "--shards")? as usize,
-                "--snapshot-every" => {
-                    opts.snapshot_every = Some(take_num(&mut args, "--snapshot-every")? as usize)
-                }
-                "--restore-from" => {
-                    opts.restore_from = Some(
-                        args.next()
-                            .ok_or_else(|| "--restore-from requires a path".to_string())?,
-                    )
-                }
-                "--algorithm" => {
-                    let value = args
-                        .next()
-                        .ok_or_else(|| "--algorithm requires a name".to_string())?;
-                    if !fdm_core::streaming::summary::is_known_algorithm(&value) {
-                        return Err(format!(
-                            "--algorithm: unknown algorithm `{value}` (expected one of: {})",
-                            fdm_core::streaming::summary::algorithm_tags().join(", ")
-                        ));
-                    }
-                    opts.algorithm = Some(value);
-                }
-                "--window" => opts.window = take_num(&mut args, "--window")? as usize,
+                "--window" => opts.window = Some(take_num(&mut args, "--window")? as usize),
                 "--help" | "-h" => {
                     return Err(
                         "usage: [--quick|--full] [--trials N] [--k N] [--seed N] [--shards N] \
-                         [--snapshot-every N] [--restore-from PATH] \
-                         [--algorithm sliding --window N]"
+                         [--window N]"
                             .to_string(),
                     )
                 }
@@ -118,16 +80,8 @@ impl Options {
         if opts.shards == 0 {
             return Err("--shards must be at least 1".to_string());
         }
-        if opts.snapshot_every == Some(0) {
-            return Err("--snapshot-every must be at least 1".to_string());
-        }
-        if opts.algorithm.as_deref() == Some("sliding") && opts.window < 2 {
-            return Err("--algorithm sliding requires --window N (N ≥ 2)".to_string());
-        }
-        if opts.window != 0 && opts.algorithm.as_deref() != Some("sliding") {
-            // Mirror the registry/protocol contract: a window on a
-            // non-sliding algorithm is an error everywhere, never ignored.
-            return Err("--window requires --algorithm sliding".to_string());
+        if opts.window.is_some_and(|w| w < 2) {
+            return Err("--window must be at least 2".to_string());
         }
         Ok(opts)
     }
@@ -192,31 +146,17 @@ mod tests {
         assert!(parse(&["--trials"]).is_err());
         assert!(parse(&["--trials", "abc"]).is_err());
         assert!(parse(&["--trials", "0"]).is_err());
-        assert!(parse(&["--snapshot-every", "0"]).is_err());
-        assert!(parse(&["--restore-from"]).is_err());
-    }
-
-    #[test]
-    fn parses_persistence_flags() {
-        let o = parse(&["--snapshot-every", "500", "--restore-from", "/tmp/x.snap"]).unwrap();
-        assert_eq!(o.snapshot_every, Some(500));
-        assert_eq!(o.restore_from.as_deref(), Some("/tmp/x.snap"));
-        let o = parse(&[]).unwrap();
-        assert_eq!(o.snapshot_every, None);
-        assert_eq!(o.restore_from, None);
     }
 
     #[test]
     fn parses_sliding_scenario_flags() {
-        let o = parse(&["--algorithm", "sliding", "--window", "500"]).unwrap();
-        assert_eq!(o.algorithm.as_deref(), Some("sliding"));
-        assert_eq!(o.window, 500);
-        assert!(parse(&["--algorithm", "sliding"]).is_err()); // no window
-        assert!(parse(&["--algorithm", "sliding", "--window", "1"]).is_err());
-        assert!(parse(&["--window", "100"]).is_err()); // window alone
-        assert!(parse(&["--algorithm", "bogus", "--window", "100"]).is_err());
-        // A window on a non-sliding algorithm must error, not be ignored.
-        assert!(parse(&["--algorithm", "sfdm2", "--window", "100"]).is_err());
+        assert_eq!(parse(&["--window", "400"]).unwrap().window, Some(400));
+        assert_eq!(parse(&[]).unwrap().window, None);
+        let err = parse(&["--algorithm", "sliding", "--window", "400"]).unwrap_err();
+        assert!(err.contains("unknown flag --algorithm"), "{err}");
+        assert!(parse(&["--window", "1"]).is_err());
+        assert!(parse(&["--window", "0"]).is_err());
+        assert!(parse(&["--window"]).is_err());
     }
 
     #[test]

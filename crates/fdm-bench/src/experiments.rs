@@ -4,7 +4,7 @@ use fdm_core::error::Result;
 use fdm_core::fairness::FairnessConstraint;
 
 use crate::cli::Options;
-use crate::measure::{run_averaged, Algo, RunResult};
+use crate::measure::{run_averaged_cell, Algo, RunResult};
 use crate::workloads::Workload;
 
 /// One measured cell of a `k`-sweep: `(workload, k, result)`.
@@ -71,12 +71,14 @@ pub fn sweep_k(opts: &Options) -> Result<Vec<SweepCell>> {
         for k in k_values(m) {
             let constraint = FairnessConstraint::equal_representation(k, m)?;
             for algo in panel_algos(m, k) {
-                let r = run_averaged(
+                let r = run_averaged_cell(
                     &dataset,
                     algo,
                     &constraint,
                     workload.default_epsilon(),
                     opts.trials,
+                    opts.shards,
+                    0,
                 )?;
                 cells.push((workload, k, r));
             }

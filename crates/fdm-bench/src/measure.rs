@@ -7,10 +7,11 @@
 //!   the convention behind Table II's "time(s)" column;
 //! * **space** — number of distinct stored elements (streaming only; the
 //!   offline baselines keep the whole dataset, i.e. `n`).
+//!
+//! Every streaming run is one uninterrupted pass over a permutation of the
+//! dataset; nothing is checkpointed, so the measured update time is
+//! algorithm work alone. Persistence belongs to the serving engine.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use fdm_core::balance::SwapStrategy;
@@ -22,9 +23,8 @@ use fdm_core::offline::fair_flow::{FairFlow, FairFlowConfig};
 use fdm_core::offline::fair_gmm::{FairGmm, FairGmmConfig};
 use fdm_core::offline::fair_swap::{FairSwap, FairSwapConfig};
 use fdm_core::offline::gmm::gmm;
-use fdm_core::persist::Snapshot;
 use fdm_core::point::Element;
-use fdm_core::streaming::summary::{self, DynSummary, SummarySpec};
+use fdm_core::streaming::summary::{self, SummarySpec};
 use fdm_datasets::stream::{shuffled_indices, stream_elements};
 
 /// Batch size for the sharded ingestion path: large enough to amortize the
@@ -113,56 +113,6 @@ impl RunResult {
     }
 }
 
-/// Snapshot/restore options for the streaming runs (the `--snapshot-every`
-/// / `--restore-from` CLI flags land here).
-#[derive(Debug, Clone, Default)]
-pub struct PersistOpts {
-    /// Checkpoint the summary every N ingested arrivals.
-    pub snapshot_every: Option<usize>,
-    /// Where periodic checkpoints are written (required when
-    /// `snapshot_every` is set; overwritten in place, latest wins).
-    pub snapshot_path: Option<PathBuf>,
-    /// Resume from this snapshot: the summary is restored (after a
-    /// compatibility check against the run's own configuration — a
-    /// mismatching snapshot is a typed error, never garbage distances) and
-    /// the already-processed prefix of the permuted stream is skipped, so
-    /// the resumed run finishes bit-identically to an uninterrupted one.
-    pub restore_from: Option<PathBuf>,
-    /// Pre-parsed resume snapshot. [`run_averaged_sharded_persist`] fills
-    /// this by reading `restore_from` **once** before its repetition loop,
-    /// so per-trial runs never re-read and re-parse the file; callers can
-    /// also hand a snapshot they already hold. Takes precedence over
-    /// `restore_from`.
-    pub restore_snapshot: Option<Arc<Snapshot>>,
-}
-
-/// Times `Snapshot::read_from_file` was invoked by this module — the
-/// regression counter for the "restore hoisted out of the repetition
-/// loop" guarantee (see `snapshot_reads_happen_once_per_resume` in the
-/// tests).
-static SNAPSHOT_FILE_READS: AtomicUsize = AtomicUsize::new(0);
-
-/// Current value of the snapshot-file read counter.
-pub fn snapshot_file_reads() -> usize {
-    SNAPSHOT_FILE_READS.load(Ordering::SeqCst)
-}
-
-/// Reads and parses a resume snapshot, counting the read.
-fn read_restore_snapshot(path: &PathBuf) -> Result<Arc<Snapshot>> {
-    SNAPSHOT_FILE_READS.fetch_add(1, Ordering::SeqCst);
-    Ok(Arc::new(Snapshot::read_from_file(path)?))
-}
-
-/// The snapshot a run should resume from, if any: the pre-parsed one when
-/// present, else one (counted) file read.
-fn resume_snapshot(persist: &PersistOpts) -> Result<Option<Arc<Snapshot>>> {
-    match (&persist.restore_snapshot, &persist.restore_from) {
-        (Some(snapshot), _) => Ok(Some(snapshot.clone())),
-        (None, Some(path)) => read_restore_snapshot(path).map(Some),
-        (None, None) => Ok(None),
-    }
-}
-
 /// Parameters shared by all runs of one experiment cell.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
@@ -177,12 +127,9 @@ pub struct RunConfig {
     /// (bit-identical to the plain algorithm); K > 1 routes the stream
     /// through `ShardedStream` with chunked batch ingestion.
     pub shards: usize,
-    /// Sliding-window size for [`Algo::Sliding`]; ignored (must be 0) for
-    /// every other algorithm.
+    /// Sliding-window size for [`Algo::Sliding`]; every other algorithm
+    /// ignores it.
     pub window: usize,
-    /// Snapshot/restore options for the streaming algorithms (checkpoint
-    /// cost is part of the measured update time).
-    pub persist: PersistOpts,
 }
 
 /// Runs one algorithm once and measures it.
@@ -283,74 +230,24 @@ fn summary_spec(algo: Algo, dataset: &Dataset, config: &RunConfig) -> Result<Sum
 /// Streams the permuted dataset through any registry-built summary and
 /// measures it. `shards == 1` inserts element-by-element (the unsharded
 /// reference path, bit-identical to the plain algorithm); `shards > 1`
-/// pre-materializes the stream and ingests fixed-size batches so the shard
-/// fan-out can run concurrently on the persistent pool.
+/// ingests fixed-size batches so the shard fan-out can run concurrently on
+/// the persistent pool.
 fn run_streaming(algo: Algo, dataset: &Dataset, run: &RunConfig) -> Result<RunResult> {
     let spec = summary_spec(algo, dataset, run)?;
-    let shards = spec.shards;
-    let mut alg: Box<dyn DynSummary> = match resume_snapshot(&run.persist)? {
-        Some(snapshot) => {
-            // Check the snapshot against this run's own configuration
-            // *before* trusting its state: a wrong-algorithm/ε/metric/
-            // quota snapshot must be a typed error, not garbage distances.
-            let mut implied = summary::spec_params(&spec)?;
-            // Pre-registry builds checkpointed every streaming run through
-            // the sharded wrapper, so a --shards 1 checkpoint carries tag
-            // `sharded:<algo>` with shards = 1 — bit-identical in behavior
-            // to the unsharded algorithm (pinned by tests/sharded.rs).
-            // Accept it by adopting the wrapper identity for the check;
-            // `summary::restore` then rebuilds the K = 1 wrapper.
-            if implied.shards == 1
-                && snapshot.params.shards == 1
-                && snapshot.params.algorithm == format!("sharded:{}", implied.algorithm)
-            {
-                implied.algorithm = snapshot.params.algorithm.clone();
-            }
-            snapshot.params.ensure_compatible(&implied)?;
-            // A fresh spec hasn't seen data, so its dimension is the
-            // 0 wildcard and `ensure_compatible` cannot vet it — but the
-            // dataset's dimensionality is known here, and a mismatch would
-            // panic in the arena on the first suffix element.
-            if snapshot.params.dim != 0 && snapshot.params.dim != dataset.dim() {
-                return Err(fdm_core::FdmError::IncompatibleSnapshot {
-                    detail: format!(
-                        "snapshot holds {}-dimensional points, dataset is {}-dimensional",
-                        snapshot.params.dim,
-                        dataset.dim()
-                    ),
-                });
-            }
-            summary::restore(&snapshot)?
-        }
-        None => summary::build(&spec)?,
-    };
+    let mut alg = summary::build(&spec)?;
     let order = shuffled_indices(dataset.len(), run.seed);
     // Pre-materialize the permuted stream for *both* paths so the measured
     // update time covers only algorithm work — comparisons across shard
     // counts stay apples-to-apples.
     let elements: Vec<Element> = stream_elements(dataset, &order).collect();
-    // Resume semantics: the restored summary already processed a prefix of
-    // this permutation; only the remaining suffix is ingested.
-    let skip = alg.processed().min(elements.len());
-    let suffix = &elements[skip..];
-    if let Some(path) = &run.persist.snapshot_path {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).map_err(|e| fdm_core::FdmError::SnapshotIo {
-                detail: format!("create snapshot dir {}: {e}", dir.display()),
-            })?;
-        }
-    }
-    let mut checkpointer = Checkpointer::new(&run.persist)?;
     let start = Instant::now();
-    if shards == 1 {
-        for e in suffix {
+    if spec.shards == 1 {
+        for e in &elements {
             alg.insert(e);
-            checkpointer.after_ingest(alg.as_ref(), 1)?;
         }
     } else {
-        for chunk in suffix.chunks(SHARD_BATCH) {
+        for chunk in elements.chunks(SHARD_BATCH) {
             alg.insert_batch(chunk);
-            checkpointer.after_ingest(alg.as_ref(), chunk.len())?;
         }
     }
     let stream_time = start.elapsed().as_secs_f64();
@@ -361,45 +258,10 @@ fn run_streaming(algo: Algo, dataset: &Dataset, run: &RunConfig) -> Result<RunRe
         algo: algo.name(),
         diversity: sol.diversity,
         total_time_s: stream_time + post_time,
-        update_time_s: Some(stream_time / suffix.len().max(1) as f64),
+        update_time_s: Some(stream_time / elements.len().max(1) as f64),
         post_time_s: Some(post_time),
         stored_elements: Some(alg.stored_elements()),
     })
-}
-
-/// Periodic checkpoint writer for the streaming runs.
-struct Checkpointer<'a> {
-    every: Option<usize>,
-    path: Option<&'a PathBuf>,
-    since_snapshot: usize,
-}
-
-impl<'a> Checkpointer<'a> {
-    fn new(persist: &'a PersistOpts) -> Result<Self> {
-        if persist.snapshot_every.is_some() && persist.snapshot_path.is_none() {
-            return Err(fdm_core::FdmError::SnapshotIo {
-                detail: "snapshot_every set without a snapshot_path".to_string(),
-            });
-        }
-        Ok(Checkpointer {
-            every: persist.snapshot_every,
-            path: persist.snapshot_path.as_ref(),
-            since_snapshot: 0,
-        })
-    }
-
-    fn after_ingest(&mut self, alg: &dyn DynSummary, ingested: usize) -> Result<()> {
-        let Some(every) = self.every else {
-            return Ok(());
-        };
-        self.since_snapshot += ingested;
-        if self.since_snapshot >= every {
-            let path = self.path.expect("validated in Checkpointer::new");
-            alg.snapshot().write_to_file(path)?;
-            self.since_snapshot = 0;
-        }
-        Ok(())
-    }
 }
 
 /// Runs an algorithm over several stream permutations and averages every
@@ -412,36 +274,13 @@ pub fn run_averaged(
     epsilon: f64,
     trials: usize,
 ) -> Result<RunResult> {
-    run_averaged_sharded(dataset, algo, constraint, epsilon, trials, 1)
+    run_averaged_cell(dataset, algo, constraint, epsilon, trials, 1, 0)
 }
 
-/// [`run_averaged`] with an explicit shard count for the streaming
-/// algorithms (the `--shards` CLI flag lands here; offline algorithms
-/// ignore it).
-pub fn run_averaged_sharded(
-    dataset: &Dataset,
-    algo: Algo,
-    constraint: &FairnessConstraint,
-    epsilon: f64,
-    trials: usize,
-    shards: usize,
-) -> Result<RunResult> {
-    run_averaged_sharded_persist(
-        dataset,
-        algo,
-        constraint,
-        epsilon,
-        trials,
-        shards,
-        &PersistOpts::default(),
-    )
-}
-
-/// [`run_averaged_sharded_persist`] with a sliding-window size for
-/// [`Algo::Sliding`] (the `--algorithm sliding --window N` CLI flags land
-/// here; every other algorithm requires `window == 0`).
-#[allow(clippy::too_many_arguments)]
-pub fn run_averaged_windowed(
+/// [`run_averaged`] with an explicit shard count and sliding-window size
+/// (the `--shards` and `--window` CLI flags land here). Offline algorithms
+/// ignore `shards`; only [`Algo::Sliding`] reads `window`.
+pub fn run_averaged_cell(
     dataset: &Dataset,
     algo: Algo,
     constraint: &FairnessConstraint,
@@ -449,63 +288,8 @@ pub fn run_averaged_windowed(
     trials: usize,
     shards: usize,
     window: usize,
-    persist: &PersistOpts,
-) -> Result<RunResult> {
-    run_averaged_inner(
-        dataset, algo, constraint, epsilon, trials, shards, window, persist,
-    )
-}
-
-/// [`run_averaged_sharded`] with snapshot/restore options (the
-/// `--snapshot-every` / `--restore-from` CLI flags land here; offline
-/// algorithms ignore them). Restoring requires `trials == 1`: each trial
-/// streams a different permutation, and a checkpoint from one permutation
-/// cannot resume another.
-pub fn run_averaged_sharded_persist(
-    dataset: &Dataset,
-    algo: Algo,
-    constraint: &FairnessConstraint,
-    epsilon: f64,
-    trials: usize,
-    shards: usize,
-    persist: &PersistOpts,
-) -> Result<RunResult> {
-    run_averaged_inner(
-        dataset, algo, constraint, epsilon, trials, shards, 0, persist,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_averaged_inner(
-    dataset: &Dataset,
-    algo: Algo,
-    constraint: &FairnessConstraint,
-    epsilon: f64,
-    trials: usize,
-    shards: usize,
-    window: usize,
-    persist: &PersistOpts,
 ) -> Result<RunResult> {
     assert!(trials > 0);
-    if (persist.restore_from.is_some() || persist.restore_snapshot.is_some()) && trials > 1 {
-        // Silently averaging resumed-from-the-wrong-permutation runs would
-        // be wrong in a way no later check catches; refuse up front.
-        return Err(fdm_core::FdmError::IncompatibleSnapshot {
-            detail: format!(
-                "restore-from requires a single trial (got {trials}): each trial streams a \
-                 different permutation, so a checkpoint of one cannot resume another"
-            ),
-        });
-    }
-    // Hoist the resume-snapshot read out of the repetition loop: the file
-    // is read and parsed exactly once here, and every repetition below
-    // resumes from the pre-parsed document.
-    let mut persist = persist.clone();
-    if persist.restore_snapshot.is_none() {
-        if let Some(path) = &persist.restore_from {
-            persist.restore_snapshot = Some(read_restore_snapshot(path)?);
-        }
-    }
     let mut acc: Option<RunResult> = None;
     for seed in 0..trials as u64 {
         let r = run_algorithm(
@@ -517,7 +301,6 @@ fn run_averaged_inner(
                 seed,
                 shards,
                 window,
-                persist: persist.clone(),
             },
         )?;
         acc = Some(match acc {
@@ -590,7 +373,6 @@ mod tests {
                     seed: 0,
                     shards: 1,
                     window: 0,
-                    persist: Default::default(),
                 },
             )
             .unwrap_or_else(|e| panic!("{algo:?} failed: {e}"));
@@ -614,7 +396,6 @@ mod tests {
                 seed: 0,
                 shards: 1,
                 window: 0,
-                persist: Default::default(),
             },
         )
         .unwrap();
@@ -628,7 +409,6 @@ mod tests {
                 seed: 0,
                 shards: 1,
                 window: 0,
-                persist: Default::default(),
             },
         )
         .unwrap();
@@ -642,194 +422,6 @@ mod tests {
         let r = run_averaged(&d, Algo::Sfdm2, &c, 0.1, 3).unwrap();
         assert!(r.diversity > 0.0);
         assert!(r.stored_elements.unwrap() > 0);
-    }
-
-    #[test]
-    fn checkpoint_then_resume_matches_uninterrupted_run() {
-        // This test resumes from a file, which increments the global
-        // read counter the two counting tests below assert on.
-        let _guard = COUNTER_LOCK.lock().unwrap();
-        let d = dataset();
-        let c = FairnessConstraint::new(vec![3, 3]).unwrap();
-        let dir = std::env::temp_dir().join(format!("fdm_measure_ckpt_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let snap = dir.join("sfdm2.snap");
-
-        let base = RunConfig {
-            constraint: c.clone(),
-            epsilon: 0.1,
-            seed: 0,
-            shards: 1,
-            window: 0,
-            persist: Default::default(),
-        };
-        let reference = run_algorithm(&d, Algo::Sfdm2, &base).unwrap();
-
-        // Checkpointing run: identical results, snapshot file left behind
-        // (the last checkpoint lands at arrival 1400 of the 1500).
-        let mut ckpt = base.clone();
-        ckpt.persist.snapshot_every = Some(700);
-        ckpt.persist.snapshot_path = Some(snap.clone());
-        let checkpointed = run_algorithm(&d, Algo::Sfdm2, &ckpt).unwrap();
-        assert_eq!(reference.diversity, checkpointed.diversity);
-        assert!(snap.exists(), "checkpoint file must be written");
-
-        // Resumed run: restore the 1400-arrival checkpoint, skip the
-        // processed prefix, ingest the remaining 100 elements, and land on
-        // the identical solution.
-        let mut resume = base.clone();
-        resume.persist.restore_from = Some(snap.clone());
-        let resumed = run_algorithm(&d, Algo::Sfdm2, &resume).unwrap();
-        assert_eq!(reference.diversity, resumed.diversity);
-        assert_eq!(reference.stored_elements, resumed.stored_elements);
-
-        // A mismatching configuration must be rejected, not ingested.
-        let mut wrong = resume.clone();
-        wrong.constraint = FairnessConstraint::new(vec![2, 2]).unwrap();
-        let err = run_algorithm(&d, Algo::Sfdm2, &wrong).unwrap_err();
-        assert!(
-            matches!(err, fdm_core::FdmError::IncompatibleSnapshot { .. }),
-            "{err}"
-        );
-
-        // Restoring across multiple trials (different permutations) must
-        // be refused, not silently averaged.
-        let err = run_averaged_sharded_persist(&d, Algo::Sfdm2, &c, 0.1, 3, 1, &resume.persist)
-            .unwrap_err();
-        assert!(
-            matches!(err, fdm_core::FdmError::IncompatibleSnapshot { .. }),
-            "{err}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Serializes the tests that assert on the global read counter.
-    static COUNTER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn snapshot_reads_happen_once_per_resume() {
-        let _guard = COUNTER_LOCK.lock().unwrap();
-        // Regression: the prefix-skip resume used to read + parse the
-        // snapshot file inside the per-repetition path; the restore must
-        // be hoisted so one resume costs exactly one file read.
-        let d = dataset();
-        let c = FairnessConstraint::new(vec![3, 3]).unwrap();
-        let dir = std::env::temp_dir().join(format!("fdm_resume_reads_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let snap = dir.join("sfdm2.snap");
-
-        let mut ckpt = PersistOpts {
-            snapshot_every: Some(700),
-            snapshot_path: Some(snap.clone()),
-            ..Default::default()
-        };
-        run_averaged_sharded_persist(&d, Algo::Sfdm2, &c, 0.1, 1, 1, &ckpt).unwrap();
-        assert!(snap.exists());
-
-        ckpt.snapshot_every = None;
-        ckpt.snapshot_path = None;
-        ckpt.restore_from = Some(snap.clone());
-        let before = snapshot_file_reads();
-        run_averaged_sharded_persist(&d, Algo::Sfdm2, &c, 0.1, 1, 1, &ckpt).unwrap();
-        assert_eq!(
-            snapshot_file_reads() - before,
-            1,
-            "one resume must cost exactly one snapshot file read"
-        );
-
-        // A pre-parsed snapshot needs no file at all: delete it and run
-        // again — proof the per-repetition path cannot be re-reading.
-        let parsed = Arc::new(Snapshot::read_from_file(&snap).unwrap());
-        std::fs::remove_file(&snap).unwrap();
-        let preloaded = PersistOpts {
-            restore_snapshot: Some(parsed),
-            ..Default::default()
-        };
-        let before = snapshot_file_reads();
-        let r = run_averaged_sharded_persist(&d, Algo::Sfdm2, &c, 0.1, 1, 1, &preloaded).unwrap();
-        assert!(r.diversity > 0.0);
-        assert_eq!(
-            snapshot_file_reads(),
-            before,
-            "a pre-parsed snapshot must not touch the filesystem"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_sharded_tagged_checkpoint_resumes_unsharded_run() {
-        // Pre-registry builds checkpointed every streaming cell through
-        // the sharded wrapper, so a --shards 1 checkpoint carries the tag
-        // `sharded:sfdm2` (shards = 1). Those documents must keep
-        // resuming bit-identically after the DynSummary retarget.
-        let d = dataset();
-        let c = FairnessConstraint::new(vec![3, 3]).unwrap();
-        let reference =
-            run_averaged_sharded_persist(&d, Algo::Sfdm2, &c, 0.1, 1, 1, &Default::default())
-                .unwrap();
-        let bounds = d.sampled_distance_bounds(300, 4.0).unwrap();
-        let cfg = fdm_core::streaming::sfdm2::Sfdm2Config {
-            constraint: c.clone(),
-            epsilon: 0.1,
-            bounds,
-            metric: d.metric(),
-        };
-        let mut legacy = fdm_core::streaming::sharded::ShardedStream::<
-            fdm_core::streaming::sfdm2::Sfdm2,
-        >::new(cfg, 1)
-        .unwrap();
-        // The prefix of the exact permutation a seed-0 trial streams.
-        let order = shuffled_indices(d.len(), 0);
-        let elements: Vec<Element> = stream_elements(&d, &order).collect();
-        for e in &elements[..1000] {
-            legacy.insert(e);
-        }
-        let snapshot = fdm_core::persist::Snapshottable::snapshot(&legacy);
-        assert_eq!(snapshot.params.algorithm, "sharded:sfdm2");
-        assert_eq!(snapshot.params.shards, 1);
-        let resumed = run_averaged_sharded_persist(
-            &d,
-            Algo::Sfdm2,
-            &c,
-            0.1,
-            1,
-            1,
-            &PersistOpts {
-                restore_snapshot: Some(Arc::new(snapshot)),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(reference.diversity, resumed.diversity);
-        assert_eq!(reference.stored_elements, resumed.stored_elements);
-    }
-
-    #[test]
-    fn checkpoints_honor_the_configured_format() {
-        let _guard = COUNTER_LOCK.lock().unwrap();
-        let d = dataset();
-        let c = FairnessConstraint::new(vec![2, 2]).unwrap();
-        let dir = std::env::temp_dir().join(format!("fdm_ckpt_format_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        // Checkpoints are always the v2 binary frame.
-        let snap = dir.join("ckpt.bin");
-        let opts = PersistOpts {
-            snapshot_every: Some(700),
-            snapshot_path: Some(snap.clone()),
-            ..Default::default()
-        };
-        run_averaged_sharded_persist(&d, Algo::Sfdm2, &c, 0.1, 1, 1, &opts).unwrap();
-        let bytes = std::fs::read(&snap).unwrap();
-        assert!(bytes.starts_with(b"FDMSNAP2"));
-        // The checkpoint resumes through the sniffing reader.
-        let resume = PersistOpts {
-            restore_from: Some(snap),
-            ..Default::default()
-        };
-        run_averaged_sharded_persist(&d, Algo::Sfdm2, &c, 0.1, 1, 1, &resume).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -850,7 +442,6 @@ mod tests {
                 seed: 1,
                 shards: 1,
                 window: 0,
-                persist: Default::default(),
             },
         )
         .unwrap();

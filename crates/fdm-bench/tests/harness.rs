@@ -18,7 +18,6 @@ fn runs_are_deterministic_given_seed() {
         seed: 5,
         shards: 1,
         window: 0,
-        persist: Default::default(),
     };
     let a = run_algorithm(&d, Algo::Sfdm1, &cfg).unwrap();
     let b = run_algorithm(&d, Algo::Sfdm1, &cfg).unwrap();
@@ -43,7 +42,6 @@ fn different_permutations_change_the_stream() {
                     seed,
                     shards: 1,
                     window: 0,
-                    persist: Default::default(),
                 },
             )
             .unwrap()
@@ -76,7 +74,6 @@ fn averaged_diversity_is_within_min_max_of_singles() {
                     seed,
                     shards: 1,
                     window: 0,
-                    persist: Default::default(),
                 },
             )
             .unwrap()

@@ -559,11 +559,15 @@ mod tests {
         }
     }
 
+    fn arrival(i: usize) -> Element {
+        let x = (i as f64 * 0.7391).sin() * 9.0;
+        let y = (i as f64 * 0.2113).cos() * 9.0;
+        Element::new(i, vec![x, y], i % 2)
+    }
+
     fn feed(summary: &mut dyn DynSummary, n: usize) {
         for i in 0..n {
-            let x = (i as f64 * 0.7391).sin() * 9.0;
-            let y = (i as f64 * 0.2113).cos() * 9.0;
-            summary.insert(&Element::new(i, vec![x, y], i % 2));
+            summary.insert(&arrival(i));
         }
     }
 
@@ -599,12 +603,36 @@ mod tests {
                 let mut summary = build(&s).unwrap();
                 feed(summary.as_mut(), 80);
                 let snapshot = summary.snapshot();
-                let restored = restore(&snapshot).unwrap_or_else(|e| panic!("{tag}: {e}"));
+                let mut restored = restore(&snapshot).unwrap_or_else(|e| panic!("{tag}: {e}"));
                 assert_eq!(restored.processed(), 80, "{tag} x{shards}");
                 assert_eq!(restored.params(), summary.params(), "{tag} x{shards}");
                 assert_eq!(
                     restored.finalize().unwrap().ids(),
                     summary.finalize().unwrap().ids(),
+                    "{tag} x{shards}"
+                );
+                // Restore-then-continue: the restored summary and its
+                // uninterrupted twin take the same further arrivals, one by
+                // one and then as one batch, and must stay bit-identical.
+                let suffix: Vec<Element> = (80..200).map(arrival).collect();
+                for stream in [&mut restored, &mut summary] {
+                    for e in &suffix[..60] {
+                        stream.insert(e);
+                    }
+                    stream.insert_batch(&suffix[60..]);
+                }
+                assert_eq!(restored.processed(), 200, "{tag} x{shards}");
+                assert_eq!(restored.processed(), summary.processed(), "{tag} x{shards}");
+                assert_eq!(
+                    restored.stored_elements(),
+                    summary.stored_elements(),
+                    "{tag} x{shards}"
+                );
+                let (resumed, twin) = (restored.finalize().unwrap(), summary.finalize().unwrap());
+                assert_eq!(resumed.ids(), twin.ids(), "{tag} x{shards}");
+                assert_eq!(
+                    resumed.diversity.to_bits(),
+                    twin.diversity.to_bits(),
                     "{tag} x{shards}"
                 );
             }
@@ -657,9 +685,7 @@ mod tests {
                 let mut parts: Vec<Box<dyn DynSummary>> =
                     (0..parts_n).map(|_| build(&part_spec).unwrap()).collect();
                 for i in 0..90 {
-                    let x = (i as f64 * 0.7391).sin() * 9.0;
-                    let y = (i as f64 * 0.2113).cos() * 9.0;
-                    parts[i % parts_n].insert(&Element::new(i, vec![x, y], i % 2));
+                    parts[i % parts_n].insert(&arrival(i));
                 }
                 let merged = merge_summaries(&part_spec, &parts, 8).unwrap();
                 let expected = reference.finalize().unwrap();
