@@ -23,7 +23,7 @@ use fdm_core::offline::fair_flow::{FairFlow, FairFlowConfig};
 use fdm_core::offline::fair_swap::{FairSwap, FairSwapConfig};
 
 fn main() {
-    let opts = Options::from_env();
+    let opts = Options::from_env("ablation_coreset");
     // Historical partition width is 8; `--shards N` (> 1) overrides it.
     // (1, the CLI default, means "unsharded" elsewhere and would degenerate
     // this ablation to GMM on the whole dataset.)

@@ -18,7 +18,7 @@ use fdm_core::streaming::sfdm2::{AugmentationMode, Sfdm2, Sfdm2Config};
 use fdm_datasets::stream::{shuffled_indices, stream_elements};
 
 fn main() {
-    let opts = Options::from_env();
+    let opts = Options::from_env("ablation_matroid");
     let workloads = [
         Workload::AdultRace,
         Workload::CelebaSexAge,

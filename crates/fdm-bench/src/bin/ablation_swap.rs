@@ -18,7 +18,7 @@ use fdm_core::streaming::sfdm1::{Sfdm1, Sfdm1Config};
 use fdm_datasets::stream::{shuffled_indices, stream_elements};
 
 fn main() {
-    let opts = Options::from_env();
+    let opts = Options::from_env("ablation_swap");
     let workloads = [Workload::AdultSex, Workload::CelebaSex, Workload::CensusSex];
     let mut table = Table::new(vec![
         "dataset",

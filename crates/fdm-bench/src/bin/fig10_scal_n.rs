@@ -19,7 +19,7 @@ use fdm_bench::workloads::{SizeMode, Workload};
 use fdm_core::fairness::FairnessConstraint;
 
 fn main() {
-    let opts = Options::from_env();
+    let opts = Options::from_env("fig10_scal_n");
     let max_exp = match opts.size {
         SizeMode::Quick => 4,
         SizeMode::Default => 5,

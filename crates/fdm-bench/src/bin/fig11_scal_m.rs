@@ -18,7 +18,7 @@ use fdm_bench::workloads::{SizeMode, Workload};
 use fdm_core::fairness::FairnessConstraint;
 
 fn main() {
-    let opts = Options::from_env();
+    let opts = Options::from_env("fig11_scal_m");
     let n = match opts.size {
         SizeMode::Quick => 5_000,
         SizeMode::Default => 100_000,

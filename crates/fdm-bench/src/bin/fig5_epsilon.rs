@@ -15,7 +15,7 @@ use fdm_bench::workloads::Workload;
 use fdm_core::fairness::FairnessConstraint;
 
 fn main() {
-    let opts = Options::from_env();
+    let opts = Options::from_env("fig5_epsilon");
     let panels: Vec<(Workload, Vec<f64>)> = vec![
         (Workload::AdultSex, vec![0.05, 0.10, 0.15, 0.20, 0.25]),
         (Workload::CelebaSex, vec![0.05, 0.10, 0.15, 0.20, 0.25]),

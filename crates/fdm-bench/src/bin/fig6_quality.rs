@@ -13,7 +13,7 @@ use fdm_bench::experiments::sweep_k;
 use fdm_bench::report::Table;
 
 fn main() {
-    let opts = Options::from_env();
+    let opts = Options::from_env("fig6_quality");
     let cells = sweep_k(&opts).expect("sweep");
     let mut table = Table::new(vec!["dataset", "k", "algo", "diversity"]);
     for (workload, k, r) in &cells {

@@ -13,7 +13,7 @@ use fdm_bench::experiments::sweep_k;
 use fdm_bench::report::{fmt_secs, Table};
 
 fn main() {
-    let opts = Options::from_env();
+    let opts = Options::from_env("fig7_time");
     let cells = sweep_k(&opts).expect("sweep");
     let mut table = Table::new(vec![
         "dataset",

@@ -14,7 +14,7 @@ use fdm_bench::workloads::Workload;
 use fdm_core::fairness::FairnessConstraint;
 
 fn main() {
-    let opts = Options::from_env();
+    let opts = Options::from_env("fig8_space");
     // (panel label, workload, algorithm, series label)
     let series: Vec<(&str, Workload, Algo, &str)> = vec![
         ("Adult", Workload::AdultSex, Algo::Sfdm1, "SFDM1"),

@@ -15,7 +15,7 @@ use fdm_bench::workloads::Workload;
 use fdm_core::fairness::FairnessConstraint;
 
 fn main() {
-    let opts = Options::from_env();
+    let opts = Options::from_env("fig9_er_pr");
     let panels: Vec<(Workload, Vec<Algo>)> = vec![
         (
             Workload::AdultSex,

@@ -3,36 +3,34 @@
 //! re-executes them as child processes so their stdout/CSV behavior is
 //! identical to running them by hand) and reports a pass/fail summary.
 //!
+//! Each child gets only the flags it reads (`cli::EXPERIMENTS`); a flag
+//! no experiment reads exits 2 before anything runs.
+//!
 //! Run: `cargo run --release -p fdm-bench --bin run_all [--quick|--full] [--trials N]`
 
 use std::process::Command;
 
+use fdm_bench::cli::forward_args;
+
 fn main() {
-    // Forward our flags verbatim to every child.
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let bins = [
-        "table2",
-        "fig5_epsilon",
-        "fig6_quality",
-        "fig7_time",
-        "fig8_space",
-        "fig9_er_pr",
-        "fig10_scal_n",
-        "fig11_scal_m",
-        "ablation_swap",
-        "ablation_matroid",
-        "ablation_coreset",
-    ];
+    let children = match forward_args(&args) {
+        Ok(children) => children,
+        Err(msg) => {
+            eprintln!("{msg}");
+            std::process::exit(2);
+        }
+    };
 
     // Children live next to this binary (same target directory).
     let self_path = std::env::current_exe().expect("current exe");
     let bin_dir = self_path.parent().expect("bin dir").to_path_buf();
 
     let mut failures = Vec::new();
-    for bin in bins {
+    for (bin, args) in &children {
         let path = bin_dir.join(bin);
         eprintln!("==> {bin} {}", args.join(" "));
-        let status = Command::new(&path).args(&args).status();
+        let status = Command::new(&path).args(args).status();
         match status {
             Ok(s) if s.success() => {}
             Ok(s) => {
@@ -49,7 +47,7 @@ fn main() {
     if failures.is_empty() {
         println!(
             "\nall {} experiments completed; CSVs in results/",
-            bins.len()
+            children.len()
         );
     } else {
         println!("\nfailed: {failures:?}");

@@ -21,7 +21,7 @@ use fdm_bench::workloads::Workload;
 use fdm_core::fairness::FairnessConstraint;
 
 fn main() {
-    let opts = Options::from_env();
+    let opts = Options::from_env("table2");
     let mut table = Table::new(vec![
         "dataset",
         "m",

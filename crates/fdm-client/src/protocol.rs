@@ -1,8 +1,9 @@
 //! The line protocol: one grammar, both sides of the wire.
 //!
-//! One command per line, fields separated by whitespace, one `OK ...` or
-//! `ERR ...` response line per command (`MERGE` additionally streams a raw
-//! binary tail after its header line). The grammar is documented in
+//! One command per line, fields separated by Unicode whitespace (one
+//! tokenizer, [`Fields`]), one `OK ...` or `ERR ...` response line per
+//! command (`MERGE` additionally streams a raw binary tail after its
+//! header line). The grammar is documented in
 //! `docs/serve.md`; parsing **and rendering** live here so the server's
 //! session loop, the WAL replayer, the coordinator, the client, and the
 //! tests all share one implementation:
@@ -17,6 +18,8 @@
 //! Both directions round-trip: `parse(render(x)) == x` byte-for-byte, so
 //! a reply relayed through the coordinator is indistinguishable from one
 //! answered locally.
+
+use std::sync::Arc;
 
 use fdm_core::metric::Metric;
 use fdm_core::point::Element;
@@ -154,9 +157,9 @@ pub(crate) fn render_insert_batch<T>(
 /// `|` byte is a separator token. A byte scan, not a second tokenizer:
 /// the entries are never split into fields again here.
 pub fn insert_entries(line: &str) -> impl Iterator<Item = &str> {
-    let line = line.trim_start();
-    let body = &line[line.find(char::is_whitespace).unwrap_or(line.len())..];
-    body.split('|').map(str::trim)
+    let mut fields = Fields::new(line);
+    fields.next();
+    fields.rest().split('|').map(str::trim)
 }
 
 /// Algorithm choice + parameters from an `OPEN` command.
@@ -348,76 +351,247 @@ impl StreamSpec {
     }
 }
 
-/// Parses an `INSERT` tail (`<id> <group> <x1> ... <xd>`) into an element,
-/// rejecting non-finite coordinates.
-pub fn parse_insert(fields: &[&str]) -> std::result::Result<Element, String> {
-    if fields.len() < 3 {
-        return Err("INSERT requires <id> <group> <x1> [... <xd>]".to_string());
+/// Whether each ASCII byte is whitespace in [`char::is_whitespace`]'s
+/// sense: `\t \n \x0B \x0C \r` and space (`u8::is_ascii_whitespace`
+/// misses `\x0B`).
+const ASCII_SPACE: [bool; 128] = {
+    let mut table = [false; 128];
+    let spaces = [b'\t', b'\n', 0x0B, 0x0C, b'\r', b' '];
+    let mut i = 0;
+    while i < spaces.len() {
+        table[spaces[i] as usize] = true;
+        i += 1;
     }
-    let id: usize = fields[0]
-        .parse()
-        .map_err(|_| format!("invalid element id `{}`", fields[0]))?;
-    let group: usize = fields[1]
-        .parse()
-        .map_err(|_| format!("invalid group label `{}`", fields[1]))?;
-    let point: Vec<f64> = fields[2..]
-        .iter()
-        .map(|f| {
-            let x = f
-                .parse::<f64>()
-                .map_err(|_| format!("invalid coordinate `{f}`"))?;
-            if !x.is_finite() {
-                // Typed, distinct from a parse failure: NaN/±inf would
-                // poison every distance this element touches and corrupt
-                // snapshots downstream.
-                return Err(format!(
-                    "non-finite coordinate `{f}` (NaN and ±inf are rejected)"
-                ));
-            }
-            Ok(x)
-        })
-        .collect::<std::result::Result<_, _>>()?;
-    Ok(Element::new(id, point, group))
+    table
+};
+
+/// Whether the char at byte `at` of `text` is whitespace, and its byte
+/// length. ASCII bytes are classified by table; any other byte decodes
+/// its char and asks [`char::is_whitespace`].
+#[inline]
+fn char_at(text: &str, at: usize) -> (bool, usize) {
+    let b = text.as_bytes()[at];
+    if b < 0x80 {
+        (ASCII_SPACE[b as usize], 1)
+    } else {
+        let c = text[at..].chars().next().expect("a char starts here");
+        (c.is_whitespace(), c.len_utf8())
+    }
 }
+
+/// The first byte index at or after `at` where a char that is whitespace
+/// (`space = false`) or is not (`space = true`) begins, or `text.len()`.
+/// The common runs are skipped without classifying each char: plain
+/// spaces between fields, and printable ASCII within one, eight bytes at
+/// a time while a whole word is in `0x21..=0x7F`.
+#[inline]
+fn skip(text: &str, mut at: usize, space: bool) -> usize {
+    let bytes = text.as_bytes();
+    loop {
+        if space {
+            while bytes.get(at) == Some(&b' ') {
+                at += 1;
+            }
+        } else {
+            // `w & 0x80…` flags a byte ≥ 0x80 and `(w - 0x21…) & !w & 0x80…`
+            // one below 0x21 (a borrow may also flag the bytes above it,
+            // which only ends the fast path early): zero means all eight
+            // bytes are in `0x21..=0x7F`.
+            while let Some(word) = bytes.get(at..at + 8) {
+                let w = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+                if (w | (w.wrapping_sub(0x2121_2121_2121_2121) & !w)) & 0x8080_8080_8080_8080 != 0 {
+                    break;
+                }
+                at += 8;
+            }
+            while bytes.get(at).is_some_and(|b| (0x21..0x80).contains(b)) {
+                at += 1;
+            }
+        }
+        if at == bytes.len() {
+            return at;
+        }
+        let (is_space, len) = char_at(text, at);
+        if is_space != space {
+            return at;
+        }
+        at += len;
+    }
+}
+
+/// The one request tokenizer: the fields of a line, separated by runs of
+/// Unicode White_Space (exactly [`char::is_whitespace`]). [`parse_line`],
+/// [`insert_entries`], the WAL replayer and the reply parser all read
+/// their fields through it.
+#[derive(Debug, Clone)]
+pub struct Fields<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Fields<'a> {
+    /// The fields of `text`, from its start.
+    pub fn new(text: &'a str) -> Fields<'a> {
+        Fields { text, pos: 0 }
+    }
+
+    /// The text after the last field returned (leading whitespace
+    /// included): the tail a verb's own grammar parses.
+    pub fn rest(&self) -> &'a str {
+        &self.text[self.pos..]
+    }
+}
+
+impl<'a> Iterator for Fields<'a> {
+    type Item = &'a str;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a str> {
+        let start = skip(self.text, self.pos, true);
+        let end = skip(self.text, start, false);
+        self.pos = end;
+        (start < end).then(|| &self.text[start..end])
+    }
+}
+
+/// Splits an `INSERTB` body at its first standalone `|` field: the entry
+/// text before it, and the body after it (`None` past the last entry). A
+/// `|` glued to other characters is part of a field, not a separator.
+fn split_at_bar(body: &str) -> (&str, Option<&str>) {
+    let mut from = 0;
+    while let Some(i) = body[from..].find('|').map(|i| from + i) {
+        let (before, after) = (&body[..i], &body[i + 1..]);
+        if (before.is_empty() || before.ends_with(char::is_whitespace))
+            && (after.is_empty() || after.starts_with(char::is_whitespace))
+        {
+            return (before, Some(after));
+        }
+        from = i + 1;
+    }
+    (body, None)
+}
+
+/// Parses one entry, `<id> <group> <x1> ... <xd>` — an `INSERT` tail, one
+/// `|`-separated piece of an `INSERTB`, or a WAL record's tail — into an
+/// element, rejecting non-finite coordinates. Errors come in field order:
+/// fewer than three fields first, then the id, the group and each
+/// coordinate left to right.
+pub fn parse_entry(text: &str) -> std::result::Result<Element, String> {
+    parse_entry_with(text, &mut Vec::new())
+}
+
+/// [`parse_entry`] with a caller-owned coordinate buffer, reused across
+/// the entries of a batch: the element's storage is allocated once, at
+/// its final size.
+fn parse_entry_with(text: &str, coords: &mut Vec<f64>) -> std::result::Result<Element, String> {
+    let mut fields = Fields::new(text);
+    let (Some(id), Some(group), Some(first)) = (fields.next(), fields.next(), fields.next()) else {
+        return Err("INSERT requires <id> <group> <x1> [... <xd>]".to_string());
+    };
+    let id: usize = id
+        .parse()
+        .map_err(|_| format!("invalid element id `{id}`"))?;
+    let group: usize = group
+        .parse()
+        .map_err(|_| format!("invalid group label `{group}`"))?;
+    coords.clear();
+    for f in std::iter::once(first).chain(fields) {
+        let x = f
+            .parse::<f64>()
+            .map_err(|_| format!("invalid coordinate `{f}`"))?;
+        if !x.is_finite() {
+            // Typed, distinct from a parse failure: NaN/±inf would poison
+            // every distance this element touches and corrupt snapshots
+            // downstream.
+            return Err(format!(
+                "non-finite coordinate `{f}` (NaN and ±inf are rejected)"
+            ));
+        }
+        coords.push(x);
+    }
+    Ok(Element {
+        id,
+        point: Arc::from(coords.as_slice()),
+        group,
+    })
+}
+
+/// The command verbs.
+#[derive(Debug, Clone, Copy)]
+enum Verb {
+    InsertBatch,
+    Insert,
+    Open,
+    Query,
+    Snapshot,
+    Restore,
+    Stats,
+    Merge,
+    Auth,
+    Ping,
+    Quit,
+}
+
+/// Each verb's spelling, matched case-insensitively; `INSERTB` first, as
+/// the bulk path.
+const VERBS: [(&str, Verb); 12] = [
+    ("INSERTB", Verb::InsertBatch),
+    ("INSERT", Verb::Insert),
+    ("OPEN", Verb::Open),
+    ("QUERY", Verb::Query),
+    ("SNAPSHOT", Verb::Snapshot),
+    ("RESTORE", Verb::Restore),
+    ("STATS", Verb::Stats),
+    ("MERGE", Verb::Merge),
+    ("AUTH", Verb::Auth),
+    ("PING", Verb::Ping),
+    ("QUIT", Verb::Quit),
+    ("EXIT", Verb::Quit),
+];
 
 /// Parses one protocol line. Empty lines and `#` comments yield `None`.
 pub fn parse_line(line: &str) -> std::result::Result<Option<Request>, String> {
-    let line = line.trim();
-    if line.is_empty() || line.starts_with('#') {
+    let mut fields = Fields::new(line);
+    let Some(word) = fields.next().filter(|w| !w.starts_with('#')) else {
         return Ok(None);
-    }
-    let fields: Vec<&str> = line.split_whitespace().collect();
-    let verb = fields[0].to_ascii_uppercase();
-    let command = match verb.as_str() {
-        "OPEN" => {
-            if fields.len() < 3 {
-                return Err("OPEN requires <name> <algo> key=value...".into());
-            }
-            let name = fields[1].to_string();
-            if !valid_stream_name(&name) {
-                return Err(format!("invalid stream name `{name}` (use [A-Za-z0-9_-]+)"));
-            }
-            let spec = StreamSpec::parse(&fields[2..])?;
-            Request::Open { name, spec }
-        }
-        "INSERT" => Request::Insert(parse_insert(&fields[1..])?),
-        "INSERTB" => {
+    };
+    let verb = VERBS
+        .iter()
+        .find(|(name, _)| name.eq_ignore_ascii_case(word))
+        .map(|&(_, verb)| verb)
+        .ok_or_else(|| format!("unknown command `{}`", word.to_ascii_uppercase()))?;
+    let command = match verb {
+        Verb::InsertBatch => {
             let mut elements = Vec::new();
-            for chunk in fields[1..].split(|f| *f == "|") {
-                if chunk.is_empty() {
+            let mut coords = Vec::new();
+            let mut body = Some(fields.rest());
+            while let Some(text) = body {
+                let (entry, after) = split_at_bar(text);
+                if skip(entry, 0, true) == entry.len() {
                     return Err(
                         "INSERTB requires `<id> <group> <x...>` entries separated by `|`".into(),
                     );
                 }
-                elements.push(parse_insert(chunk)?);
-            }
-            if elements.is_empty() {
-                return Err("INSERTB requires at least one element".into());
+                elements.push(parse_entry_with(entry, &mut coords)?);
+                body = after;
             }
             Request::InsertBatch(elements)
         }
-        "QUERY" => {
-            let k = match fields.get(1) {
+        Verb::Insert => Request::Insert(parse_entry(fields.rest())?),
+        Verb::Open => {
+            let fields: Vec<&str> = fields.collect();
+            if fields.len() < 2 {
+                return Err("OPEN requires <name> <algo> key=value...".into());
+            }
+            let name = fields[0].to_string();
+            if !valid_stream_name(&name) {
+                return Err(format!("invalid stream name `{name}` (use [A-Za-z0-9_-]+)"));
+            }
+            let spec = StreamSpec::parse(&fields[1..])?;
+            Request::Open { name, spec }
+        }
+        Verb::Query => {
+            let k = match fields.next() {
                 None => None,
                 Some(f) => Some(
                     f.parse::<usize>()
@@ -426,34 +600,31 @@ pub fn parse_line(line: &str) -> std::result::Result<Option<Request>, String> {
             };
             Request::Query { k }
         }
-        "SNAPSHOT" => {
-            let path = fields.get(1).ok_or("SNAPSHOT requires a path")?.to_string();
-            if fields.len() > 2 {
+        Verb::Snapshot => {
+            let path = fields.next().ok_or("SNAPSHOT requires a path")?.to_string();
+            if fields.next().is_some() {
                 return Err("SNAPSHOT takes exactly <path>".into());
             }
             Request::Snapshot { path }
         }
-        "RESTORE" => Request::Restore {
-            path: fields.get(1).ok_or("RESTORE requires a path")?.to_string(),
+        Verb::Restore => Request::Restore {
+            path: fields.next().ok_or("RESTORE requires a path")?.to_string(),
         },
-        "STATS" => Request::Stats,
-        "MERGE" => {
-            if fields.len() > 1 {
+        Verb::Stats => Request::Stats,
+        Verb::Merge => {
+            if fields.next().is_some() {
                 return Err("MERGE takes no arguments".into());
             }
             Request::Merge
         }
-        "AUTH" => {
-            if fields.len() != 2 {
-                return Err("AUTH requires exactly one <token>".into());
-            }
-            Request::Auth {
-                token: fields[1].to_string(),
-            }
-        }
-        "PING" => Request::Ping,
-        "QUIT" | "EXIT" => Request::Quit,
-        other => return Err(format!("unknown command `{other}`")),
+        Verb::Auth => match (fields.next(), fields.next()) {
+            (Some(token), None) => Request::Auth {
+                token: token.to_string(),
+            },
+            _ => return Err("AUTH requires exactly one <token>".into()),
+        },
+        Verb::Ping => Request::Ping,
+        Verb::Quit => Request::Quit,
     };
     Ok(Some(command))
 }
@@ -608,7 +779,7 @@ impl Payload {
 
     /// The multi-field payload shapes; `None` falls through to `Other`.
     fn parse_structured(text: &str) -> Option<Payload> {
-        let fields: Vec<&str> = text.split_whitespace().collect();
+        let fields: Vec<&str> = Fields::new(text).collect();
         let field = |prefix: &str| {
             fields
                 .iter()
@@ -819,6 +990,40 @@ impl Response {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn ascii_space_table_is_char_is_whitespace() {
+        for b in 0u8..0x80 {
+            assert_eq!(
+                ASCII_SPACE[b as usize],
+                (b as char).is_whitespace(),
+                "{b:#04x}"
+            );
+        }
+        let fields: Vec<&str> = Fields::new("\u{A0}a\x0Bb\u{3000}c\u{200B}d\t").collect();
+        assert_eq!(fields, ["a", "b", "c\u{200B}d"]);
+    }
+
+    /// Every char class at every offset of a long field, across the
+    /// eight-byte fast path's word boundaries: [`Fields`] splits exactly
+    /// where `char::is_whitespace` does.
+    #[test]
+    fn fields_split_where_char_is_whitespace_does() {
+        let field = "1.0000000000000002e-3_abcdefgh";
+        for c in [
+            ' ', '\t', '\x0B', '\x0C', '\r', '\n', '\u{85}', '\u{A0}', '\u{2003}', '\u{3000}',
+            '\u{200B}', '\u{FEFF}', '\x00', '\x1F', '\x7F', '|', '\u{e9}', '\u{FF11}',
+        ] {
+            for at in 0..=field.len() {
+                for prefix in ["", " ", "x", "\u{A0}"] {
+                    let line = format!("{prefix}{}{c}{}  {field}", &field[..at], &field[at..]);
+                    let expected: Vec<&str> = line.split_whitespace().collect();
+                    let fields: Vec<&str> = Fields::new(&line).collect();
+                    assert_eq!(fields, expected, "{line:?}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn parses_open_variants() {
@@ -1108,8 +1313,7 @@ mod tests {
             prop_assert_eq!(entries.len(), elements.len(), "{:?}", line);
             for (entry, element) in entries.iter().zip(&elements) {
                 prop_assert!(!entry.contains('|') && entry.trim() == *entry, "{:?}", entry);
-                let fields: Vec<&str> = entry.split_whitespace().collect();
-                let parsed = parse_insert(&fields).unwrap();
+                let parsed = parse_entry(entry).unwrap();
                 prop_assert_eq!(parsed.id, element.id);
                 prop_assert_eq!(parsed.group, element.group);
                 let bits = |e: &Element| e.point.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

@@ -94,7 +94,7 @@ use serde::Value;
 use crate::coordinator::Coordinator;
 use crate::metrics::{self, Metrics, NodeSample, PersistCounters, StreamMetrics, StreamSample};
 use crate::protocol::{
-    insert_entries, parse_insert, render_entry, ErrorReply, Payload, QueryReply, StreamSpec,
+    insert_entries, parse_entry, render_entry, ErrorReply, Fields, Payload, QueryReply, StreamSpec,
 };
 
 /// Acquires a shared read lock, recovering from poison: a panic in one
@@ -591,12 +591,17 @@ impl<'a> WalReplay<'a> {
             }
             None => (trimmed, false),
         };
-        let fields: Vec<&str> = body.split_whitespace().collect();
-        // Record format: `<seq> INSERT <id> <group> <coords...> [#crc]`.
-        let Ok(seq) = fields[0].parse::<u64>() else {
-            return torn(format!("invalid sequence number `{}`", fields[0]));
+        // Record format: `<seq> INSERT <id> <group> <coords...> [#crc]`,
+        // read through the request tokenizer the session accepted it with.
+        let mut fields = Fields::new(body);
+        let seq_text = fields.next().unwrap_or_default();
+        let Ok(seq) = seq_text.parse::<u64>() else {
+            return torn(format!("invalid sequence number `{seq_text}`"));
         };
-        if fields.get(1).map(|f| f.to_ascii_uppercase()) != Some("INSERT".into()) {
+        if !fields
+            .next()
+            .is_some_and(|verb| verb.eq_ignore_ascii_case("INSERT"))
+        {
             return torn(format!("expected INSERT, found `{body}`"));
         }
         let processed = self.stream.processed() as u64;
@@ -618,7 +623,7 @@ impl<'a> WalReplay<'a> {
             // a field boundary.
             return torn("record is missing its checksum".to_string());
         }
-        let element = match parse_insert(&fields[2..]) {
+        let element = match parse_entry(fields.rest()) {
             Ok(element) => element,
             Err(e) => return torn(e),
         };

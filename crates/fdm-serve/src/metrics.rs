@@ -98,21 +98,28 @@ impl Histogram {
     }
 
     /// Appends this histogram's `_bucket`/`_sum`/`_count` series for one
-    /// (non-empty) label set, e.g. `stream="jobs"`, under a family
-    /// preamble the caller has already written.
+    /// label set, e.g. `stream="jobs"`, or for none (`labels` empty),
+    /// under a family preamble the caller has already written.
     fn render(&self, out: &mut String, name: &str, labels: &str) {
+        let (le_prefix, braced) = if labels.is_empty() {
+            (String::new(), String::new())
+        } else {
+            (format!("{labels},"), format!("{{{labels}}}"))
+        };
         let mut cumulative = 0u64;
         for ((_, le), bucket) in LATENCY_BOUNDS.iter().zip(&self.buckets) {
             cumulative += bucket.load(Ordering::Relaxed);
             out.push_str(&format!(
-                "{name}_bucket{{{labels},le=\"{le}\"}} {cumulative}\n"
+                "{name}_bucket{{{le_prefix}le=\"{le}\"}} {cumulative}\n"
             ));
         }
         let count = self.count();
-        out.push_str(&format!("{name}_bucket{{{labels},le=\"+Inf\"}} {count}\n"));
+        out.push_str(&format!(
+            "{name}_bucket{{{le_prefix}le=\"+Inf\"}} {count}\n"
+        ));
         let sum = self.sum_nanos.load(Ordering::Relaxed) as f64 / 1e9;
-        out.push_str(&format!("{name}_sum{{{labels}}} {sum}\n"));
-        out.push_str(&format!("{name}_count{{{labels}}} {count}\n"));
+        out.push_str(&format!("{name}_sum{braced} {sum}\n"));
+        out.push_str(&format!("{name}_count{braced} {count}\n"));
     }
 }
 
@@ -206,6 +213,8 @@ pub struct Metrics {
     busy_queue_full: AtomicU64,
     /// `ERR busy` rejections: per-stream insert rate limit.
     busy_rate_limited: AtomicU64,
+    /// Time to parse each request line, over every session.
+    request_parse: Histogram,
 }
 
 impl Metrics {
@@ -219,6 +228,7 @@ impl Metrics {
             auth_failures: AtomicU64::new(0),
             busy_queue_full: AtomicU64::new(0),
             busy_rate_limited: AtomicU64::new(0),
+            request_parse: Histogram::new(),
         })
     }
 
@@ -263,6 +273,10 @@ impl Metrics {
 
     pub(crate) fn busy_rate_limited(&self) {
         self.busy_rate_limited.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn request_parsed(&self, elapsed: Duration) {
+        self.request_parse.observe(elapsed);
     }
 }
 
@@ -403,6 +417,9 @@ const PROCESS_FAMILIES: &[Row<Metrics>] = &[
         "reason=\"queue_full\"", "", Value(|m| Some(m.busy_queue_full.load(Ordering::Relaxed)))),
     Row("fdm_busy_rejections_total", COUNTER, "INSERTs rejected with ERR busy, by backpressure reason.",
         "reason=\"rate_limit\"", "", Value(|m| Some(m.busy_rate_limited.load(Ordering::Relaxed)))),
+    Row("fdm_request_parse_seconds", HISTOGRAM,
+        "Request-line parse time, one observation per line a session hands to the parser (blank and comment lines included).",
+        "", "", Hist(|m| Some(&m.request_parse))),
 ];
 
 /// Appends the families of `rows` over `samples` as Prometheus text: one

@@ -22,6 +22,7 @@
 use std::io::{BufRead, Read, Write};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
+use std::time::Instant;
 
 use crate::engine::{panic_message, Engine};
 use crate::protocol::{parse_line, valid_stream_name, ErrorReply, Payload, Request, Response};
@@ -244,7 +245,10 @@ impl Session {
                     continue;
                 }
             };
-            match parse_line(line) {
+            let started = Instant::now();
+            let parsed = parse_line(line);
+            self.engine.metrics().request_parsed(started.elapsed());
+            match parsed {
                 Ok(None) => continue,
                 Ok(Some(request)) => {
                     let quit = request == Request::Quit;

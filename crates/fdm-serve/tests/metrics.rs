@@ -427,3 +427,47 @@ fn stats_counters_equal_their_exposition_samples() {
         }
     }
 }
+
+/// The process-wide `fdm_request_parse_seconds` histogram takes one
+/// observation per line a session hands to the parser — accepted,
+/// rejected, blank and comment lines alike — and renders unlabelled,
+/// with its `+Inf` bucket equal to `_count`.
+#[test]
+fn request_parse_histogram_counts_every_parsed_line() {
+    let engine = Arc::new(Engine::new(ServeConfig::default()).unwrap());
+    let script = "OPEN jobs sfdm2 quotas=1,1 eps=0.1 dmin=0.05 dmax=30\n\
+                  INSERT 0 0 1.5 -2\n\
+                  INSERTB 1 1 3 4 | 2 0 0.25 1\n\
+                  INSERT 3 0 zebra\n\
+                  \n\
+                  # a comment\n\
+                  FROB\n\
+                  QUERY\n";
+    let mut reply = Vec::new();
+    fdm_serve::Session::new(engine.clone())
+        .run(script.as_bytes(), &mut reply)
+        .unwrap();
+    let replies = String::from_utf8(reply).unwrap();
+    assert_eq!(replies.lines().count(), 6, "{replies}");
+
+    let samples = lint_exposition(&engine.render_metrics());
+    let get = |series: &str| -> f64 {
+        samples
+            .iter()
+            .find(|(s, _)| s == series)
+            .map(|(_, v)| *v)
+            .unwrap_or_else(|| panic!("missing series {series}"))
+    };
+    let buckets: Vec<f64> = samples
+        .iter()
+        .filter(|(s, _)| s.starts_with("fdm_request_parse_seconds_bucket{le="))
+        .map(|(_, v)| *v)
+        .collect();
+    assert!(buckets.windows(2).all(|w| w[0] <= w[1]), "{buckets:?}");
+    assert_eq!(get("fdm_request_parse_seconds_count"), 8.0);
+    assert_eq!(
+        get("fdm_request_parse_seconds_bucket{le=\"+Inf\"}"),
+        get("fdm_request_parse_seconds_count")
+    );
+    assert!(get("fdm_request_parse_seconds_sum") >= 0.0);
+}

@@ -40,16 +40,18 @@ awk '
     value = $NF
     if (value !~ /^[-+]?[0-9.][0-9.eE+-]*$/)
       fail("non-numeric value " value " on " series)
-    # Histogram bookkeeping, keyed by family + non-le labels.
+    # Histogram bookkeeping, keyed by family + non-le labels (an
+    # unlabelled histogram keys by its bare family name).
     if (name ~ /_bucket$/ && series ~ /le="\+Inf"/) {
       key = series
       sub(/_bucket\{/, "{", key)
       sub(/,?le="\+Inf"/, "", key)
+      sub(/\{\}$/, "", key)
       inf[key] = value
     }
     if (name ~ /_count$/ && typed[family] == "histogram") {
       key = series
-      sub(/_count\{/, "{", key)
+      if (!sub(/_count\{/, "{", key)) sub(/_count$/, "", key)
       count[key] = value
     }
     samples++
