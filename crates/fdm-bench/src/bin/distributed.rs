@@ -10,10 +10,11 @@
 //! 2. **Batched INSERTB** — the pipelined fan-out: per flush round the
 //!    coordinator splits a batch into per-worker sub-sequences and lands
 //!    them concurrently, one round-trip per *worker* per round.
-//! 3. **MERGE fan-in** — the first QUERY pulls one full snapshot frame
-//!    per worker (transfer volume read off the coordinator's own
-//!    `fdm_merge_bytes_total{kind="full"}` counter); a repeat QUERY with
-//!    no intervening insert is a merged-solution cache hit.
+//! 3. **MERGE fan-in** — the first QUERY pulls one union block (the
+//!    worker's retained elements) per worker (transfer volume read off the
+//!    coordinator's own `fdm_merge_bytes_total{kind="full"}` counter); a
+//!    repeat QUERY with no intervening insert is a merged-solution cache
+//!    hit.
 //!
 //! Run: `cargo run --release -p fdm-bench --bin distributed -- \
 //!           --workers 2 --batch 256 --out BENCH_distributed.json`
@@ -214,22 +215,22 @@ fn main() {
         ("speedup_vs_per_element", serde_json::json!(speedup)),
     ]));
 
-    // Phase 3: MERGE fan-in — one full frame per worker, then a pure
+    // Phase 3: MERGE fan-in — one union block per worker, then a pure
     // cache hit.
     let start = Instant::now();
     engine.query("batched", None).expect("cold QUERY");
-    let full_query = start.elapsed();
+    let union_query = start.elapsed();
     let metrics = engine.render_metrics();
-    let full_bytes = counter(&metrics, "fdm_merge_bytes_total{kind=\"full\"}");
+    let union_bytes = counter(&metrics, "fdm_merge_bytes_total{kind=\"full\"}");
     results.push(result_object(&[
         (
             "id",
-            serde_json::json!(format!("distributed/k{workers}/merge/full")),
+            serde_json::json!(format!("distributed/k{workers}/merge/union")),
         ),
         ("workers", serde_json::json!(workers as f64)),
         ("elements", serde_json::json!(n as f64)),
-        ("query_ns", serde_json::json!(full_query.as_nanos() as f64)),
-        ("bytes", serde_json::json!(full_bytes)),
+        ("query_ns", serde_json::json!(union_query.as_nanos() as f64)),
+        ("bytes", serde_json::json!(union_bytes)),
     ]));
 
     let start = Instant::now();

@@ -15,7 +15,6 @@ use std::path::Path;
 use std::time::Duration;
 
 use fdm_core::point::Element;
-use fdm_core::solution::Solution;
 
 use crate::protocol::{
     render_entry, render_insert_batch, ErrorReply, Payload, QueryReply, Request, Response,
@@ -342,8 +341,9 @@ impl Client {
         })
     }
 
-    /// `MERGE` — pulls the bound stream's summary as a v2 binary snapshot
-    /// frame: `(algorithm, processed, frame bytes)`.
+    /// `MERGE` — pulls the bound stream's retained elements as a union
+    /// block: `(algorithm, processed, block bytes)`; decode the block with
+    /// [`protocol::decode_union`](crate::protocol::decode_union).
     pub fn merge(&mut self) -> Result<(String, usize, Vec<u8>)> {
         self.expect(&Request::Merge, |p| match p {
             Payload::Merge {
@@ -408,12 +408,4 @@ impl Client {
 
 fn unexpected(payload: Payload) -> ClientError {
     ClientError::Protocol(format!("unexpected reply payload: {payload:?}"))
-}
-
-/// Decodes a `MERGE` frame back into a live summary and finalizes it —
-/// a convenience for consumers that want the solution, not the bytes.
-pub fn solution_of_merge_frame(bytes: &[u8]) -> std::result::Result<Solution, String> {
-    let snapshot = fdm_core::persist::Snapshot::from_bytes(bytes).map_err(|e| e.to_string())?;
-    let summary = fdm_core::streaming::summary::restore(&snapshot).map_err(|e| e.to_string())?;
-    summary.finalize().map_err(|e| e.to_string())
 }

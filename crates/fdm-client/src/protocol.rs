@@ -22,11 +22,12 @@
 use std::sync::Arc;
 
 use fdm_core::metric::Metric;
+use fdm_core::persist::codec::crc32;
 use fdm_core::point::Element;
 
 /// Upper bound on a `MERGE` reply's announced binary tail. Far above any
-/// real summary (summaries are sublinear in the stream), low enough that a
-/// corrupt header cannot OOM the client.
+/// real union block (summaries are sublinear in the stream), low enough
+/// that a corrupt header cannot OOM the client.
 pub const MAX_MERGE_BYTES: usize = 256 << 20;
 
 /// A parsed protocol command.
@@ -65,9 +66,9 @@ pub enum Request {
     },
     /// `STATS` — processed/stored counters of the bound stream.
     Stats,
-    /// `MERGE` — export the bound stream's summary as an inline full v2
-    /// snapshot frame (header line + raw byte tail). The coordinator's
-    /// QUERY fan-out pulls worker summaries through this verb.
+    /// `MERGE` — export the bound stream's retained elements as an inline
+    /// union block (header line + raw byte tail, [`encode_union`]). The
+    /// coordinator's QUERY fan-out pulls worker unions through this verb.
     Merge,
     /// `AUTH <token>` — authenticate the session (required first when the
     /// server runs with `--auth-token`).
@@ -692,16 +693,16 @@ pub enum Payload {
     /// field set is documented in `docs/serve.md`).
     Stats(String),
     /// `merge algorithm=<tag> processed=<n> bytes=<len>` — a MERGE header.
-    /// Exactly `len` raw bytes of a v2 binary snapshot frame follow the
-    /// header line on the wire. [`Response::parse`] pre-sizes `bytes` to
+    /// Exactly `len` raw bytes of a union block ([`encode_union`]) follow
+    /// the header line on the wire. [`Response::parse`] pre-sizes `bytes` to
     /// the announced length (zero-filled) so the client can `read_exact`
     /// straight into it.
     Merge {
         /// Algorithm tag of the exported summary.
         algorithm: String,
-        /// Arrivals captured by the exported summary.
+        /// Arrivals the exported summary has processed.
         processed: usize,
-        /// The v2 binary snapshot frame.
+        /// The union block.
         bytes: Vec<u8>,
     },
     /// `authenticated`.
@@ -984,6 +985,151 @@ impl Response {
             Err(format!("malformed reply line `{line}`"))
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The MERGE union block
+// ---------------------------------------------------------------------------
+
+/// Leading magic of a `MERGE` reply's union block.
+pub const UNION_MAGIC: [u8; 8] = *b"FDMUNON1";
+
+/// Bytes before the first row: the magic, `dim` and `count` (u64 LE each).
+const UNION_HEADER: usize = 24;
+
+/// Bytes after the last row: the CRC32 of everything before it.
+const UNION_TRAILER: usize = 4;
+
+/// Why a `MERGE` tail is not a union block. Decoding never panics: every
+/// malformed input is one of these.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum UnionError {
+    /// The block does not start with [`UNION_MAGIC`] — for example the
+    /// `FDMSNAP2` snapshot frame a version-3 worker sends.
+    Magic,
+    /// The block is not as long as its header says (truncated, padded, or
+    /// a header whose `dim`/`count` overflow). `expected` is
+    /// `usize::MAX` when the header's size does not fit in memory.
+    Length {
+        /// The length the header implies.
+        expected: usize,
+        /// The length received.
+        found: usize,
+    },
+    /// The trailing CRC32 does not match the bytes before it.
+    Crc {
+        /// The checksum the block carries.
+        stored: u32,
+        /// The checksum of the bytes received.
+        computed: u32,
+    },
+    /// An id or group label does not fit this host's `usize`.
+    Range,
+}
+
+impl std::fmt::Display for UnionError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            UnionError::Magic => write!(
+                f,
+                "not a union block (no FDMUNON1 magic; a version-3 worker sends a snapshot frame — upgrade workers and coordinator together)"
+            ),
+            UnionError::Length { expected, found } => {
+                write!(f, "union block is {found} bytes, its header implies {expected}")
+            }
+            UnionError::Crc { stored, computed } => write!(
+                f,
+                "union block CRC mismatch (stored {stored:08x}, computed {computed:08x})"
+            ),
+            UnionError::Range => write!(f, "union block id or group exceeds usize"),
+        }
+    }
+}
+
+impl std::error::Error for UnionError {}
+
+/// Encodes a summary's retained elements, in order, as the `MERGE` reply's
+/// union block: [`UNION_MAGIC`], then `dim` and `count` (u64 LE), then one
+/// row per element — `id` (u64 LE), `group` (u64 LE), `dim` coordinates as
+/// f64 bits (LE) — then the [`crc32`] of all of that (u32 LE). `dim` is the
+/// first element's dimension (0 for an empty union), which every element of
+/// one summary shares.
+///
+/// # Panics
+///
+/// If an element's dimension differs from the first one's.
+pub fn encode_union(elements: &[Element]) -> Vec<u8> {
+    let dim = elements.first().map_or(0, Element::dim);
+    let mut out =
+        Vec::with_capacity(UNION_HEADER + elements.len() * (16 + 8 * dim) + UNION_TRAILER);
+    out.extend_from_slice(&UNION_MAGIC);
+    out.extend_from_slice(&(dim as u64).to_le_bytes());
+    out.extend_from_slice(&(elements.len() as u64).to_le_bytes());
+    for e in elements {
+        assert_eq!(e.dim(), dim, "a union block holds one dimension");
+        out.extend_from_slice(&(e.id as u64).to_le_bytes());
+        out.extend_from_slice(&(e.group as u64).to_le_bytes());
+        for x in e.point.iter() {
+            out.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
+    }
+    let crc = crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
+/// Decodes a union block written by [`encode_union`] back into its
+/// elements, in order, one `Arc<[f64]>` per element with the coordinates'
+/// exact bits. The magic, the length the header implies and the CRC are
+/// checked before any element is built.
+pub fn decode_union(bytes: &[u8]) -> std::result::Result<Vec<Element>, UnionError> {
+    if bytes.len() >= UNION_MAGIC.len() && bytes[..UNION_MAGIC.len()] != UNION_MAGIC {
+        return Err(UnionError::Magic);
+    }
+    let found = bytes.len();
+    if found < UNION_HEADER + UNION_TRAILER {
+        return Err(UnionError::Length {
+            expected: UNION_HEADER + UNION_TRAILER,
+            found,
+        });
+    }
+    let (dim, count) = (le_u64(&bytes[8..]), le_u64(&bytes[16..]));
+    let row = dim.checked_mul(8).and_then(|c| c.checked_add(16));
+    let expected = row
+        .and_then(|row| row.checked_mul(count))
+        .and_then(|rows| rows.checked_add((UNION_HEADER + UNION_TRAILER) as u64))
+        .and_then(|n| usize::try_from(n).ok());
+    if expected != Some(found) {
+        return Err(UnionError::Length {
+            expected: expected.unwrap_or(usize::MAX),
+            found,
+        });
+    }
+    let (body, trailer) = bytes.split_at(found - UNION_TRAILER);
+    let stored = u32::from_le_bytes(trailer.try_into().expect("4-byte trailer"));
+    let computed = crc32(body);
+    if stored != computed {
+        return Err(UnionError::Crc { stored, computed });
+    }
+    // `expected` fit in usize, so the row size does too.
+    let row = row.expect("checked above") as usize;
+    body[UNION_HEADER..]
+        .chunks_exact(row)
+        .map(|r| {
+            let id = usize::try_from(le_u64(r)).map_err(|_| UnionError::Range)?;
+            let group = usize::try_from(le_u64(&r[8..])).map_err(|_| UnionError::Range)?;
+            let point = r[16..]
+                .chunks_exact(8)
+                .map(|c| f64::from_bits(le_u64(c)))
+                .collect();
+            Ok(Element { id, point, group })
+        })
+        .collect()
+}
+
+/// The u64 in the first eight bytes of `bytes` (little-endian).
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
 }
 
 #[cfg(test)]

@@ -85,7 +85,7 @@ pub trait DynSummary: Send + Sync + std::fmt::Debug {
 
     /// The retained elements (the summary's union export), in arena order;
     /// for sharded summaries, shard-major. This is what a distributed
-    /// merge ([`merge_summaries`]) streams through the merge instance —
+    /// merge ([`merge_unions`]) streams through the merge instance —
     /// the same vector [`ShardedStream::finalize`] consumes per shard.
     fn retained_elements(&self) -> Vec<Element>;
 }
@@ -324,7 +324,7 @@ struct Entry {
     /// path): exactly the checks `build` would make, minus the ladders.
     validate: fn(&SummarySpec) -> Result<()>,
     /// Merges per-part retained-element unions into one solution
-    /// (the [`merge_summaries`] dispatch target).
+    /// (the [`merge_unions`] dispatch target).
     merge: fn(&SummarySpec, Vec<Vec<Element>>, usize) -> Result<Solution>,
 }
 
@@ -456,50 +456,49 @@ pub fn restore(snapshot: &Snapshot) -> Result<Box<dyn DynSummary>> {
     }
 }
 
-/// Merges independently grown summaries of one logical stream into a
-/// single solution — the coordinator-side half of distributed FDM.
+/// Merges the retained-element unions of independently grown summaries of
+/// one logical stream into a single solution — the coordinator-side half
+/// of distributed FDM, which pulls each worker's union and nothing else.
 ///
-/// `parts` are summaries of disjoint stream partitions (one per worker
-/// node), all built from `spec` (shard-count differences aside); part
-/// order must be the partition order (worker 0 first). The merge replays
-/// [`ShardedStream::finalize`] exactly:
-///
-/// * one part delegates to its own post-processing (the `K = 1` fast path
-///   a `ShardedStream` takes);
-/// * otherwise the parts' [retained elements](DynSummary::retained_elements)
-///   stream part-major through a fresh merge instance whose
-///   post-processing produces the solution — reduced hierarchically in
-///   chunks of `fan_in` when more than `fan_in` parts fan in.
-///
-/// With `parts.len() ≤ fan_in` the result is **bit-identical** to a
-/// single-process `ShardedStream` with `K = parts.len()` shards fed the
+/// `unions` are the parts' [retained elements](DynSummary::retained_elements)
+/// (one per worker node, from summaries all built from `spec`), in
+/// partition order (worker 0 first). They stream part-major through a
+/// fresh merge instance whose post-processing produces the solution —
+/// reduced hierarchically in chunks of `fan_in` when more than `fan_in`
+/// parts fan in. This is [`ShardedStream::finalize`]'s merge pass, so with
+/// `unions.len() ≤ fan_in` the result is **bit-identical** to a
+/// single-process `ShardedStream` with `K = unions.len()` shards fed the
 /// same arrival order (the distributed-identity suite asserts this);
 /// deeper trees stay within the paper's approximation bounds by the same
 /// composability lemma that justifies sharding at all.
-pub fn merge_summaries(
+///
+/// One union reproduces its part's own post-processing, which is what a
+/// `K = 1` `ShardedStream` answers: candidates only grow, and each accepts
+/// an arrival by its distance to earlier members, so an element no
+/// candidate kept changed no state, and re-streaming the kept elements in
+/// arrival order rebuilds the same candidates.
+pub fn merge_unions(
     spec: &SummarySpec,
-    parts: &[Box<dyn DynSummary>],
+    unions: Vec<Vec<Element>>,
     fan_in: usize,
 ) -> Result<Solution> {
-    let refs: Vec<&dyn DynSummary> = parts.iter().map(|p| p.as_ref()).collect();
-    merge_summary_parts(spec, &refs, fan_in)
+    if unions.is_empty() {
+        return Err(FdmError::InvalidShardCount);
+    }
+    (entry_for(&spec.algorithm)?.merge)(spec, unions, fan_in.max(2))
 }
 
-/// [`merge_summaries`] over borrowed parts: identical semantics, for a
-/// caller whose summaries are not boxed in one slice.
+/// [`merge_unions`] over the parts themselves, for an in-process caller.
 pub fn merge_summary_parts(
     spec: &SummarySpec,
     parts: &[&dyn DynSummary],
     fan_in: usize,
 ) -> Result<Solution> {
-    if parts.is_empty() {
-        return Err(FdmError::InvalidShardCount);
-    }
-    if parts.len() == 1 {
-        return parts[0].finalize();
-    }
-    let unions: Vec<Vec<Element>> = parts.iter().map(|p| p.retained_elements()).collect();
-    (entry_for(&spec.algorithm)?.merge)(spec, unions, fan_in.max(2))
+    merge_unions(
+        spec,
+        parts.iter().map(|p| p.retained_elements()).collect(),
+        fan_in,
+    )
 }
 
 /// The envelope parameters a specification implies, **without building the
@@ -671,7 +670,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_summaries_is_bit_identical_to_sharded_stream() {
+    fn merge_unions_is_bit_identical_to_sharded_stream() {
         for tag in algorithm_tags() {
             for parts_n in [1usize, 2, 4] {
                 // Reference: one process, K round-robin shards.
@@ -679,6 +678,7 @@ mod tests {
                 sharded_spec.shards = parts_n;
                 let mut reference = build(&sharded_spec).unwrap();
                 feed(reference.as_mut(), 90);
+                let expected = reference.finalize().unwrap();
                 // Distributed: K independent unsharded parts fed the same
                 // arrival order through the same round-robin dealing.
                 let part_spec = spec(tag);
@@ -687,8 +687,8 @@ mod tests {
                 for i in 0..90 {
                     parts[i % parts_n].insert(&arrival(i));
                 }
-                let merged = merge_summaries(&part_spec, &parts, 8).unwrap();
-                let expected = reference.finalize().unwrap();
+                let unions = parts.iter().map(|p| p.retained_elements()).collect();
+                let merged = merge_unions(&part_spec, unions, 8).unwrap();
                 assert_eq!(merged.ids(), expected.ids(), "{tag} x{parts_n}");
                 assert_eq!(
                     merged.diversity.to_bits(),
@@ -700,7 +700,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_summaries_tree_reduction_stays_feasible() {
+    fn merge_unions_tree_reduction_stays_feasible() {
         // 5 parts under fan_in=2 forces a two-level tree; the answer need
         // not be bit-identical to the flat merge, but it must stay a full
         // feasible solution.
@@ -712,9 +712,11 @@ mod tests {
             let y = (i as f64 * 0.2113).cos() * 9.0;
             parts[i % 5].insert(&Element::new(i, vec![x, y], i % 2));
         }
-        let merged = merge_summaries(&part_spec, &parts, 2).unwrap();
+        let unions = parts.iter().map(|p| p.retained_elements()).collect();
+        let merged = merge_unions(&part_spec, unions, 2).unwrap();
         assert_eq!(merged.len(), 4);
-        assert!(merge_summaries(&part_spec, &[], 8).is_err());
+        assert!(merge_unions(&part_spec, Vec::new(), 8).is_err());
+        assert!(merge_summary_parts(&part_spec, &[], 8).is_err());
     }
 
     #[test]

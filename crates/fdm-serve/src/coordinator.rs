@@ -21,16 +21,18 @@
 //!   that line exactly as the client spelled them — nothing is
 //!   re-rendered, so a worker's WAL holds the client's spelling of every
 //!   float and answers stay bit-identical (f64 parsing is deterministic);
-//! * `QUERY` pulls every worker's summary as a full v2 frame through the
-//!   bare `MERGE` verb, decodes and restores each one, and merges the
-//!   parts through the registry's
-//!   [`merge_summaries`](fdm_core::streaming::summary::merge_summaries)
-//!   — the same instance + insertion order `ShardedStream::finalize`
-//!   uses, so a coordinator over K workers answers **byte-identically**
-//!   to a single-process `ShardedStream` with K shards fed the same
-//!   arrivals (pinned by `tests/distributed.rs`). The merged solution is
-//!   itself cached: a `QUERY` with no intervening `INSERT` is answered
-//!   without touching the fleet.
+//! * `QUERY` pulls every worker's **union** — its summary's retained
+//!   elements, the only thing a merge reads of a part — through the bare
+//!   `MERGE` verb as a CRC-checked union block
+//!   ([`decode_union`](crate::protocol::decode_union)), and merges the
+//!   unions through the registry's
+//!   [`merge_unions`](fdm_core::streaming::summary::merge_unions) — the
+//!   same instance + insertion order `ShardedStream::finalize` uses, so a
+//!   coordinator over K workers answers **byte-identically** to a
+//!   single-process `ShardedStream` with K shards fed the same arrivals
+//!   (pinned by `tests/distributed.rs`). No worker summary is restored on
+//!   the coordinator. The merged solution is itself cached: a `QUERY`
+//!   with no intervening `INSERT` is answered without touching the fleet.
 //!
 //! ## Coordinator state and restart
 //!
@@ -80,12 +82,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use fdm_client::{Client, ClientError};
-use fdm_core::persist::Snapshot;
-use fdm_core::streaming::summary::{self, DynSummary};
+use fdm_core::streaming::summary;
 
 use crate::engine::lock;
 use crate::metrics::{self, StreamMetrics, StreamSample};
-use crate::protocol::{ErrorReply, Payload, QueryReply, StreamSpec};
+use crate::protocol::{self, ErrorReply, Payload, QueryReply, StreamSpec};
 
 /// Total connect attempts per worker dial (first try + retries with
 /// doubling backoff starting at [`INITIAL_BACKOFF`]).
@@ -94,9 +95,8 @@ const CONNECT_ATTEMPTS: usize = 5;
 /// Backoff before the first connect retry; doubles per retry.
 const INITIAL_BACKOFF: Duration = Duration::from_millis(25);
 
-/// Tree-merge fan-in for wide worker fleets: more than this many summaries
-/// reduce in chunks before the final merge (see
-/// [`summary::merge_summaries`]).
+/// Tree-merge fan-in for wide worker fleets: more than this many unions
+/// reduce in chunks before the final merge (see [`summary::merge_unions`]).
 const MERGE_FAN_IN: usize = 8;
 
 /// Health of one worker node, shared between command paths and the
@@ -138,7 +138,7 @@ struct CoordStream {
 pub struct Coordinator {
     pub(crate) workers: Vec<Arc<WorkerState>>,
     streams: Mutex<HashMap<String, Arc<Mutex<CoordStream>>>>,
-    /// Snapshot bytes pulled from workers by `QUERY` fan-in.
+    /// Union block bytes pulled from workers by `QUERY` fan-in.
     pub(crate) merge_bytes_full: AtomicU64,
     /// `QUERY`s answered from the cached merged solution.
     pub(crate) merge_cache_hits: AtomicU64,
@@ -417,18 +417,18 @@ impl Coordinator {
         Ok(stream.processed)
     }
 
-    /// One `MERGE` round trip against worker `widx`: the worker's full
-    /// frame, CRC-checked and restored, with its processed count. A
-    /// transport failure drops the connection; the next contact re-dials.
+    /// One `MERGE` round trip against worker `widx`: its processed count
+    /// and its union block, still encoded. A transport failure drops the
+    /// connection; the next contact re-dials.
     fn pull_worker(
         &self,
         stream: &mut CoordStream,
         name: &str,
         widx: usize,
-    ) -> Result<(usize, Box<dyn DynSummary>), ErrorReply> {
+    ) -> Result<(usize, Vec<u8>), ErrorReply> {
         let client = self.conn(stream, name, widx)?;
         let (_algorithm, processed, bytes) = match client.merge() {
-            Ok(frame) => frame,
+            Ok(reply) => reply,
             Err(ClientError::Server(err)) => return Err(err),
             Err(e) => {
                 stream.conns[widx] = None;
@@ -438,17 +438,14 @@ impl Coordinator {
         self.workers[widx].up.store(true, Ordering::SeqCst);
         self.merge_bytes_full
             .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        let snapshot =
-            Snapshot::from_bytes(&bytes).map_err(|e| ErrorReply::generic(e.to_string()))?;
-        let summary =
-            summary::restore(&snapshot).map_err(|e| ErrorReply::generic(e.to_string()))?;
-        Ok((processed, summary))
+        Ok((processed, bytes))
     }
 
     /// `QUERY`: answered from the cached merged solution when no insert
     /// intervened; otherwise a consistent cut under the stream mutex —
-    /// pull every worker's full frame and merge the restored summaries
-    /// through the registry in worker order (= shard order).
+    /// pull every worker's union block, decode it (a block that does not
+    /// decode, say a version-3 worker's snapshot frame, is an error naming
+    /// the worker) and merge the unions in worker order (= shard order).
     pub fn query(&self, name: &str, k: Option<usize>) -> Result<Payload, ErrorReply> {
         let stream = self.stream(name)?;
         let mut stream = lock(&stream);
@@ -467,11 +464,16 @@ impl Coordinator {
             return Ok(Payload::Query(cached));
         }
         let mut total = 0;
-        let mut summaries = Vec::with_capacity(self.workers.len());
+        let mut unions = Vec::with_capacity(self.workers.len());
         for widx in 0..self.workers.len() {
-            let (processed, summary) = self.pull_worker(&mut stream, name, widx)?;
+            let pull = Instant::now();
+            let (processed, bytes) = self.pull_worker(&mut stream, name, widx)?;
+            let union = protocol::decode_union(&bytes).map_err(|e| {
+                ErrorReply::generic(format!("worker {}: MERGE: {e}", self.workers[widx].addr))
+            })?;
+            stream.metrics.pull_latency.observe(pull.elapsed());
             total += processed;
-            summaries.push(summary);
+            unions.push(union);
         }
         if total == 0 {
             return Err(ErrorReply::empty_stream(format!(
@@ -482,8 +484,10 @@ impl Coordinator {
             .spec
             .to_summary_spec()
             .map_err(|e| ErrorReply::generic(e.to_string()))?;
-        let solution = summary::merge_summaries(&spec, &summaries, MERGE_FAN_IN)
+        let merge = Instant::now();
+        let solution = summary::merge_unions(&spec, unions, MERGE_FAN_IN)
             .map_err(|e| ErrorReply::generic(e.to_string()))?;
+        stream.metrics.merge_latency.observe(merge.elapsed());
         let reply = QueryReply {
             k: solution.len(),
             diversity: solution.diversity,

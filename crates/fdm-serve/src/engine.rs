@@ -94,7 +94,8 @@ use serde::Value;
 use crate::coordinator::Coordinator;
 use crate::metrics::{self, Metrics, NodeSample, PersistCounters, StreamMetrics, StreamSample};
 use crate::protocol::{
-    insert_entries, parse_entry, render_entry, ErrorReply, Fields, Payload, QueryReply, StreamSpec,
+    encode_union, insert_entries, parse_entry, render_entry, ErrorReply, Fields, Payload,
+    QueryReply, StreamSpec,
 };
 
 /// Acquires a shared read lock, recovering from poison: a panic in one
@@ -152,8 +153,8 @@ pub struct ServeConfig {
     pub rate_limit: Option<f64>,
     /// Coordinator mode: `ADDR:PORT` of each worker `fdm-serve` node.
     /// Non-empty turns this engine into a stateless router — `INSERT`s
-    /// round-robin across the workers, `QUERY` merges their summaries
-    /// pulled via `MERGE` (see [`crate::coordinator`]). Empty (the
+    /// round-robin across the workers, `QUERY` merges their retained
+    /// elements pulled via `MERGE` (see [`crate::coordinator`]). Empty (the
     /// default) is the ordinary single-node engine.
     pub workers: Vec<String>,
     /// Coordinator flush bound: at most this many elements of one
@@ -1376,10 +1377,10 @@ impl Engine {
         }))
     }
 
-    /// `MERGE`: export the named stream's summary as an inline v2 binary
-    /// snapshot frame — the wire contract the coordinator's `QUERY`
-    /// fan-out is built on. Capture (snapshot + counters) happens under a
-    /// short summary read lock; the binary encode runs off-lock.
+    /// `MERGE`: export the named stream's retained elements as an inline
+    /// union block (`protocol::encode_union`) — the wire contract the
+    /// coordinator's `QUERY` fan-out is built on. The elements are read
+    /// under a short summary read lock; the encode runs off-lock.
     pub fn merge(&self, name: &str) -> std::result::Result<Payload, ErrorReply> {
         if self.coordinator.is_some() {
             return Err(generic(
@@ -1387,19 +1388,18 @@ impl Engine {
             ));
         }
         let entry = self.entry(name)?;
-        let (snapshot, processed, algorithm) = {
+        let (union, processed, algorithm) = {
             let summary = read_lock(&entry.summary);
             (
-                summary.snapshot(),
+                summary.retained_elements(),
                 summary.processed(),
                 summary.params().algorithm,
             )
         };
-        let bytes = snapshot.to_bytes(SnapshotFormat::Binary);
         Ok(Payload::Merge {
             algorithm,
             processed,
-            bytes,
+            bytes: encode_union(&union),
         })
     }
 

@@ -39,9 +39,9 @@
 //!   sessions before checkpointing and exiting anyway (default 30).
 //! * `--worker ADDR:PORT` (repeatable) — **coordinator mode**: this node
 //!   hosts no summaries; `INSERT`s round-robin across the worker
-//!   `fdm-serve` nodes and `QUERY` merges their summaries (pulled via the
-//!   `MERGE` verb) bit-identically to a sharded single process. Excludes
-//!   `--data-dir` (the workers own all durable state); see
+//!   `fdm-serve` nodes and `QUERY` merges their retained elements (pulled
+//!   via the `MERGE` verb) bit-identically to a sharded single process.
+//!   Excludes `--data-dir` (the workers own all durable state); see
 //!   `docs/distributed.md`.
 //! * `--coord-batch N` — coordinator mode: flush `INSERTB` batches to the
 //!   workers in concurrent rounds of at most N elements (default 256).

@@ -133,6 +133,11 @@ pub struct StreamMetrics {
     pub insert_latency: Histogram,
     /// `QUERY` latency (post-processing under the read lock).
     pub query_latency: Histogram,
+    /// Coordinator only: one observation per worker pull of an uncached
+    /// `QUERY` (the `MERGE` round trip with its block decode).
+    pub pull_latency: Histogram,
+    /// Coordinator only: the merge of the pulled unions.
+    pub merge_latency: Histogram,
 }
 
 impl StreamMetrics {
@@ -140,6 +145,8 @@ impl StreamMetrics {
         Arc::new(StreamMetrics {
             insert_latency: Histogram::new(),
             query_latency: Histogram::new(),
+            pull_latency: Histogram::new(),
+            merge_latency: Histogram::new(),
         })
     }
 }
@@ -377,12 +384,18 @@ const COORD_LATENCY_FAMILIES: &[Row<StreamSample>] = &[
     Row("fdm_coord_query_latency_seconds", HISTOGRAM,
         "Coordinator QUERY latency (worker pulls + merge, or a cache hit).",
         "", "", Hist(|s| s.node.is_none().then_some(&s.latency.query_latency))),
+    Row("fdm_coord_pull_seconds", HISTOGRAM,
+        "Coordinator QUERY worker pulls, one observation per worker MERGE round trip (block decode included).",
+        "", "", Hist(|s| s.node.is_none().then_some(&s.latency.pull_latency))),
+    Row("fdm_coord_merge_seconds", HISTOGRAM,
+        "Coordinator QUERY merge of the pulled worker unions.",
+        "", "", Hist(|s| s.node.is_none().then_some(&s.latency.merge_latency))),
 ];
 
 /// A coordinator's merge transfer volume and solution cache.
 #[rustfmt::skip]
 const FLEET_FAMILIES: &[Row<Coordinator>] = &[
-    Row("fdm_merge_bytes_total", COUNTER, "Full snapshot frame bytes pulled from workers by QUERY fan-in.",
+    Row("fdm_merge_bytes_total", COUNTER, "Union block bytes pulled from workers by QUERY fan-in.",
         "kind=\"full\"", "", Value(|c| Some(c.merge_bytes_full.load(Ordering::Relaxed)))),
     Row("fdm_merge_cache_hits_total", COUNTER,
         "QUERYs answered from the cached merged solution without touching the fleet.",

@@ -5,8 +5,9 @@
 //! single-process `ShardedStream` with K shards fed the same arrival
 //! order. The property holds because the coordinator's round-robin insert
 //! routing *is* `ShardedStream`'s element-to-shard assignment, and its
-//! MERGE fan-in replays `ShardedStream::finalize`'s merge pass
-//! operation-for-operation (`summary::merge_summaries`).
+//! MERGE fan-in streams the workers' unions through
+//! `ShardedStream::finalize`'s merge pass operation-for-operation
+//! (`summary::merge_unions`).
 //!
 //! Plus the failure cells: a dead worker degrades to a typed
 //! `ERR worker unavailable: <addr>: <cause>` — never a hang — with the
@@ -174,7 +175,7 @@ proptest! {
 
     /// Batched fan-out × interleaved MERGE fan-in. Arrivals feed via
     /// `INSERTB` in batches from `batch_sizes`, split into three segments
-    /// with a QUERY after each: every such QUERY pulls a full frame from
+    /// with a QUERY after each: every such QUERY pulls a union block from
     /// each worker, and an immediate repeat QUERY must come from the
     /// merged-solution cache. Every QUERY — pulled or cached — must be
     /// bit-identical to a single-process `ShardedStream` fed the same
@@ -446,6 +447,68 @@ fn unreachable_worker_degrades_typed() {
     assert!(err.to_string().starts_with("worker unavailable: "), "{err}");
 }
 
+/// A version-3 worker answers `MERGE` with a v2 snapshot frame, not a
+/// union block. Played here by a stub that speaks just OPEN and MERGE:
+/// the coordinator's QUERY fails with a typed error naming that worker —
+/// never a wrong answer — and the worker stays up (the reply was read in
+/// full, so the connection is still in step).
+#[test]
+fn version3_worker_snapshot_frame_is_a_typed_error_naming_the_worker() {
+    let (name, spec) = spec_of(&open_line("sfdm2", 1));
+    let mut summary =
+        fdm_core::streaming::summary::build(&spec.to_summary_spec().unwrap()).unwrap();
+    for e in deterministic_arrivals(10) {
+        summary.insert(&e);
+    }
+    let frame = summary
+        .snapshot()
+        .to_bytes(fdm_core::persist::SnapshotFormat::Binary);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let old = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(conn) = conn else { return };
+            let frame = frame.clone();
+            std::thread::spawn(move || {
+                use std::io::BufRead as _;
+                let mut out = conn.try_clone().unwrap();
+                for line in std::io::BufReader::new(conn).lines() {
+                    let Ok(line) = line else { return };
+                    let reply = if line.starts_with("OPEN") {
+                        b"OK opened jobs\n".to_vec()
+                    } else if line == "MERGE" {
+                        let mut reply = format!(
+                            "OK merge algorithm=sfdm2 processed=10 bytes={}\n",
+                            frame.len()
+                        )
+                        .into_bytes();
+                        reply.extend_from_slice(&frame);
+                        reply
+                    } else {
+                        b"ERR unsupported\n".to_vec()
+                    };
+                    if out.write_all(&reply).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    let engine = coordinator_over(vec![old.clone(), start_worker()]);
+    engine.open(&name, &spec).unwrap();
+    let err = engine.query(&name, None).unwrap_err();
+    assert_eq!(err.kind, ErrorKind::Generic);
+    assert!(
+        err.message
+            .starts_with(&format!("worker {old}: MERGE: not a union block")),
+        "{err}"
+    );
+    assert_eq!(
+        metric(&engine, &format!("fdm_worker_up{{worker=\"{old}\"}}")),
+        1
+    );
+}
+
 /// Coordinator streams reject `shards=` (the workers are the shards) and
 /// QUERY on a zero-arrival stream is the typed `empty stream` error — on
 /// the coordinator exactly as on a single node.
@@ -710,22 +773,25 @@ fn metric(engine: &Engine, sample: &str) -> u64 {
         .unwrap()
 }
 
-/// The length of the frame a bare `MERGE` pulls straight off a worker.
-fn worker_frame_len(addr: &str, open: &str) -> u64 {
+/// The length of the union block a bare `MERGE` pulls straight off a
+/// worker.
+fn worker_block_len(addr: &str, open: &str) -> u64 {
     let (name, spec) = spec_of(open);
     let mut client = Client::connect_tcp_retry(addr, 5, Duration::from_millis(25)).unwrap();
     client.open(&name, &spec).unwrap();
     let (_algorithm, _processed, bytes) = client.merge().unwrap();
+    let union = fdm_serve::protocol::decode_union(&bytes).unwrap();
+    assert_eq!(bytes.len(), 24 + union.len() * (16 + 2 * 8) + 4);
     bytes.len() as u64
 }
 
-/// Kill a worker *after* the coordinator has fetched MERGE frames from
+/// Kill a worker *after* the coordinator has fetched MERGE blocks from
 /// the fleet: a repeat QUERY with no intervening insert still answers —
 /// served from the merged-solution cache, dead worker notwithstanding,
 /// and pulling no bytes; an insert invalidates that cache and the next
 /// QUERY fails typed, naming the dead worker; and once the worker
 /// restarts over its own data dir (same port) the next QUERY pulls
-/// exactly one full frame per worker and answers bit-identically to the
+/// exactly one union block per worker and answers bit-identically to the
 /// uninterrupted reference.
 #[test]
 fn worker_killed_mid_query_cycle_recovers_bit_identical() {
@@ -740,7 +806,7 @@ fn worker_killed_mid_query_cycle_recovers_bit_identical() {
     engine.open(&name, &spec).unwrap();
     engine.insert_batch(&name, &arrivals[..20]).unwrap();
 
-    // This QUERY pulls one full frame per worker.
+    // This QUERY pulls one union block per worker.
     let reference20 = feed_and_query(
         &Engine::new(ServeConfig::default()).unwrap(),
         &open_line("sfdm2", 2),
@@ -772,11 +838,11 @@ fn worker_killed_mid_query_cycle_recovers_bit_identical() {
 
     // Restart worker 1 on its old port over its own data dir: the
     // coordinator re-dials lazily, and the next QUERY pulls exactly the
-    // frames a bare MERGE reads off each worker. The answer must be exact.
+    // blocks a bare MERGE reads off each worker. The answer must be exact.
     let (_w1b, _) = spawn_worker_on(&dir1, None, &addr1);
-    let frames: u64 = [&addr0, &addr1]
+    let blocks: u64 = [&addr0, &addr1]
         .iter()
-        .map(|addr| worker_frame_len(addr, &open_line("sfdm2", 1)))
+        .map(|addr| worker_block_len(addr, &open_line("sfdm2", 1)))
         .sum();
     let full1 = metric(&engine, FULL);
     let reference21 = feed_and_query(
@@ -790,7 +856,7 @@ fn worker_killed_mid_query_cycle_recovers_bit_identical() {
         reference21,
         "post-restart QUERY must stay bit-identical"
     );
-    assert_eq!(metric(&engine, FULL), full1 + frames);
+    assert_eq!(metric(&engine, FULL), full1 + blocks);
     let _ = std::fs::remove_dir_all(&dir0);
     let _ = std::fs::remove_dir_all(&dir1);
 }

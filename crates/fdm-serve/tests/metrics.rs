@@ -471,3 +471,76 @@ fn request_parse_histogram_counts_every_parsed_line() {
     );
     assert!(get("fdm_request_parse_seconds_sum") >= 0.0);
 }
+
+/// A coordinator's QUERY phases: `fdm_coord_pull_seconds` takes one
+/// observation per worker `MERGE` round trip and `fdm_coord_merge_seconds`
+/// one per merge of the pulled unions; a cached QUERY adds to neither,
+/// and the phases fit inside the QUERY latency they split. On a single
+/// node neither family has a series.
+#[test]
+fn coordinator_query_phase_histograms_count_pulls_and_merges() {
+    let workers: Vec<String> = (0..2)
+        .map(|_| {
+            let engine = Arc::new(Engine::new(ServeConfig::default()).unwrap());
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            std::thread::spawn(move || serve_tcp(engine, listener, NetOptions::default()));
+            addr
+        })
+        .collect();
+    let coordinator = Engine::new(ServeConfig {
+        workers,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let (name, spec) = match parse_line(OPENS[0]).unwrap().unwrap() {
+        Cmd::Open { name, spec } => (name, spec),
+        other => panic!("{other:?}"),
+    };
+    coordinator.open(&name, &spec).unwrap();
+    let insert = |i: usize| {
+        let line = format!("INSERT {i} {} {} {}", i % 2, i as f64 * 0.5, -(i as f64));
+        match parse_line(&line).unwrap().unwrap() {
+            Cmd::Insert(e) => coordinator.insert(&name, &e, &line).unwrap(),
+            other => panic!("{other:?}"),
+        };
+    };
+    let sum = |samples: &[(String, f64)], family: &str| -> f64 {
+        samples
+            .iter()
+            .find(|(s, _)| *s == format!("{family}_sum{{stream=\"alpha\"}}"))
+            .map(|(_, v)| *v)
+            .unwrap_or_else(|| panic!("no _sum for {family}"))
+    };
+    for (round, (pulls, merges, queries)) in [(2.0, 1.0, 2.0), (4.0, 2.0, 4.0)].iter().enumerate() {
+        for i in round * 10..round * 10 + 10 {
+            insert(i);
+        }
+        coordinator.query(&name, None).unwrap();
+        coordinator.query(&name, None).unwrap(); // cached
+        let samples = lint_exposition(&coordinator.render_metrics());
+        assert_eq!(
+            check_histogram(&samples, "fdm_coord_pull_seconds", "alpha"),
+            *pulls
+        );
+        assert_eq!(
+            check_histogram(&samples, "fdm_coord_merge_seconds", "alpha"),
+            *merges
+        );
+        assert_eq!(
+            check_histogram(&samples, "fdm_coord_query_latency_seconds", "alpha"),
+            *queries
+        );
+        assert!(
+            sum(&samples, "fdm_coord_pull_seconds") + sum(&samples, "fdm_coord_merge_seconds")
+                <= sum(&samples, "fdm_coord_query_latency_seconds")
+        );
+    }
+
+    let node = engine_with_traffic(5);
+    node.query("alpha", None).unwrap();
+    let exposition = node.render_metrics();
+    for family in ["fdm_coord_pull_seconds", "fdm_coord_merge_seconds"] {
+        assert!(!exposition.contains(family), "{family} on a single node");
+    }
+}

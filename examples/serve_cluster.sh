@@ -202,12 +202,17 @@ cat "$WORK/cluster2.query"
 echo "== coordinator /metrics: batch-path families, linted exposition =="
 scrape_metrics "$MP2" "$WORK/metrics2.txt"
 "$LINT" "$WORK/metrics2.txt"
-for family in fdm_coord_insert_latency_seconds fdm_coord_query_latency_seconds; do
+for family in fdm_coord_insert_latency_seconds fdm_coord_query_latency_seconds \
+              fdm_coord_pull_seconds fdm_coord_merge_seconds; do
   grep -q "^# TYPE $family histogram$" "$WORK/metrics2.txt" \
     || { echo "missing coordinator histogram $family"; exit 1; }
 done
+for family in fdm_coord_pull_seconds fdm_coord_merge_seconds; do
+  grep -qE "^${family}_count\{[^}]*\} [1-9]" "$WORK/metrics2.txt" \
+    || { grep "^${family}_count" "$WORK/metrics2.txt" || true; echo "uncached QUERY not observed in $family"; exit 1; }
+done
 grep -q '^fdm_merge_bytes_total{kind="full"} [1-9]' "$WORK/metrics2.txt" \
-  || { grep ^fdm_merge "$WORK/metrics2.txt" || true; echo "full-frame MERGE bytes not counted"; exit 1; }
+  || { grep ^fdm_merge "$WORK/metrics2.txt" || true; echo "union-block MERGE bytes not counted"; exit 1; }
 grep -q '^fdm_merge_cache_hits_total [1-9]' "$WORK/metrics2.txt" \
   || { grep ^fdm_merge "$WORK/metrics2.txt" || true; echo "repeat QUERY did not hit the merged-solution cache"; exit 1; }
 grep -E '^fdm_merge' "$WORK/metrics2.txt"
