@@ -236,6 +236,11 @@ impl Client {
     /// `write_buf` (newline appended), then reads and parses the reply.
     fn send_write_buf(&mut self) -> Result<Payload> {
         self.write_line()?;
+        self.read_payload()
+    }
+
+    /// Reads and parses one reply, with a `MERGE` reply's binary tail.
+    fn read_payload(&mut self) -> Result<Payload> {
         self.fill_reply_line()?;
         match Response::parse(&self.line_buf).map_err(ClientError::Protocol)? {
             Response::Ok(Payload::Merge {
@@ -309,7 +314,8 @@ impl Client {
     /// `INSERTB` a batch of elements in one round trip — returns
     /// `(stream position after the batch, elements acknowledged)`.
     pub fn insert_batch(&mut self, elements: &[Element]) -> Result<(usize, usize)> {
-        self.send_insert_batch(elements, render_entry)
+        self.write_insert_batch(elements, render_entry)?;
+        self.read_inserted_batch()
     }
 
     /// `INSERTB` of entry texts (`<id> <group> <x1> ... <xd>` each) sent
@@ -317,17 +323,32 @@ impl Client {
     /// forwards its clients' spelling this way. Same reply as
     /// [`Client::insert_batch`].
     pub fn insert_entries(&mut self, entries: &[&str]) -> Result<(usize, usize)> {
-        self.send_insert_batch(entries, |entry, out| out.push_str(entry))
+        self.write_insert_entries(entries)?;
+        self.read_inserted_batch()
     }
 
-    fn send_insert_batch<T>(
+    /// Writes [`Client::insert_entries`]' request and returns before the
+    /// reply: a caller fanning out to several servers writes every request
+    /// first, then collects each reply with
+    /// [`Client::read_inserted_batch`].
+    pub fn write_insert_entries(&mut self, entries: &[&str]) -> Result<()> {
+        self.write_insert_batch(entries, |entry, out| out.push_str(entry))
+    }
+
+    fn write_insert_batch<T>(
         &mut self,
         entries: &[T],
         entry: impl FnMut(&T, &mut String),
-    ) -> Result<(usize, usize)> {
+    ) -> Result<()> {
         self.write_buf.clear();
         render_insert_batch(entries, &mut self.write_buf, entry);
-        match self.send_write_buf()? {
+        self.write_line()
+    }
+
+    /// Reads the reply to an `INSERTB`: `(stream position after the
+    /// batch, elements acknowledged)`.
+    pub fn read_inserted_batch(&mut self) -> Result<(usize, usize)> {
+        match self.read_payload()? {
             Payload::InsertedBatch { seq, count } => Ok((seq, count)),
             other => Err(unexpected(other)),
         }
@@ -345,14 +366,29 @@ impl Client {
     /// block: `(algorithm, processed, block bytes)`; decode the block with
     /// [`protocol::decode_union`](crate::protocol::decode_union).
     pub fn merge(&mut self) -> Result<(String, usize, Vec<u8>)> {
-        self.expect(&Request::Merge, |p| match p {
+        self.write_merge()?;
+        self.read_merge()
+    }
+
+    /// Writes a `MERGE` request and returns before the reply (see
+    /// [`Client::write_insert_entries`]); read it with
+    /// [`Client::read_merge`].
+    pub fn write_merge(&mut self) -> Result<()> {
+        self.write_buf.clear();
+        Request::Merge.render_into(&mut self.write_buf);
+        self.write_line()
+    }
+
+    /// Reads the reply to a `MERGE`: `(algorithm, processed, block bytes)`.
+    pub fn read_merge(&mut self) -> Result<(String, usize, Vec<u8>)> {
+        match self.read_payload()? {
             Payload::Merge {
                 algorithm,
                 processed,
                 bytes,
             } => Ok((algorithm, processed, bytes)),
-            other => Err(other),
-        })
+            other => Err(unexpected(other)),
+        }
     }
 
     /// `STATS` — the pre-rendered stats line (field set in `docs/serve.md`).

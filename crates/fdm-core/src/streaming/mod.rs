@@ -18,6 +18,10 @@
 //! round-robin partitioning into independent shard summaries processed
 //! concurrently on the persistent pool, merged through one extra
 //! guess-ladder pass.
+//!
+//! [`memo::FinalizeMemo`] keeps each guess's post-processing result, so a
+//! repeated `finalize` — of one instance, or of a merge pass rebuilt on
+//! every query — reruns only the guesses whose candidates changed.
 
 //! [`summary::DynSummary`] unifies the whole family — every algorithm,
 //! sharded or not, the sliding-window wrapper included — behind one
@@ -25,6 +29,7 @@
 //! them by algorithm tag.
 
 pub mod candidate;
+pub mod memo;
 pub mod sfdm1;
 pub mod sfdm2;
 pub mod sharded;

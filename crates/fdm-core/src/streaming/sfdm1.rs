@@ -15,8 +15,9 @@
 //!
 //! Retained elements are interned once into a shared [`PointStore`];
 //! candidates hold [`PointId`]s. The per-guess balancing of the
-//! post-processing fans out across the ladder on the pool (identical
-//! results however it is scheduled).
+//! post-processing runs only for guesses whose candidates changed since the
+//! last `finalize` ([`crate::streaming::memo`]) and fans out across the
+//! ladder on the pool (identical results however it is scheduled).
 
 use std::collections::HashSet;
 
@@ -29,11 +30,11 @@ use crate::error::{FdmError, Result};
 use crate::fairness::FairnessConstraint;
 use crate::guess::GuessLadder;
 use crate::metric::Metric;
-use crate::par::maybe_par_map;
 use crate::persist::{self, Snapshottable};
 use crate::point::{Element, PointId, PointStore};
 use crate::solution::Solution;
 use crate::streaming::candidate::{ArrivalProxies, Candidate};
+use crate::streaming::memo::{self, FinalizeMemo, GuessPipeline, GuessTally, MemoCell};
 use crate::streaming::sharded::ShardAlgorithm;
 
 /// Configuration for [`Sfdm1`].
@@ -67,6 +68,8 @@ pub struct Sfdm1 {
     scratch: ArrivalProxies,
     processed: usize,
     store_initialized: bool,
+    /// Per-guess post-processing results of the last `finalize`.
+    memo: MemoCell,
 }
 
 impl Sfdm1 {
@@ -111,6 +114,7 @@ impl Sfdm1 {
             scratch: ArrivalProxies::new(),
             processed: 0,
             store_initialized: false,
+            memo: MemoCell::default(),
         })
     }
 
@@ -186,50 +190,93 @@ impl Sfdm1 {
     }
 
     /// Post-processing (Algorithm 2, lines 9–18): balance every candidate in
-    /// `U'` and return the most diverse fair result. The per-guess balancing
-    /// fans out across the ladder on the pool.
+    /// `U'` and return the most diverse fair result. Guesses whose
+    /// candidates are unchanged since the last call reuse its result
+    /// ([`crate::streaming::memo`]); the rest balance on the pool.
     pub fn finalize(&self) -> Result<Solution> {
-        let k = self.constraint.total();
-        let results: Vec<Option<(f64, Vec<PointId>)>> = maybe_par_map(self.blind.len(), |j| {
-            let blind = &self.blind[j];
-            // U' membership: blind full and both group candidates full.
-            if blind.len() < k
-                || self.specific[0][j].len() < self.constraint.quota(0)
-                || self.specific[1][j].len() < self.constraint.quota(1)
-            {
-                return None;
-            }
-            let mut solution = blind.members().to_vec();
-            let pools = [
-                self.specific[0][j].members().to_vec(),
-                self.specific[1][j].members().to_vec(),
-            ];
-            if !balance_two_groups(
-                &self.store,
-                &mut solution,
-                &pools,
-                &self.constraint,
-                self.metric,
-                self.strategy,
-            ) {
-                return None;
-            }
-            let div = diversity_of_ids(&self.store, &solution, self.metric);
-            Some((div, solution))
-        });
-        // Serial reduction preserves the first-maximum tie-break regardless
-        // of how the map above was scheduled.
-        let mut best: Option<(f64, &Vec<PointId>)> = None;
-        for r in results.iter().flatten() {
-            let (div, ids) = r;
-            if best.as_ref().is_none_or(|(b, _)| *div > *b) {
-                best = Some((*div, ids));
-            }
+        self.finalize_tallied(&mut GuessTally::default())
+    }
+
+    /// [`Sfdm1::finalize`], adding what the per-guess memo did to `tally`.
+    pub fn finalize_tallied(&self, tally: &mut GuessTally) -> Result<Solution> {
+        memo::finalize_owned(self, &self.memo, tally)
+    }
+
+    /// The merge pass's post-processing: this instance was just fed shard
+    /// unions and is dropped afterwards, so the memo is `memo`, carried
+    /// from the previous merge, and keeps this instance's arena.
+    pub fn finalize_merge(
+        self,
+        memo: &mut FinalizeMemo,
+        tally: &mut GuessTally,
+    ) -> Result<Solution> {
+        memo::finalize_carried(self, memo, tally)
+    }
+}
+
+/// Algorithm 2's per-guess balancing over `U' = {µ : |S_µ| = k ∧ |S_µ,i| =
+/// k_i}`.
+impl GuessPipeline for Sfdm1 {
+    fn store(&self) -> &PointStore {
+        &self.store
+    }
+
+    fn into_store(self) -> PointStore {
+        self.store
+    }
+
+    fn metric(&self) -> Metric {
+        self.metric
+    }
+
+    fn guesses(&self) -> usize {
+        self.blind.len()
+    }
+
+    fn mu(&self, j: usize) -> f64 {
+        self.blind[j].mu()
+    }
+
+    fn lists(&self, j: usize) -> Vec<&[PointId]> {
+        vec![
+            self.blind[j].members(),
+            self.specific[0][j].members(),
+            self.specific[1][j].members(),
+        ]
+    }
+
+    fn in_u_prime(&self, j: usize) -> bool {
+        self.blind[j].len() >= self.constraint.total()
+            && self.specific[0][j].len() >= self.constraint.quota(0)
+            && self.specific[1][j].len() >= self.constraint.quota(1)
+    }
+
+    fn compute(&self, j: usize, sall: &[PointId]) -> Option<(f64, Vec<usize>)> {
+        let mut solution = self.blind[j].members().to_vec();
+        let pools = [
+            self.specific[0][j].members().to_vec(),
+            self.specific[1][j].members().to_vec(),
+        ];
+        if !balance_two_groups(
+            &self.store,
+            &mut solution,
+            &pools,
+            &self.constraint,
+            self.metric,
+            self.strategy,
+        ) {
+            return None;
         }
-        match best {
-            Some((_, ids)) => Ok(Solution::from_ids(&self.store, ids, self.metric)),
-            None => Err(FdmError::NoFeasibleCandidate),
-        }
+        let div = diversity_of_ids(&self.store, &solution, self.metric);
+        let positions = solution
+            .iter()
+            .map(|id| {
+                sall.iter()
+                    .position(|s| s == id)
+                    .expect("balancing draws from S_all")
+            })
+            .collect();
+        Some((div, positions))
     }
 }
 

@@ -22,8 +22,10 @@
 //!
 //! Retained elements are interned once into a shared [`PointStore`];
 //! candidates hold [`PointId`]s. The whole per-guess post-processing
-//! pipeline (clustering + matroid intersection) fans out across the ladder
-//! on the pool — the results are identical to a sequential run.
+//! pipeline (clustering + matroid intersection) runs only for guesses whose
+//! candidates changed since the last `finalize` ([`crate::streaming::memo`])
+//! and fans out across the ladder on the pool — the results are identical
+//! to a fresh, sequential run.
 
 use std::collections::HashSet;
 
@@ -38,11 +40,11 @@ use crate::guess::GuessLadder;
 use crate::matroid::intersection::max_common_independent_set;
 use crate::matroid::PartitionMatroid;
 use crate::metric::Metric;
-use crate::par::maybe_par_map;
 use crate::persist::{self, Snapshottable};
 use crate::point::{Element, PointId, PointStore};
 use crate::solution::Solution;
 use crate::streaming::candidate::{ArrivalProxies, Candidate};
+use crate::streaming::memo::{self, FinalizeMemo, GuessPipeline, GuessTally, MemoCell};
 use crate::streaming::sharded::ShardAlgorithm;
 
 /// Configuration for [`Sfdm2`].
@@ -108,6 +110,8 @@ pub struct Sfdm2 {
     scratch: ArrivalProxies,
     processed: usize,
     store_initialized: bool,
+    /// Per-guess post-processing results of the last `finalize`.
+    memo: MemoCell,
 }
 
 impl Sfdm2 {
@@ -151,6 +155,7 @@ impl Sfdm2 {
             scratch: ArrivalProxies::new(),
             processed: 0,
             store_initialized: false,
+            memo: MemoCell::default(),
         })
     }
 
@@ -228,58 +233,74 @@ impl Sfdm2 {
 
     /// Post-processing (Algorithm 3, lines 9–19). Each guess's pipeline —
     /// clustering, matroid construction, Cunningham augmentation — is
-    /// independent and fans out across the ladder on the pool.
+    /// independent; guesses whose candidates are unchanged since the last
+    /// call reuse its result ([`crate::streaming::memo`]) and the rest fan
+    /// out across the ladder on the pool.
     pub fn finalize(&self) -> Result<Solution> {
-        let results: Vec<Option<(f64, Vec<PointId>)>> =
-            maybe_par_map(self.blind.len(), |j| self.process_guess(j));
-        // Serial reduction preserves the first-maximum tie-break regardless
-        // of how the map above was scheduled.
-        let mut best: Option<(f64, &Vec<PointId>)> = None;
-        for r in results.iter().flatten() {
-            let (div, ids) = r;
-            if best.as_ref().is_none_or(|(b, _)| *div > *b) {
-                best = Some((*div, ids));
-            }
-        }
-        match best {
-            Some((_, ids)) => Ok(Solution::from_ids(&self.store, ids, self.metric)),
-            None => Err(FdmError::NoFeasibleCandidate),
-        }
+        self.finalize_tallied(&mut GuessTally::default())
     }
 
-    /// One guess's post-processing; `None` when `µ_j ∉ U'` or the augmented
-    /// result is smaller than `k` (Algorithm 3, line 19).
-    fn process_guess(&self, j: usize) -> Option<(f64, Vec<PointId>)> {
+    /// [`Sfdm2::finalize`], adding what the per-guess memo did to `tally`.
+    pub fn finalize_tallied(&self, tally: &mut GuessTally) -> Result<Solution> {
+        memo::finalize_owned(self, &self.memo, tally)
+    }
+
+    /// The merge pass's post-processing: this instance was just fed shard
+    /// unions and is dropped afterwards, so the memo is `memo`, carried
+    /// from the previous merge, and keeps this instance's arena.
+    pub fn finalize_merge(
+        self,
+        memo: &mut FinalizeMemo,
+        tally: &mut GuessTally,
+    ) -> Result<Solution> {
+        memo::finalize_carried(self, memo, tally)
+    }
+}
+
+/// Algorithm 3's per-guess post-processing over `U' = {µ : |S_µ| = k ∧
+/// |S_µ,i| ≥ k_i ∀i}`; a result smaller than `k` is dropped (line 19).
+impl GuessPipeline for Sfdm2 {
+    fn store(&self) -> &PointStore {
+        &self.store
+    }
+
+    fn into_store(self) -> PointStore {
+        self.store
+    }
+
+    fn metric(&self) -> Metric {
+        self.metric
+    }
+
+    fn guesses(&self) -> usize {
+        self.blind.len()
+    }
+
+    fn mu(&self, j: usize) -> f64 {
+        self.blind[j].mu()
+    }
+
+    fn lists(&self, j: usize) -> Vec<&[PointId]> {
+        std::iter::once(self.blind[j].members())
+            .chain(self.specific.iter().map(|lanes| lanes[j].members()))
+            .collect()
+    }
+
+    fn in_u_prime(&self, j: usize) -> bool {
+        self.blind[j].len() >= self.constraint.total()
+            && (0..self.constraint.num_groups())
+                .all(|g| self.specific[g][j].len() >= self.constraint.quota(g))
+    }
+
+    fn compute(&self, j: usize, sall: &[PointId]) -> Option<(f64, Vec<usize>)> {
         let k = self.constraint.total();
         let m = self.constraint.num_groups();
         let blind = &self.blind[j];
-        // U' membership.
-        if blind.len() < k {
-            return None;
-        }
-        if (0..m).any(|g| self.specific[g][j].len() < self.constraint.quota(g)) {
-            return None;
-        }
         let mu = blind.mu();
-
-        // S_all: union of all candidates' members. Elements are interned
-        // once per stream arrival, so deduplication by arena id is
-        // deduplication by stream element.
-        let mut sall: Vec<PointId> = Vec::new();
-        let mut seen: HashSet<PointId> = HashSet::new();
-        for &id in blind
-            .members()
-            .iter()
-            .chain((0..m).flat_map(|g| self.specific[g][j].members()))
-        {
-            if seen.insert(id) {
-                sall.push(id);
-            }
-        }
         // Partial solution S'_µ: per group min(k_i, |S_µ ∩ X_i|)
         // elements of the blind candidate (Algorithm 3, line 11). The blind
-        // members are distinct and were pushed into `sall` first, so the
-        // i-th blind member sits at index i.
+        // members are distinct and come first in S_all, so the i-th blind
+        // member sits at index i.
         let mut taken_per_group = vec![0usize; m];
         let mut initial: Vec<usize> = Vec::with_capacity(k);
         for (i, &id) in blind.members().iter().enumerate() {
@@ -294,7 +315,7 @@ impl Sfdm2 {
         // Threshold clustering of S_all (Algorithm 3, lines 13–16).
         let threshold = mu / (m as f64 + 1.0);
         let (cluster_of, num_clusters) =
-            threshold_clusters_ids(&self.store, &sall, self.metric, threshold);
+            threshold_clusters_ids(&self.store, sall, self.metric, threshold);
 
         // Matroids: fairness (M1) and one-per-cluster (M2).
         let groups_of: Vec<usize> = sall.iter().map(|&id| self.store.group(id)).collect();
@@ -333,7 +354,7 @@ impl Sfdm2 {
         }
         let ids: Vec<PointId> = result.iter().map(|&i| sall[i]).collect();
         let div = diversity_of_ids(&self.store, &ids, self.metric);
-        Some((div, ids))
+        Some((div, result))
     }
 }
 

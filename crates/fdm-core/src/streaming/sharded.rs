@@ -43,6 +43,7 @@ use crate::par::maybe_par_for_each;
 use crate::persist::{self, SnapshotParams, Snapshottable};
 use crate::point::Element;
 use crate::solution::Solution;
+use crate::streaming::memo::{FinalizeMemo, GuessTally, MemoCell};
 use crate::streaming::sfdm1::{Sfdm1, Sfdm1Config};
 use crate::streaming::sfdm2::{Sfdm2, Sfdm2Config};
 use crate::streaming::unconstrained::{StreamingDiversityMaximization, StreamingDmConfig};
@@ -92,6 +93,21 @@ pub trait ShardAlgorithm: Sized + Send {
     /// Runs post-processing and returns the best feasible solution.
     fn finalize(&self) -> Result<Solution>;
 
+    /// [`ShardAlgorithm::finalize`], adding what a per-guess memo did to
+    /// `tally`; the default has no memo and counts nothing.
+    fn finalize_tallied(&self, tally: &mut GuessTally) -> Result<Solution> {
+        let _ = tally;
+        self.finalize()
+    }
+
+    /// Post-processing of a merge instance, which is dropped afterwards:
+    /// `memo` is carried from the previous merge of the same owner (see
+    /// [`crate::streaming::memo`]). The default ignores it.
+    fn finalize_merge(self, memo: &mut FinalizeMemo, tally: &mut GuessTally) -> Result<Solution> {
+        let _ = (memo, tally);
+        self.finalize()
+    }
+
     /// Number of elements seen.
     fn processed(&self) -> usize;
 
@@ -100,7 +116,16 @@ pub trait ShardAlgorithm: Sized + Send {
 }
 
 macro_rules! impl_shard_algorithm {
-    ($alg:ty, $cfg:ty) => {
+    (@memo $alg:ty) => {
+        fn finalize_tallied(&self, tally: &mut GuessTally) -> Result<Solution> {
+            <$alg>::finalize_tallied(self, tally)
+        }
+
+        fn finalize_merge(self, memo: &mut FinalizeMemo, tally: &mut GuessTally) -> Result<Solution> {
+            <$alg>::finalize_merge(self, memo, tally)
+        }
+    };
+    ($alg:ty, $cfg:ty $(, $memo:ident)?) => {
         impl ShardAlgorithm for $alg {
             type Config = $cfg;
 
@@ -132,12 +157,14 @@ macro_rules! impl_shard_algorithm {
             fn stored_elements(&self) -> usize {
                 <$alg>::stored_elements(self)
             }
+
+            $(impl_shard_algorithm!(@$memo $alg);)?
         }
     };
 }
 
-impl_shard_algorithm!(Sfdm1, Sfdm1Config);
-impl_shard_algorithm!(Sfdm2, Sfdm2Config);
+impl_shard_algorithm!(Sfdm1, Sfdm1Config, memo);
+impl_shard_algorithm!(Sfdm2, Sfdm2Config, memo);
 impl_shard_algorithm!(StreamingDiversityMaximization, StreamingDmConfig);
 
 /// K-way sharded ingestion over any guess-ladder streaming algorithm. See
@@ -170,6 +197,9 @@ pub struct ShardedStream<S: ShardAlgorithm> {
     shards: Vec<S>,
     /// Round-robin cursor: the shard the next arrival goes to.
     next: usize,
+    /// The merge pass's per-guess memo, carried from one `finalize` to the
+    /// next (`K > 1`; a lone shard keeps its own).
+    merge_memo: MemoCell,
 }
 
 impl<S: ShardAlgorithm> ShardedStream<S> {
@@ -186,6 +216,7 @@ impl<S: ShardAlgorithm> ShardedStream<S> {
             config,
             shards: built,
             next: 0,
+            merge_memo: MemoCell::default(),
         })
     }
 
@@ -248,10 +279,18 @@ impl<S: ShardAlgorithm> ShardedStream<S> {
     /// the shards' retained elements (shard-major, arena order) streams
     /// through a fresh instance of the algorithm whose post-processing
     /// produces the final solution; the fairness constraint is enforced
-    /// exactly by that instance.
+    /// exactly by that instance. The merge instance is rebuilt on every
+    /// call, but its per-guess results carry over in a memo, so only
+    /// guesses whose candidates differ from the last merge's rerun.
     pub fn finalize(&self) -> Result<Solution> {
+        self.finalize_tallied(&mut GuessTally::default())
+    }
+
+    /// [`ShardedStream::finalize`], adding what the per-guess memos did to
+    /// `tally`.
+    pub fn finalize_tallied(&self, tally: &mut GuessTally) -> Result<Solution> {
         if self.shards.len() == 1 {
-            return self.shards[0].finalize();
+            return self.shards[0].finalize_tallied(tally);
         }
         let unions: Vec<Vec<Element>> = self.shards.iter().map(S::retained_elements).collect();
         let union_len = unions.iter().map(Vec::len).sum();
@@ -259,7 +298,8 @@ impl<S: ShardAlgorithm> ShardedStream<S> {
         for union in &unions {
             merge.insert_batch(union);
         }
-        merge.finalize()
+        self.merge_memo
+            .with(|memo| merge.finalize_merge(memo, tally))
     }
 
     /// The union of the shards' retained elements, shard-major in arena
@@ -406,6 +446,7 @@ impl<S: ShardAlgorithm + Snapshottable> Snapshottable for ShardedStream<S> {
             config: shards[0].config(),
             shards,
             next,
+            merge_memo: MemoCell::default(),
         })
     }
 }

@@ -27,6 +27,7 @@ use crate::error::{FdmError, Result};
 use crate::persist::{self, SnapshotParams, Snapshottable};
 use crate::point::Element;
 use crate::solution::Solution;
+use crate::streaming::memo::{FinalizeMemo, GuessTally};
 use crate::streaming::sfdm2::{Sfdm2, Sfdm2Config};
 use crate::streaming::sharded::ShardAlgorithm;
 
@@ -189,6 +190,15 @@ impl ShardAlgorithm for SlidingWindowFdm {
 
     fn finalize(&self) -> Result<Solution> {
         SlidingWindowFdm::finalize(self)
+    }
+
+    fn finalize_tallied(&self, tally: &mut GuessTally) -> Result<Solution> {
+        self.primary.finalize_tallied(tally)
+    }
+
+    fn finalize_merge(self, memo: &mut FinalizeMemo, tally: &mut GuessTally) -> Result<Solution> {
+        // A merge window never rotates, so its primary saw the whole union.
+        self.primary.finalize_merge(memo, tally)
     }
 
     fn processed(&self) -> usize {

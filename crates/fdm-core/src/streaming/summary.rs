@@ -25,6 +25,7 @@ use crate::fairness::FairnessConstraint;
 use crate::persist::{Snapshot, SnapshotParams, Snapshottable, StatePatch};
 use crate::point::Element;
 use crate::solution::Solution;
+use crate::streaming::memo::{FinalizeMemo, GuessTally};
 use crate::streaming::sfdm1::{Sfdm1, Sfdm1Config};
 use crate::streaming::sfdm2::{Sfdm2, Sfdm2Config};
 use crate::streaming::sharded::{ShardAlgorithm, ShardedStream};
@@ -46,7 +47,13 @@ pub trait DynSummary: Send + Sync + std::fmt::Debug {
     fn insert_batch(&mut self, batch: &[Element]);
 
     /// Runs post-processing and returns the best feasible solution.
-    fn finalize(&self) -> Result<Solution>;
+    fn finalize(&self) -> Result<Solution> {
+        self.finalize_tallied(&mut GuessTally::default())
+    }
+
+    /// [`DynSummary::finalize`], adding what the per-guess post-processing
+    /// memos ([`crate::streaming::memo`]) did to `tally`.
+    fn finalize_tallied(&self, tally: &mut GuessTally) -> Result<Solution>;
 
     /// Total arrivals observed.
     fn processed(&self) -> usize;
@@ -104,8 +111,8 @@ where
         ShardAlgorithm::insert_batch(self, batch);
     }
 
-    fn finalize(&self) -> Result<Solution> {
-        ShardAlgorithm::finalize(self)
+    fn finalize_tallied(&self, tally: &mut GuessTally) -> Result<Solution> {
+        ShardAlgorithm::finalize_tallied(self, tally)
     }
 
     fn processed(&self) -> usize {
@@ -155,8 +162,8 @@ where
         ShardedStream::insert_batch(self, batch);
     }
 
-    fn finalize(&self) -> Result<Solution> {
-        ShardedStream::finalize(self)
+    fn finalize_tallied(&self, tally: &mut GuessTally) -> Result<Solution> {
+        ShardedStream::finalize_tallied(self, tally)
     }
 
     fn processed(&self) -> usize {
@@ -313,6 +320,15 @@ impl RegisteredSummary for SlidingWindowFdm {
     }
 }
 
+/// [`merge_one`]'s signature: spec, unions, fan-in, memo, tally.
+type MergeFn = fn(
+    &SummarySpec,
+    Vec<Vec<Element>>,
+    usize,
+    &mut FinalizeMemo,
+    &mut GuessTally,
+) -> Result<Solution>;
+
 /// One registry row: tag plus the monomorphized build/restore entry
 /// points. Adding an algorithm to the family is adding one row.
 struct Entry {
@@ -325,7 +341,7 @@ struct Entry {
     validate: fn(&SummarySpec) -> Result<()>,
     /// Merges per-part retained-element unions into one solution
     /// (the [`merge_unions`] dispatch target).
-    merge: fn(&SummarySpec, Vec<Vec<Element>>, usize) -> Result<Solution>,
+    merge: MergeFn,
 }
 
 fn build_one<S: RegisteredSummary>(spec: &SummarySpec) -> Result<Box<dyn DynSummary>>
@@ -367,10 +383,13 @@ where
 /// the whole union, then runs its post-processing. With
 /// `unions.len() ≤ fan_in` this is a single level — operation-for-operation
 /// the merge pass a `ShardedStream` with the same shard unions performs.
+/// The last level's post-processing goes through `memo`.
 fn merge_one<S: RegisteredSummary>(
     spec: &SummarySpec,
     mut unions: Vec<Vec<Element>>,
     fan_in: usize,
+    memo: &mut FinalizeMemo,
+    tally: &mut GuessTally,
 ) -> Result<Solution>
 where
     S::Config: std::fmt::Debug,
@@ -393,7 +412,7 @@ where
     for union in &unions {
         merge.insert_batch(union);
     }
-    merge.finalize()
+    merge.finalize_merge(memo, tally)
 }
 
 macro_rules! entry {
@@ -477,18 +496,41 @@ pub fn restore(snapshot: &Snapshot) -> Result<Box<dyn DynSummary>> {
 /// an arrival by its distance to earlier members, so an element no
 /// candidate kept changed no state, and re-streaming the kept elements in
 /// arrival order rebuilds the same candidates.
+///
+/// `memo` carries the merge pass's per-guess results from the caller's
+/// previous merge of the same stream ([`crate::streaming::memo`]): only
+/// guesses whose candidates differ rerun, and the answer is bit-identical
+/// to a fresh memo's. `tally` gains what it reused and computed.
 pub fn merge_unions(
     spec: &SummarySpec,
     unions: Vec<Vec<Element>>,
     fan_in: usize,
+    memo: &mut MergeMemo,
+    tally: &mut GuessTally,
 ) -> Result<Solution> {
     if unions.is_empty() {
         return Err(FdmError::InvalidShardCount);
     }
-    (entry_for(&spec.algorithm)?.merge)(spec, unions, fan_in.max(2))
+    if memo.spec.as_ref() != Some(spec) {
+        *memo = MergeMemo {
+            spec: Some(spec.clone()),
+            memo: FinalizeMemo::default(),
+        };
+    }
+    (entry_for(&spec.algorithm)?.merge)(spec, unions, fan_in.max(2), &mut memo.memo, tally)
 }
 
-/// [`merge_unions`] over the parts themselves, for an in-process caller.
+/// The per-guess memo one caller carries between [`merge_unions`] calls.
+/// It is bound to the spec it was filled under: a merge of another spec
+/// starts it afresh.
+#[derive(Debug, Default)]
+pub struct MergeMemo {
+    spec: Option<SummarySpec>,
+    memo: FinalizeMemo,
+}
+
+/// [`merge_unions`] over the parts themselves, for an in-process caller,
+/// with no memo.
 pub fn merge_summary_parts(
     spec: &SummarySpec,
     parts: &[&dyn DynSummary],
@@ -498,6 +540,8 @@ pub fn merge_summary_parts(
         spec,
         parts.iter().map(|p| p.retained_elements()).collect(),
         fan_in,
+        &mut MergeMemo::default(),
+        &mut GuessTally::default(),
     )
 }
 
@@ -688,7 +732,14 @@ mod tests {
                     parts[i % parts_n].insert(&arrival(i));
                 }
                 let unions = parts.iter().map(|p| p.retained_elements()).collect();
-                let merged = merge_unions(&part_spec, unions, 8).unwrap();
+                let merged = merge_unions(
+                    &part_spec,
+                    unions,
+                    8,
+                    &mut MergeMemo::default(),
+                    &mut GuessTally::default(),
+                )
+                .unwrap();
                 assert_eq!(merged.ids(), expected.ids(), "{tag} x{parts_n}");
                 assert_eq!(
                     merged.diversity.to_bits(),
@@ -713,9 +764,10 @@ mod tests {
             parts[i % 5].insert(&Element::new(i, vec![x, y], i % 2));
         }
         let unions = parts.iter().map(|p| p.retained_elements()).collect();
-        let merged = merge_unions(&part_spec, unions, 2).unwrap();
+        let (mut memo, mut tally) = (MergeMemo::default(), GuessTally::default());
+        let merged = merge_unions(&part_spec, unions, 2, &mut memo, &mut tally).unwrap();
         assert_eq!(merged.len(), 4);
-        assert!(merge_unions(&part_spec, Vec::new(), 8).is_err());
+        assert!(merge_unions(&part_spec, Vec::new(), 8, &mut memo, &mut tally).is_err());
         assert!(merge_summary_parts(&part_spec, &[], 8).is_err());
     }
 

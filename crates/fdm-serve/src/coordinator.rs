@@ -11,9 +11,10 @@
 //!   element-to-shard assignment
 //!   [`ShardedStream`](fdm_core::streaming::sharded::ShardedStream) uses
 //!   for arrival order: element *i* of a flush goes to worker
-//!   `(cursor + i) % K`, and all K per-worker sub-batches flush
-//!   **concurrently** — the round-trip cost of a batch is one RTT plus the
-//!   slowest worker's apply, not N RTTs. `INSERT` is a one-element
+//!   `(cursor + i) % K`, and all K per-worker sub-batches are written
+//!   before any reply is read, so the workers apply **concurrently** — the
+//!   round-trip cost of a batch is one RTT plus the slowest worker's
+//!   apply, not N RTTs. `INSERT` is a one-element
 //!   `INSERTB` (same routing, same heal-by-skip, same failure handling).
 //!   The coordinator routes **text**: the session has already parsed and
 //!   validated the client's line (a bad line is refused whole, before any
@@ -31,16 +32,26 @@
 //!   coordinator over K workers answers **byte-identically** to a
 //!   single-process `ShardedStream` with K shards fed the same arrivals
 //!   (pinned by `tests/distributed.rs`). No worker summary is restored on
-//!   the coordinator. The merged solution is itself cached: a `QUERY`
-//!   with no intervening `INSERT` is answered without touching the fleet.
+//!   the coordinator. The `MERGE` requests are pipelined the same way as
+//!   inserts: written to every worker, then read in worker order. The
+//!   merge instance is rebuilt on every uncached `QUERY`, but a per-stream
+//!   [`MergeMemo`] carries its per-guess post-processing results over, so
+//!   only guesses whose candidates changed rerun. The merged solution is
+//!   itself cached: a `QUERY` with no intervening `INSERT` is answered
+//!   without touching the fleet.
 //!
 //! ## Coordinator state and restart
 //!
 //! The routing state is `processed` (elements acknowledged, in arrival
 //! order), the cursor (`cursor ≡ processed mod K`), and per-worker
 //! positions `p_w` (how many elements worker `w` holds, refreshed from
-//! the worker's own count on every attach). The only other state is the
-//! cached merged solution, which every insert attempt drops; the
+//! the worker's own count on every attach), and the element dimension
+//! (from the first acknowledged insert, or on `OPEN` from the `STATS` of a
+//! worker that holds elements): an element of another dimension is refused
+//! with a typed `ERR` before anything is routed, since the workers each
+//! fix their dimension from their own first element and could otherwise
+//! disagree. The only other state is the cached merged solution, which
+//! every insert attempt drops, and the merge's per-guess memo; the
 //! coordinator keeps no copy of any worker's summary.
 //!
 //! After a coordinator restart, re-`OPEN` recomputes the **contiguous
@@ -82,7 +93,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use fdm_client::{Client, ClientError};
-use fdm_core::streaming::summary;
+use fdm_core::error::FdmError;
+use fdm_core::point::Element;
+use fdm_core::streaming::memo::GuessTally;
+use fdm_core::streaming::summary::{self, MergeMemo};
 
 use crate::engine::lock;
 use crate::metrics::{self, StreamMetrics, StreamSample};
@@ -125,9 +139,17 @@ struct CoordStream {
     positions: Vec<usize>,
     /// One cached connection per worker, re-dialed lazily after a failure.
     conns: Vec<Option<Client>>,
+    /// The element dimension: from the first acknowledged insert, or from
+    /// a worker that already held elements when the stream was opened.
+    /// Every later element must match it.
+    dim: Option<usize>,
     /// The last merged solution; invalidated by any insert attempt.
     cached_query: Option<QueryReply>,
-    /// Coordinator-side request latencies (`fdm_coord_*` families).
+    /// The merge pass's per-guess memo, carried from one uncached `QUERY`
+    /// to the next.
+    merge_memo: MergeMemo,
+    /// Coordinator-side request latencies (`fdm_coord_*` families) and
+    /// the merge's finalize guesses.
     metrics: Arc<StreamMetrics>,
 }
 
@@ -260,6 +282,13 @@ impl Coordinator {
             .min()
             .unwrap_or(0);
         let cursor = processed % self.workers.len();
+        let dim = match positions.iter().position(|&p| p > 0) {
+            Some(widx) => {
+                let client = conns[widx].as_mut().expect("attached above");
+                Some(self.worker_dim(widx, client)?)
+            }
+            None => None,
+        };
         streams.insert(
             name.to_string(),
             Arc::new(Mutex::new(CoordStream {
@@ -268,7 +297,9 @@ impl Coordinator {
                 cursor,
                 positions,
                 conns,
+                dim,
                 cached_query: None,
+                merge_memo: MergeMemo::default(),
                 metrics: StreamMetrics::new(),
             })),
         );
@@ -284,6 +315,26 @@ impl Coordinator {
         }
     }
 
+    /// The element dimension of the stream worker `widx` holds elements
+    /// of, from its `STATS` line.
+    fn worker_dim(&self, widx: usize, client: &mut Client) -> Result<usize, ErrorReply> {
+        let worker = &self.workers[widx];
+        let line = match client.stats() {
+            Ok(line) => line,
+            Err(ClientError::Server(err)) => return Err(err),
+            Err(e) => return Err(self.unavailable(worker, &e)),
+        };
+        line.split_whitespace()
+            .find_map(|field| field.strip_prefix("dim=")?.parse().ok())
+            .filter(|&dim| dim > 0)
+            .ok_or_else(|| {
+                ErrorReply::generic(format!(
+                    "worker {}: STATS reports no element dimension: {line}",
+                    worker.addr
+                ))
+            })
+    }
+
     fn stream(&self, name: &str) -> Result<Arc<Mutex<CoordStream>>, ErrorReply> {
         lock(&self.streams).get(name).cloned().ok_or_else(|| {
             ErrorReply::generic(format!(
@@ -294,16 +345,18 @@ impl Coordinator {
 
     /// `INSERTB` (and so `INSERT`, a one-element batch): the pipelined
     /// fan-out of already validated entry texts (`<id> <group> <x1> ...
-    /// <xd>` each, as the client spelled them). Returns the stream
-    /// position after the batch. The batch is flushed in rounds of at most
-    /// `coord_batch` entries; each round is partitioned into per-worker
-    /// sub-sequences by pure cursor arithmetic and all sub-batches fly
-    /// **concurrently** as one `INSERTB` line each, written verbatim into
-    /// that worker's cached connection — the first on the calling thread,
-    /// the rest on scoped threads, so a one-element round spawns nothing.
-    /// The cursor advances only on acknowledged applies, so the
-    /// round-robin assignment stays exactly
-    /// [`ShardedStream`](fdm_core::streaming::sharded::ShardedStream)'s.
+    /// <xd>` each, as the client spelled them; `elements` are their parsed
+    /// form). Returns the stream position after the batch. Every element
+    /// must have the stream's dimension (see the module docs); a
+    /// request with one that does not is refused whole, before anything is
+    /// routed. The batch is flushed in rounds of at most `coord_batch`
+    /// entries; each round is partitioned into per-worker sub-sequences by
+    /// pure cursor arithmetic, every sub-batch is written as one `INSERTB`
+    /// line into its worker's cached connection, and only then are the
+    /// replies read, in worker order — the workers apply concurrently
+    /// while the coordinator waits on the first. The cursor advances only
+    /// on acknowledged applies, so the round-robin assignment stays
+    /// exactly [`ShardedStream`](fdm_core::streaming::sharded::ShardedStream)'s.
     /// An entry is acknowledged only once its worker acknowledged the
     /// sub-batch containing it (or it was skipped as already held); on any
     /// failure the round acks the longest contiguous prefix and the typed
@@ -311,12 +364,26 @@ impl Coordinator {
     pub fn insert_batch(
         &self,
         name: &str,
+        elements: &[Element],
         entries: &[&str],
         coord_batch: usize,
     ) -> Result<usize, ErrorReply> {
         let stream = self.stream(name)?;
         let mut stream = lock(&stream);
         let start = Instant::now();
+        let dim = stream
+            .dim
+            .or_else(|| elements.first().map(Element::dim))
+            .unwrap_or(0);
+        if let Some(bad) = elements.iter().find(|e| e.dim() != dim) {
+            return Err(ErrorReply::generic(
+                FdmError::DimensionMismatch {
+                    expected: dim,
+                    found: bad.dim(),
+                }
+                .to_string(),
+            ));
+        }
         // A send can apply on a worker even if its ack is lost, so the
         // merged solution goes stale on the *attempt*.
         stream.cached_query = None;
@@ -338,56 +405,41 @@ impl Coordinator {
                 }
                 routed.push((widx, skip));
             }
-            // Dial (and re-attach) sequentially before the flush; the
-            // flush threads then own only their worker's connection.
+            // Dial (and re-attach) before anything is written.
             for (widx, sub) in subs.iter().enumerate() {
                 if !sub.is_empty() {
                     self.conn(&mut stream, name, widx)?;
                 }
             }
-            let mut jobs: Vec<(usize, Client, Vec<&str>)> = Vec::new();
-            for (widx, sub) in subs.iter_mut().enumerate() {
-                if !sub.is_empty() {
-                    let client = stream.conns[widx].take().expect("dialed above");
-                    jobs.push((widx, client, std::mem::take(sub)));
+            // Write every sub-batch, then read the replies in worker order.
+            let mut worker_err: Vec<Option<ErrorReply>> = (0..k).map(|_| None).collect();
+            let mut written = vec![false; k];
+            for (widx, sub) in subs.iter().enumerate() {
+                if sub.is_empty() {
+                    continue;
+                }
+                let client = stream.conns[widx].as_mut().expect("dialed above");
+                match client.write_insert_entries(sub) {
+                    Ok(()) => written[widx] = true,
+                    Err(e) => {
+                        stream.conns[widx] = None;
+                        worker_err[widx] = Some(self.unavailable(&self.workers[widx], &e));
+                    }
                 }
             }
-            let flush = |(widx, mut client, batch): (usize, Client, Vec<&str>)| {
-                let result = client.insert_entries(&batch).map(|(seq, _count)| seq);
-                (widx, client, result)
-            };
-            let mut jobs = jobs.into_iter();
-            let first = jobs.next();
-            let results: Vec<(usize, Client, Result<usize, ClientError>)> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = jobs.map(|job| scope.spawn(move || flush(job))).collect();
-                    first
-                        .map(flush)
-                        .into_iter()
-                        .chain(
-                            handles
-                                .into_iter()
-                                .map(|handle| handle.join().expect("batch flush thread panicked")),
-                        )
-                        .collect()
-                });
-            let mut worker_err: Vec<Option<ErrorReply>> = (0..k).map(|_| None).collect();
-            for (widx, client, result) in results {
-                match result {
-                    Ok(worker_seq) => {
+            for widx in (0..k).filter(|&w| written[w]) {
+                let client = stream.conns[widx].as_mut().expect("written above");
+                match client.read_inserted_batch() {
+                    Ok((worker_seq, _count)) => {
                         self.workers[widx].up.store(true, Ordering::SeqCst);
                         stream.positions[widx] = stream.positions[widx].max(worker_seq);
-                        stream.conns[widx] = Some(client);
                     }
-                    Err(ClientError::Server(err)) => {
-                        // The worker answered: the sub-batch was rejected
-                        // atomically (nothing applied), the connection
-                        // stays usable.
-                        stream.conns[widx] = Some(client);
-                        worker_err[widx] = Some(err);
-                    }
+                    // The worker answered: the sub-batch was rejected
+                    // atomically (nothing applied), the connection stays
+                    // usable.
+                    Err(ClientError::Server(err)) => worker_err[widx] = Some(err),
                     Err(e) => {
-                        drop(client);
+                        stream.conns[widx] = None;
                         worker_err[widx] = Some(self.unavailable(&self.workers[widx], &e));
                     }
                 }
@@ -406,6 +458,9 @@ impl Coordinator {
             }
             stream.processed += acked;
             stream.cursor = stream.processed % k;
+            if acked > 0 {
+                stream.dim = Some(dim);
+            }
             if acked < chunk.len() {
                 let (widx, _) = routed[acked];
                 return Err(worker_err[widx]
@@ -417,35 +472,11 @@ impl Coordinator {
         Ok(stream.processed)
     }
 
-    /// One `MERGE` round trip against worker `widx`: its processed count
-    /// and its union block, still encoded. A transport failure drops the
-    /// connection; the next contact re-dials.
-    fn pull_worker(
-        &self,
-        stream: &mut CoordStream,
-        name: &str,
-        widx: usize,
-    ) -> Result<(usize, Vec<u8>), ErrorReply> {
-        let client = self.conn(stream, name, widx)?;
-        let (_algorithm, processed, bytes) = match client.merge() {
-            Ok(reply) => reply,
-            Err(ClientError::Server(err)) => return Err(err),
-            Err(e) => {
-                stream.conns[widx] = None;
-                return Err(self.unavailable(&self.workers[widx], &e));
-            }
-        };
-        self.workers[widx].up.store(true, Ordering::SeqCst);
-        self.merge_bytes_full
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        Ok((processed, bytes))
-    }
-
     /// `QUERY`: answered from the cached merged solution when no insert
     /// intervened; otherwise a consistent cut under the stream mutex —
-    /// pull every worker's union block, decode it (a block that does not
-    /// decode, say a version-3 worker's snapshot frame, is an error naming
-    /// the worker) and merge the unions in worker order (= shard order).
+    /// pull every worker's union block (pipelined, see the module docs) and
+    /// merge the unions in worker order (= shard order) through the
+    /// stream's merge memo.
     pub fn query(&self, name: &str, k: Option<usize>) -> Result<Payload, ErrorReply> {
         let stream = self.stream(name)?;
         let mut stream = lock(&stream);
@@ -463,30 +494,29 @@ impl Coordinator {
             stream.metrics.query_latency.observe(start.elapsed());
             return Ok(Payload::Query(cached));
         }
-        let mut total = 0;
-        let mut unions = Vec::with_capacity(self.workers.len());
-        for widx in 0..self.workers.len() {
-            let pull = Instant::now();
-            let (processed, bytes) = self.pull_worker(&mut stream, name, widx)?;
-            let union = protocol::decode_union(&bytes).map_err(|e| {
-                ErrorReply::generic(format!("worker {}: MERGE: {e}", self.workers[widx].addr))
-            })?;
-            stream.metrics.pull_latency.observe(pull.elapsed());
-            total += processed;
-            unions.push(union);
-        }
+        let pulled = self.pull_unions(&mut stream, name)?;
+        let total: usize = pulled.iter().map(|(processed, _)| processed).sum();
         if total == 0 {
             return Err(ErrorReply::empty_stream(format!(
                 "stream `{name}` has processed no elements; INSERT before QUERY"
             )));
         }
+        let unions = pulled.into_iter().map(|(_, union)| union).collect();
         let spec = stream
             .spec
             .to_summary_spec()
             .map_err(|e| ErrorReply::generic(e.to_string()))?;
         let merge = Instant::now();
-        let solution = summary::merge_unions(&spec, unions, MERGE_FAN_IN)
-            .map_err(|e| ErrorReply::generic(e.to_string()))?;
+        let mut tally = GuessTally::default();
+        let solution = summary::merge_unions(
+            &spec,
+            unions,
+            MERGE_FAN_IN,
+            &mut stream.merge_memo,
+            &mut tally,
+        );
+        stream.metrics.count_guesses(tally);
+        let solution = solution.map_err(|e| ErrorReply::generic(e.to_string()))?;
         stream.metrics.merge_latency.observe(merge.elapsed());
         let reply = QueryReply {
             k: solution.len(),
@@ -496,6 +526,76 @@ impl Coordinator {
         stream.cached_query = Some(reply.clone());
         stream.metrics.query_latency.observe(start.elapsed());
         Ok(Payload::Query(reply))
+    }
+
+    /// The pipelined `MERGE` fan-out of [`Coordinator::query`]: a `MERGE`
+    /// goes to every worker before any reply is read, so the workers
+    /// encode concurrently; the replies are read and decoded in worker
+    /// order. Every written request's reply is read even after a failure,
+    /// so no connection is left holding an unread reply; the error
+    /// returned is the first failing worker's. A transport failure drops
+    /// that worker's connection; the next contact re-dials. Each
+    /// `fdm_coord_pull_seconds` observation is one worker's share of the
+    /// pull: from its start (dialing included) or the previous worker's
+    /// decode to this worker's, so one `QUERY`'s observations sum to the
+    /// pull phase.
+    fn pull_unions(
+        &self,
+        stream: &mut CoordStream,
+        name: &str,
+    ) -> Result<Vec<(usize, Vec<Element>)>, ErrorReply> {
+        let k = self.workers.len();
+        let mut mark = Instant::now();
+        for widx in 0..k {
+            self.conn(stream, name, widx)?;
+        }
+        let written: Vec<Option<ErrorReply>> = (0..k)
+            .map(|widx| {
+                let client = stream.conns[widx].as_mut().expect("dialed above");
+                let e = client.write_merge().err()?;
+                stream.conns[widx] = None;
+                Some(self.unavailable(&self.workers[widx], &e))
+            })
+            .collect();
+        let mut pulls = Vec::with_capacity(k);
+        for (widx, write_err) in written.into_iter().enumerate() {
+            let pull = match write_err {
+                Some(err) => Err(err),
+                None => self.read_union(stream, widx),
+            };
+            if pull.is_ok() {
+                stream.metrics.pull_latency.observe(mark.elapsed());
+            }
+            mark = Instant::now();
+            pulls.push(pull);
+        }
+        pulls.into_iter().collect()
+    }
+
+    /// Reads and decodes worker `widx`'s `MERGE` reply: its processed
+    /// count and union. A block that does not decode (say a version-3
+    /// worker's snapshot frame) is an error naming the worker.
+    fn read_union(
+        &self,
+        stream: &mut CoordStream,
+        widx: usize,
+    ) -> Result<(usize, Vec<Element>), ErrorReply> {
+        let worker = &self.workers[widx];
+        let client = stream.conns[widx].as_mut().expect("MERGE written");
+        let (_algorithm, processed, bytes) = match client.read_merge() {
+            Ok(reply) => reply,
+            Err(ClientError::Server(err)) => return Err(err),
+            Err(e) => {
+                stream.conns[widx] = None;
+                return Err(self.unavailable(worker, &e));
+            }
+        };
+        worker.up.store(true, Ordering::SeqCst);
+        self.merge_bytes_full
+            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        let union = protocol::decode_union(&bytes)
+            .map_err(|e| ErrorReply::generic(format!("worker {}: MERGE: {e}", worker.addr)))?;
+        Ok((processed, union))
     }
 
     /// `STATS`: the coordinator's routing counters plus per-worker health

@@ -88,6 +88,7 @@ use std::time::Instant;
 use fdm_core::error::{FdmError, Result};
 use fdm_core::persist::{CaptureMark, Snapshot, SnapshotDelta, SnapshotFormat, SnapshotParams};
 use fdm_core::point::Element;
+use fdm_core::streaming::memo::GuessTally;
 use fdm_core::streaming::summary::{self, DynSummary};
 use serde::Value;
 
@@ -1235,7 +1236,7 @@ impl Engine {
         let mut rendered = Vec::new();
         if let Some(coordinator) = &self.coordinator {
             let entries = entry_texts(elements, raw_line, &mut rendered);
-            return coordinator.insert_batch(name, &entries, self.config.coord_batch);
+            return coordinator.insert_batch(name, elements, &entries, self.config.coord_batch);
         }
         let start = Instant::now();
         let entry = self.entry(name)?;
@@ -1261,7 +1262,12 @@ impl Engine {
         // cannot race another insert's apply.
         let base_seq = {
             let summary = read_lock(&entry.summary);
-            let params = summary.params();
+            let mut params = summary.params();
+            // A fresh stream takes its dimension from the request's first
+            // element; the rest of the request must match it too.
+            if params.dim == 0 {
+                params.dim = elements[0].dim();
+            }
             for element in elements {
                 check_element(&params, element).map_err(ErrorReply::generic)?;
             }
@@ -1367,8 +1373,11 @@ impl Engine {
         // poison the RwLock — readers don't poison — so no engine-level
         // catch is needed here; the hook pins that claim.
         panic_point("query-finalize", name);
-        let solution = summary.finalize().map_err(generic)?;
+        let mut tally = GuessTally::default();
+        let solution = summary.finalize_tallied(&mut tally);
         drop(summary);
+        entry.metrics.count_guesses(tally);
+        let solution = solution.map_err(generic)?;
         entry.metrics.query_latency.observe(start.elapsed());
         Ok(Payload::Query(QueryReply {
             k: solution.len(),

@@ -38,6 +38,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fdm_core::persist::SnapshotParams;
+use fdm_core::streaming::memo::GuessTally;
 
 use crate::coordinator::{Coordinator, WorkerState};
 use crate::engine::Engine;
@@ -134,10 +135,17 @@ pub struct StreamMetrics {
     /// `QUERY` latency (post-processing under the read lock).
     pub query_latency: Histogram,
     /// Coordinator only: one observation per worker pull of an uncached
-    /// `QUERY` (the `MERGE` round trip with its block decode).
+    /// `QUERY` — that worker's share of the pipelined pull phase, from the
+    /// previous worker's block decode (for the first, from the start of the
+    /// pull) to its own, so a `QUERY`'s observations sum to the phase.
     pub pull_latency: Histogram,
     /// Coordinator only: the merge of the pulled unions.
     pub merge_latency: Histogram,
+    /// Guesses in `U'` a `QUERY`'s post-processing answered from its
+    /// per-guess memo (a node's `finalize`, a coordinator's merge).
+    guesses_reused: AtomicU64,
+    /// Guesses in `U'` whose post-processing pipeline ran.
+    guesses_computed: AtomicU64,
 }
 
 impl StreamMetrics {
@@ -147,7 +155,17 @@ impl StreamMetrics {
             query_latency: Histogram::new(),
             pull_latency: Histogram::new(),
             merge_latency: Histogram::new(),
+            guesses_reused: AtomicU64::new(0),
+            guesses_computed: AtomicU64::new(0),
         })
+    }
+
+    /// Adds one post-processing pass's tally.
+    pub(crate) fn count_guesses(&self, tally: GuessTally) {
+        self.guesses_reused
+            .fetch_add(tally.reused, Ordering::Relaxed);
+        self.guesses_computed
+            .fetch_add(tally.computed, Ordering::Relaxed);
     }
 }
 
@@ -328,12 +346,19 @@ const STREAM_COUNT_FAMILIES: &[Row<usize>] = &[
 ];
 
 /// Per-stream counters, in exposition and `STATS` order. A coordinator's
-/// stream has `processed` and `cursor`; a hosted stream has the rest.
+/// stream has `processed`, `cursor` and the finalize guesses; a hosted
+/// stream has all but `cursor`.
 #[rustfmt::skip]
 const STREAM_FAMILIES: &[Row<StreamSample>] = &[
     Row("fdm_stream_processed_total", COUNTER, "Elements accepted into each stream since it was opened.",
         "", "processed", Value(|s| Some(s.processed))),
     stats_only("cursor", |s| s.cursor),
+    Row("fdm_finalize_guesses_total", COUNTER,
+        "Guesses in U' that QUERY post-processing answered from its per-guess memo (reused) or ran the pipeline for (computed), per stream; a coordinator counts its merge.",
+        "outcome=\"reused\"", "guesses_reused", Value(|s| Some(s.latency.guesses_reused.load(Ordering::Relaxed)))),
+    Row("fdm_finalize_guesses_total", COUNTER,
+        "Guesses in U' that QUERY post-processing answered from its per-guess memo (reused) or ran the pipeline for (computed), per stream; a coordinator counts its merge.",
+        "outcome=\"computed\"", "guesses_computed", Value(|s| Some(s.latency.guesses_computed.load(Ordering::Relaxed)))),
     Row("fdm_stream_stored", GAUGE, "Elements currently held in each stream's summary.",
         "", "stored", Value(|s| Some(s.node.as_ref()?.stored))),
     stats_only("dim", |s| Some(s.node.as_ref()?.params.dim as u64)),
@@ -385,7 +410,7 @@ const COORD_LATENCY_FAMILIES: &[Row<StreamSample>] = &[
         "Coordinator QUERY latency (worker pulls + merge, or a cache hit).",
         "", "", Hist(|s| s.node.is_none().then_some(&s.latency.query_latency))),
     Row("fdm_coord_pull_seconds", HISTOGRAM,
-        "Coordinator QUERY worker pulls, one observation per worker MERGE round trip (block decode included).",
+        "Coordinator QUERY worker pulls, one observation per worker: its share of the pipelined MERGE fan-out, up to its block decode (one QUERY's observations sum to the pull phase).",
         "", "", Hist(|s| s.node.is_none().then_some(&s.latency.pull_latency))),
     Row("fdm_coord_merge_seconds", HISTOGRAM,
         "Coordinator QUERY merge of the pulled worker unions.",

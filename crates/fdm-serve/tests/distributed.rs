@@ -534,6 +534,68 @@ fn coordinator_rejects_shards_and_types_empty_query() {
     }
 }
 
+/// Each worker fixes a stream's dimension from its own first element, so
+/// the coordinator keeps the dimension itself: the first acknowledged
+/// insert fixes it, and an element of another dimension — in either order,
+/// alone or inside an `INSERTB` — is refused with a typed `ERR` before
+/// anything is routed. Before, both inserts were acked on different
+/// workers and every later QUERY panicked in the merge. A coordinator
+/// restarted over the same workers learns the dimension from them.
+#[test]
+fn coordinator_refuses_a_second_dimension_in_either_order() {
+    let entry = |i: usize, dim: usize| {
+        let coords: Vec<String> = (0..dim)
+            .map(|j| ((((i * 7 + j) as f64) * 0.37).sin() * 9.0).to_string())
+            .collect();
+        format!("{i} {} {}", i % 2, coords.join(" "))
+    };
+    let insert = |i: usize, dim: usize| format!("INSERT {}", entry(i, dim));
+    for (dim, other) in [(2, 3), (3, 2)] {
+        let mismatch = format!("ERR dimension mismatch: expected {dim}, found {other}");
+        let workers = vec![start_worker(), start_worker()];
+        // (request, refused?)
+        let mut script = vec![
+            (open_line("sfdm2", 1), false),
+            (insert(0, dim), false),
+            (insert(1, other), true),
+            (
+                format!("INSERTB {} | {}", entry(1, dim), entry(2, other)),
+                true,
+            ),
+        ];
+        script.extend((1..16).map(|i| (insert(i, dim), false)));
+        script.push(("QUERY".to_string(), false));
+        script.push(("STATS".to_string(), false));
+        let lines: Vec<String> = script.iter().map(|(line, _)| line.clone()).collect();
+        let replies = session_replies(coordinator_over(workers.clone()), &lines);
+        assert_eq!(replies.len(), script.len(), "{replies:?}");
+        for ((line, refused), reply) in script.iter().zip(&replies) {
+            if *refused {
+                assert_eq!(reply, &mismatch, "{line}");
+            } else {
+                assert!(reply.starts_with("OK "), "{line} -> {reply}");
+            }
+        }
+        assert!(
+            replies[replies.len() - 1].contains(" processed=16"),
+            "{replies:?}"
+        );
+
+        // A restarted coordinator takes the dimension from the workers.
+        let lines = vec![
+            open_line("sfdm2", 1),
+            insert(16, other),
+            insert(16, dim),
+            "QUERY".to_string(),
+        ];
+        let replies = session_replies(coordinator_over(workers), &lines);
+        assert!(replies[0].starts_with("OK attached"), "{replies:?}");
+        assert_eq!(replies[1], mismatch);
+        assert!(replies[2].starts_with("OK "), "{replies:?}");
+        assert!(replies[3].starts_with("OK k=4 "), "{replies:?}");
+    }
+}
+
 // --- Crash cells over real worker binaries ---------------------------------
 
 fn scratch(tag: &str) -> PathBuf {

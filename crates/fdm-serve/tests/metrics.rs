@@ -316,6 +316,12 @@ fn stats_counters_equal_their_exposition_samples() {
         .iter()
         .map(|open| open_and_insert(&engine, open, 60))
         .collect();
+    // Two QUERYs of an unchanged stream: the first computes its guesses,
+    // the second reuses them.
+    for name in &names {
+        engine.query(name, None).unwrap();
+        engine.query(name, None).unwrap();
+    }
     let lines: Vec<_> = names.iter().map(|n| stats(&engine, n)).collect();
     let samples = lint_exposition(&engine.render_metrics());
     for key in [
@@ -325,6 +331,8 @@ fn stats_counters_equal_their_exposition_samples() {
         "wal_records",
         "compactions",
         "checkpoint_failures",
+        "guesses_reused",
+        "guesses_computed",
     ] {
         let total: u64 = lines.iter().map(|l| l[key].parse::<u64>().unwrap()).sum();
         assert!(total > 0, "{key} stayed 0: {lines:?}");
@@ -365,6 +373,14 @@ fn stats_counters_equal_their_exposition_samples() {
                 "last_snapshot_bytes",
                 format!("fdm_last_snapshot_bytes{{stream=\"{name}\"}}"),
             ),
+            (
+                "guesses_reused",
+                format!("fdm_finalize_guesses_total{{stream=\"{name}\",outcome=\"reused\"}}"),
+            ),
+            (
+                "guesses_computed",
+                format!("fdm_finalize_guesses_total{{stream=\"{name}\",outcome=\"computed\"}}"),
+            ),
         ] {
             let stat: f64 = line[key].parse().unwrap();
             assert_eq!(
@@ -402,14 +418,41 @@ fn stats_counters_equal_their_exposition_samples() {
         .iter()
         .map(|(open, inserts)| open_and_insert(&coordinator, open, *inserts))
         .collect();
+    // alpha merges twice, beta once; the second merge of alpha (one more
+    // insert, so not a cached answer) reuses guesses of the first.
     coordinator.query("alpha", None).unwrap();
+    let line = "INSERT 30 0 4.5 -3.25";
+    match parse_line(line).unwrap().unwrap() {
+        Cmd::Insert(e) => coordinator.insert("alpha", &e, line).unwrap(),
+        other => panic!("{other:?}"),
+    };
+    coordinator.query("alpha", None).unwrap();
+    coordinator.query("beta", None).unwrap();
     let samples = lint_exposition(&coordinator.render_metrics());
     assert_eq!(get(&samples, "fdm_streams"), names.len() as f64);
+    let alpha = stats(&coordinator, "alpha");
+    for key in ["guesses_reused", "guesses_computed"] {
+        assert_ne!(alpha[key], "0", "{key}: {alpha:?}");
+    }
     for (name, (_, inserts)) in names.iter().zip(opens) {
         let line = stats(&coordinator, name);
+        let inserts = inserts + usize::from(name == "alpha");
         assert_eq!(line["processed"], inserts.to_string(), "{name}");
         let series = format!("fdm_stream_processed_total{{stream=\"{name}\"}}");
         assert_eq!(inserts as f64, get(&samples, &series), "{name}: {series}");
+        for (key, outcome) in [
+            ("guesses_reused", "reused"),
+            ("guesses_computed", "computed"),
+        ] {
+            let stat: f64 = line[key].parse().unwrap();
+            let series =
+                format!("fdm_finalize_guesses_total{{stream=\"{name}\",outcome=\"{outcome}\"}}");
+            assert_eq!(
+                stat,
+                get(&samples, &series),
+                "{name}: STATS {key} vs {series}"
+            );
+        }
         for (i, addr) in workers.iter().enumerate() {
             assert_eq!(line[&format!("worker{i}")], *addr);
             for (key, family) in [

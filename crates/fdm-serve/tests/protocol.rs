@@ -357,6 +357,33 @@ fn protocol_errors_are_reported_not_fatal() {
     assert_eq!(replies[8], "OK pong");
 }
 
+/// The first element of a fresh stream's first `INSERTB` fixes the
+/// dimension for the rest of that request: a mixed batch is refused whole
+/// before anything is applied (it used to panic in the arena after the
+/// first element had been applied, leaving `processed` past the refusal).
+#[test]
+fn mixed_dimension_batch_on_a_fresh_stream_is_refused_whole() {
+    let engine = memory_engine();
+    let script = [
+        OPEN,
+        "INSERTB 0 0 1 2 | 1 1 3 4 5",
+        "STATS",
+        "INSERT 2 0 1 2 3",
+        "STATS",
+    ]
+    .join("\n");
+    let replies = run_script(&engine, &script);
+    assert_eq!(replies[1], "ERR dimension mismatch: expected 2, found 3");
+    assert!(replies[2].contains(" processed=0 "), "{}", replies[2]);
+    assert!(
+        replies[3].starts_with("OK inserted processed=1"),
+        "{}",
+        replies[3]
+    );
+    assert!(replies[4].contains(" dim=3 "), "{}", replies[4]);
+    assert_eq!(engine.metrics().panics_contained(), 0);
+}
+
 #[test]
 fn two_sessions_share_one_stream() {
     let engine = memory_engine();

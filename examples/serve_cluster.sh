@@ -19,7 +19,9 @@
 # watermark), the client replays the unacked suffix — already-held
 # elements heal by skip — and the final QUERY again matches the
 # single-node reference. The coordinator's batch-path metric families
-# (fdm_coord_*_latency_seconds, fdm_merge_*) are linted and asserted.
+# (fdm_coord_*_latency_seconds, fdm_merge_*) are linted and asserted, and
+# both the coordinator and the single-node reference must have counted
+# reused and computed guesses in fdm_finalize_guesses_total.
 #
 # Restarted processes bind fresh ports: the kill -9 leaves the old
 # connections in TIME_WAIT and std's TcpListener sets no SO_REUSEADDR,
@@ -109,8 +111,8 @@ start_node() { # start_node <port> <log-tag> [extra-flags...]  → appends to PI
 }
 
 echo "== reference: one single-node daemon with shards=2, uninterrupted =="
-RP=$BASE
-start_node "$RP" ref > /dev/null
+RP=$BASE; RMP=$((BASE + 12))
+start_node "$RP" ref --metrics "127.0.0.1:$RMP" > /dev/null
 { echo "$OPEN shards=2"; gen_inserts 0 80; echo "QUERY"; echo "QUIT"; } > "$WORK/ref.in"
 tcp_session "$RP" "$WORK/ref.in" "$WORK/ref.out"
 grep '^OK k=' "$WORK/ref.out" > "$WORK/ref.query"
@@ -190,13 +192,14 @@ WA4=$((BASE + 9)); CP4=$((BASE + 10)); MP2=$((BASE + 11))
 start_node "$WA4" worker0d --data-dir "$WORK/w0" --snapshot-every 16 > /dev/null
 start_node "$CP4" coord4 --worker "127.0.0.1:$WA4" --worker "127.0.0.1:$WB" \
   --metrics "127.0.0.1:$MP2" > /dev/null
-{ echo "$OPEN"; gen_batches 96 144 16; echo "QUERY"; echo "QUERY"; echo "QUIT"; } > "$WORK/replay.in"
+{ echo "$OPEN"; gen_batches 96 128 16; echo "QUERY"; gen_batches 128 144 16; echo "QUERY"; echo "QUERY"
+  echo "QUIT"; } > "$WORK/replay.in"
 tcp_session "$CP4" "$WORK/replay.in" "$WORK/replay.out"
 grep -q '^OK attached jobs processed=96$' "$WORK/replay.out" \
   || { cat "$WORK/replay.out"; echo "acked prefix processed=96 did not survive the mid-batch death"; exit 1; }
 grep -q '^OK inserted processed=144 count=16$' "$WORK/replay.out" \
   || { cat "$WORK/replay.out"; echo "suffix replay (with heal-by-skip) not acknowledged"; exit 1; }
-grep -m 1 '^OK k=' "$WORK/replay.out" > "$WORK/cluster2.query"
+grep '^OK k=' "$WORK/replay.out" | tail -1 > "$WORK/cluster2.query"
 cat "$WORK/cluster2.query"
 
 echo "== coordinator /metrics: batch-path families, linted exposition =="
@@ -216,6 +219,19 @@ grep -q '^fdm_merge_bytes_total{kind="full"} [1-9]' "$WORK/metrics2.txt" \
 grep -q '^fdm_merge_cache_hits_total [1-9]' "$WORK/metrics2.txt" \
   || { grep ^fdm_merge "$WORK/metrics2.txt" || true; echo "repeat QUERY did not hit the merged-solution cache"; exit 1; }
 grep -E '^fdm_merge' "$WORK/metrics2.txt"
+
+echo "== per-guess post-processing reuse: coordinator merge and single node =="
+# Each side ran two uncached merges with inserts in between: the first
+# computes every guess in U', the second reuses the unchanged ones.
+scrape_metrics "$RMP" "$WORK/ref_metrics.txt"
+"$LINT" "$WORK/ref_metrics.txt"
+for scrape in "$WORK/metrics2.txt" "$WORK/ref_metrics.txt"; do
+  for outcome in reused computed; do
+    grep -qE "^fdm_finalize_guesses_total\{stream=\"jobs\",outcome=\"$outcome\"\} [1-9]" "$scrape" \
+      || { grep ^fdm_finalize "$scrape" || true; echo "$(basename "$scrape"): no $outcome guesses counted"; exit 1; }
+  done
+  grep ^fdm_finalize_guesses_total "$scrape"
+done
 
 echo "== assert: batched cluster QUERY byte-identical to single-node shards=2 =="
 diff "$WORK/ref2.query" "$WORK/cluster2.query"
