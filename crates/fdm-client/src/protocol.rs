@@ -284,7 +284,10 @@ impl StreamSpec {
                 return Err(format!("{algo} takes quotas=a,b,..., not k (k = Σ quotas)"))
             }
             (_, None, true) => return Err(format!("{algo} requires quotas=a,b,...")),
-            (_, None, false) => quotas.iter().sum(),
+            (_, None, false) => quotas
+                .iter()
+                .try_fold(0usize, |k, &q| k.checked_add(q))
+                .ok_or("quotas sum to more than the largest solution size k")?,
         };
         let window = match (algo, window) {
             ("sliding", Some(w)) if w >= 2 => w,
@@ -1213,6 +1216,7 @@ mod tests {
             "OPEN ../evil sfdm2 quotas=2,2 eps=0.1 dmin=1 dmax=2",
             "OPEN a sfdm2 quotas=2,2 dmin=1 dmax=2", // no eps
             "OPEN a sfdm2 quotas=2,2 eps=0.1 dmin=1 dmax=2 bogus=1",
+            "OPEN a sfdm2 quotas=18446744073709551615,1 eps=0.1 dmin=1 dmax=2", // Σ overflows
         ] {
             assert!(parse_line(line).is_err(), "{line}");
         }

@@ -77,6 +77,15 @@ pub enum FdmError {
     },
     /// A sharded stream needs at least one shard.
     InvalidShardCount,
+    /// A summary specification whose footprint — the most element slots
+    /// its candidates can hold together — is over the fixed ceiling.
+    SummaryTooLarge {
+        /// The spec's footprint (an `f64`: a spec can ask for more slots
+        /// than a `usize` counts).
+        slots: f64,
+        /// The ceiling.
+        ceiling: u64,
+    },
     /// A snapshot file could not be read or written.
     SnapshotIo {
         /// Human-readable description (path + OS error).
@@ -145,6 +154,11 @@ impl fmt::Display for FdmError {
             FdmError::InvalidShardCount => {
                 write!(f, "sharded ingestion requires at least one shard")
             }
+            FdmError::SummaryTooLarge { slots, ceiling } => write!(
+                f,
+                "summary too large: the spec asks for up to {slots:.3e} element slots \
+                 (guesses x candidates per guess x shards x k), over the ceiling of {ceiling}"
+            ),
             FdmError::SnapshotIo { detail } => write!(f, "snapshot I/O error: {detail}"),
             FdmError::CorruptSnapshot { detail } => write!(f, "corrupt snapshot: {detail}"),
             FdmError::UnsupportedSnapshotVersion { found, supported } => write!(
@@ -210,6 +224,13 @@ mod tests {
             (FdmError::NoFeasibleCandidate, "no candidate"),
             (FdmError::InvalidMinkowskiOrder { p: 0.5 }, "Minkowski"),
             (FdmError::InvalidShardCount, "at least one shard"),
+            (
+                FdmError::SummaryTooLarge {
+                    slots: 2.0e14,
+                    ceiling: 1 << 22,
+                },
+                "too large",
+            ),
             (
                 FdmError::SnapshotIo {
                     detail: "open /tmp/x.snap: no such file".into(),

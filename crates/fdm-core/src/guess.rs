@@ -43,6 +43,20 @@ impl GuessLadder {
         Ok(GuessLadder { values, epsilon })
     }
 
+    /// The number of guesses [`GuessLadder::new`] builds for these bounds
+    /// and `ε`, in closed form and without building anything:
+    /// `⌊ln(d_max/d_min) / ln(1/(1−ε))⌋ + 1`. The ladder's running product
+    /// can round its length one guess either way, so this sizes a ladder;
+    /// it does not index one. It is an `f64` because a tiny `ε` asks for
+    /// more guesses than a `usize` counts.
+    pub(crate) fn predicted_len(bounds: DistanceBounds, epsilon: f64) -> Result<f64> {
+        if !(epsilon > 0.0 && epsilon < 1.0) {
+            return Err(FdmError::InvalidEpsilon { epsilon });
+        }
+        let spread = bounds.upper * (1.0 + 1e-12) / bounds.lower;
+        Ok((spread.ln() / -(-epsilon).ln_1p()).floor().max(0.0) + 1.0)
+    }
+
     /// The guesses in increasing order.
     pub fn values(&self) -> &[f64] {
         &self.values
@@ -98,6 +112,30 @@ mod tests {
         let ladder = GuessLadder::new(bounds(1.0, spread), eps).unwrap();
         let expected = (spread.ln() / (1.0 / (1.0 - eps)).ln()).floor() as usize + 1;
         assert_eq!(ladder.len(), expected);
+    }
+
+    #[test]
+    fn predicted_len_matches_the_built_ladder() {
+        for (lo, hi) in [
+            (1.0, 1.0),
+            (1.0, 100.0),
+            (0.05, 30.0),
+            (1e-3, 1e3),
+            (0.5, 500.0),
+        ] {
+            for eps in [0.01, 0.05, 0.1, 0.25, 0.5, 0.9] {
+                let built = GuessLadder::new(bounds(lo, hi), eps).unwrap().len() as f64;
+                let predicted = GuessLadder::predicted_len(bounds(lo, hi), eps).unwrap();
+                assert!(
+                    (built - predicted).abs() <= 1.0,
+                    "[{lo}, {hi}] eps {eps}: built {built}, predicted {predicted}"
+                );
+            }
+        }
+        // Sized without building: this ladder would hold ~6.4e9 guesses.
+        let huge = GuessLadder::predicted_len(bounds(0.05, 30.0), 1e-9).unwrap();
+        assert!(huge > 6e9 && huge < 7e9, "{huge}");
+        assert!(GuessLadder::predicted_len(bounds(1.0, 2.0), 1.0).is_err());
     }
 
     #[test]

@@ -1,77 +1,71 @@
-//! Runtime kernel dispatch: scalar reference and explicit SIMD.
+//! Runtime kernel dispatch: one kernel source, compiled for two targets.
 //!
-//! Every distance evaluation in this crate funnels through the scalar
-//! kernels in [`crate::metric::kernels`]. This module is the layer above
-//! them: callers invoke [`sum_sq_diff`], [`dot`], … here, and the call is
-//! routed at runtime to one of
+//! Every distance evaluation in this crate funnels through the kernels in
+//! [`crate::metric::kernels`], which are the only arithmetic source. This
+//! module is the layer above them: callers invoke [`sum_sq_diff`], [`dot`],
+//! … here, and the call runs one of two builds of the same body:
 //!
-//! * the **scalar reference** kernels (always available, the semantics
-//!   every other backend must reproduce),
-//! * an **explicit SIMD** backend (`std::arch` on x86_64: AVX2 when the CPU
-//!   reports it, SSE2 otherwise — SSE2 is part of the x86_64 baseline), or
-//! * nothing else — on other architectures the scalar kernels run as-is.
+//! * the **baseline** build, as the crate is compiled for the target
+//!   (always available), kept out of line;
+//! * the **AVX2** build on x86_64 CPUs that report AVX2: a
+//!   `#[target_feature(enable = "avx2")]` entry whose body is the scalar
+//!   kernel, force-inlined (`#[inline(always)]`), so the compiler keeps the
+//!   kernels' four accumulator lanes in one `ymm` register.
+//!
+//! On an x86_64 CPU without AVX2, and on every other architecture, the
+//! baseline build runs.
 //!
 //! # Bit-identical by construction
 //!
-//! The SIMD kernels are not merely "close": they reproduce the scalar
-//! kernels' exact association — 16-dim blocks with four block-local lanes,
-//! reduced as `(acc0 + acc1) + (acc2 + acc3)`, then a 4-chunk middle region
-//! and a scalar tail — using vector lanes as the accumulator lanes and no
-//! FMA contraction (which would change rounding). A summary ingesting the
-//! same stream therefore retains the same elements on every backend, which
-//! is what lets golden fixtures, snapshots, and replicated deployments mix
-//! hosts freely. `tests/kernel_parity.rs`
-//! pins exact equality across dimensions 1–257.
+//! Both builds compile one source. Rust never contracts `a * b + c` into an
+//! FMA and never reassociates floating-point operations, whatever target
+//! features are enabled, so the AVX2 build performs the same operations in
+//! the same order as the baseline build. A summary ingesting the same
+//! stream therefore retains the same elements on every host, which is what
+//! lets golden fixtures, snapshots and replicated deployments mix hosts
+//! freely. `tests/kernel_parity.rs` pins exact equality across dimensions
+//! 1–257.
 //!
 //! # Selection
 //!
-//! The backend is detected once, on first use: the best one the
-//! architecture offers. There is no setting; the scalar reference stays
-//! reachable in process through [`force_mode`], which is how the parity
-//! and dispatch tests pin it. The resolved backend is one relaxed atomic
-//! load per kernel call ([`active_kernel`] reports it for `STATS`).
+//! The backend is detected once, on first use. There is no setting; the
+//! baseline build stays reachable in process through [`force_mode`], which
+//! is how the parity and dispatch tests pin it. The resolved backend is one
+//! relaxed atomic load per kernel call ([`active_kernel`] reports it for
+//! `STATS`).
+//!
+//! The only `unsafe` here is the call into an AVX2 entry, made after
+//! `is_x86_feature_detected!("avx2")` succeeded.
+#![allow(unsafe_code)]
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::metric::kernels;
 
-pub mod simd;
-
 /// Kernel selection policy for [`force_mode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelMode {
-    /// Scalar reference kernels only.
+    /// The baseline build of the kernels only.
     Scalar,
-    /// Use the best backend the architecture offers (the default).
+    /// Use the best build the CPU supports (the default).
     Auto,
 }
 
 /// Resolved backend, cached after first use: 0 = uninitialized,
-/// 1 = scalar, 2 = SSE2, 3 = AVX2.
+/// 1 = scalar, 2 = AVX2.
 static ACTIVE: AtomicU8 = AtomicU8::new(0);
 
 const LEVEL_SCALAR: u8 = 1;
 #[cfg(target_arch = "x86_64")]
-const LEVEL_SSE2: u8 = 2;
-#[cfg(target_arch = "x86_64")]
-const LEVEL_AVX2: u8 = 3;
+const LEVEL_AVX2: u8 = 2;
 
 fn resolve_level(mode: KernelMode) -> u8 {
-    match mode {
-        KernelMode::Scalar => LEVEL_SCALAR,
-        KernelMode::Auto => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    LEVEL_AVX2
-                } else {
-                    LEVEL_SSE2
-                }
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            LEVEL_SCALAR
-        }
+    #[cfg(target_arch = "x86_64")]
+    if mode == KernelMode::Auto && std::arch::is_x86_feature_detected!("avx2") {
+        return LEVEL_AVX2;
     }
+    let _ = mode;
+    LEVEL_SCALAR
 }
 
 #[cold]
@@ -91,13 +85,11 @@ fn active_level() -> u8 {
     }
 }
 
-/// The backend kernel calls currently execute on: `"scalar"`, `"sse2"`, or
-/// `"avx2"` (surfaced per stream by `fdm-serve`'s `STATS`).
+/// The backend kernel calls currently execute on: `"scalar"` or `"avx2"`
+/// (surfaced per stream by `fdm-serve`'s `STATS`).
 pub fn active_kernel() -> &'static str {
     match active_level() {
         LEVEL_SCALAR => "scalar",
-        #[cfg(target_arch = "x86_64")]
-        LEVEL_SSE2 => "sse2",
         #[cfg(target_arch = "x86_64")]
         LEVEL_AVX2 => "avx2",
         _ => unreachable!("active_level returns a resolved backend"),
@@ -115,86 +107,93 @@ pub fn force_mode(mode: Option<KernelMode>) {
     }
 }
 
-macro_rules! dispatch2 {
-    ($(#[$doc:meta])* $name:ident, $level_fn:ident) => {
-        $(#[$doc])*
-        #[inline]
-        pub fn $name(a: &[f64], b: &[f64]) -> f64 {
-            #[cfg(target_arch = "x86_64")]
-            {
-                let level = active_level();
-                // SIMD assumes equal lengths; the scalar kernels' zip
-                // semantics (shorter slice wins) cover the mismatch case.
-                if level >= LEVEL_SSE2 && a.len() == b.len() {
-                    return simd::$level_fn(level, a, b);
+/// Generates, per kernel, its two builds (`baseline::*`, out of line, and
+/// `avx2::*`, the same body compiled with AVX2 enabled), the dispatched
+/// public kernel, and the forced-AVX2 wrapper the parity suite compares
+/// against the baseline build. An optional `if` condition must also hold
+/// for the dispatch to take the AVX2 entry. Both builds are out of line,
+/// so the dispatched kernel stays a few instructions long wherever it
+/// inlines.
+macro_rules! dispatched {
+    ($(
+        $(#[$doc:meta])*
+        $name:ident / $force:ident ($($arg:ident: $ty:ty),*) -> $ret:ty $(, if $guard:expr)?;
+    )*) => {
+        mod baseline {
+            $(
+                #[inline(never)]
+                pub(super) fn $name($($arg: $ty),*) -> $ret {
+                    super::kernels::$name($($arg),*)
                 }
-            }
-            kernels::$name(a, b)
+            )*
         }
+
+        #[cfg(target_arch = "x86_64")]
+        mod avx2 {
+            $(
+                #[target_feature(enable = "avx2")]
+                pub(super) fn $name($($arg: $ty),*) -> $ret {
+                    super::kernels::$name($($arg),*)
+                }
+            )*
+        }
+
+        $(
+            $(#[$doc])*
+            #[inline]
+            pub fn $name($($arg: $ty),*) -> $ret {
+                #[cfg(target_arch = "x86_64")]
+                if active_level() == LEVEL_AVX2 $(&& $guard)? {
+                    // SAFETY: the level is AVX2 only after runtime detection.
+                    return unsafe { avx2::$name($($arg),*) };
+                }
+                baseline::$name($($arg),*)
+            }
+
+            #[doc = concat!(
+                "The AVX2 build of [`kernels::", stringify!($name), "`], forced; `None` off ",
+                "x86_64 or when the CPU lacks AVX2."
+            )]
+            pub fn $force($($arg: $ty),*) -> Option<$ret> {
+                #[cfg(target_arch = "x86_64")]
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    // SAFETY: AVX2 was detected just above.
+                    return Some(unsafe { avx2::$name($($arg),*) });
+                }
+                $(let _ = $arg;)*
+                None
+            }
+        )*
     };
 }
 
-dispatch2!(
+// The two-slice kernels are defined for rows of equal length (they
+// debug-assert it); a mismatched pair stays on the baseline build.
+dispatched! {
     /// Dispatched `Σ (a_i − b_i)²` (see [`kernels::sum_sq_diff`]).
-    sum_sq_diff,
-    sum_sq_diff_level
-);
-dispatch2!(
+    sum_sq_diff / force_avx2_sum_sq_diff
+        (a: &[f64], b: &[f64]) -> f64, if a.len() == b.len();
     /// Dispatched `Σ |a_i − b_i|` (see [`kernels::sum_abs_diff`]).
-    sum_abs_diff,
-    sum_abs_diff_level
-);
-dispatch2!(
+    sum_abs_diff / force_avx2_sum_abs_diff
+        (a: &[f64], b: &[f64]) -> f64, if a.len() == b.len();
     /// Dispatched `max |a_i − b_i|` (see [`kernels::max_abs_diff`]).
-    max_abs_diff,
-    max_abs_diff_level
-);
-dispatch2!(
+    max_abs_diff / force_avx2_max_abs_diff
+        (a: &[f64], b: &[f64]) -> f64, if a.len() == b.len();
     /// Dispatched inner product (see [`kernels::dot`]).
-    dot,
-    dot_level
-);
-
-/// Dispatched squared L2 norm (see [`kernels::norm_sq`]).
-#[inline]
-pub fn norm_sq(a: &[f64]) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let level = active_level();
-        if level >= LEVEL_SSE2 {
-            return simd::norm_sq_level(level, a);
-        }
-    }
-    kernels::norm_sq(a)
-}
-
-/// Dispatched bounded threshold scan for the squared-L2 proxy (see
-/// [`kernels::sum_sq_diff_at_least`]); decisions are bit-identical to
-/// comparing the full dispatched sum.
-#[inline]
-pub fn sum_sq_diff_at_least(a: &[f64], b: &[f64], bound: f64) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let level = active_level();
-        if level >= LEVEL_SSE2 && a.len() == b.len() {
-            return simd::sum_sq_diff_at_least_level(level, a, b, bound);
-        }
-    }
-    kernels::sum_sq_diff_at_least(a, b, bound)
-}
-
-/// Dispatched bounded threshold scan for the L1 proxy (see
-/// [`kernels::sum_abs_diff_at_least`]).
-#[inline]
-pub fn sum_abs_diff_at_least(a: &[f64], b: &[f64], bound: f64) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let level = active_level();
-        if level >= LEVEL_SSE2 && a.len() == b.len() {
-            return simd::sum_abs_diff_at_least_level(level, a, b, bound);
-        }
-    }
-    kernels::sum_abs_diff_at_least(a, b, bound)
+    dot / force_avx2_dot
+        (a: &[f64], b: &[f64]) -> f64, if a.len() == b.len();
+    /// Dispatched squared L2 norm (see [`kernels::norm_sq`]).
+    norm_sq / force_avx2_norm_sq
+        (a: &[f64]) -> f64;
+    /// Dispatched bounded threshold scan for the squared-L2 proxy (see
+    /// [`kernels::sum_sq_diff_at_least`]); decisions are bit-identical to
+    /// comparing the full dispatched sum.
+    sum_sq_diff_at_least / force_avx2_sum_sq_diff_at_least
+        (a: &[f64], b: &[f64], bound: f64) -> bool, if a.len() == b.len();
+    /// Dispatched bounded threshold scan for the L1 proxy (see
+    /// [`kernels::sum_abs_diff_at_least`]).
+    sum_abs_diff_at_least / force_avx2_sum_abs_diff_at_least
+        (a: &[f64], b: &[f64], bound: f64) -> bool, if a.len() == b.len();
 }
 
 #[cfg(test)]
@@ -208,13 +207,17 @@ mod tests {
 
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn auto_mode_never_resolves_to_scalar_on_x86_64() {
-        // SSE2 is baseline on x86_64, so auto always finds a SIMD backend.
-        assert!(resolve_level(KernelMode::Auto) >= LEVEL_SSE2);
+    fn auto_mode_resolves_to_avx2_iff_the_cpu_has_it() {
+        let expected = if std::arch::is_x86_feature_detected!("avx2") {
+            LEVEL_AVX2
+        } else {
+            LEVEL_SCALAR
+        };
+        assert_eq!(resolve_level(KernelMode::Auto), expected);
     }
 
     #[test]
     fn active_kernel_names_are_known() {
-        assert!(["scalar", "sse2", "avx2"].contains(&active_kernel()));
+        assert!(["scalar", "avx2"].contains(&active_kernel()));
     }
 }

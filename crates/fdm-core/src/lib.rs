@@ -61,9 +61,9 @@
 //! assert!(solution.diversity > 0.0);
 //! ```
 
-// `deny` rather than `forbid`: the SIMD backend in `kernel::simd` opts back
-// in with a scoped `#![allow(unsafe_code)]`, and CI greps that `unsafe`
-// never escapes that module.
+// `deny` rather than `forbid`: the kernel dispatch in `kernel` opts back in
+// with a scoped `#![allow(unsafe_code)]` to call its AVX2 entries after
+// runtime detection, and CI greps that `unsafe` never escapes that module.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -19,10 +19,12 @@
 //! * The [`kernels`] module accumulates in four independent lanes over
 //!   `chunks_exact(4)` so LLVM can keep several FP additions in flight (and
 //!   auto-vectorize); a single-accumulator `f64` loop cannot be reordered
-//!   and serializes on add latency. [`Metric`]'s methods do not call these
-//!   directly: they go through [`crate::kernel`], which picks between these
-//!   scalar references and explicit SSE2/AVX2 implementations at runtime
-//!   (bit-identical by construction; see the `kernel` module docs).
+//!   and serializes on add latency. It is the only source of the
+//!   accumulation arithmetic. [`Metric`]'s methods do not call it directly:
+//!   they go through [`crate::kernel`], which runs either the baseline
+//!   build of these kernels or, on CPUs with AVX2, the same source compiled
+//!   for AVX2 (bit-identical by construction; see the `kernel` module
+//!   docs).
 //! * *Proxy* distances ([`Metric::proxy`]) are monotone stand-ins that skip
 //!   the final `sqrt`/`powf`/`acos`: squared distance for Euclidean, the
 //!   `p`-th power sum for Minkowski, negated cosine for Angular. Threshold
@@ -38,9 +40,42 @@ use crate::kernel;
 
 /// Four-lane accumulator kernels over contiguous `f64` rows.
 ///
-/// All kernels debug-assert equal slice lengths and use standard zip
-/// semantics (shorter length wins) in release builds.
+/// All kernels debug-assert equal slice lengths. They are the only source
+/// of the accumulation arithmetic: [`crate::kernel`] runs them as compiled
+/// for the baseline target or, on CPUs with AVX2, the same bodies compiled
+/// for AVX2, so the dispatched kernels are `#[inline(always)]` and written
+/// for the vectorizer. Inputs are finite (the arena and dataset builders
+/// validate coordinates).
 pub mod kernels {
+    /// The end of [`dot`] and [`norm_sq`]: the four lanes reduced as
+    /// `(l0 + l1) + (l2 + l3)`, then `Σ a_i · b_i` over the tail, one term
+    /// at a time. Kept out of line on purpose: when LLVM sees this
+    /// reduction after a lane loop, it pairs its operands two-wide and
+    /// keeps the lanes in two-wide registers for the whole loop (about half
+    /// the AVX2 speed); out of line, the lanes stay in one 256-bit
+    /// register, and taking the tail too makes the call the caller's last
+    /// step. The association is the same either way.
+    #[inline(never)]
+    fn finish_lanes(l0: f64, l1: f64, l2: f64, l3: f64, a_tail: &[f64], b_tail: &[f64]) -> f64 {
+        let mut total = (l0 + l1) + (l2 + l3);
+        for (x, y) in a_tail.iter().zip(b_tail.iter()) {
+            total += x * y;
+        }
+        total
+    }
+
+    /// `b` if `b > a`, else `a`: the lane maximum of [`max_abs_diff`].
+    /// Unlike `f64::max` it needs no NaN handling, so it compiles to one
+    /// `maxpd`/`maxsd`; the kernel's inputs are finite, where the two agree.
+    #[inline(always)]
+    fn larger(a: f64, b: f64) -> f64 {
+        if b > a {
+            b
+        } else {
+            a
+        }
+    }
+
     /// `Σ (a_i − b_i)²` — squared Euclidean distance.
     ///
     /// Accumulates 16-dim blocks with block-local four-lane accumulators
@@ -48,7 +83,7 @@ pub mod kernels {
     /// region and a scalar tail — the *same* association as
     /// [`sum_sq_diff_at_least`], so the bounded variant's no-exit result is
     /// bit-identical.
-    #[inline]
+    #[inline(always)]
     pub fn sum_sq_diff(a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), b.len());
         let split16 = a.len() - a.len() % 16;
@@ -87,7 +122,7 @@ pub mod kernels {
 
     /// `Σ |a_i − b_i|` — Manhattan distance (same block structure as
     /// [`sum_sq_diff`]).
-    #[inline]
+    #[inline(always)]
     pub fn sum_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), b.len());
         let split16 = a.len() - a.len() % 16;
@@ -122,7 +157,7 @@ pub mod kernels {
     }
 
     /// `max |a_i − b_i|` — Chebyshev distance.
-    #[inline]
+    #[inline(always)]
     pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), b.len());
         let mut acc = [0.0f64; 4];
@@ -130,12 +165,12 @@ pub mod kernels {
         let (b4, b_tail) = b.split_at(b.len() - b.len() % 4);
         for (ca, cb) in a4.chunks_exact(4).zip(b4.chunks_exact(4)) {
             for lane in 0..4 {
-                acc[lane] = acc[lane].max((ca[lane] - cb[lane]).abs());
+                acc[lane] = larger(acc[lane], (ca[lane] - cb[lane]).abs());
             }
         }
-        let mut total = acc[0].max(acc[1]).max(acc[2].max(acc[3]));
+        let mut total = larger(larger(acc[0], acc[1]), larger(acc[2], acc[3]));
         for (x, y) in a_tail.iter().zip(b_tail.iter()) {
-            total = total.max((x - y).abs());
+            total = larger(total, (x - y).abs());
         }
         total
     }
@@ -160,7 +195,7 @@ pub mod kernels {
     /// that does not exit early compares the bit-identical sum; since every
     /// term is non-negative the running total is monotone, making an early
     /// exit exactly `sum_sq_diff(a, b) >= bound`.
-    #[inline]
+    #[inline(always)]
     pub fn sum_sq_diff_at_least(a: &[f64], b: &[f64], bound: f64) -> bool {
         debug_assert_eq!(a.len(), b.len());
         let split16 = a.len() - a.len() % 16;
@@ -206,7 +241,7 @@ pub mod kernels {
 
     /// Whether `Σ |a_i − b_i| ≥ bound` (blockwise early exit with the same
     /// lane order as [`sum_abs_diff`]; see [`sum_sq_diff_at_least`]).
-    #[inline]
+    #[inline(always)]
     pub fn sum_abs_diff_at_least(a: &[f64], b: &[f64], bound: f64) -> bool {
         debug_assert_eq!(a.len(), b.len());
         let split16 = a.len() - a.len() % 16;
@@ -266,7 +301,7 @@ pub mod kernels {
     }
 
     /// `Σ a_i · b_i` — inner product (for Angular with cached norms).
-    #[inline]
+    #[inline(always)]
     pub fn dot(a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), b.len());
         let mut acc = [0.0f64; 4];
@@ -277,15 +312,11 @@ pub mod kernels {
                 acc[lane] += ca[lane] * cb[lane];
             }
         }
-        let mut total = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-        for (x, y) in a_tail.iter().zip(b_tail.iter()) {
-            total += x * y;
-        }
-        total
+        finish_lanes(acc[0], acc[1], acc[2], acc[3], a_tail, b_tail)
     }
 
     /// `Σ a_i²` — squared L2 norm (cached per row by the point arena).
-    #[inline]
+    #[inline(always)]
     pub fn norm_sq(a: &[f64]) -> f64 {
         let mut acc = [0.0f64; 4];
         let (a4, a_tail) = a.split_at(a.len() - a.len() % 4);
@@ -294,11 +325,7 @@ pub mod kernels {
                 acc[lane] += ca[lane] * ca[lane];
             }
         }
-        let mut total = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-        for x in a_tail {
-            total += x * x;
-        }
-        total
+        finish_lanes(acc[0], acc[1], acc[2], acc[3], a_tail, a_tail)
     }
 }
 

@@ -100,14 +100,16 @@ pub struct Candidate {
 }
 
 impl Candidate {
-    /// Creates an empty candidate.
+    /// Creates an empty candidate. Nothing is allocated up front: the
+    /// member list grows with accepted arrivals, so a large `capacity`
+    /// costs nothing until elements arrive.
     pub fn new(mu: f64, capacity: usize, metric: Metric) -> Self {
         Candidate {
             mu,
             mu_proxy: metric.proxy_from_dist(mu),
             capacity,
             metric,
-            members: Vec::with_capacity(capacity),
+            members: Vec::new(),
         }
     }
 

@@ -293,7 +293,6 @@ impl GuessPipeline for Sfdm2 {
     }
 
     fn compute(&self, j: usize, sall: &[PointId]) -> Option<(f64, Vec<usize>)> {
-        let k = self.constraint.total();
         let m = self.constraint.num_groups();
         let blind = &self.blind[j];
         let mu = blind.mu();
@@ -302,7 +301,7 @@ impl GuessPipeline for Sfdm2 {
         // members are distinct and come first in S_all, so the i-th blind
         // member sits at index i.
         let mut taken_per_group = vec![0usize; m];
-        let mut initial: Vec<usize> = Vec::with_capacity(k);
+        let mut initial: Vec<usize> = Vec::with_capacity(blind.len());
         for (i, &id) in blind.members().iter().enumerate() {
             debug_assert_eq!(sall[i], id);
             let g = self.store.group(id);
@@ -349,7 +348,7 @@ impl GuessPipeline for Sfdm2 {
             }
             AugmentationMode::PlainCunningham => max_common_independent_set(&m1, &m2, &[], None),
         };
-        if result.len() != k {
+        if result.len() != self.constraint.total() {
             return None; // line 19 keeps only size-k results
         }
         let ids: Vec<PointId> = result.iter().map(|&i| sall[i]).collect();

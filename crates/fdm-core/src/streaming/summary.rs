@@ -20,8 +20,10 @@
 //! traits, add **one** registry line — no enum variants, no dispatch
 //! macros, no per-crate match arms.
 
+use crate::dataset::DistanceBounds;
 use crate::error::{FdmError, Result};
 use crate::fairness::FairnessConstraint;
+use crate::guess::GuessLadder;
 use crate::persist::{Snapshot, SnapshotParams, Snapshottable, StatePatch};
 use crate::point::Element;
 use crate::solution::Solution;
@@ -377,6 +379,45 @@ where
     S::config_from_spec(spec).map(|_| ())
 }
 
+/// The largest footprint [`build`], [`spec_params`] and [`restore`]
+/// accept. A spec's footprint is guesses × candidates per guess (the blind
+/// one plus one per group) × shards × 2 for a window's two instances × k.
+/// Each candidate holds at most `k` elements, so it bounds the element
+/// slots a summary's candidates can hold together, and the candidates
+/// allocated up front. The largest spec the paper's experiments use is
+/// about 65,000; one above the ceiling is refused with
+/// [`FdmError::SummaryTooLarge`] before anything is allocated.
+pub const MAX_FOOTPRINT: u64 = 1 << 22;
+
+/// Refuses a footprint (see [`MAX_FOOTPRINT`]) over the ceiling. The
+/// ladder is sized by [`GuessLadder::predicted_len`], never built, and the
+/// arithmetic is `f64`, so no product or quota sum can overflow.
+fn check_footprint(
+    bounds: DistanceBounds,
+    epsilon: f64,
+    quotas: &[usize],
+    k: usize,
+    shards: usize,
+    window: usize,
+) -> Result<()> {
+    let guesses = GuessLadder::predicted_len(bounds, epsilon)?;
+    let per_guess = 1.0 + quotas.len() as f64;
+    let instances = if window > 0 { 2.0 } else { 1.0 };
+    let k = if quotas.is_empty() {
+        k as f64
+    } else {
+        quotas.iter().map(|&q| q as f64).sum()
+    };
+    let slots = guesses * per_guess * shards.max(1) as f64 * instances * k.max(1.0);
+    if slots > MAX_FOOTPRINT as f64 {
+        return Err(FdmError::SummaryTooLarge {
+            slots,
+            ceiling: MAX_FOOTPRINT,
+        });
+    }
+    Ok(())
+}
+
 /// The distributed analogue of [`ShardedStream::finalize`]'s merge pass:
 /// streams the per-part unions (in part order) through merge instances,
 /// reducing hierarchically in chunks of `fan_in` until one instance holds
@@ -456,14 +497,28 @@ pub fn is_known_algorithm(tag: &str) -> bool {
 
 /// Builds an empty summary from a specification: the base algorithm named
 /// by `spec.algorithm`, wrapped in [`ShardedStream`] when `spec.shards > 1`.
+/// A spec whose footprint is over [`MAX_FOOTPRINT`] is refused with
+/// [`FdmError::SummaryTooLarge`] before anything is allocated.
 pub fn build(spec: &SummarySpec) -> Result<Box<dyn DynSummary>> {
-    (entry_for(&spec.algorithm)?.build)(spec)
+    let entry = entry_for(&spec.algorithm)?;
+    check_footprint(
+        spec.bounds,
+        spec.epsilon,
+        &spec.quotas,
+        spec.k,
+        spec.shards,
+        spec.window,
+    )?;
+    (entry.build)(spec)
 }
 
 /// Restores any member of the family from a snapshot, dispatching on the
 /// envelope's algorithm tag (`sharded:<base>` selects the sharded
-/// restorer).
+/// restorer). An envelope over [`MAX_FOOTPRINT`] is refused before any
+/// ladder is built, as [`build`] refuses the spec.
 pub fn restore(snapshot: &Snapshot) -> Result<Box<dyn DynSummary>> {
+    let p = &snapshot.params;
+    check_footprint(p.bounds, p.epsilon, &p.quotas, p.k, p.shards, p.window)?;
     let tag = snapshot.params.algorithm.as_str();
     match tag.strip_prefix("sharded:") {
         Some(base) => (entry_for(base)
@@ -550,9 +605,18 @@ pub fn merge_summary_parts(
 /// on re-attach would be wasted work). Mirrors what [`build`] +
 /// [`DynSummary::params`] would produce on a freshly built stream:
 /// `dim = 0` wildcard, `sharded:` tag and `shards ≥ 1` normalization, the
-/// sliding window clamped to ≥ 2.
+/// sliding window clamped to ≥ 2. Refuses what [`build`] refuses,
+/// [`MAX_FOOTPRINT`] included.
 pub fn spec_params(spec: &SummarySpec) -> Result<SnapshotParams> {
     let entry = entry_for(&spec.algorithm)?;
+    check_footprint(
+        spec.bounds,
+        spec.epsilon,
+        &spec.quotas,
+        spec.k,
+        spec.shards,
+        spec.window,
+    )?;
     (entry.validate)(spec)?;
     let (quotas, k) = if spec.quotas.is_empty() {
         (Vec::new(), spec.k)
@@ -582,7 +646,6 @@ pub fn spec_params(spec: &SummarySpec) -> Result<SnapshotParams> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::DistanceBounds;
     use crate::metric::Metric;
 
     fn spec(algorithm: &str) -> SummarySpec {
@@ -711,6 +774,52 @@ mod tests {
         let mut s = spec("sfdm1");
         s.quotas = Vec::new();
         assert!(build(&s).is_err());
+    }
+
+    #[test]
+    fn specs_over_the_footprint_ceiling_are_refused_before_building() {
+        let too_large = |s: &SummarySpec| {
+            for result in [build(s).map(|_| ()), spec_params(s).map(|_| ())] {
+                assert!(
+                    matches!(result, Err(FdmError::SummaryTooLarge { .. })),
+                    "{s:?}: {result:?}"
+                );
+            }
+        };
+        // A huge k: 2^40 + 1.
+        let mut s = spec("sfdm2");
+        s.quotas = vec![1 << 40, 1];
+        too_large(&s);
+        // Quotas whose sum overflows `usize`.
+        s.quotas = vec![usize::MAX, 1];
+        too_large(&s);
+        let mut s = spec("unconstrained");
+        s.k = usize::MAX;
+        too_large(&s);
+        // A ladder of about 6.4e9 guesses, never built.
+        let mut s = spec("sfdm2");
+        s.epsilon = 1e-9;
+        s.bounds = DistanceBounds::new(0.05, 30.0).unwrap();
+        too_large(&s);
+        // Shards and the window's two instances count.
+        let mut s = spec("sliding");
+        s.shards = 1 << 20;
+        too_large(&s);
+        // Up to the ceiling is admitted: 39 guesses x 3 candidates x k = 4
+        // is 468 slots per shard.
+        let mut s = spec("sfdm2");
+        assert_eq!(GuessLadder::new(s.bounds, s.epsilon).unwrap().len(), 39);
+        s.shards = (MAX_FOOTPRINT / 468) as usize;
+        assert!(spec_params(&s).is_ok());
+        s.shards += 1;
+        too_large(&s);
+        // A snapshot envelope is checked the same way before restoring.
+        let mut snapshot = build(&spec("sfdm2")).unwrap().snapshot();
+        snapshot.params.epsilon = 1e-9;
+        assert!(matches!(
+            restore(&snapshot).map(|_| ()),
+            Err(FdmError::SummaryTooLarge { .. })
+        ));
     }
 
     #[test]

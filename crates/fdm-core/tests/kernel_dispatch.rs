@@ -1,9 +1,10 @@
 //! End-to-end bit-identity of the kernel dispatch layer: the same stream
-//! fed to SFDM2 (plain and sliding-window) under the scalar reference and
-//! the auto-detected backend must retain exactly the same elements and
-//! finalize to exactly the same solution — the SIMD backends reproduce
-//! scalar arithmetic bit for bit. Dispatch has no setting, so this test
-//! (with `tests/kernel_parity.rs`) is what keeps the scalar path honest.
+//! fed to SFDM2 (plain and sliding-window) under the baseline build of the
+//! kernels and the auto-detected backend (the same source compiled for
+//! AVX2 when the CPU has it) must retain exactly the same elements and
+//! finalize to exactly the same solution. Dispatch has no setting, so this
+//! test (with `tests/kernel_parity.rs`) is what keeps the baseline path
+//! honest.
 //!
 //! This binary holds a SINGLE test on purpose: `kernel::force_mode` flips a
 //! process-global override, so it must never race a concurrently running

@@ -3,9 +3,10 @@
 //! every `chunks_exact` remainder and multi-block row), the chunked kernels,
 //! the proxy round trip, cached-norm proxies, and the bounded
 //! `proxy_at_least` test must agree with straightforward one-accumulator
-//! loops to 1e-9.
+//! loops to 1e-9, and the AVX2 build of every dispatched kernel must equal
+//! its baseline build bit for bit.
 
-use fdm_core::kernel::simd;
+use fdm_core::kernel;
 use fdm_core::metric::{kernels, Metric};
 use fdm_core::point::PointStore;
 use proptest::prelude::*;
@@ -178,10 +179,10 @@ proptest! {
         }
     }
 
-    /// The explicit SIMD backends must reproduce the scalar reference
-    /// kernels *bit for bit* — same lane association, same reduction order,
-    /// no FMA contraction — across every `chunks_exact` remainder class.
-    /// (On non-x86_64 targets the forced wrappers return `None` and the
+    /// The AVX2 build of every kernel must reproduce the baseline build
+    /// *bit for bit* — one source, no FMA contraction, no reassociation —
+    /// across every `chunks_exact` remainder class. (Off x86_64, or on a
+    /// CPU without AVX2, the forced wrappers return `None` and the
     /// assertions are vacuous.)
     #[test]
     fn simd_backends_bit_match_scalar_kernels(
@@ -192,25 +193,15 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(43));
         let a: Vec<f64> = (0..dim).map(|_| rng.random::<f64>() * 40.0 - 20.0).collect();
         let b: Vec<f64> = (0..dim).map(|_| rng.random::<f64>() * 40.0 - 20.0).collect();
-        #[allow(clippy::type_complexity)]
-        let checks: [(&str, fn(&[f64], &[f64]) -> f64, Option<f64>, Option<f64>); 4] = [
-            ("sum_sq_diff", kernels::sum_sq_diff,
-                simd::force_sse2_sum_sq_diff(&a, &b), simd::force_avx2_sum_sq_diff(&a, &b)),
-            ("sum_abs_diff", kernels::sum_abs_diff,
-                simd::force_sse2_sum_abs_diff(&a, &b), simd::force_avx2_sum_abs_diff(&a, &b)),
-            ("max_abs_diff", kernels::max_abs_diff,
-                simd::force_sse2_max_abs_diff(&a, &b), simd::force_avx2_max_abs_diff(&a, &b)),
-            ("dot", kernels::dot,
-                simd::force_sse2_dot(&a, &b), simd::force_avx2_dot(&a, &b)),
+        type Pair = fn(&[f64], &[f64]) -> f64;
+        let checks: [(&str, Pair, Option<f64>); 4] = [
+            ("sum_sq_diff", kernels::sum_sq_diff, kernel::force_avx2_sum_sq_diff(&a, &b)),
+            ("sum_abs_diff", kernels::sum_abs_diff, kernel::force_avx2_sum_abs_diff(&a, &b)),
+            ("max_abs_diff", kernels::max_abs_diff, kernel::force_avx2_max_abs_diff(&a, &b)),
+            ("dot", kernels::dot, kernel::force_avx2_dot(&a, &b)),
         ];
-        for (name, scalar_fn, sse2, avx2) in checks {
+        for (name, scalar_fn, avx2) in checks {
             let scalar = scalar_fn(&a, &b);
-            if let Some(v) = sse2 {
-                prop_assert_eq!(
-                    v.to_bits(), scalar.to_bits(),
-                    "{} dim {}: SSE2 {} != scalar {}", name, dim, v, scalar
-                );
-            }
             if let Some(v) = avx2 {
                 prop_assert_eq!(
                     v.to_bits(), scalar.to_bits(),
@@ -219,15 +210,12 @@ proptest! {
             }
         }
         let scalar_norm = kernels::norm_sq(&a);
-        if let Some(v) = simd::force_sse2_norm_sq(&a) {
-            prop_assert_eq!(v.to_bits(), scalar_norm.to_bits(), "norm_sq dim {}: SSE2", dim);
-        }
-        if let Some(v) = simd::force_avx2_norm_sq(&a) {
+        if let Some(v) = kernel::force_avx2_norm_sq(&a) {
             prop_assert_eq!(v.to_bits(), scalar_norm.to_bits(), "norm_sq dim {}: AVX2", dim);
         }
     }
 
-    /// The bounded SIMD scans must take the *same decision* as the scalar
+    /// The AVX2 bounded scans must take the *same decision* as the scalar
     /// bounded kernels for bounds below, at, and above the exact value —
     /// including the blockwise early-exit points, which see identical
     /// partial sums by construction.
@@ -245,19 +233,13 @@ proptest! {
         let ab = kernels::sum_abs_diff(&a, &b);
         for bound in [sq * frac, sq, f64::MIN_POSITIVE] {
             let scalar = kernels::sum_sq_diff_at_least(&a, &b, bound);
-            if let Some(v) = simd::force_sse2_sum_sq_diff_at_least(&a, &b, bound) {
-                prop_assert_eq!(v, scalar, "sum_sq bound {} dim {}: SSE2", bound, dim);
-            }
-            if let Some(v) = simd::force_avx2_sum_sq_diff_at_least(&a, &b, bound) {
+            if let Some(v) = kernel::force_avx2_sum_sq_diff_at_least(&a, &b, bound) {
                 prop_assert_eq!(v, scalar, "sum_sq bound {} dim {}: AVX2", bound, dim);
             }
         }
         for bound in [ab * frac, ab, f64::MIN_POSITIVE] {
             let scalar = kernels::sum_abs_diff_at_least(&a, &b, bound);
-            if let Some(v) = simd::force_sse2_sum_abs_diff_at_least(&a, &b, bound) {
-                prop_assert_eq!(v, scalar, "sum_abs bound {} dim {}: SSE2", bound, dim);
-            }
-            if let Some(v) = simd::force_avx2_sum_abs_diff_at_least(&a, &b, bound) {
+            if let Some(v) = kernel::force_avx2_sum_abs_diff_at_least(&a, &b, bound) {
                 prop_assert_eq!(v, scalar, "sum_abs bound {} dim {}: AVX2", bound, dim);
             }
         }

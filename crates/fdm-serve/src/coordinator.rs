@@ -113,6 +113,13 @@ const INITIAL_BACKOFF: Duration = Duration::from_millis(25);
 /// reduce in chunks before the final merge (see [`summary::merge_unions`]).
 const MERGE_FAN_IN: usize = 8;
 
+/// Most entries of one `INSERTB` fanned out per flush round. A larger
+/// client batch goes out in successive rounds, so each re-separated
+/// sub-batch line stays far below the worker's 1 MiB frame guard however
+/// large the client's line was, and one giant batch cannot pin every
+/// worker connection for its whole duration.
+const FLUSH_ROUND: usize = 256;
+
 /// Health of one worker node, shared between command paths and the
 /// `/metrics` renderer.
 pub(crate) struct WorkerState {
@@ -349,7 +356,7 @@ impl Coordinator {
     /// form). Returns the stream position after the batch. Every element
     /// must have the stream's dimension (see the module docs); a
     /// request with one that does not is refused whole, before anything is
-    /// routed. The batch is flushed in rounds of at most `coord_batch`
+    /// routed. The batch is flushed in rounds of at most 256
     /// entries; each round is partitioned into per-worker sub-sequences by
     /// pure cursor arithmetic, every sub-batch is written as one `INSERTB`
     /// line into its worker's cached connection, and only then are the
@@ -366,7 +373,6 @@ impl Coordinator {
         name: &str,
         elements: &[Element],
         entries: &[&str],
-        coord_batch: usize,
     ) -> Result<usize, ErrorReply> {
         let stream = self.stream(name)?;
         let mut stream = lock(&stream);
@@ -388,7 +394,7 @@ impl Coordinator {
         // merged solution goes stale on the *attempt*.
         stream.cached_query = None;
         let k = self.workers.len();
-        for chunk in entries.chunks(coord_batch.max(1)) {
+        for chunk in entries.chunks(FLUSH_ROUND) {
             // Partition: entry i of the chunk is global g = processed + i,
             // owned by worker g % k at 1-based position g / k + 1. Entries
             // the target worker already holds are skipped (see the module

@@ -158,11 +158,6 @@ pub struct ServeConfig {
     /// elements pulled via `MERGE` (see [`crate::coordinator`]). Empty (the
     /// default) is the ordinary single-node engine.
     pub workers: Vec<String>,
-    /// Coordinator flush bound: at most this many elements of one
-    /// `INSERTB` are fanned out per concurrent flush round. Larger client
-    /// batches are split into successive rounds, so a single giant batch
-    /// cannot pin every per-worker connection for its whole duration.
-    pub coord_batch: usize,
 }
 
 impl Default for ServeConfig {
@@ -174,7 +169,6 @@ impl Default for ServeConfig {
             max_pending_inserts: 256,
             rate_limit: None,
             workers: Vec::new(),
-            coord_batch: 256,
         }
     }
 }
@@ -1236,7 +1230,7 @@ impl Engine {
         let mut rendered = Vec::new();
         if let Some(coordinator) = &self.coordinator {
             let entries = entry_texts(elements, raw_line, &mut rendered);
-            return coordinator.insert_batch(name, elements, &entries, self.config.coord_batch);
+            return coordinator.insert_batch(name, elements, &entries);
         }
         let start = Instant::now();
         let entry = self.entry(name)?;

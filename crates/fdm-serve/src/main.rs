@@ -7,7 +7,7 @@
 //!           [--socket PATH] [--listen ADDR:PORT] [--read-timeout SECS]
 //!           [--metrics ADDR:PORT] [--auth-token TOKEN] [--max-connections N]
 //!           [--max-pending N] [--rate-limit N] [--drain-grace SECS]
-//!           [--worker ADDR:PORT]... [--coord-batch N]
+//!           [--worker ADDR:PORT]...
 //! ```
 //!
 //! * `--data-dir DIR` — enable durability: per-stream WAL + snapshots in
@@ -43,8 +43,6 @@
 //!   via the `MERGE` verb) bit-identically to a sharded single process.
 //!   Excludes `--data-dir` (the workers own all durable state); see
 //!   `docs/distributed.md`.
-//! * `--coord-batch N` — coordinator mode: flush `INSERTB` batches to the
-//!   workers in concurrent rounds of at most N elements (default 256).
 //!
 //! With a socket or listener configured the process keeps serving after
 //! stdin closes. **SIGTERM drains gracefully**: new connections are
@@ -140,21 +138,12 @@ fn parse_args() -> Result<Args, String> {
                 drain_grace = Duration::from_secs(secs);
             }
             "--worker" => config.workers.push(value("--worker")?),
-            "--coord-batch" => {
-                let n: usize = value("--coord-batch")?
-                    .parse()
-                    .map_err(|_| "--coord-batch: invalid number".to_string())?;
-                if n == 0 {
-                    return Err("--coord-batch: must be at least 1".to_string());
-                }
-                config.coord_batch = n;
-            }
             "--help" | "-h" => {
                 return Err("usage: fdm-serve [--data-dir DIR] [--snapshot-every N] \
                             [--full-every N] [--socket PATH] [--listen ADDR:PORT] \
                             [--read-timeout SECS] [--metrics ADDR:PORT] [--auth-token TOKEN] \
                             [--max-connections N] [--max-pending N] [--rate-limit N] \
-                            [--drain-grace SECS] [--worker ADDR:PORT]... [--coord-batch N]"
+                            [--drain-grace SECS] [--worker ADDR:PORT]..."
                     .to_string())
             }
             other => return Err(format!("unknown flag {other}; try --help")),

@@ -689,6 +689,41 @@ fn insert_via(
     engine.insert(name, e, &line)
 }
 
+/// A coordinator forwards `OPEN` to its workers, so an oversized spec is
+/// refused by the first worker it reaches, and every node keeps serving.
+/// The workers are real processes: a worker that aborted on the spec (as
+/// one sizing every candidate by k = 2^40 + 1 used to) would show here as
+/// a `worker unavailable` reply, not kill the test process.
+#[test]
+fn coordinator_passes_on_the_workers_refusal_of_an_oversized_open() {
+    let dirs = [scratch("oversized_w0"), scratch("oversized_w1")];
+    let (mut w0, addr0) = spawn_worker(&dirs[0], None);
+    let (mut w1, addr1) = spawn_worker(&dirs[1], None);
+    let engine = coordinator_over(vec![addr0, addr1]);
+    let script: Vec<String> = [
+        "OPEN big sfdm2 quotas=1099511627776,1 eps=0.1 dmin=0.05 dmax=30",
+        "PING",
+        "OPEN ok sfdm2 quotas=2,2 eps=0.1 dmin=0.05 dmax=30",
+    ]
+    .map(String::from)
+    .to_vec();
+    let replies = session_replies(engine, &script);
+    assert!(
+        replies[0].starts_with("ERR summary too large"),
+        "{}",
+        replies[0]
+    );
+    assert_eq!(replies[1], "OK pong");
+    assert_eq!(replies[2], "OK opened ok");
+    for worker in [&mut w0, &mut w1] {
+        assert!(worker.try_wait().unwrap().is_none(), "a worker exited");
+    }
+    drop((w0, w1));
+    for dir in dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
 /// SIGKILL a worker mid-stream: the next insert routed to it fails typed
 /// (named address, health down in STATS and `/metrics`), the worker
 /// restarts over its own data dir (WAL replay), a restarted coordinator

@@ -357,6 +357,66 @@ fn protocol_errors_are_reported_not_fatal() {
     assert_eq!(replies[8], "OK pong");
 }
 
+/// An `OPEN` whose summary would not fit answers one `ERR`, and the daemon
+/// keeps serving. The lines run in a child `fdm-serve` over stdin, so an
+/// allocation failure (an abort, which no panic containment catches) fails
+/// this cell through the child's exit status instead of killing the test
+/// process.
+#[test]
+fn oversized_open_specs_are_refused_and_the_daemon_keeps_serving() {
+    use std::io::{Read, Write};
+    use std::process::{Command, Stdio};
+    let script = [
+        // k = 2^40 + 1: every candidate used to reserve k member slots.
+        "OPEN a sfdm2 quotas=1099511627776,1 eps=0.1 dmin=0.05 dmax=30",
+        // The quota sum overflows: a panic in a debug build, k = 0 in release.
+        "OPEN b sfdm2 quotas=18446744073709551615,1 eps=0.1 dmin=0.05 dmax=30",
+        // About 6.4e9 guesses: the ladder used to grow until memory ran out.
+        "OPEN c sfdm2 quotas=2,2 eps=1e-9 dmin=0.05 dmax=30",
+        "PING",
+        // The refusals bound nothing: an ordinary spec still opens.
+        OPEN,
+    ];
+    let mut child = Command::new(env!("CARGO_BIN_EXE_fdm-serve"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn fdm-serve");
+    let mut stdin = child.stdin.take().unwrap();
+    stdin
+        .write_all(format!("{}\n", script.join("\n")).as_bytes())
+        .unwrap();
+    drop(stdin);
+    let mut out = String::new();
+    child
+        .stdout
+        .take()
+        .unwrap()
+        .read_to_string(&mut out)
+        .unwrap();
+    let status = child.wait().unwrap();
+    assert!(
+        status.success(),
+        "fdm-serve exited with {status}; replies: {out}"
+    );
+    let replies: Vec<&str> = out.lines().collect();
+    assert_eq!(replies.len(), script.len(), "{out}");
+    assert!(
+        replies[0].starts_with("ERR summary too large"),
+        "{}",
+        replies[0]
+    );
+    assert!(replies[1].starts_with("ERR quotas sum"), "{}", replies[1]);
+    assert!(
+        replies[2].starts_with("ERR summary too large"),
+        "{}",
+        replies[2]
+    );
+    assert_eq!(replies[3], "OK pong");
+    assert_eq!(replies[4], "OK opened jobs");
+}
+
 /// The first element of a fresh stream's first `INSERTB` fixes the
 /// dimension for the rest of that request: a mixed batch is refused whole
 /// before anything is applied (it used to panic in the arena after the
