@@ -19,6 +19,7 @@
 #![deny(unsafe_code)]
 
 pub mod client;
+mod decimal;
 pub mod protocol;
 
 pub use client::{Client, ClientError};

@@ -25,6 +25,8 @@ use fdm_core::metric::Metric;
 use fdm_core::persist::codec::crc32;
 use fdm_core::point::Element;
 
+use crate::decimal::{push_f64, push_usize};
+
 /// Upper bound on a `MERGE` reply's announced binary tail. Far above any
 /// real union block (summaries are sublinear in the stream), low enough
 /// that a corrupt header cannot OOM the client.
@@ -127,12 +129,17 @@ impl Request {
 }
 
 /// Appends one entry, `<id> <group> <x1> ... <xd>`, to `out` — the tail of
-/// an `INSERT` and each `|`-separated piece of an `INSERTB`.
+/// an `INSERT` and each `|`-separated piece of an `INSERTB`. Byte for byte
+/// what `format!("{} {} {} …", id, group, x1, …)` writes: each coordinate
+/// in `Display`'s shortest round-trip spelling, without going through
+/// `core::fmt`.
 pub fn render_entry(e: &Element, out: &mut String) {
-    use std::fmt::Write as _;
-    let _ = write!(out, "{} {}", e.id, e.group);
-    for x in e.point.iter() {
-        let _ = write!(out, " {x}");
+    push_usize(out, e.id);
+    out.push(' ');
+    push_usize(out, e.group);
+    for &x in e.point.iter() {
+        out.push(' ');
+        push_f64(out, x);
     }
 }
 
@@ -1468,6 +1475,76 @@ mod tests {
                 prop_assert_eq!(parsed.group, element.group);
                 let bits = |e: &Element| e.point.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 prop_assert_eq!(bits(&parsed), bits(element), "{:?}", entry);
+            }
+        }
+    }
+
+    /// Any finite `f64`: arbitrary bit patterns (every magnitude up to
+    /// `f64::MAX`, either sign), subnormals, ±0 and the extremes.
+    fn any_finite() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (0u64..=u64::MAX)
+                .prop_map(f64::from_bits)
+                .prop_filter("finite", |x| x.is_finite()),
+            (0u64..1 << 52, 0u64..2).prop_map(|(m, sign)| f64::from_bits(sign << 63 | m)),
+            prop_oneof![
+                Just(0.0),
+                Just(-0.0),
+                Just(f64::MAX),
+                Just(f64::MIN),
+                Just(f64::MIN_POSITIVE),
+                Just(f64::from_bits(1)),
+            ],
+        ]
+    }
+
+    /// An element with an id and group anywhere in `usize` and 1–4
+    /// coordinates from [`any_finite`].
+    fn any_element() -> impl Strategy<Value = Element> {
+        (
+            prop_oneof![0usize..1000, 0usize..=usize::MAX],
+            prop_oneof![0usize..4, 0usize..=usize::MAX],
+            proptest::collection::vec(any_finite(), 1..5),
+        )
+            .prop_map(|(id, group, point)| Element::new(id, point, group))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A rendered `INSERTB` parses back to the same elements bit for
+        /// bit over the whole finite `f64` range, and `insert_entries`
+        /// slices exactly each element's `render_entry` text, which is
+        /// `Display`'s spelling.
+        #[test]
+        fn insert_batch_round_trips_over_the_full_f64_range(
+            elements in proptest::collection::vec(any_element(), 1..6)
+        ) {
+            let line = Request::InsertBatch(elements.clone()).render();
+            let parsed = match parse_line(&line) {
+                Ok(Some(Request::InsertBatch(parsed))) => parsed,
+                other => return Err(TestCaseError::fail(format!("{line:?}: {other:?}"))),
+            };
+            prop_assert_eq!(parsed.len(), elements.len());
+            let bits = |e: &Element| e.point.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for (back, element) in parsed.iter().zip(&elements) {
+                prop_assert_eq!(back.id, element.id);
+                prop_assert_eq!(back.group, element.group);
+                prop_assert_eq!(bits(back), bits(element), "{:?}", line);
+            }
+            let entries: Vec<&str> = insert_entries(&line).collect();
+            prop_assert_eq!(entries.len(), elements.len());
+            for (entry, element) in entries.iter().zip(&elements) {
+                let mut rendered = String::new();
+                render_entry(element, &mut rendered);
+                prop_assert_eq!(*entry, rendered.as_str());
+                // The spelling `core::fmt` writes, so WAL records and
+                // forwarded entries keep their bytes.
+                let mut formatted = format!("{} {}", element.id, element.group);
+                for x in element.point.iter() {
+                    formatted.push_str(&format!(" {x}"));
+                }
+                prop_assert_eq!(rendered, formatted);
             }
         }
     }

@@ -29,6 +29,16 @@ pub enum FdmError {
     },
     /// A fairness constraint with no groups or a zero quota.
     EmptyConstraint,
+    /// The quotas sum to more than a `usize` holds.
+    QuotaSumOverflow,
+    /// An algorithm defined for exactly two groups (SFDM1, FairSwap) was
+    /// given a constraint with another number of groups.
+    TwoGroupsRequired {
+        /// The algorithm's name.
+        algorithm: &'static str,
+        /// The number of groups the constraint has.
+        found: usize,
+    },
     /// The requested solution size exceeds the available elements of some
     /// group, so no fair solution exists.
     InfeasibleConstraint {
@@ -126,6 +136,13 @@ impl fmt::Display for FdmError {
             FdmError::EmptyConstraint => {
                 write!(f, "fairness constraint must have at least one group with a positive quota")
             }
+            FdmError::QuotaSumOverflow => {
+                write!(f, "quotas sum to more than the largest solution size k")
+            }
+            FdmError::TwoGroupsRequired { algorithm, found } => write!(
+                f,
+                "{algorithm} needs exactly 2 groups, the constraint has {found}"
+            ),
             FdmError::InfeasibleConstraint { group, requested, available } => write!(
                 f,
                 "infeasible constraint: group {group} has {available} elements but {requested} requested"
@@ -196,6 +213,14 @@ mod tests {
                 "out of range",
             ),
             (FdmError::EmptyConstraint, "at least one group"),
+            (FdmError::QuotaSumOverflow, "quotas sum"),
+            (
+                FdmError::TwoGroupsRequired {
+                    algorithm: "SFDM1",
+                    found: 3,
+                },
+                "SFDM1 needs exactly 2 groups, the constraint has 3",
+            ),
             (
                 FdmError::InfeasibleConstraint {
                     group: 1,

@@ -46,13 +46,17 @@ impl serde::Deserialize for FairnessConstraint {
 }
 
 impl FairnessConstraint {
-    /// Creates a constraint from explicit quotas; each must be ≥ 1 and the
-    /// total must be ≥ 2 (diversity is undefined for singleton solutions).
+    /// Creates a constraint from explicit quotas; each must be ≥ 1, the
+    /// total must be ≥ 2 (diversity is undefined for singleton solutions)
+    /// and must fit a `usize`.
     pub fn new(quotas: Vec<usize>) -> Result<Self> {
         if quotas.is_empty() || quotas.contains(&0) {
             return Err(FdmError::EmptyConstraint);
         }
-        let total: usize = quotas.iter().sum();
+        let total = quotas
+            .iter()
+            .try_fold(0usize, |total, &q| total.checked_add(q))
+            .ok_or(FdmError::QuotaSumOverflow)?;
         if total < 2 {
             return Err(FdmError::SolutionSizeTooSmall { k: total });
         }
@@ -201,6 +205,20 @@ mod tests {
         assert!(
             FairnessConstraint::new(vec![1]).is_err(),
             "total k=1 undefined"
+        );
+    }
+
+    #[test]
+    fn rejects_quotas_whose_sum_overflows() {
+        assert_eq!(
+            FairnessConstraint::new(vec![usize::MAX, 1]),
+            Err(FdmError::QuotaSumOverflow)
+        );
+        assert_eq!(
+            FairnessConstraint::new(vec![usize::MAX - 1, 1])
+                .unwrap()
+                .total(),
+            usize::MAX
         );
     }
 

@@ -380,10 +380,19 @@ impl Metric {
 
     /// Computes the distance between two points.
     ///
+    /// `a` and `b` must have equal length. That is the caller's
+    /// precondition, not checked here: this is the hot path of every
+    /// algorithm, and the point arena and each stream fix one dimension
+    /// before any distance is taken.
+    ///
     /// # Panics
     ///
-    /// Debug-asserts that the slices have equal length; in release builds the
-    /// shorter length is used (standard zip semantics).
+    /// A debug build asserts equal length. A release build does not check
+    /// it, and rows of different lengths give no meaningful answer:
+    /// depending on the metric and on which row is longer, the kernel
+    /// panics (a slice index out of range) or returns a number computed from
+    /// only some of the coordinates. For example, Euclidean panics when `a`
+    /// is the longer row and sums over `a`'s coordinates when `b` is.
     #[inline]
     pub fn dist(&self, a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), b.len(), "points must have equal dimension");
@@ -415,6 +424,8 @@ impl Metric {
     /// | Manhattan / Minkowski(1) / Chebyshev | the distance itself |
     /// | Minkowski(p) | `Σ \|a_i − b_i\|^p` |
     /// | Angular | `−cos(a, b)` |
+    ///
+    /// Same equal-length precondition as [`Metric::dist`].
     #[inline]
     pub fn proxy(&self, a: &[f64], b: &[f64]) -> f64 {
         match self {

@@ -38,9 +38,9 @@ impl FairSwap {
     /// Creates the algorithm, validating that the constraint has two groups.
     pub fn new(config: FairSwapConfig) -> Result<Self> {
         if config.constraint.num_groups() != 2 {
-            return Err(FdmError::InvalidGroup {
-                group: config.constraint.num_groups(),
-                num_groups: 2,
+            return Err(FdmError::TwoGroupsRequired {
+                algorithm: "FairSwap",
+                found: config.constraint.num_groups(),
             });
         }
         Ok(FairSwap { config })
@@ -129,7 +129,13 @@ mod tests {
             seed: 0,
             strategy: SwapStrategy::Greedy,
         };
-        assert!(FairSwap::new(cfg).is_err());
+        assert_eq!(
+            FairSwap::new(cfg).unwrap_err(),
+            FdmError::TwoGroupsRequired {
+                algorithm: "FairSwap",
+                found: 3
+            }
+        );
     }
 
     #[test]

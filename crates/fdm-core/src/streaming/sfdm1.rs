@@ -82,9 +82,9 @@ impl Sfdm1 {
     /// `Arbitrary` variant exists for the ablation bench).
     pub fn with_strategy(config: Sfdm1Config, strategy: SwapStrategy) -> Result<Self> {
         if config.constraint.num_groups() != 2 {
-            return Err(FdmError::InvalidGroup {
-                group: config.constraint.num_groups(),
-                num_groups: 2,
+            return Err(FdmError::TwoGroupsRequired {
+                algorithm: "SFDM1",
+                found: config.constraint.num_groups(),
             });
         }
         config.metric.validate()?;
@@ -464,7 +464,13 @@ mod tests {
             bounds: DistanceBounds::new(1.0, 10.0).unwrap(),
             metric: Metric::Euclidean,
         };
-        assert!(Sfdm1::new(cfg).is_err());
+        assert_eq!(
+            Sfdm1::new(cfg).unwrap_err(),
+            FdmError::TwoGroupsRequired {
+                algorithm: "SFDM1",
+                found: 3
+            }
+        );
     }
 
     #[test]

@@ -417,6 +417,30 @@ fn oversized_open_specs_are_refused_and_the_daemon_keeps_serving() {
     assert_eq!(replies[4], "OK opened jobs");
 }
 
+/// SFDM1 is defined for two groups: an `OPEN` with another number of
+/// quotas is refused with an error that names the group count, and the
+/// name stays free.
+#[test]
+fn sfdm1_open_with_other_than_two_groups_names_the_group_count() {
+    let engine = memory_engine();
+    let script = [
+        "OPEN c sfdm1 quotas=1,1,1 eps=0.1 dmin=0.05 dmax=30",
+        "OPEN c sfdm1 quotas=2 eps=0.1 dmin=0.05 dmax=30",
+        "OPEN c sfdm1 quotas=1,1 eps=0.1 dmin=0.05 dmax=30",
+    ]
+    .join("\n");
+    let replies = run_script(&engine, &script);
+    assert_eq!(
+        replies[0],
+        "ERR SFDM1 needs exactly 2 groups, the constraint has 3"
+    );
+    assert_eq!(
+        replies[1],
+        "ERR SFDM1 needs exactly 2 groups, the constraint has 1"
+    );
+    assert_eq!(replies[2], "OK opened c");
+}
+
 /// The first element of a fresh stream's first `INSERTB` fixes the
 /// dimension for the rest of that request: a mixed batch is refused whole
 /// before anything is applied (it used to panic in the arena after the
