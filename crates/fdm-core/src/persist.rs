@@ -385,12 +385,19 @@ pub fn write_bytes_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
     staged?;
     // Persist the rename itself (directory entry). Best-effort: not
     // every platform/filesystem supports fsync on directories.
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        if let Ok(dir_file) = std::fs::File::open(dir) {
-            let _ = dir_file.sync_all();
-        }
+    if let Ok(dir_file) = std::fs::File::open(entry_dir(path)) {
+        let _ = dir_file.sync_all();
     }
     Ok(())
+}
+
+/// The directory holding `path`'s entry: its parent, or `.` for a bare
+/// relative file name (whose parent is the empty path).
+fn entry_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    }
 }
 
 /// A streaming summary that can checkpoint itself into a [`Snapshot`] and
@@ -751,6 +758,18 @@ pub(crate) fn store_patch_since(store: &PointStore, cursor: &Value) -> Option<St
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn entry_dir_of_a_bare_file_name_is_the_working_directory() {
+        assert_eq!(entry_dir(Path::new("x.snap")), Path::new("."));
+        assert_eq!(entry_dir(Path::new("./x.snap")), Path::new("."));
+        assert_eq!(entry_dir(Path::new("data/x.snap")), Path::new("data"));
+        assert_eq!(entry_dir(Path::new("/x.snap")), Path::new("/"));
+        assert_eq!(
+            entry_dir(Path::new("/var/lib/x.snap")),
+            Path::new("/var/lib")
+        );
+    }
 
     fn params(tag: &str) -> SnapshotParams {
         SnapshotParams {

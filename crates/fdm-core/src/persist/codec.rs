@@ -23,6 +23,13 @@
 //! and the fuzz harness (`tests/persist_fuzz.rs`) pins that no mutation
 //! panics or restores silently-wrong state.
 //!
+//! This module holds the workspace's one CRC32: WAL records, snapshot and
+//! delta sections, the delta chain's `base_crc`, capture-mark digests and
+//! `MERGE` union blocks all go through it. [`crc32`] runs slicing-by-8
+//! over tables derived at compile time; `crc32_combine` is zlib's
+//! table-driven form (a 32-entry `x^(2^n) mod P` table, one GF(2)
+//! multiplication per set bit of the second part's length).
+//!
 //! Values are encoded with a small tag set; the two array fast paths are
 //! what make the format dense:
 //!
@@ -77,6 +84,10 @@ const MAX_EXACT_INT: u64 = 1 << 53;
 // CRC32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF)
 // ---------------------------------------------------------------------------
 
+/// The reflected CRC-32 generator polynomial.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// `CRC32_TABLE[b]`: the register after shifting byte `b` through it.
 const CRC32_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -85,7 +96,7 @@ const CRC32_TABLE: [u32; 256] = {
         let mut bit = 0;
         while bit < 8 {
             crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
+                (crc >> 1) ^ CRC32_POLY
             } else {
                 crc >> 1
             };
@@ -97,13 +108,50 @@ const CRC32_TABLE: [u32; 256] = {
     table
 };
 
+/// Slicing-by-8 tables (Kounavis & Berry, ISCC 2005): `CRC32_SLICES[k][b]`
+/// is byte `b` followed by `k` zero bytes, so eight table lookups advance
+/// the register by eight bytes. `CRC32_SLICES[0]` is [`CRC32_TABLE`].
+const CRC32_SLICES: [[u32; 256]; 8] = {
+    let mut slices = [[0u32; 256]; 8];
+    slices[0] = CRC32_TABLE;
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = slices[k - 1][i];
+            slices[k][i] = (prev >> 8) ^ CRC32_TABLE[(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    slices
+};
+
+/// Advances a raw (un-inverted) CRC register over `bytes`: eight bytes
+/// per step through [`CRC32_SLICES`], the tail one byte at a time.
+fn crc32_update(mut reg: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC32_SLICES;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = reg ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        reg = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][c[4] as usize]
+            ^ t[2][c[5] as usize]
+            ^ t[1][c[6] as usize]
+            ^ t[0][c[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        reg = (reg >> 8) ^ CRC32_TABLE[((reg ^ b as u32) & 0xFF) as usize];
+    }
+    reg
+}
+
 /// CRC32 (IEEE) of a byte slice — the per-section integrity check.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
+    !crc32_update(0xFFFF_FFFF, bytes)
 }
 
 /// Extends a finalized CRC32 with more trailing bytes:
@@ -111,73 +159,72 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// dirty-set capture marks O(appended): an append-only blob's checksum is
 /// carried forward instead of re-walked.
 pub(crate) fn crc32_extend(crc: u32, bytes: &[u8]) -> u32 {
-    let mut reg = !crc;
-    for &b in bytes {
-        reg = (reg >> 8) ^ CRC32_TABLE[((reg ^ b as u32) & 0xFF) as usize];
+    !crc32_update(!crc, bytes)
+}
+
+/// `a · b mod P` over GF(2), both operands reflected (bit 31 is `x^0`).
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut m = 1u32 << 31;
+    loop {
+        if a & m != 0 {
+            product ^= b;
+            if a & (m - 1) == 0 {
+                return product;
+            }
+        }
+        m >>= 1;
+        if m == 0 {
+            return product;
+        }
+        b = if b & 1 != 0 {
+            (b >> 1) ^ CRC32_POLY
+        } else {
+            b >> 1
+        };
     }
-    !reg
+}
+
+/// `X2N_TABLE[n] = x^(2^n) mod P`. The sequence repeats with period 32
+/// (`x^(2^32) ≡ x mod P`), so 32 entries cover every exponent.
+const X2N_TABLE: [u32; 32] = {
+    let mut table = [0u32; 32];
+    let mut p = 1u32 << 30; // x^1
+    table[0] = p;
+    let mut n = 1;
+    while n < 32 {
+        p = multmodp(p, p);
+        table[n] = p;
+        n += 1;
+    }
+    table
+};
+
+/// `x^(n · 2^k) mod P`, by the bits of `n`.
+fn x2nmodp(mut n: u64, mut k: u32) -> u32 {
+    let mut p = 1u32 << 31; // x^0
+    while n != 0 {
+        if n & 1 != 0 {
+            p = multmodp(X2N_TABLE[(k & 31) as usize], p);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
 }
 
 /// CRC32 of a concatenation from the parts' checksums alone:
-/// `crc32_combine(crc32(a), crc32(b), b.len()) == crc32(a ++ b)` in
-/// `O(log len2)` — the zlib GF(2) matrix construction. Capture marks use
-/// it to recombine a parent node's checksum from its children's without
-/// touching the children's bytes.
+/// `crc32_combine(crc32(a), crc32(b), b.len()) == crc32(a ++ b)`. Appending
+/// `len2` zero bytes to `a` multiplies its register by `x^(8·len2) mod P`,
+/// which [`x2nmodp`] assembles from the 32-entry power table in one
+/// multiplication per set bit of `len2` (zlib's `crc32_combine`). Capture
+/// marks use it to recombine a parent node's checksum from its children's
+/// without touching the children's bytes.
 pub(crate) fn crc32_combine(crc1: u32, crc2: u32, len2: u64) -> u32 {
-    fn times(mat: &[u32; 32], mut vec: u32) -> u32 {
-        let mut sum = 0u32;
-        let mut i = 0;
-        while vec != 0 {
-            if vec & 1 != 0 {
-                sum ^= mat[i];
-            }
-            vec >>= 1;
-            i += 1;
-        }
-        sum
-    }
-    fn square(dst: &mut [u32; 32], src: &[u32; 32]) {
-        for n in 0..32 {
-            dst[n] = times(src, src[n]);
-        }
-    }
     if len2 == 0 {
         return crc1;
     }
-    // Operator for one zero bit appended to the message.
-    let mut odd = [0u32; 32];
-    odd[0] = 0xEDB8_8320;
-    let mut row = 1u32;
-    for cell in odd.iter_mut().skip(1) {
-        *cell = row;
-        row <<= 1;
-    }
-    let mut even = [0u32; 32];
-    square(&mut even, &odd); // two zero bits
-    square(&mut odd, &even); // four zero bits
-    let mut crc1 = crc1;
-    let mut len2 = len2;
-    // Apply len2 zero bytes (8·len2 zero bits) to crc1 by binary
-    // decomposition, squaring the operator each round.
-    loop {
-        square(&mut even, &odd);
-        if len2 & 1 != 0 {
-            crc1 = times(&even, crc1);
-        }
-        len2 >>= 1;
-        if len2 == 0 {
-            break;
-        }
-        square(&mut odd, &even);
-        if len2 & 1 != 0 {
-            crc1 = times(&odd, crc1);
-        }
-        len2 >>= 1;
-        if len2 == 0 {
-            break;
-        }
-    }
-    crc1 ^ crc2
+    multmodp(x2nmodp(len2, 3), crc1) ^ crc2
 }
 
 // ---------------------------------------------------------------------------
@@ -655,9 +702,9 @@ mod tests {
         let data: Vec<u8> = (0..512u32)
             .map(|i| (i.wrapping_mul(167) >> 3) as u8)
             .collect();
-        for cut in [0usize, 1, 7, 64, 255, 511, 512] {
+        let whole = crc32_bytewise(0, &data);
+        for cut in 0..=data.len() {
             let (a, b) = data.split_at(cut);
-            let whole = crc32(&data);
             assert_eq!(crc32_extend(crc32(a), b), whole, "extend cut {cut}");
             assert_eq!(
                 crc32_combine(crc32(a), crc32(b), b.len() as u64),
@@ -669,6 +716,199 @@ mod tests {
         assert_eq!(crc32_extend(0, b"xyz"), crc32(b"xyz"));
         assert_eq!(crc32_combine(crc32(b"xyz"), 0, 0), crc32(b"xyz"));
         assert_eq!(crc32_combine(0, crc32(b"xyz"), 3), crc32(b"xyz"));
+    }
+
+    /// The bytewise CRC32 register loop: the oracle for the slicing-by-8
+    /// [`crc32_update`]. Takes and returns a finalized checksum, like
+    /// [`crc32_extend`].
+    fn crc32_bytewise(crc: u32, bytes: &[u8]) -> u32 {
+        let mut reg = !crc;
+        for &b in bytes {
+            reg = (reg >> 8) ^ CRC32_TABLE[((reg ^ b as u32) & 0xFF) as usize];
+        }
+        !reg
+    }
+
+    /// zlib's GF(2) matrix `crc32_combine` (the operator for one zero bit,
+    /// squared once per bit of `8·len2`): the oracle for the table-driven
+    /// [`crc32_combine`].
+    fn crc32_combine_matrix(crc1: u32, crc2: u32, len2: u64) -> u32 {
+        fn times(mat: &[u32; 32], mut vec: u32) -> u32 {
+            let mut sum = 0u32;
+            let mut i = 0;
+            while vec != 0 {
+                if vec & 1 != 0 {
+                    sum ^= mat[i];
+                }
+                vec >>= 1;
+                i += 1;
+            }
+            sum
+        }
+        fn square(dst: &mut [u32; 32], src: &[u32; 32]) {
+            for n in 0..32 {
+                dst[n] = times(src, src[n]);
+            }
+        }
+        if len2 == 0 {
+            return crc1;
+        }
+        let mut odd = [0u32; 32];
+        odd[0] = CRC32_POLY;
+        let mut row = 1u32;
+        for cell in odd.iter_mut().skip(1) {
+            *cell = row;
+            row <<= 1;
+        }
+        let mut even = [0u32; 32];
+        square(&mut even, &odd); // two zero bits
+        square(&mut odd, &even); // four zero bits
+        let mut crc1 = crc1;
+        let mut len2 = len2;
+        loop {
+            square(&mut even, &odd);
+            if len2 & 1 != 0 {
+                crc1 = times(&even, crc1);
+            }
+            len2 >>= 1;
+            if len2 == 0 {
+                break;
+            }
+            square(&mut odd, &even);
+            if len2 & 1 != 0 {
+                crc1 = times(&odd, crc1);
+            }
+            len2 >>= 1;
+            if len2 == 0 {
+                break;
+            }
+        }
+        crc1 ^ crc2
+    }
+
+    fn random_bytes(rng: &mut impl rand::Rng, len: usize) -> Vec<u8> {
+        (0..len).map(|_| rng.random::<u32>() as u8).collect()
+    }
+
+    /// A length with a uniformly drawn bit width (0..=64), so short and
+    /// huge lengths are drawn equally often.
+    fn random_len(rng: &mut impl rand::Rng) -> u64 {
+        match rng.random_range(0..=64u32) {
+            0 => 0,
+            bits => rng.random::<u64>() >> (64 - bits),
+        }
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_at_every_length_and_offset() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(0xC3C3);
+        let buf = random_bytes(&mut rng, 257 + 8);
+        for offset in 0..8 {
+            for len in 0..=257 {
+                let slice = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(0, slice),
+                    "offset {offset} len {len}"
+                );
+            }
+        }
+        let big = random_bytes(&mut rng, 8192);
+        for _ in 0..2000 {
+            let start = rng.random_range(0..big.len());
+            let end = rng.random_range(start..=big.len());
+            let seed = rng.random::<u32>();
+            let slice = &big[start..end];
+            assert_eq!(crc32(slice), crc32_bytewise(0, slice), "{start}..{end}");
+            assert_eq!(
+                crc32_extend(seed, slice),
+                crc32_bytewise(seed, slice),
+                "{start}..{end} from {seed:#010x}"
+            );
+        }
+    }
+
+    #[test]
+    fn crc32_combine_matches_the_matrix_oracle_and_concatenation() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(0xC0B1);
+        let mut lens = vec![0u64, 1];
+        for k in 1..=63 {
+            lens.extend([(1u64 << k) - 1, 1 << k, (1 << k) + 1]);
+        }
+        // Bit 29 and up of `len2` index the power table past its 32
+        // entries (`8·len2` has bit 32 and up set): the index wraps.
+        lens.extend((0..64).map(|_| rng.random_range((1u64 << 29)..=u64::MAX)));
+        lens.push(u64::MAX);
+        for len in lens {
+            let (crc1, crc2) = (rng.random::<u32>(), rng.random::<u32>());
+            assert_eq!(
+                crc32_combine(crc1, crc2, len),
+                crc32_combine_matrix(crc1, crc2, len),
+                "len {len}"
+            );
+        }
+        let data = random_bytes(&mut rng, 1 << 16);
+        let mut cuts = vec![0usize, 1, data.len()];
+        for k in 1..16 {
+            cuts.extend([(1usize << k) - 1, 1 << k, (1 << k) + 1]);
+        }
+        let whole = crc32_bytewise(0, &data);
+        for cut in cuts {
+            let (a, b) = data.split_at(data.len() - cut);
+            assert_eq!(
+                crc32_combine(crc32(a), crc32(b), b.len() as u64),
+                whole,
+                "suffix {cut}"
+            );
+        }
+    }
+
+    /// Release-build sweep (`cargo test --release -p fdm-core --lib codec
+    /// -- --ignored`): random combine triples against the matrix oracle
+    /// (lengths of every bit width) and against extending by the second
+    /// part's bytes (any `u32` is the CRC of some first part), and random
+    /// slices against the bytewise loop.
+    #[test]
+    #[ignore = "release-build sweep; run with --ignored"]
+    fn crc32_random_sweep_matches_the_oracles() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(0x5EE9);
+        for _ in 0..100_000 {
+            let (crc1, crc2, len) = (
+                rng.random::<u32>(),
+                rng.random::<u32>(),
+                random_len(&mut rng),
+            );
+            assert_eq!(
+                crc32_combine(crc1, crc2, len),
+                crc32_combine_matrix(crc1, crc2, len),
+                "{crc1:#010x} {crc2:#010x} {len}"
+            );
+        }
+        let big = random_bytes(&mut rng, 1 << 16);
+        for _ in 0..4_000_000 {
+            let start = rng.random_range(0..big.len());
+            let end = rng.random_range(start..=(start + 96).min(big.len()));
+            let (crc1, tail) = (rng.random::<u32>(), &big[start..end]);
+            assert_eq!(
+                crc32_combine(crc1, crc32(tail), tail.len() as u64),
+                crc32_bytewise(crc1, tail),
+                "{crc1:#010x} ++ {start}..{end}"
+            );
+        }
+        for _ in 0..2_000_000 {
+            let start = rng.random_range(0..big.len());
+            let end = rng.random_range(start..=(start + 600).min(big.len()));
+            let seed = rng.random::<u32>();
+            let slice = &big[start..end];
+            assert_eq!(
+                crc32_extend(seed, slice),
+                crc32_bytewise(seed, slice),
+                "{start}..{end} from {seed:#010x}"
+            );
+        }
     }
 
     #[test]

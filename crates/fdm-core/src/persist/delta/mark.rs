@@ -22,7 +22,8 @@
 //!   extends the checksums by streaming only the new elements
 //!   ([`codec::crc32_extend`]);
 //! * generic arrays and objects re-combine their checksum from the
-//!   children's in `O(children · log len)` ([`codec::crc32_combine`]),
+//!   children's with one [`codec::crc32_combine`] per child — a 32-step
+//!   GF(2) multiplication per set bit of the child's encoded length —
 //!   never touching the children's bytes.
 //!
 //! The root checksum therefore always equals [`state_crc`] of the state

@@ -869,11 +869,17 @@ impl Engine {
     /// deltas are removed and the WAL truncated, so a crash at any point
     /// in between leaves either the old complete chain + full WAL, or the
     /// new snapshot + stale-but-detectable deltas + dedupable WAL records
-    /// — never a gap. The mark is dropped first and rebuilt last, so an
-    /// anchor that fails midway leaves the next checkpoint anchoring too.
+    /// — never a gap. The mark is dropped first and the new one, built with
+    /// the capture, is installed last, so an anchor that fails midway
+    /// leaves the next checkpoint anchoring too.
+    ///
+    /// Each anchor that writes its snapshot observes its capture (params,
+    /// state, encode, mark) and its write (atomic write, delta sweep, WAL
+    /// truncation) in `fdm_checkpoint_seconds`.
     fn anchor(&self, name: &str, entry: &StreamEntry, durable: &mut DurableState) -> Result<()> {
         if let (Some(snap_path), Some(wal_path)) = (self.snap_path(name), self.wal_path(name)) {
             durable.mark = None;
+            let capture_start = Instant::now();
             let params = read_lock(&entry.summary).params();
             crash_point("mid-chunked-capture");
             snapshot_write_pause();
@@ -886,19 +892,28 @@ impl Engine {
                 state,
             };
             let bytes = snapshot.to_bytes(SnapshotFormat::Binary);
+            let mark = CaptureMark::of(params, &snapshot.state);
+            let capture = capture_start.elapsed();
             if crash_requested("mid-full-snapshot") {
                 crash_mid_write(&snap_path, &bytes);
             }
             snapshot_write_pause();
+            let write_start = Instant::now();
             fdm_core::persist::write_bytes_atomic(&snap_path, &bytes)?;
             durable.counters.full_snapshots += 1;
             durable.counters.last_snapshot_bytes = bytes.len() as u64;
             durable.counters.last_snapshot_format = Some("bin");
+            entry.metrics.checkpoint_capture.observe(capture);
             crash_point("between-full-and-delta-cleanup");
             self.remove_deltas(name);
             crash_point("between-full-and-wal-truncate");
-            Self::truncate_wal(&wal_path, durable)?;
-            durable.mark = Some(CaptureMark::of(params, &snapshot.state));
+            let truncated = Self::truncate_wal(&wal_path, durable);
+            entry
+                .metrics
+                .checkpoint_write
+                .observe(write_start.elapsed());
+            truncated?;
+            durable.mark = Some(mark);
             durable.cursor = Some(cursor);
             durable.next_delta_index = 1;
         }
@@ -947,6 +962,7 @@ impl Engine {
         let (Some(mut mark), Some(cursor)) = (durable.mark.take(), durable.cursor.take()) else {
             return self.anchor(name, entry, durable);
         };
+        let capture_start = Instant::now();
         let (params, patch, next_cursor) = {
             let summary = read_lock(&entry.summary);
             (
@@ -967,17 +983,25 @@ impl Engine {
             _ => unreachable!("data_dir checked above"),
         };
         let bytes = delta.to_bytes();
+        let capture = capture_start.elapsed();
         if crash_requested("mid-delta-write") {
             crash_mid_write(&delta_path, &bytes);
         }
         snapshot_write_pause();
+        let write_start = Instant::now();
         fdm_core::persist::write_bytes_atomic(&delta_path, &bytes)?;
         durable.counters.delta_snapshots += 1;
         durable.counters.dirty_bytes += bytes.len() as u64;
         durable.counters.last_snapshot_bytes = bytes.len() as u64;
         durable.counters.last_snapshot_format = Some("delta");
+        entry.metrics.checkpoint_capture.observe(capture);
         crash_point("between-delta-and-wal-truncate");
-        Self::truncate_wal(&wal_path, durable)?;
+        let truncated = Self::truncate_wal(&wal_path, durable);
+        entry
+            .metrics
+            .checkpoint_write
+            .observe(write_start.elapsed());
+        truncated?;
         durable.mark = Some(mark);
         durable.cursor = Some(next_cursor);
         durable.next_delta_index += 1;
@@ -1421,18 +1445,24 @@ impl Engine {
             ));
         }
         let entry = self.entry(name)?;
+        let capture_start = Instant::now();
         let (snapshot, processed) = {
             let summary = read_lock(&entry.summary);
             (summary.snapshot(), summary.processed())
         };
         // Off-lock from here on.
         let bytes = snapshot.to_bytes(SnapshotFormat::Binary);
+        let capture = capture_start.elapsed();
         snapshot_write_pause();
+        let write_start = Instant::now();
         fdm_core::persist::write_bytes_atomic(Path::new(path), &bytes).map_err(generic)?;
+        let write = write_start.elapsed();
         let mut durable = lock(&entry.durable);
         durable.counters.full_snapshots += 1;
         durable.counters.last_snapshot_bytes = bytes.len() as u64;
         durable.counters.last_snapshot_format = Some("bin");
+        entry.metrics.checkpoint_capture.observe(capture);
+        entry.metrics.checkpoint_write.observe(write);
         Ok(Payload::SnapshotWritten {
             path: path.to_string(),
             processed,

@@ -141,6 +141,14 @@ pub struct StreamMetrics {
     pub pull_latency: Histogram,
     /// Coordinator only: the merge of the pulled unions.
     pub merge_latency: Histogram,
+    /// Hosted stream only: a checkpoint's or `SNAPSHOT` export's capture —
+    /// params, state tree or patch, capture mark, encode. One observation
+    /// per checkpoint or export counted in `fdm_snapshots_total`.
+    pub checkpoint_capture: Histogram,
+    /// Hosted stream only: the same checkpoint's write — atomic write and
+    /// fsync, then (a checkpoint, not an export) the delta sweep and the
+    /// WAL truncation.
+    pub checkpoint_write: Histogram,
     /// Guesses in `U'` a `QUERY`'s post-processing answered from its
     /// per-guess memo (a node's `finalize`, a coordinator's merge).
     guesses_reused: AtomicU64,
@@ -155,6 +163,8 @@ impl StreamMetrics {
             query_latency: Histogram::new(),
             pull_latency: Histogram::new(),
             merge_latency: Histogram::new(),
+            checkpoint_capture: Histogram::new(),
+            checkpoint_write: Histogram::new(),
             guesses_reused: AtomicU64::new(0),
             guesses_computed: AtomicU64::new(0),
         })
@@ -367,10 +377,16 @@ const STREAM_FAMILIES: &[Row<StreamSample>] = &[
     stats_only("window", |s| Some(s.node.as_ref()?.params.window as u64).filter(|w| *w != 0)),
     Row("fdm_wal_records_total", COUNTER, "WAL records appended per stream since this process opened it.",
         "", "wal_records", Value(|s| Some(s.node.as_ref()?.persist.wal_records))),
-    Row("fdm_snapshots_total", COUNTER, "Checkpoints written per stream, by kind.",
+    Row("fdm_snapshots_total", COUNTER, "Checkpoints and SNAPSHOT exports written per stream, by kind (an export counts as full).",
         "kind=\"full\"", "snapshots", Value(|s| Some(s.node.as_ref()?.persist.full_snapshots))),
-    Row("fdm_snapshots_total", COUNTER, "Checkpoints written per stream, by kind.",
+    Row("fdm_snapshots_total", COUNTER, "Checkpoints and SNAPSHOT exports written per stream, by kind (an export counts as full).",
         "kind=\"delta\"", "deltas", Value(|s| Some(s.node.as_ref()?.persist.delta_snapshots))),
+    Row("fdm_checkpoint_seconds", HISTOGRAM,
+        "Checkpoint and SNAPSHOT export phases, one observation each per fdm_snapshots_total count: capture (params, state or patch, capture mark, encode) and write (atomic write and fsync, delta sweep, WAL truncation).",
+        "phase=\"capture\"", "", Hist(|s| s.node.as_ref().map(|_| &s.latency.checkpoint_capture))),
+    Row("fdm_checkpoint_seconds", HISTOGRAM,
+        "Checkpoint and SNAPSHOT export phases, one observation each per fdm_snapshots_total count: capture (params, state or patch, capture mark, encode) and write (atomic write and fsync, delta sweep, WAL truncation).",
+        "phase=\"write\"", "", Hist(|s| s.node.as_ref().map(|_| &s.latency.checkpoint_write))),
     Row("fdm_delta_dirty_bytes_total", COUNTER, "Encoded bytes of dirty-set delta checkpoints written per stream.",
         "", "dirty_bytes", Value(|s| Some(s.node.as_ref()?.persist.dirty_bytes))),
     Row("fdm_compactions_total", COUNTER, "Delta chains collapsed into a full snapshot at --full-every, per stream.",

@@ -471,6 +471,82 @@ fn stats_counters_equal_their_exposition_samples() {
     }
 }
 
+/// `fdm_checkpoint_seconds` splits every checkpoint and `SNAPSHOT` export
+/// that `fdm_snapshots_total` counts into its capture and write phases:
+/// after a durable run with anchors, deltas, collapses and an export, each
+/// phase's `_count` equals STATS `snapshots + deltas`.
+#[test]
+fn checkpoint_phase_histograms_count_every_snapshot_and_delta() {
+    let dir = std::env::temp_dir().join(format!("fdm_metrics_phases_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let engine = Engine::new(ServeConfig {
+        data_dir: Some(dir.clone()),
+        snapshot_every: Some(4),
+        full_every: 3,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let (name, spec) = match parse_line(OPENS[0]).unwrap().unwrap() {
+        Cmd::Open { name, spec } => (name, spec),
+        other => panic!("{other:?}"),
+    };
+    engine.open(&name, &spec).unwrap();
+    let export = dir.join("export.snap");
+    for i in 0..50 {
+        let line = format!(
+            "INSERT {i} {} {} {}",
+            i % 2,
+            (i as f64 * 0.7391).sin() * 9.0,
+            (i as f64 * 0.2113).cos() * 9.0
+        );
+        match parse_line(&line).unwrap().unwrap() {
+            Cmd::Insert(e) => {
+                engine.insert(&name, &e, &line).unwrap();
+            }
+            other => panic!("{other:?}"),
+        }
+        if i == 21 {
+            engine.snapshot(&name, export.to_str().unwrap()).unwrap();
+        }
+    }
+    let stats: HashMap<String, u64> = match engine.stats(&name).unwrap() {
+        Payload::Stats(line) => line
+            .split_whitespace()
+            .filter_map(|field| {
+                let (key, value) = field.split_once('=')?;
+                Some((key.to_string(), value.parse().ok()?))
+            })
+            .collect(),
+        other => panic!("{other:?}"),
+    };
+    assert!(stats["deltas"] > 0 && stats["compactions"] > 0, "{stats:?}");
+    let written = stats["snapshots"] + stats["deltas"];
+    let samples = lint_exposition(&engine.render_metrics());
+    for phase in ["capture", "write"] {
+        let labels = format!("stream=\"{name}\",phase=\"{phase}\"");
+        let series = |suffix: &str| -> Vec<f64> {
+            samples
+                .iter()
+                .filter(|(s, _)| {
+                    s.starts_with(&format!("fdm_checkpoint_seconds_{suffix}{{"))
+                        && s.contains(&labels)
+                })
+                .map(|(_, v)| *v)
+                .collect()
+        };
+        let buckets = series("bucket");
+        assert!(
+            buckets.windows(2).all(|w| w[0] <= w[1]),
+            "{phase}: {buckets:?}"
+        );
+        assert_eq!(series("count"), [written as f64], "{phase}: {stats:?}");
+        assert_eq!(buckets.last(), Some(&(written as f64)), "{phase}");
+        assert!(series("sum")[0] > 0.0, "{phase}");
+    }
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The process-wide `fdm_request_parse_seconds` histogram takes one
 /// observation per line a session hands to the parser — accepted,
 /// rejected, blank and comment lines alike — and renders unlabelled,
