@@ -158,7 +158,7 @@ impl DatasetBuilder {
 /// A finite set of points with group labels in a metric space.
 ///
 /// Storage is a row-major [`PointStore`] arena (`n × dim` contiguous
-/// coordinates plus cached squared norms), with one group label in `0..m`
+/// coordinates plus cached norms), with one group label in `0..m`
 /// per row.
 #[derive(Debug, Clone)]
 pub struct Dataset {
@@ -485,7 +485,7 @@ mod tests {
         let d = line_dataset();
         let store = d.store();
         assert_eq!(store.len(), 4);
-        assert_eq!(store.norm_sq(d.point_id(3)), 9.0);
+        assert_eq!(store.norm(d.point_id(3)), 3.0);
         assert_eq!(store.row(d.point_id(2)), d.point(2));
     }
 

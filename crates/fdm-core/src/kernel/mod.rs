@@ -185,15 +185,6 @@ dispatched! {
     /// Dispatched squared L2 norm (see [`kernels::norm_sq`]).
     norm_sq / force_avx2_norm_sq
         (a: &[f64]) -> f64;
-    /// Dispatched bounded threshold scan for the squared-L2 proxy (see
-    /// [`kernels::sum_sq_diff_at_least`]); decisions are bit-identical to
-    /// comparing the full dispatched sum.
-    sum_sq_diff_at_least / force_avx2_sum_sq_diff_at_least
-        (a: &[f64], b: &[f64], bound: f64) -> bool, if a.len() == b.len();
-    /// Dispatched bounded threshold scan for the L1 proxy (see
-    /// [`kernels::sum_abs_diff_at_least`]).
-    sum_abs_diff_at_least / force_avx2_sum_abs_diff_at_least
-        (a: &[f64], b: &[f64], bound: f64) -> bool, if a.len() == b.len();
 }
 
 #[cfg(test)]

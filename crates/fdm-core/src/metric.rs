@@ -28,10 +28,13 @@
 //! * *Proxy* distances ([`Metric::proxy`]) are monotone stand-ins that skip
 //!   the final `sqrt`/`powf`/`acos`: squared distance for Euclidean, the
 //!   `p`-th power sum for Minkowski, negated cosine for Angular. Threshold
-//!   tests (`d(x, S) ≥ µ`) compare proxies against
+//!   tests (`d(x, S) ≥ µ`) compare full proxies against
 //!   [`Metric::proxy_from_dist`]`(µ)` — bit-identical decisions, no
-//!   transcendental per candidate member. [`Metric::dist_from_proxy`] maps a
-//!   winning proxy back to a real distance once per query.
+//!   transcendental per candidate member; the streaming candidates' test
+//!   has one implementation,
+//!   [`ArrivalProxies::offer`](crate::streaming::candidate::ArrivalProxies::offer).
+//!   [`Metric::dist_from_proxy`] maps a winning proxy back to a real
+//!   distance once per query.
 
 use serde::{Deserialize, Serialize};
 
@@ -80,9 +83,7 @@ pub mod kernels {
     ///
     /// Accumulates 16-dim blocks with block-local four-lane accumulators
     /// (independent dependency chains per block), then a 4-chunk middle
-    /// region and a scalar tail — the *same* association as
-    /// [`sum_sq_diff_at_least`], so the bounded variant's no-exit result is
-    /// bit-identical.
+    /// region and a scalar tail.
     #[inline(always)]
     pub fn sum_sq_diff(a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), b.len());
@@ -185,119 +186,6 @@ pub mod kernels {
             acc += (x - y).abs().powf(p);
         }
         acc
-    }
-
-    /// Whether `Σ (a_i − b_i)² ≥ bound`, checking the running partial sum
-    /// every 16 dimensions and stopping as soon as it proves the answer —
-    /// the candidate threshold test rarely needs the full row.
-    ///
-    /// Accumulation is association-identical to [`sum_sq_diff`], so a scan
-    /// that does not exit early compares the bit-identical sum; since every
-    /// term is non-negative the running total is monotone, making an early
-    /// exit exactly `sum_sq_diff(a, b) >= bound`.
-    #[inline(always)]
-    pub fn sum_sq_diff_at_least(a: &[f64], b: &[f64], bound: f64) -> bool {
-        debug_assert_eq!(a.len(), b.len());
-        let split16 = a.len() - a.len() % 16;
-        let split4 = a.len() - a.len() % 4;
-        let mut total = 0.0f64;
-        // Identical block-local accumulation to `sum_sq_diff`, plus one
-        // hoisted bound check per 16-dim block: the running `total` is
-        // monotone (all terms non-negative), so crossing the bound early
-        // proves the full sum crosses it.
-        for (ca, cb) in a[..split16]
-            .chunks_exact(16)
-            .zip(b[..split16].chunks_exact(16))
-        {
-            let mut acc = [0.0f64; 4];
-            for (qa, qb) in ca.chunks_exact(4).zip(cb.chunks_exact(4)) {
-                for lane in 0..4 {
-                    let d = qa[lane] - qb[lane];
-                    acc[lane] += d * d;
-                }
-            }
-            total += (acc[0] + acc[1]) + (acc[2] + acc[3]);
-            if total >= bound {
-                return true;
-            }
-        }
-        let mut acc = [0.0f64; 4];
-        for (qa, qb) in a[split16..split4]
-            .chunks_exact(4)
-            .zip(b[split16..split4].chunks_exact(4))
-        {
-            for lane in 0..4 {
-                let d = qa[lane] - qb[lane];
-                acc[lane] += d * d;
-            }
-        }
-        total += (acc[0] + acc[1]) + (acc[2] + acc[3]);
-        for (x, y) in a[split4..].iter().zip(b[split4..].iter()) {
-            let d = x - y;
-            total += d * d;
-        }
-        total >= bound
-    }
-
-    /// Whether `Σ |a_i − b_i| ≥ bound` (blockwise early exit with the same
-    /// lane order as [`sum_abs_diff`]; see [`sum_sq_diff_at_least`]).
-    #[inline(always)]
-    pub fn sum_abs_diff_at_least(a: &[f64], b: &[f64], bound: f64) -> bool {
-        debug_assert_eq!(a.len(), b.len());
-        let split16 = a.len() - a.len() % 16;
-        let split4 = a.len() - a.len() % 4;
-        let mut total = 0.0f64;
-        for (ca, cb) in a[..split16]
-            .chunks_exact(16)
-            .zip(b[..split16].chunks_exact(16))
-        {
-            let mut acc = [0.0f64; 4];
-            for (qa, qb) in ca.chunks_exact(4).zip(cb.chunks_exact(4)) {
-                for lane in 0..4 {
-                    acc[lane] += (qa[lane] - qb[lane]).abs();
-                }
-            }
-            total += (acc[0] + acc[1]) + (acc[2] + acc[3]);
-            if total >= bound {
-                return true;
-            }
-        }
-        let mut acc = [0.0f64; 4];
-        for (qa, qb) in a[split16..split4]
-            .chunks_exact(4)
-            .zip(b[split16..split4].chunks_exact(4))
-        {
-            for lane in 0..4 {
-                acc[lane] += (qa[lane] - qb[lane]).abs();
-            }
-        }
-        total += (acc[0] + acc[1]) + (acc[2] + acc[3]);
-        for (x, y) in a[split4..].iter().zip(b[split4..].iter()) {
-            total += (x - y).abs();
-        }
-        total >= bound
-    }
-
-    /// Whether `max |a_i − b_i| ≥ bound` (any single coordinate decides).
-    #[inline]
-    pub fn max_abs_diff_at_least(a: &[f64], b: &[f64], bound: f64) -> bool {
-        debug_assert_eq!(a.len(), b.len());
-        a.iter().zip(b.iter()).any(|(x, y)| (x - y).abs() >= bound)
-    }
-
-    /// Whether `Σ |a_i − b_i|^p ≥ bound` (early exit per coordinate; the
-    /// `powf` dominates, so finer blocking buys nothing).
-    #[inline]
-    pub fn sum_pow_diff_at_least(a: &[f64], b: &[f64], p: f64, bound: f64) -> bool {
-        debug_assert_eq!(a.len(), b.len());
-        let mut acc = 0.0;
-        for (x, y) in a.iter().zip(b.iter()) {
-            acc += (x - y).abs().powf(p);
-            if acc >= bound {
-                return true;
-            }
-        }
-        acc >= bound
     }
 
     /// `Σ a_i · b_i` — inner product (for Angular with cached norms).
@@ -405,12 +293,7 @@ impl Metric {
             Metric::Minkowski(p) if *p == 1.0 => kernel::sum_abs_diff(a, b),
             Metric::Minkowski(p) if *p == 2.0 => kernel::sum_sq_diff(a, b).sqrt(),
             Metric::Minkowski(p) => kernels::sum_pow_diff(a, b, *p).powf(1.0 / *p),
-            Metric::Angular => self.dist_from_proxy(self.proxy_with_norms(
-                a,
-                b,
-                kernel::norm_sq(a),
-                kernel::norm_sq(b),
-            )),
+            Metric::Angular => self.dist_from_proxy(self.proxy(a, b)),
         }
     }
 
@@ -429,17 +312,23 @@ impl Metric {
     #[inline]
     pub fn proxy(&self, a: &[f64], b: &[f64]) -> f64 {
         match self {
-            Metric::Angular => self.proxy_with_norms(a, b, kernel::norm_sq(a), kernel::norm_sq(b)),
-            _ => self.proxy_with_norms(a, b, 0.0, 0.0),
+            Metric::Angular => self.proxy_with_sqrt_norms(
+                a,
+                b,
+                kernel::norm_sq(a).sqrt(),
+                kernel::norm_sq(b).sqrt(),
+            ),
+            _ => self.proxy_with_sqrt_norms(a, b, 0.0, 0.0),
         }
     }
 
-    /// [`Metric::proxy`] with precomputed squared L2 norms (only Angular
-    /// reads them; pass anything for other metrics). The point arena caches
-    /// norms per row, saving two of the three inner products per Angular
-    /// distance on the hot path.
+    /// [`Metric::proxy`] with precomputed L2 norms (`√(Σ a_i²)`, *not*
+    /// squared) — the form the point arena caches alongside each row. Only
+    /// Angular reads them; pass anything for the other metrics. The cached
+    /// norms save two of the three inner products and both square roots per
+    /// Angular pair on the hot path.
     #[inline]
-    pub fn proxy_with_norms(&self, a: &[f64], b: &[f64], na_sq: f64, nb_sq: f64) -> f64 {
+    pub fn proxy_with_sqrt_norms(&self, a: &[f64], b: &[f64], na: f64, nb: f64) -> f64 {
         debug_assert_eq!(a.len(), b.len(), "points must have equal dimension");
         match self {
             Metric::Euclidean => kernel::sum_sq_diff(a, b),
@@ -449,38 +338,15 @@ impl Metric {
             Metric::Minkowski(p) if *p == 2.0 => kernel::sum_sq_diff(a, b),
             Metric::Minkowski(p) => kernels::sum_pow_diff(a, b, *p),
             Metric::Angular => {
-                if na_sq == 0.0 || nb_sq == 0.0 {
+                if na == 0.0 || nb == 0.0 {
                     // The angle is undefined for the zero vector; treat it as
                     // orthogonal to everything so degenerate inputs do not
                     // poison min-distances with NaN. −cos(π/2) = 0.
                     return 0.0;
                 }
-                let cos = (kernel::dot(a, b) / (na_sq.sqrt() * nb_sq.sqrt())).clamp(-1.0, 1.0);
-                -cos
-            }
-        }
-    }
-
-    /// [`Metric::proxy_with_norms`] with precomputed L2 norms (`√(Σ a_i²)`,
-    /// *not* squared) — the form the point arena caches alongside each row.
-    ///
-    /// Bit-identical to [`Metric::proxy_with_norms`] called with the
-    /// corresponding squared norms: `sqrt` is correctly rounded, so a cached
-    /// `norm_sq.sqrt()` equals the inline `na_sq.sqrt()` computed from the
-    /// same cached `norm_sq`. Saves the two square roots per pair on the
-    /// Angular hot path.
-    #[inline]
-    pub fn proxy_with_sqrt_norms(&self, a: &[f64], b: &[f64], na: f64, nb: f64) -> f64 {
-        match self {
-            Metric::Angular => {
-                debug_assert_eq!(a.len(), b.len(), "points must have equal dimension");
-                if na == 0.0 || nb == 0.0 {
-                    return 0.0;
-                }
                 let cos = (kernel::dot(a, b) / (na * nb)).clamp(-1.0, 1.0);
                 -cos
             }
-            _ => self.proxy_with_norms(a, b, 0.0, 0.0),
         }
     }
 
@@ -527,26 +393,7 @@ impl Metric {
         }
     }
 
-    /// Whether `proxy(a, b) ≥ bound` — the candidate threshold test
-    /// `d(a, b) ≥ µ` with `bound = proxy_from_dist(µ)`. For the Lp metrics
-    /// the partial sums are monotone, so the scan stops as soon as the
-    /// partial proves the answer (often after a fraction of the row);
-    /// decisions are *exactly* those of comparing the full proxy.
-    #[inline]
-    pub fn proxy_at_least(&self, a: &[f64], b: &[f64], na_sq: f64, nb_sq: f64, bound: f64) -> bool {
-        match self {
-            Metric::Euclidean => kernel::sum_sq_diff_at_least(a, b, bound),
-            Metric::Manhattan => kernel::sum_abs_diff_at_least(a, b, bound),
-            Metric::Chebyshev => kernels::max_abs_diff_at_least(a, b, bound),
-            Metric::Minkowski(p) if *p == 1.0 => kernel::sum_abs_diff_at_least(a, b, bound),
-            Metric::Minkowski(p) if *p == 2.0 => kernel::sum_sq_diff_at_least(a, b, bound),
-            Metric::Minkowski(p) => kernels::sum_pow_diff_at_least(a, b, *p, bound),
-            // The dot product is not monotone; evaluate the full proxy.
-            Metric::Angular => self.proxy_with_norms(a, b, na_sq, nb_sq) >= bound,
-        }
-    }
-
-    /// Whether [`Metric::proxy`] benefits from cached squared norms.
+    /// Whether [`Metric::proxy`] benefits from cached norms.
     #[inline]
     pub fn uses_norms(&self) -> bool {
         matches!(self, Metric::Angular)
@@ -716,42 +563,27 @@ mod tests {
         // d(a, −a) = π; a guess µ > π must never be satisfied (the old
         // direct `dist >= mu` comparison rejected it, and so must the proxy
         // test — clamping to −cos(π) would wrongly accept).
-        let a = [1.0, 0.0];
-        let b = [-1.0, 0.0];
+        use crate::point::{Element, PointStore};
+        use crate::streaming::candidate::{ArrivalProxies, Candidate};
         let metric = Metric::Angular;
-        let p = metric.proxy(&a, &b);
+        let (a, b) = (
+            Element::new(0, vec![1.0, 0.0], 0),
+            Element::new(1, vec![-1.0, 0.0], 0),
+        );
+        let p = metric.proxy(&a.point, &b.point);
         assert!(p < metric.proxy_from_dist(3.5));
-        assert!(!metric.proxy_at_least(&a, &b, 1.0, 1.0, metric.proxy_from_dist(3.5)));
         // At exactly π the pair still qualifies.
-        assert!(p >= metric.proxy_from_dist(std::f64::consts::PI));
-    }
-
-    #[test]
-    fn bounded_kernels_bit_match_full_kernels_without_exit() {
-        // With bound = +∞ the bounded scans never exit early and must
-        // produce the decision of the bit-identical full sum; probe that the
-        // boundary value itself matches for every remainder class.
-        for len in 0..40usize {
-            let a: Vec<f64> = (0..len).map(|i| (i as f64 * 0.9).sin() * 3.0).collect();
-            let b: Vec<f64> = (0..len).map(|i| (i as f64 * 1.7).cos() * 3.0).collect();
-            let sq = kernels::sum_sq_diff(&a, &b);
-            let ab = kernels::sum_abs_diff(&a, &b);
-            // The exact full-kernel value used as the bound: `>=` must hold,
-            // and any value strictly above must not.
-            assert!(kernels::sum_sq_diff_at_least(&a, &b, sq));
-            assert!(kernels::sum_abs_diff_at_least(&a, &b, ab));
-            if len > 0 {
-                assert!(!kernels::sum_sq_diff_at_least(
-                    &a,
-                    &b,
-                    sq + sq.abs() * 1e-15 + 1e-300
-                ));
-                assert!(!kernels::sum_abs_diff_at_least(
-                    &a,
-                    &b,
-                    ab + ab.abs() * 1e-15 + 1e-300
-                ));
+        assert!(p >= metric.proxy_from_dist(PI));
+        // The candidate probe: µ > π keeps the first arrival (an empty
+        // candidate accepts anything) and rejects its antipode; µ = π keeps
+        // both.
+        for (mu, kept) in [(3.5, 1), (PI, 2)] {
+            let (mut cache, mut store) = (ArrivalProxies::new(), PointStore::new(2));
+            let mut c = Candidate::new(mu, 4, metric);
+            for e in [&a, &b] {
+                cache.offer(&mut store, metric, [&mut c], e);
             }
+            assert_eq!(c.len(), kept, "µ = {mu}");
         }
     }
 

@@ -72,15 +72,14 @@ impl PointId {
 }
 
 /// Append-only arena of points: contiguous row-major coordinates plus a
-/// group label, the producer-assigned external id, and cached squared /
-/// plain L2 norms per row (used by the Angular kernel).
+/// group label, the producer-assigned external id, and the cached L2 norm
+/// per row (used by the Angular kernel).
 #[derive(Debug, Clone, Default)]
 pub struct PointStore {
     dim: usize,
     coords: Vec<f64>,
     groups: Vec<u32>,
     external_ids: Vec<usize>,
-    norms_sq: Vec<f64>,
     norms: Vec<f64>,
 }
 
@@ -102,7 +101,6 @@ impl PointStore {
             coords: Vec::with_capacity(capacity * dim),
             groups: Vec::with_capacity(capacity),
             external_ids: Vec::with_capacity(capacity),
-            norms_sq: Vec::with_capacity(capacity),
             norms: Vec::with_capacity(capacity),
         }
     }
@@ -141,7 +139,6 @@ impl PointStore {
         // pin Angular decisions to exactly this norm, so it must not be
         // "upgraded" to the chunked kernel.
         let norm_sq: f64 = point.iter().map(|&x| x * x).sum();
-        self.norms_sq.push(norm_sq);
         self.norms.push(norm_sq.sqrt());
         PointId(id)
     }
@@ -170,15 +167,8 @@ impl PointStore {
         self.external_ids[id.index()]
     }
 
-    /// Cached squared L2 norm of point `id`.
-    #[inline]
-    pub fn norm_sq(&self, id: PointId) -> f64 {
-        self.norms_sq[id.index()]
-    }
-
-    /// Cached L2 norm of point `id` (`norm_sq(id).sqrt()`, computed once at
-    /// push — `sqrt` is correctly rounded, so this is bit-identical to
-    /// taking the root at the call site).
+    /// Cached L2 norm of point `id`: the square root of the single-accumulator
+    /// sum of squares, computed once at push.
     #[inline]
     pub fn norm(&self, id: PointId) -> f64 {
         self.norms[id.index()]
@@ -345,7 +335,6 @@ mod tests {
     fn store_caches_norms() {
         let mut store = PointStore::new(2);
         let a = store.push(0, &[3.0, 4.0], 0);
-        assert_eq!(store.norm_sq(a), 25.0);
         assert_eq!(store.norm(a), 5.0);
     }
 

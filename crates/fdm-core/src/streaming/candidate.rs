@@ -14,6 +14,10 @@
 //! rows in *proxy space* (squared Euclidean, etc. — see
 //! [`Metric::proxy_from_dist`]), so the hot threshold test performs no
 //! `sqrt`/`acos` at all.
+//!
+//! The test has one implementation, [`ArrivalProxies::offer`]: every
+//! algorithm hands it an arriving element and the candidates to test, and
+//! the element is interned at most once however many of them keep it.
 
 use crate::kernel;
 use crate::metric::Metric;
@@ -26,15 +30,11 @@ use crate::point::{Element, PointId, PointStore};
 /// candidates, and their member lists overlap heavily (an element accepted
 /// at guess `µ` typically sits in many neighboring guesses' candidates and
 /// in both the blind and its group's ladder). Without the cache, each
-/// candidate re-evaluates the distance kernel against the same arena rows;
-/// with it, each `(arrival, arena row)` pair costs exactly one full-kernel
-/// evaluation and every further test is an array lookup.
-///
-/// Decisions are **bit-identical** to the bounded per-candidate scans: the
-/// `*_at_least` kernels are association-identical to their full-sum
-/// counterparts and every term is non-negative, so `full_proxy ≥ bound`
-/// agrees exactly with the early-exit comparison (pinned by
-/// `tests/kernel_parity.rs`).
+/// candidate would re-evaluate the distance kernel against the same arena
+/// rows; with it, each `(arrival, arena row)` pair costs exactly one
+/// kernel evaluation and every further test is an array lookup. The cached
+/// value is the exact proxy, so every decision is the full comparison
+/// `proxy ≥ proxy_from_dist(µ)`.
 #[derive(Debug, Clone, Default)]
 pub struct ArrivalProxies {
     /// Exact proxy to arena row `i`, valid iff `stamps[i] == epoch`.
@@ -55,11 +55,42 @@ impl ArrivalProxies {
         ArrivalProxies::default()
     }
 
+    /// Algorithm 1, lines 4–6, for every candidate of a ladder at once:
+    /// offers `element` to each of `candidates` in order, and each one that
+    /// is not full and finds the element at distance ≥ µ from all of its
+    /// members keeps it. The element is interned into `store` on its first
+    /// acceptance only, and that one id goes into every accepting
+    /// candidate. Returns the id, or `None` if no candidate kept the
+    /// element (the store is then unchanged).
+    ///
+    /// Every candidate must be over `store` and use `metric`.
+    #[inline]
+    pub fn offer<'a>(
+        &mut self,
+        store: &mut PointStore,
+        metric: Metric,
+        candidates: impl IntoIterator<Item = &'a mut Candidate>,
+        element: &Element,
+    ) -> Option<PointId> {
+        self.begin_arrival(store, metric, &element.point);
+        // The freshly interned id never needs a cache slot: it is only
+        // pushed into candidates that already made their decision for this
+        // arrival.
+        let mut interned: Option<PointId> = None;
+        for candidate in candidates {
+            if candidate.accepts_cached(store, self, &element.point) {
+                let id = *interned.get_or_insert_with(|| store.push_element(element));
+                candidate.push(id);
+            }
+        }
+        interned
+    }
+
     /// Resets the cache for a new arriving `point`: every slot becomes
     /// "unknown" by bumping the generation stamp (slot storage grows but is
     /// never rewritten), and the arrival's norm is computed once for
     /// norm-using metrics.
-    pub fn begin_arrival(&mut self, store: &PointStore, metric: Metric, point: &[f64]) {
+    fn begin_arrival(&mut self, store: &PointStore, metric: Metric, point: &[f64]) {
         if self.stamps.len() < store.len() {
             // Stamp 0 is never a valid epoch (the first arrival uses 1).
             self.stamps.resize(store.len(), 0);
@@ -77,7 +108,7 @@ impl ArrivalProxies {
     /// `id`, computing it on first use (cached norms from the arena, the
     /// arrival norm from [`ArrivalProxies::begin_arrival`]).
     #[inline]
-    pub fn proxy(&mut self, store: &PointStore, metric: Metric, point: &[f64], id: PointId) -> f64 {
+    fn proxy(&mut self, store: &PointStore, metric: Metric, point: &[f64], id: PointId) -> f64 {
         let i = id.index();
         if self.stamps[i] != self.epoch {
             self.stamps[i] = self.epoch;
@@ -143,73 +174,13 @@ impl Candidate {
         &self.members
     }
 
-    /// Materializes the kept elements from the arena, in insertion order.
-    pub fn elements(&self, store: &PointStore) -> Vec<Element> {
-        self.members.iter().map(|&id| store.element(id)).collect()
-    }
-
-    /// Minimum *proxy* distance from `point` to the candidate
-    /// (`+∞` when empty), with early exit once below the threshold proxy.
-    #[inline]
-    fn proxy_distance_to(&self, store: &PointStore, point: &[f64], norm_sq: f64) -> f64 {
-        let mut best = f64::INFINITY;
-        for &id in &self.members {
-            let p = self
-                .metric
-                .proxy_with_norms(point, store.row(id), norm_sq, store.norm_sq(id));
-            if p < best {
-                best = p;
-                // Early exit: once below the threshold the element will be
-                // rejected anyway; saves ~half the distance evaluations in
-                // the hot path without changing behavior.
-                if best < self.mu_proxy {
-                    break;
-                }
-            }
-        }
-        best
-    }
-
-    /// Distance from `point` to the candidate (`+∞` when empty).
-    ///
-    /// May return any value `< µ` early once rejection is certain (same
-    /// contract as the scan it replaces: exact above the threshold).
-    #[inline]
-    pub fn distance_to(&self, store: &PointStore, point: &[f64]) -> f64 {
-        let norm_sq = if self.metric.uses_norms() {
-            kernel::norm_sq(point)
-        } else {
-            0.0
-        };
-        self.metric
-            .dist_from_proxy(self.proxy_distance_to(store, point, norm_sq))
-    }
-
     /// The acceptance test of Algorithm 1 line 5 — `!full ∧ d(point, S_µ) ≥ µ`
-    /// — entirely in proxy space with bounded (partial-sum) row scans.
-    /// Read-only: safe to evaluate for many candidates in parallel against
-    /// the same arena.
+    /// — in proxy space through the shared per-arrival cache: the distance
+    /// to each arena row is computed at most once per arrival no matter how
+    /// many candidates test it. The cache must have been prepared for this
+    /// arrival with [`ArrivalProxies::begin_arrival`].
     #[inline]
-    pub fn accepts(&self, store: &PointStore, point: &[f64], norm_sq: f64) -> bool {
-        !self.is_full()
-            && self.members.iter().all(|&id| {
-                self.metric.proxy_at_least(
-                    point,
-                    store.row(id),
-                    norm_sq,
-                    store.norm_sq(id),
-                    self.mu_proxy,
-                )
-            })
-    }
-
-    /// [`Candidate::accepts`] through a shared per-arrival proxy cache: the
-    /// distance to each arena row is computed at most once per arrival no
-    /// matter how many candidates test it. Decisions are bit-identical to
-    /// the uncached test (see [`ArrivalProxies`]). The cache must have been
-    /// prepared for this arrival with [`ArrivalProxies::begin_arrival`].
-    #[inline]
-    pub fn accepts_cached(
+    fn accepts_cached(
         &self,
         store: &PointStore,
         cache: &mut ArrivalProxies,
@@ -222,60 +193,14 @@ impl Candidate {
                 .all(|&id| cache.proxy(store, self.metric, point, id) >= self.mu_proxy)
     }
 
-    /// Records an already-interned accepted point (see
-    /// [`Candidate::accepts`]; the caller interns into the arena once and
-    /// pushes the id into every accepting candidate).
+    /// Records an already-interned point that
+    /// [`Candidate::accepts_cached`] accepted (see
+    /// [`ArrivalProxies::offer`], which interns once and pushes the id into
+    /// every acceptor).
     #[inline]
-    pub fn push(&mut self, id: PointId) {
+    fn push(&mut self, id: PointId) {
         debug_assert!(!self.is_full());
         self.members.push(id);
-    }
-
-    /// Algorithm 1, lines 5–6 for a *single* candidate owning its arena:
-    /// interns and keeps `element` iff it is not full and
-    /// `d(element, S_µ) ≥ µ`. Returns whether it was kept.
-    ///
-    /// Multi-candidate algorithms share one arena instead: they call
-    /// [`Candidate::accepts`] on every candidate, intern once, then
-    /// [`Candidate::push`] the id into each acceptor.
-    #[inline]
-    pub fn try_insert(&mut self, store: &mut PointStore, element: &Element) -> bool {
-        let norm_sq = if self.metric.uses_norms() {
-            kernel::norm_sq(&element.point)
-        } else {
-            0.0
-        };
-        if self.accepts(store, &element.point, norm_sq) {
-            let id = store.push_element(element);
-            self.members.push(id);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// `div(S_µ)` over the kept elements (`+∞` for fewer than two).
-    pub fn diversity(&self, store: &PointStore) -> f64 {
-        let mut best = f64::INFINITY;
-        for (i, &a) in self.members.iter().enumerate() {
-            for &b in &self.members[i + 1..] {
-                let p = self.metric.proxy_with_norms(
-                    store.row(a),
-                    store.row(b),
-                    store.norm_sq(a),
-                    store.norm_sq(b),
-                );
-                if p < best {
-                    best = p;
-                }
-            }
-        }
-        self.metric.dist_from_proxy(best)
-    }
-
-    /// Consumes the candidate, returning its member ids.
-    pub fn into_members(self) -> Vec<PointId> {
-        self.members
     }
 
     /// Replaces the member list wholesale — the snapshot-restore path.
@@ -290,37 +215,51 @@ impl Candidate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diversity::diversity_of_ids;
 
     fn elem(id: usize, x: f64) -> Element {
         Element::new(id, vec![x], 0)
     }
 
+    /// Offers `e` to the one candidate `c` through the production probe;
+    /// whether `c` kept it.
+    fn offer_one(
+        cache: &mut ArrivalProxies,
+        store: &mut PointStore,
+        c: &mut Candidate,
+        e: &Element,
+    ) -> bool {
+        let metric = c.metric;
+        cache.offer(store, metric, [c], e).is_some()
+    }
+
     #[test]
     fn accepts_far_rejects_near() {
-        let mut store = PointStore::new(1);
+        let (mut cache, mut store) = (ArrivalProxies::new(), PointStore::new(1));
         let mut c = Candidate::new(1.0, 5, Metric::Euclidean);
-        assert!(c.try_insert(&mut store, &elem(0, 0.0)));
+        assert!(offer_one(&mut cache, &mut store, &mut c, &elem(0, 0.0)));
         assert!(
-            !c.try_insert(&mut store, &elem(1, 0.5)),
+            !offer_one(&mut cache, &mut store, &mut c, &elem(1, 0.5)),
             "0.5 < mu rejected"
         );
         assert!(
-            c.try_insert(&mut store, &elem(2, 1.0)),
+            offer_one(&mut cache, &mut store, &mut c, &elem(2, 1.0)),
             "exactly mu accepted"
         );
-        assert!(c.try_insert(&mut store, &elem(3, 2.5)));
+        assert!(offer_one(&mut cache, &mut store, &mut c, &elem(3, 2.5)));
         assert_eq!(c.len(), 3);
+        assert_eq!(store.len(), 3, "a rejected element is not interned");
     }
 
     #[test]
     fn capacity_is_enforced() {
-        let mut store = PointStore::new(1);
+        let (mut cache, mut store) = (ArrivalProxies::new(), PointStore::new(1));
         let mut c = Candidate::new(1.0, 2, Metric::Euclidean);
-        assert!(c.try_insert(&mut store, &elem(0, 0.0)));
-        assert!(c.try_insert(&mut store, &elem(1, 10.0)));
+        assert!(offer_one(&mut cache, &mut store, &mut c, &elem(0, 0.0)));
+        assert!(offer_one(&mut cache, &mut store, &mut c, &elem(1, 10.0)));
         assert!(c.is_full());
         assert!(
-            !c.try_insert(&mut store, &elem(2, 20.0)),
+            !offer_one(&mut cache, &mut store, &mut c, &elem(2, 20.0)),
             "full candidate rejects everything"
         );
         assert_eq!(c.len(), 2);
@@ -328,59 +267,63 @@ mod tests {
 
     #[test]
     fn diversity_invariant_holds() {
-        let mut store = PointStore::new(1);
+        let (mut cache, mut store) = (ArrivalProxies::new(), PointStore::new(1));
         let mut c = Candidate::new(2.0, 10, Metric::Euclidean);
         for (i, x) in [0.0, 1.0, 2.0, 3.5, 4.0, 9.0, 10.5].iter().enumerate() {
-            c.try_insert(&mut store, &elem(i, *x));
+            offer_one(&mut cache, &mut store, &mut c, &elem(i, *x));
         }
-        assert!(c.diversity(&store) >= c.mu(), "div(S_mu) >= mu must hold");
+        assert!(
+            diversity_of_ids(&store, c.members(), Metric::Euclidean) >= c.mu(),
+            "div(S_mu) >= mu must hold"
+        );
     }
 
     #[test]
     fn rejected_elements_are_close_when_not_full() {
-        let mut store = PointStore::new(1);
+        let (mut cache, mut store) = (ArrivalProxies::new(), PointStore::new(1));
         let mut c = Candidate::new(1.0, 10, Metric::Euclidean);
         let stream = [0.0, 0.4, 0.9, 3.0, 3.3, 7.0];
         let mut rejected = Vec::new();
         for (i, x) in stream.iter().enumerate() {
             let e = elem(i, *x);
-            if !c.try_insert(&mut store, &e) {
+            if !offer_one(&mut cache, &mut store, &mut c, &e) {
                 rejected.push(e);
             }
         }
         assert!(!c.is_full());
         for e in rejected {
             assert!(
-                c.distance_to(&store, &e.point) < 1.0,
+                c.members()
+                    .iter()
+                    .any(|&id| Metric::Euclidean.dist(store.row(id), &e.point) < 1.0),
                 "rejected element must be within mu"
             );
         }
     }
 
     #[test]
-    fn distance_to_empty_is_infinite() {
-        let store = PointStore::new(1);
-        let c = Candidate::new(1.0, 3, Metric::Euclidean);
-        assert_eq!(c.distance_to(&store, &[42.0]), f64::INFINITY);
-    }
-
-    #[test]
     fn diversity_of_small_candidates_is_infinite() {
-        let mut store = PointStore::new(1);
+        let (mut cache, mut store) = (ArrivalProxies::new(), PointStore::new(1));
         let mut c = Candidate::new(1.0, 3, Metric::Euclidean);
-        assert_eq!(c.diversity(&store), f64::INFINITY);
-        c.try_insert(&mut store, &elem(0, 0.0));
-        assert_eq!(c.diversity(&store), f64::INFINITY);
+        assert_eq!(
+            diversity_of_ids(&store, c.members(), Metric::Euclidean),
+            f64::INFINITY
+        );
+        offer_one(&mut cache, &mut store, &mut c, &elem(0, 0.0));
+        assert_eq!(
+            diversity_of_ids(&store, c.members(), Metric::Euclidean),
+            f64::INFINITY
+        );
     }
 
     #[test]
-    fn into_members_preserves_order() {
-        let mut store = PointStore::new(1);
+    fn members_keep_insertion_order() {
+        let (mut cache, mut store) = (ArrivalProxies::new(), PointStore::new(1));
         let mut c = Candidate::new(1.0, 3, Metric::Euclidean);
-        c.try_insert(&mut store, &elem(5, 0.0));
-        c.try_insert(&mut store, &elem(9, 5.0));
+        offer_one(&mut cache, &mut store, &mut c, &elem(5, 0.0));
+        offer_one(&mut cache, &mut store, &mut c, &elem(9, 5.0));
         let ids: Vec<usize> = c
-            .into_members()
+            .members()
             .iter()
             .map(|&id| store.external_id(id))
             .collect();
@@ -389,51 +332,63 @@ mod tests {
 
     #[test]
     fn manhattan_candidate() {
-        let mut store = PointStore::new(2);
+        let (mut cache, mut store) = (ArrivalProxies::new(), PointStore::new(2));
         let mut c = Candidate::new(2.0, 4, Metric::Manhattan);
-        assert!(c.try_insert(&mut store, &Element::new(0, vec![0.0, 0.0], 0)));
+        let e = |id, p: [f64; 2]| Element::new(id, p.to_vec(), 0);
+        assert!(offer_one(&mut cache, &mut store, &mut c, &e(0, [0.0, 0.0])));
         // Manhattan distance 1.5 < 2 → reject; Euclidean would be ~1.06 too.
-        assert!(!c.try_insert(&mut store, &Element::new(1, vec![0.75, 0.75], 0)));
+        assert!(!offer_one(
+            &mut cache,
+            &mut store,
+            &mut c,
+            &e(1, [0.75, 0.75])
+        ));
         // Manhattan distance 2.0 → accept.
-        assert!(c.try_insert(&mut store, &Element::new(2, vec![1.0, 1.0], 0)));
+        assert!(offer_one(&mut cache, &mut store, &mut c, &e(2, [1.0, 1.0])));
     }
 
     #[test]
     fn angular_candidate_uses_cached_norms() {
-        let mut store = PointStore::new(2);
+        let (mut cache, mut store) = (ArrivalProxies::new(), PointStore::new(2));
         let mut c = Candidate::new(0.5, 4, Metric::Angular);
-        assert!(c.try_insert(&mut store, &Element::new(0, vec![1.0, 0.0], 0)));
+        let e = |id, p: [f64; 2]| Element::new(id, p.to_vec(), 0);
+        assert!(offer_one(&mut cache, &mut store, &mut c, &e(0, [1.0, 0.0])));
         // Same direction, different magnitude: angle 0 < 0.5 → reject.
-        assert!(!c.try_insert(&mut store, &Element::new(1, vec![5.0, 0.0], 0)));
+        assert!(!offer_one(
+            &mut cache,
+            &mut store,
+            &mut c,
+            &e(1, [5.0, 0.0])
+        ));
         // Right angle: π/2 ≥ 0.5 → accept.
-        assert!(c.try_insert(&mut store, &Element::new(2, vec![0.0, 3.0], 0)));
-        assert!((c.diversity(&store) - std::f64::consts::FRAC_PI_2).abs() < 1e-9);
+        assert!(offer_one(&mut cache, &mut store, &mut c, &e(2, [0.0, 3.0])));
+        let div = diversity_of_ids(&store, c.members(), Metric::Angular);
+        assert!((div - std::f64::consts::FRAC_PI_2).abs() < 1e-9);
     }
 
     #[test]
     fn shared_arena_accept_then_push() {
-        // The multi-candidate protocol: probe with `accepts`, intern once,
-        // push into every acceptor.
-        let mut store = PointStore::new(1);
+        // Two candidates, one `offer` per arrival: each element is interned
+        // once, and the one id goes into every candidate that keeps it.
+        let (mut cache, mut store) = (ArrivalProxies::new(), PointStore::new(1));
         let mut c1 = Candidate::new(1.0, 4, Metric::Euclidean);
         let mut c2 = Candidate::new(5.0, 4, Metric::Euclidean);
-        for (i, x) in [0.0, 2.0, 7.0].iter().enumerate() {
-            let e = elem(i, *x);
-            let nsq = kernel::norm_sq(&e.point);
-            let a1 = c1.accepts(&store, &e.point, nsq);
-            let a2 = c2.accepts(&store, &e.point, nsq);
-            if a1 || a2 {
-                let id = store.push_element(&e);
-                if a1 {
-                    c1.push(id);
-                }
-                if a2 {
-                    c2.push(id);
-                }
-            }
+        let mut kept = Vec::new();
+        for (i, x) in [0.0, 2.0, 7.0, 7.5].iter().enumerate() {
+            let id = cache.offer(
+                &mut store,
+                Metric::Euclidean,
+                [&mut c1, &mut c2],
+                &elem(i, *x),
+            );
+            kept.push(id.map(|id| store.external_id(id)));
         }
-        assert_eq!(c1.len(), 3); // 0, 2, 7 all pairwise >= 1 apart
+        // 0, 2, 7 are pairwise >= 1 apart; 7.5 is within 1 of 7 and within
+        // 5 of 7, so neither keeps it.
+        assert_eq!(kept, vec![Some(0), Some(1), Some(2), None]);
+        assert_eq!(c1.len(), 3);
         assert_eq!(c2.len(), 2); // 0 and 7
         assert_eq!(store.len(), 3, "each element interned exactly once");
+        assert_eq!(c1.members()[2], c2.members()[1], "one id for both");
     }
 }

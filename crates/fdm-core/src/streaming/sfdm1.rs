@@ -132,24 +132,15 @@ impl Sfdm1 {
         self.processed += 1;
         // One shared proxy cache per arrival: candidates of neighboring
         // guesses hold largely the same members, so each arena row is
-        // evaluated once however many candidates test it. (The freshly
-        // interned id never needs a cache slot — it is only pushed into
-        // candidates that already made their decision this arrival.)
-        self.scratch
-            .begin_arrival(&self.store, self.metric, &element.point);
-        let mut interned: Option<PointId> = None;
-        let store = &mut self.store;
-        let scratch = &mut self.scratch;
-        for candidate in self
-            .blind
-            .iter_mut()
-            .chain(self.specific[element.group].iter_mut())
-        {
-            if candidate.accepts_cached(store, scratch, &element.point) {
-                let id = *interned.get_or_insert_with(|| store.push_element(element));
-                candidate.push(id);
-            }
-        }
+        // evaluated once however many candidates test it.
+        self.scratch.offer(
+            &mut self.store,
+            self.metric,
+            self.blind
+                .iter_mut()
+                .chain(self.specific[element.group].iter_mut()),
+            element,
+        );
     }
 
     /// Processes a batch of stream elements in order — the

@@ -177,21 +177,14 @@ impl Sfdm2 {
         // One shared proxy cache per arrival (see the Sfdm1 counterpart):
         // the blind and group ladders overlap heavily in members, so each
         // arena row costs one kernel evaluation per arrival at most.
-        self.scratch
-            .begin_arrival(&self.store, self.metric, &element.point);
-        let mut interned: Option<PointId> = None;
-        let store = &mut self.store;
-        let scratch = &mut self.scratch;
-        for candidate in self
-            .blind
-            .iter_mut()
-            .chain(self.specific[element.group].iter_mut())
-        {
-            if candidate.accepts_cached(store, scratch, &element.point) {
-                let id = *interned.get_or_insert_with(|| store.push_element(element));
-                candidate.push(id);
-            }
-        }
+        self.scratch.offer(
+            &mut self.store,
+            self.metric,
+            self.blind
+                .iter_mut()
+                .chain(self.specific[element.group].iter_mut()),
+            element,
+        );
     }
 
     /// Processes a batch of stream elements in order — the
@@ -327,14 +320,14 @@ impl GuessPipeline for Sfdm2 {
         let result = match self.mode {
             AugmentationMode::SeededGreedy => {
                 let score = |x: usize, members: &[usize]| {
-                    let (row, norm) = (self.store.row(sall[x]), self.store.norm_sq(sall[x]));
+                    let (row, norm) = (self.store.row(sall[x]), self.store.norm(sall[x]));
                     let mut best = f64::INFINITY;
                     for &y in members {
-                        let p = self.metric.proxy_with_norms(
+                        let p = self.metric.proxy_with_sqrt_norms(
                             row,
                             self.store.row(sall[y]),
                             norm,
-                            self.store.norm_sq(sall[y]),
+                            self.store.norm(sall[y]),
                         );
                         if p < best {
                             best = p;

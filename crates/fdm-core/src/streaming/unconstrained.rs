@@ -7,22 +7,23 @@
 //! which the test suite checks against brute-force optima.
 //!
 //! Retained elements are interned exactly once into a shared [`PointStore`]
-//! arena; candidates hold [`PointId`]s and test thresholds in proxy space
-//! (see [`crate::metric`]). The per-guess diversity scan of
-//! [`StreamingDiversityMaximization::finalize`] fans out across the ladder
-//! on the pool.
+//! arena; candidates hold [`PointId`](crate::point::PointId)s and test
+//! thresholds in proxy space (see [`crate::metric`]). The per-guess
+//! diversity scan of [`StreamingDiversityMaximization::finalize`] fans out
+//! across the ladder on the pool.
 
 use std::collections::HashSet;
 
 use serde::Serialize as _;
 
 use crate::dataset::DistanceBounds;
+use crate::diversity::diversity_of_ids;
 use crate::error::{FdmError, Result};
 use crate::guess::GuessLadder;
 use crate::metric::Metric;
 use crate::par::maybe_par_map;
 use crate::persist::{self, Snapshottable};
-use crate::point::{Element, PointId, PointStore};
+use crate::point::{Element, PointStore};
 use crate::solution::Solution;
 use crate::streaming::candidate::{ArrivalProxies, Candidate};
 use crate::streaming::sharded::ShardAlgorithm;
@@ -98,16 +99,7 @@ impl StreamingDiversityMaximization {
         // overlapping members, so each retained row costs one kernel
         // evaluation however many guesses test it.
         self.scratch
-            .begin_arrival(&self.store, self.metric, &element.point);
-        let mut interned: Option<PointId> = None;
-        let store = &mut self.store;
-        let scratch = &mut self.scratch;
-        for candidate in &mut self.candidates {
-            if candidate.accepts_cached(store, scratch, &element.point) {
-                let id = *interned.get_or_insert_with(|| store.push_element(element));
-                candidate.push(id);
-            }
-        }
+            .offer(&mut self.store, self.metric, &mut self.candidates, element);
     }
 
     /// Processes a batch of stream elements in order — the
@@ -162,7 +154,7 @@ impl StreamingDiversityMaximization {
     pub fn finalize(&self) -> Result<Solution> {
         let diversities: Vec<Option<f64>> = maybe_par_map(self.candidates.len(), |j| {
             let c = &self.candidates[j];
-            (c.len() == self.k).then(|| c.diversity(&self.store))
+            (c.len() == self.k).then(|| diversity_of_ids(&self.store, c.members(), self.metric))
         });
         let best = diversities
             .iter()

@@ -1,10 +1,9 @@
-//! Property tests pinning the vectorized/bounded distance kernels to naive
-//! scalar references: across all five metrics and dimensions 1–257 (covering
-//! every `chunks_exact` remainder and multi-block row), the chunked kernels,
-//! the proxy round trip, cached-norm proxies, and the bounded
-//! `proxy_at_least` test must agree with straightforward one-accumulator
-//! loops to 1e-9, and the AVX2 build of every dispatched kernel must equal
-//! its baseline build bit for bit.
+//! Property tests pinning the vectorized distance kernels to naive scalar
+//! references: across all five metrics and dimensions 1–257 (covering every
+//! `chunks_exact` remainder and multi-block row), the chunked kernels, the
+//! proxy round trip and cached-norm proxies must agree with straightforward
+//! one-accumulator loops to 1e-9, and the AVX2 build of every dispatched
+//! kernel must equal its baseline build bit for bit.
 
 use fdm_core::kernel;
 use fdm_core::metric::{kernels, Metric};
@@ -132,50 +131,17 @@ proptest! {
         let ia = store.push(0, &a, 0);
         let ib = store.push(1, &b, 0);
         for metric in all_metrics() {
-            let cached = metric.dist_from_proxy(metric.proxy_with_norms(
+            let cached = metric.dist_from_proxy(metric.proxy_with_sqrt_norms(
                 store.row(ia),
                 store.row(ib),
-                store.norm_sq(ia),
-                store.norm_sq(ib),
+                store.norm(ia),
+                store.norm(ib),
             ));
             let slow = reference_dist(metric, &a, &b);
             prop_assert!(
                 close(cached, slow),
                 "{metric:?} dim {dim}: cached-norm {cached} vs reference {slow}"
             );
-        }
-    }
-
-    #[test]
-    fn bounded_threshold_test_matches_full_comparison(
-        dim in 1usize..258,
-        seed in 0u64..1_000_000,
-        scale in 0.1f64..3.0,
-    ) {
-        use rand::prelude::*;
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(29));
-        let a: Vec<f64> = (0..dim).map(|_| rng.random::<f64>() * 8.0 - 4.0).collect();
-        let b: Vec<f64> = (0..dim).map(|_| rng.random::<f64>() * 8.0 - 4.0).collect();
-        let na = kernels::norm_sq(&a);
-        let nb = kernels::norm_sq(&b);
-        for metric in all_metrics() {
-            let d = reference_dist(metric, &a, &b);
-            // Thresholds strictly below and above the true distance must be
-            // decided exactly; near the boundary we only require agreement
-            // with the full proxy comparison (identical arithmetic).
-            for mu in [d * scale.min(0.95), d * (1.05 + scale)] {
-                if mu <= 0.0 {
-                    continue;
-                }
-                let bound = metric.proxy_from_dist(mu);
-                let fast = metric.proxy_at_least(&a, &b, na, nb, bound);
-                let full = metric.proxy_with_norms(&a, &b, na, nb) >= bound;
-                prop_assert_eq!(
-                    fast, full,
-                    "{:?} dim {}: bounded test disagrees with full proxy at mu {}",
-                    metric, dim, mu
-                );
-            }
         }
     }
 
@@ -212,36 +178,6 @@ proptest! {
         let scalar_norm = kernels::norm_sq(&a);
         if let Some(v) = kernel::force_avx2_norm_sq(&a) {
             prop_assert_eq!(v.to_bits(), scalar_norm.to_bits(), "norm_sq dim {}: AVX2", dim);
-        }
-    }
-
-    /// The AVX2 bounded scans must take the *same decision* as the scalar
-    /// bounded kernels for bounds below, at, and above the exact value —
-    /// including the blockwise early-exit points, which see identical
-    /// partial sums by construction.
-    #[test]
-    fn bounded_simd_scans_bit_match_scalar(
-        dim in 1usize..258,
-        seed in 0u64..1_000_000,
-        frac in 0.0f64..2.0,
-    ) {
-        use rand::prelude::*;
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(59));
-        let a: Vec<f64> = (0..dim).map(|_| rng.random::<f64>() * 8.0 - 4.0).collect();
-        let b: Vec<f64> = (0..dim).map(|_| rng.random::<f64>() * 8.0 - 4.0).collect();
-        let sq = kernels::sum_sq_diff(&a, &b);
-        let ab = kernels::sum_abs_diff(&a, &b);
-        for bound in [sq * frac, sq, f64::MIN_POSITIVE] {
-            let scalar = kernels::sum_sq_diff_at_least(&a, &b, bound);
-            if let Some(v) = kernel::force_avx2_sum_sq_diff_at_least(&a, &b, bound) {
-                prop_assert_eq!(v, scalar, "sum_sq bound {} dim {}: AVX2", bound, dim);
-            }
-        }
-        for bound in [ab * frac, ab, f64::MIN_POSITIVE] {
-            let scalar = kernels::sum_abs_diff_at_least(&a, &b, bound);
-            if let Some(v) = kernel::force_avx2_sum_abs_diff_at_least(&a, &b, bound) {
-                prop_assert_eq!(v, scalar, "sum_abs bound {} dim {}: AVX2", bound, dim);
-            }
         }
     }
 }

@@ -10,7 +10,7 @@ use fdm_core::matroid::intersection::max_common_independent_set;
 use fdm_core::matroid::{Matroid, PartitionMatroid};
 use fdm_core::metric::Metric;
 use fdm_core::point::{Element, PointStore};
-use fdm_core::streaming::candidate::Candidate;
+use fdm_core::streaming::candidate::{ArrivalProxies, Candidate};
 use proptest::prelude::*;
 
 fn any_metric() -> impl Strategy<Value = Metric> {
@@ -19,6 +19,21 @@ fn any_metric() -> impl Strategy<Value = Metric> {
         Just(Metric::Manhattan),
         Just(Metric::Chebyshev),
         (1.0f64..5.0).prop_map(Metric::Minkowski),
+        Just(Metric::Angular),
+    ]
+}
+
+/// Every metric form the candidate probe distinguishes: the L2, L1 and L∞
+/// kernels, the Minkowski orders that reuse them and one that does not, and
+/// Angular's cached norms.
+fn probe_metric() -> impl Strategy<Value = Metric> {
+    prop_oneof![
+        Just(Metric::Euclidean),
+        Just(Metric::Manhattan),
+        Just(Metric::Chebyshev),
+        Just(Metric::Minkowski(1.0)),
+        Just(Metric::Minkowski(2.0)),
+        Just(Metric::Minkowski(3.0)),
         Just(Metric::Angular),
     ]
 }
@@ -79,27 +94,42 @@ proptest! {
 
     #[test]
     fn candidate_invariants_hold_for_any_stream(
+        metric in probe_metric(),
         xs in proptest::collection::vec(point(2), 1..60),
         mu in 0.1f64..20.0,
         cap in 1usize..10,
     ) {
+        // Angular distances lie in [0, π]: scale µ so both verdicts occur.
+        let mu = if metric == Metric::Angular { mu / 8.0 } else { mu };
+        // The probe decides in proxy space over the arena's cached norms;
+        // `Metric::dist` maps back through sqrt/powf/acos and its own norms,
+        // so the two may disagree by rounding right at the threshold.
+        let slack = 1e-9 * mu;
+        let mut cache = ArrivalProxies::new();
         let mut store = PointStore::new(2);
-        let mut c = Candidate::new(mu, cap, Metric::Euclidean);
+        let mut c = Candidate::new(mu, cap, metric);
         let mut rejected = Vec::new();
         for (i, x) in xs.iter().enumerate() {
             let e = Element::new(i, x.clone(), 0);
-            if !c.try_insert(&mut store, &e) {
+            if cache.offer(&mut store, metric, [&mut c], &e).is_none() {
                 rejected.push(e);
             }
         }
+        // Each kept element is interned once, and only kept ones are.
+        prop_assert_eq!(store.len(), c.len());
         // Invariant 1: never exceeds capacity.
         prop_assert!(c.len() <= cap);
         // Invariant 2: pairwise distances within the candidate are >= mu.
-        prop_assert!(c.diversity(&store) >= mu || c.len() < 2);
+        let rows: Vec<&[f64]> = c.members().iter().map(|&id| store.row(id)).collect();
+        for (i, a) in rows.iter().enumerate() {
+            for b in &rows[i + 1..] {
+                prop_assert!(metric.dist(a, b) >= mu - slack);
+            }
+        }
         // Invariant 3: if not full, every rejected element is within mu.
         if !c.is_full() {
             for e in &rejected {
-                prop_assert!(c.distance_to(&store, &e.point) < mu);
+                prop_assert!(rows.iter().any(|r| metric.dist(&e.point, r) < mu + slack));
             }
         }
     }
