@@ -40,6 +40,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{FdmError, Result};
 use crate::kernel;
+use crate::point;
 
 /// Four-lane accumulator kernels over contiguous `f64` rows.
 ///
@@ -312,12 +313,7 @@ impl Metric {
     #[inline]
     pub fn proxy(&self, a: &[f64], b: &[f64]) -> f64 {
         match self {
-            Metric::Angular => self.proxy_with_sqrt_norms(
-                a,
-                b,
-                kernel::norm_sq(a).sqrt(),
-                kernel::norm_sq(b).sqrt(),
-            ),
+            Metric::Angular => self.proxy_with_sqrt_norms(a, b, point::norm(a), point::norm(b)),
             _ => self.proxy_with_sqrt_norms(a, b, 0.0, 0.0),
         }
     }

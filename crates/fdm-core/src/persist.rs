@@ -4,7 +4,7 @@
 //! state and is provably small (`O(m·k·log ∆/ε)` elements, independent of
 //! the stream length) — makes checkpointing cheap: persisting a streaming
 //! algorithm means persisting its candidate ladders and the shared
-//! [`PointStore`] arena, nothing else.
+//! [`PointStore`](crate::point::PointStore) arena, nothing else.
 //!
 //! A [`Snapshot`] is a versioned envelope with one on-disk encoding, the
 //! **v2 binary** frame ([`codec`]): CRC32-checked little-endian sections
@@ -53,7 +53,11 @@
 //! (tag `unconstrained`), [`Sfdm1`](crate::streaming::sfdm1::Sfdm1) (tag
 //! `sfdm1`), [`Sfdm2`](crate::streaming::sfdm2::Sfdm2) (tag `sfdm2`), and
 //! [`ShardedStream<S>`](crate::streaming::sharded::ShardedStream) (tag
-//! `sharded:<inner>`).
+//! `sharded:<inner>`). The first three run one stream phase, and one writer
+//! in [`crate::streaming::ladder`] lays out their state trees (arena, lanes
+//! and the ladder digest), takes their capture cursors and patches, and
+//! makes every restore check; this module holds the envelope, the codecs
+//! and the delta chain.
 
 use std::path::Path;
 
@@ -62,8 +66,6 @@ use serde::{Deserialize, Serialize, Value};
 use crate::dataset::DistanceBounds;
 use crate::error::{FdmError, Result};
 use crate::metric::Metric;
-use crate::point::{PointId, PointStore};
-use crate::streaming::candidate::Candidate;
 
 pub mod codec;
 pub mod delta;
@@ -485,274 +487,6 @@ pub(crate) fn field<T: Deserialize>(state: &Value, key: &str) -> Result<T> {
     T::from_value(value).map_err(|e| FdmError::CorruptSnapshot {
         detail: format!("state field `{key}`: {e}"),
     })
-}
-
-/// One candidate ladder's persisted form: a digest of the guesses and, per
-/// guess, the member ids into the shared arena.
-///
-/// Compatibility contract: the v1 reader stays forever (every document
-/// ever written keeps restoring — pinned by the legacy golden fixture);
-/// nothing writes v1. The state schema may still grow additively, as
-/// this digest did. Consequence: rolling back to a build older than a
-/// schema extension may require capturing a fresh snapshot with the old
-/// build rather than reading the new file.
-///
-/// The guess thresholds are redundant with the configuration (the ladder
-/// is rebuilt from `bounds`/`epsilon` on restore) and serve purely as an
-/// integrity check, so they persist as a CRC32 over the `µ` bit patterns
-/// (`mu_crc`) rather than a full-precision float list — a state tree
-/// whose digest disagrees with the ladder its own configuration implies
-/// is rejected, at 4 bytes per ladder instead of 8 per lane. Documents
-/// written before the digest existed carry a `mus` array instead; those
-/// restore through the original bit-exact per-lane comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct LadderLanes {
-    /// CRC32 over the lane thresholds' `f64` bit patterns.
-    mu_crc: Option<u32>,
-    /// Legacy form: guess value `µ` per lane (still readable).
-    mus: Option<Vec<f64>>,
-    /// Member ids per lane (indices into the snapshot's arena).
-    members: Vec<Vec<u32>>,
-}
-
-/// CRC32 digest of a guess ladder's thresholds (bit patterns, in lane
-/// order).
-fn mu_digest(mus: impl Iterator<Item = f64>) -> u32 {
-    let mut bytes = Vec::new();
-    for mu in mus {
-        bytes.extend_from_slice(&mu.to_bits().to_le_bytes());
-    }
-    codec::crc32(&bytes)
-}
-
-impl Serialize for LadderLanes {
-    fn to_value(&self) -> Value {
-        let mut map = serde::Map::new();
-        match (&self.mu_crc, &self.mus) {
-            (Some(crc), _) => {
-                map.insert("mu_crc".to_string(), Serialize::to_value(crc));
-            }
-            (None, mus) => {
-                map.insert(
-                    "mus".to_string(),
-                    Serialize::to_value(&mus.clone().unwrap_or_default()),
-                );
-            }
-        }
-        map.insert("members".to_string(), Serialize::to_value(&self.members));
-        Value::Object(map)
-    }
-}
-
-impl Deserialize for LadderLanes {
-    fn from_value(value: &Value) -> std::result::Result<Self, serde::DeError> {
-        let members = value
-            .get("members")
-            .ok_or_else(|| serde::DeError::custom("missing field `members`"))
-            .and_then(<Vec<Vec<u32>> as Deserialize>::from_value)?;
-        let mu_crc = match value.get("mu_crc") {
-            Some(v) => Some(<u32 as Deserialize>::from_value(v)?),
-            None => None,
-        };
-        let mus = match value.get("mus") {
-            Some(v) => Some(<Vec<f64> as Deserialize>::from_value(v)?),
-            None => None,
-        };
-        if mu_crc.is_none() && mus.is_none() {
-            return Err(serde::DeError::custom(
-                "ladder lanes need either `mu_crc` or the legacy `mus`",
-            ));
-        }
-        Ok(LadderLanes {
-            mu_crc,
-            mus,
-            members,
-        })
-    }
-}
-
-/// Captures the persisted form of a candidate ladder.
-pub(crate) fn lanes_of(candidates: &[Candidate]) -> LadderLanes {
-    LadderLanes {
-        mu_crc: Some(mu_digest(candidates.iter().map(Candidate::mu))),
-        mus: None,
-        members: candidates
-            .iter()
-            .map(|c| c.members().iter().map(|id| id.0).collect())
-            .collect(),
-    }
-}
-
-/// Fills freshly-built ladder candidates from their persisted form,
-/// validating lane count, thresholds (bit-exact), capacities, and member
-/// ids against the restored arena.
-pub(crate) fn restore_lanes(
-    candidates: &mut [Candidate],
-    lanes: &LadderLanes,
-    store_len: usize,
-    what: &str,
-) -> Result<()> {
-    let mu_lanes = lanes.mus.as_ref().map_or(lanes.members.len(), Vec::len);
-    if mu_lanes != candidates.len() || lanes.members.len() != candidates.len() {
-        return Err(FdmError::IncompatibleSnapshot {
-            detail: format!(
-                "{what}: snapshot has {} lanes, configuration implies {}",
-                mu_lanes.max(lanes.members.len()),
-                candidates.len()
-            ),
-        });
-    }
-    if let Some(stored) = lanes.mu_crc {
-        let implied = mu_digest(candidates.iter().map(Candidate::mu));
-        if stored != implied {
-            return Err(FdmError::IncompatibleSnapshot {
-                detail: format!(
-                    "{what}: snapshot ladder digest {stored:#010x} disagrees with the \
-                     digest {implied:#010x} implied by the configuration"
-                ),
-            });
-        }
-    }
-    for (lane, (candidate, members)) in candidates.iter_mut().zip(&lanes.members).enumerate() {
-        if let Some(mus) = &lanes.mus {
-            let mu = mus[lane];
-            if mu.to_bits() != candidate.mu().to_bits() {
-                return Err(FdmError::IncompatibleSnapshot {
-                    detail: format!(
-                        "{what} lane {lane}: snapshot guess µ = {mu} disagrees with \
-                         the ladder value {} implied by the configuration",
-                        candidate.mu()
-                    ),
-                });
-            }
-        }
-        if members.len() > candidate.capacity() {
-            return Err(FdmError::CorruptSnapshot {
-                detail: format!(
-                    "{what} lane {lane}: {} members exceed capacity {}",
-                    members.len(),
-                    candidate.capacity()
-                ),
-            });
-        }
-        if let Some(&bad) = members.iter().find(|&&id| (id as usize) >= store_len) {
-            return Err(FdmError::CorruptSnapshot {
-                detail: format!(
-                    "{what} lane {lane}: member id {bad} is outside the stored \
-                     arena of {store_len} points"
-                ),
-            });
-        }
-        candidate.restore_members(members.iter().map(|&id| PointId(id)).collect());
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Dirty-set capture helpers (shared by the summaries' `state_patch_since`)
-// ---------------------------------------------------------------------------
-
-/// Capture cursor for a candidate ladder: the member count per lane
-/// (members are append-only, so a count is a complete high-water mark).
-pub(crate) fn lanes_cursor(candidates: &[Candidate]) -> Value {
-    Value::Array(
-        candidates
-            .iter()
-            .map(|c| Value::Number(c.members().len() as f64))
-            .collect(),
-    )
-}
-
-/// Dirty-set patch for a ladder serialized via [`lanes_of`]: the member-id
-/// suffix appended to each lane since `cursor`. The `mu_crc` digest is a
-/// pure function of the configuration, so it is never mentioned (= keep).
-pub(crate) fn lanes_patch_since(candidates: &[Candidate], cursor: &Value) -> Option<StatePatch> {
-    let counts = cursor.as_array()?;
-    if counts.len() != candidates.len() {
-        return None;
-    }
-    let mut lanes = Vec::with_capacity(candidates.len());
-    for (candidate, old) in candidates.iter().zip(counts) {
-        let old = old.as_u64()? as usize;
-        let members = candidate.members();
-        if old > members.len() {
-            return None;
-        }
-        if old == members.len() {
-            lanes.push(StatePatch::Keep);
-        } else {
-            lanes.push(StatePatch::Append(
-                members[old..]
-                    .iter()
-                    .map(|id| Value::Number(f64::from(id.0)))
-                    .collect(),
-            ));
-        }
-    }
-    Some(StatePatch::Object(vec![(
-        "members".to_string(),
-        StatePatch::Elements(lanes),
-    )]))
-}
-
-/// Capture cursor for the shared arena: row count plus raw coordinate
-/// count (both append-only; the arena is only ever *replaced* while
-/// empty, which the dimension replace below covers).
-pub(crate) fn store_cursor(store: &PointStore) -> Value {
-    let mut map = serde::Map::new();
-    map.insert("len".to_string(), Value::Number(store.len() as f64));
-    map.insert(
-        "coords".to_string(),
-        Value::Number(store.coords_raw().len() as f64),
-    );
-    Value::Object(map)
-}
-
-/// Dirty-set patch for the arena since `cursor`: the appended
-/// id/group/coordinate suffixes, plus the dimension (whose replace lowers
-/// to a keep whenever it is unchanged).
-pub(crate) fn store_patch_since(store: &PointStore, cursor: &Value) -> Option<StatePatch> {
-    let old_len = cursor.get("len")?.as_u64()? as usize;
-    let old_coords = cursor.get("coords")?.as_u64()? as usize;
-    let ids = store.external_ids_raw();
-    let groups = store.groups_raw();
-    let coords = store.coords_raw();
-    if old_len > ids.len() || old_coords > coords.len() {
-        return None;
-    }
-    Some(StatePatch::Object(vec![
-        (
-            "dim".to_string(),
-            StatePatch::Replace(Value::Number(store.dim() as f64)),
-        ),
-        (
-            "external_ids".to_string(),
-            StatePatch::Append(
-                ids[old_len..]
-                    .iter()
-                    .map(|&v| Value::Number(v as f64))
-                    .collect(),
-            ),
-        ),
-        (
-            "groups".to_string(),
-            StatePatch::Append(
-                groups[old_len..]
-                    .iter()
-                    .map(|&v| Value::Number(f64::from(v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "coords".to_string(),
-            StatePatch::Append(
-                coords[old_coords..]
-                    .iter()
-                    .map(|&v| Value::Number(v))
-                    .collect(),
-            ),
-        ),
-    ]))
 }
 
 #[cfg(test)]

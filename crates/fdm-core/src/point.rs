@@ -55,6 +55,19 @@ impl PartialEq for Element {
 
 impl Eq for Element {}
 
+/// The L2 norm `√(Σ x_i²)` of `point`, summed in one accumulator.
+///
+/// This is the one norm of the crate: the arena caches it per row, and the
+/// candidate probe and the Angular metric take it for their own points, so
+/// a probe decision and the diversity later read from the arena see the
+/// same bits for the same pair. The single-accumulator sum is
+/// load-bearing: golden fixtures pin Angular decisions to exactly this
+/// norm, so it must not be "upgraded" to the chunked kernel.
+pub(crate) fn norm(point: &[f64]) -> f64 {
+    let norm_sq: f64 = point.iter().map(|&x| x * x).sum();
+    norm_sq.sqrt()
+}
+
 /// Index of a point inside a [`PointStore`].
 ///
 /// `u32` keeps id lists half the size of `usize` ones; a single store is
@@ -135,11 +148,7 @@ impl PointStore {
         self.coords.extend_from_slice(point);
         self.groups.push(group as u32);
         self.external_ids.push(external_id);
-        // The naive single-accumulator sum is load-bearing: golden fixtures
-        // pin Angular decisions to exactly this norm, so it must not be
-        // "upgraded" to the chunked kernel.
-        let norm_sq: f64 = point.iter().map(|&x| x * x).sum();
-        self.norms.push(norm_sq.sqrt());
+        self.norms.push(norm(point));
         PointId(id)
     }
 

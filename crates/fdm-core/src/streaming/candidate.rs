@@ -19,9 +19,8 @@
 //! algorithm hands it an arriving element and the candidates to test, and
 //! the element is interned at most once however many of them keep it.
 
-use crate::kernel;
 use crate::metric::Metric;
-use crate::point::{Element, PointId, PointStore};
+use crate::point::{self, Element, PointId, PointStore};
 
 /// Per-arrival cache of proxy distances from one arriving point to arena
 /// rows, shared across every candidate of a guess ladder.
@@ -44,8 +43,8 @@ pub struct ArrivalProxies {
     /// Current arrival's generation stamp (epoch-stamping makes the
     /// per-arrival reset O(1) instead of an arena-length clear).
     epoch: u64,
-    /// L2 norm (`√norm_sq`) of the current arrival (0 unless the metric
-    /// uses norms).
+    /// L2 norm ([`point::norm`], the arena's own) of the current arrival
+    /// (0 unless the metric uses norms).
     norm: f64,
 }
 
@@ -98,7 +97,7 @@ impl ArrivalProxies {
         }
         self.epoch += 1;
         self.norm = if metric.uses_norms() {
-            kernel::norm_sq(point).sqrt()
+            point::norm(point)
         } else {
             0.0
         };
@@ -364,6 +363,42 @@ mod tests {
         assert!(offer_one(&mut cache, &mut store, &mut c, &e(2, [0.0, 3.0])));
         let div = diversity_of_ids(&store, c.members(), Metric::Angular);
         assert!((div - std::f64::consts::FRAC_PI_2).abs() < 1e-9);
+    }
+
+    #[test]
+    fn angular_probe_reads_the_arena_norms() {
+        // The proxy a probe compares for (arrival, member) must be, bit for
+        // bit, the one `diversity_of_ids` later reads for that pair from the
+        // arena; otherwise a kept pair can measure below µ.
+        use rand::prelude::*;
+        let metric = Metric::Angular;
+        let mut rng = StdRng::seed_from_u64(29);
+        for dim in [3, 16, 64] {
+            for pair in 0..500 {
+                let mut point =
+                    || -> Vec<f64> { (0..dim).map(|_| rng.random::<f64>() * 2.0 - 1.0).collect() };
+                let (a, b) = (Element::new(0, point(), 0), Element::new(1, point(), 0));
+                let (mut cache, mut store) = (ArrivalProxies::new(), PointStore::new(dim));
+                // µ = 0 keeps both elements.
+                let mut c = Candidate::new(0.0, 2, metric);
+                assert!(offer_one(&mut cache, &mut store, &mut c, &a));
+                assert!(offer_one(&mut cache, &mut store, &mut c, &b));
+                let probed = cache.vals[c.members()[0].index()];
+                let (x, y) = (c.members()[0], c.members()[1]);
+                let read = metric.proxy_with_sqrt_norms(
+                    store.row(x),
+                    store.row(y),
+                    store.norm(x),
+                    store.norm(y),
+                );
+                assert_eq!(probed.to_bits(), read.to_bits(), "d = {dim}, pair {pair}");
+                assert_eq!(
+                    metric.dist_from_proxy(probed).to_bits(),
+                    diversity_of_ids(&store, c.members(), metric).to_bits(),
+                    "d = {dim}, pair {pair}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!
 //! * **Owned** — each [`Sfdm1`](crate::streaming::sfdm1::Sfdm1) and
 //!   [`Sfdm2`](crate::streaming::sfdm2::Sfdm2) instance holds one in a
-//!   [`MemoCell`]. Within one instance candidate member lists only grow,
-//!   so the lists' lengths identify them.
+//!   [`MemoCell`] beside its candidates ([`crate::streaming::ladder`]).
+//!   Within one instance candidate member lists only grow, so the lists'
+//!   lengths identify them.
 //! * **Carried** — a merge pass streams the shards' unions through a fresh
 //!   instance on every query ([`ShardedStream`], the coordinator's
 //!   [`merge_unions`](crate::streaming::summary::merge_unions)), so the
@@ -39,10 +40,10 @@ use std::collections::HashSet;
 use std::sync::{Mutex, TryLockError};
 
 use crate::error::{FdmError, Result};
-use crate::metric::Metric;
 use crate::par::maybe_par_map;
 use crate::point::{PointId, PointStore};
 use crate::solution::Solution;
+use crate::streaming::ladder::FairLadder;
 
 /// What the per-guess post-processing of `finalize` passes did, counted
 /// over the guesses in `U'` (those whose pipeline would run).
@@ -133,29 +134,14 @@ impl MemoCell {
     }
 }
 
-/// One algorithm's per-guess post-processing, as the memo drives it.
+/// One algorithm's per-guess post-processing, as the memo drives it: the
+/// stream phase it reads, and its pipeline.
 pub(crate) trait GuessPipeline: Sync + Sized {
-    /// The arena the candidates' ids index.
-    fn store(&self) -> &PointStore;
+    /// The stream phase whose candidates the pipeline reads.
+    fn ladder(&self) -> &FairLadder;
 
-    /// The instance's arena, by value (a carried memo keeps it).
-    fn into_store(self) -> PointStore;
-
-    /// The metric the answer's diversity is measured in.
-    fn metric(&self) -> Metric;
-
-    /// Number of guesses in the ladder.
-    fn guesses(&self) -> usize;
-
-    /// `µ_j`.
-    fn mu(&self, j: usize) -> f64;
-
-    /// Guess `j`'s candidate lists in S_all order: the group-blind
-    /// candidate first, then each group's.
-    fn lists(&self, j: usize) -> Vec<&[PointId]>;
-
-    /// Whether `µ_j ∈ U'`.
-    fn in_u_prime(&self, j: usize) -> bool;
+    /// The stream phase, by value (a carried memo keeps its arena).
+    fn into_ladder(self) -> FairLadder;
 
     /// Guess `j`'s pipeline over its S_all (see [`s_all`]): the result's
     /// diversity and its elements as positions in `sall`, or `None`.
@@ -177,13 +163,12 @@ fn s_all(lists: &[&[PointId]]) -> Vec<PointId> {
 
 /// `finalize` through the instance's own memo (or, when another pass holds
 /// it, through none), adding the pass's counts to `tally`.
-pub(crate) fn finalize_owned<P: GuessPipeline>(
-    p: &P,
-    cell: &MemoCell,
-    tally: &mut GuessTally,
-) -> Result<Solution> {
-    let best = cell.with(|memo| run(p, memo, MemoKind::Owned, tally));
-    solution(p, best)
+pub(crate) fn finalize_owned<P: GuessPipeline>(p: &P, tally: &mut GuessTally) -> Result<Solution> {
+    let best = p
+        .ladder()
+        .memo()
+        .with(|memo| run(p, memo, MemoKind::Owned, tally));
+    solution(p.ladder(), best)
 }
 
 /// `finalize` of a merge instance through a memo carried from the previous
@@ -194,14 +179,19 @@ pub(crate) fn finalize_carried<P: GuessPipeline>(
     tally: &mut GuessTally,
 ) -> Result<Solution> {
     let best = run(&p, memo, MemoKind::Carried, tally);
-    let solution = solution(&p, best);
-    memo.arena = Some(p.into_store());
+    let ladder = p.into_ladder();
+    let solution = solution(&ladder, best);
+    memo.arena = Some(ladder.into_store());
     solution
 }
 
-fn solution<P: GuessPipeline>(p: &P, best: Option<Vec<PointId>>) -> Result<Solution> {
+fn solution(ladder: &FairLadder, best: Option<Vec<PointId>>) -> Result<Solution> {
     match best {
-        Some(ids) => Ok(Solution::from_ids(p.store(), &ids, p.metric())),
+        Some(ids) => Ok(Solution::from_ids(
+            ladder.store(),
+            &ids,
+            ladder.config().metric,
+        )),
         None => Err(FdmError::NoFeasibleCandidate),
     }
 }
@@ -225,25 +215,26 @@ fn run<P: GuessPipeline>(
     kind: MemoKind,
     tally: &mut GuessTally,
 ) -> Option<Vec<PointId>> {
-    let n = p.guesses();
+    let ladder = p.ladder();
+    let n = ladder.guesses();
     if memo.entries.len() != n {
         memo.entries = vec![None; n];
     }
     let map = match (kind, memo.arena.as_ref()) {
         (MemoKind::Owned, _) => None,
-        (MemoKind::Carried, Some(old)) => Some(arena_map(p.store(), old)),
-        (MemoKind::Carried, None) => Some(vec![None; p.store().len()]),
+        (MemoKind::Carried, Some(old)) => Some(arena_map(ladder.store(), old)),
+        (MemoKind::Carried, None) => Some(vec![None; ladder.store().len()]),
     };
     let mut misses = Vec::new();
     for j in 0..n {
-        if !p.in_u_prime(j) {
+        if !ladder.in_u_prime(j) {
             memo.entries[j] = None;
             continue;
         }
-        let lists = p.lists(j);
+        let lists = ladder.lists(j);
         let hit = memo.entries[j]
             .as_ref()
-            .is_some_and(|e| e.matches(p.mu(j), &lists, map.as_deref()));
+            .is_some_and(|e| e.matches(ladder.mu(j), &lists, map.as_deref()));
         if hit {
             tally.reused += 1;
             if kind == MemoKind::Carried {
@@ -259,12 +250,12 @@ fn run<P: GuessPipeline>(
     }
     let computed = maybe_par_map(misses.len(), |i| {
         let j = misses[i];
-        p.compute(j, &s_all(&p.lists(j)))
+        p.compute(j, &s_all(&ladder.lists(j)))
     });
     for (&j, result) in misses.iter().zip(computed) {
-        let lists = p.lists(j);
+        let lists = ladder.lists(j);
         memo.entries[j] = Some(Entry {
-            mu: p.mu(j).to_bits(),
+            mu: ladder.mu(j).to_bits(),
             lens: lists.iter().map(|l| l.len()).collect(),
             members: match kind {
                 MemoKind::Owned => Vec::new(),
@@ -284,7 +275,7 @@ fn run<P: GuessPipeline>(
         }
     }
     best.map(|(_, j)| {
-        let sall = s_all(&p.lists(j));
+        let sall = s_all(&ladder.lists(j));
         let (_, positions) = memo.entries[j]
             .as_ref()
             .and_then(|e| e.result.as_ref())

@@ -3,8 +3,8 @@
 //! All three algorithms share the same skeleton: a geometric
 //! [`crate::guess::GuessLadder`] over the unknown optimum, and per guess `µ`
 //! one or more bounded [`candidate::Candidate`] sets filled greedily with
-//! elements at distance ≥ µ from the candidate. They differ in
-//! post-processing:
+//! elements at distance ≥ µ from the candidate. That stream phase is
+//! written once, in [`ladder`]. They differ in post-processing:
 //!
 //! * [`unconstrained::StreamingDiversityMaximization`] (Algorithm 1) —
 //!   return the fullest, most diverse candidate; `(1−ε)/2` (Theorem 1).
@@ -29,6 +29,7 @@
 //! them by algorithm tag.
 
 pub mod candidate;
+pub mod ladder;
 pub mod memo;
 pub mod sfdm1;
 pub mod sfdm2;

@@ -3,7 +3,10 @@
 //!
 //! **Stream processing**: per guess `µ` keep one group-blind candidate of
 //! capacity `k` and one per-group candidate of capacity `k` (not `k_i` — the
-//! larger pools are what Lemma 4's cluster-counting argument needs).
+//! larger pools are what Lemma 4's cluster-counting argument needs). This
+//! is the stream phase SFDM1 shares ([`crate::streaming::ladder`]), with
+//! group capacities `k`; its state tree adds the augmentation `mode` after
+//! `config`.
 //!
 //! **Post-processing** (per guess in
 //! `U' = {µ : |S_µ| = k ∧ |S_µ,i| ≥ k_i ∀i}`):
@@ -20,45 +23,27 @@
 //!    ([`crate::matroid::intersection`], Algorithm 4).
 //! 4. Keep the fair size-`k` result with maximum diversity across guesses.
 //!
-//! Retained elements are interned once into a shared [`PointStore`];
-//! candidates hold [`PointId`]s. The whole per-guess post-processing
-//! pipeline (clustering + matroid intersection) runs only for guesses whose
-//! candidates changed since the last `finalize` ([`crate::streaming::memo`])
-//! and fans out across the ladder on the pool — the results are identical
-//! to a fresh, sequential run.
-
-use std::collections::HashSet;
-
-use serde::Serialize as _;
+//! Retained elements are interned once into a shared
+//! [`PointStore`](crate::point::PointStore); candidates hold [`PointId`]s.
+//! The whole per-guess post-processing pipeline (clustering + matroid
+//! intersection) runs only for guesses whose candidates changed since the
+//! last `finalize` ([`crate::streaming::memo`]) and fans out across the
+//! ladder on the pool — the results are identical to a fresh, sequential
+//! run.
 
 use crate::clustering::threshold_clusters_ids;
-use crate::dataset::DistanceBounds;
 use crate::diversity::diversity_of_ids;
 use crate::error::{FdmError, Result};
-use crate::fairness::FairnessConstraint;
-use crate::guess::GuessLadder;
 use crate::matroid::intersection::max_common_independent_set;
 use crate::matroid::PartitionMatroid;
-use crate::metric::Metric;
-use crate::persist::{self, Snapshottable};
-use crate::point::{Element, PointId, PointStore};
+use crate::point::PointId;
 use crate::solution::Solution;
-use crate::streaming::candidate::{ArrivalProxies, Candidate};
-use crate::streaming::memo::{self, FinalizeMemo, GuessPipeline, GuessTally, MemoCell};
-use crate::streaming::sharded::ShardAlgorithm;
+use crate::streaming::ladder::{self, FairLadder, FairStreamConfig};
+use crate::streaming::memo::{GuessPipeline, GuessTally};
 
-/// Configuration for [`Sfdm2`].
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct Sfdm2Config {
-    /// Quota vector over `m ≥ 2` groups.
-    pub constraint: FairnessConstraint,
-    /// Guess-ladder accuracy `ε ∈ (0, 1)`.
-    pub epsilon: f64,
-    /// Known bounds with `d_min ≤ OPT_f ≤ d_max`.
-    pub bounds: DistanceBounds,
-    /// The distance metric.
-    pub metric: Metric,
-}
+/// Configuration for [`Sfdm2`]: a quota vector over `m ≥ 2` groups, `ε`,
+/// the distance bounds and the metric.
+pub type Sfdm2Config = FairStreamConfig;
 
 /// Whether SFDM2's matroid-intersection phase seeds from the partial
 /// solution with greedy far-element preference (the paper's adaptation) or
@@ -96,22 +81,8 @@ pub enum AugmentationMode {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Sfdm2 {
-    constraint: FairnessConstraint,
-    metric: Metric,
-    epsilon: f64,
-    bounds: DistanceBounds,
-    store: PointStore,
-    blind: Vec<Candidate>,
-    /// `specific[i][j]`: group `i`, guess `j`, capacity `k`.
-    specific: Vec<Vec<Candidate>>,
+    ladder: FairLadder,
     mode: AugmentationMode,
-    /// Per-arrival proxy cache shared across all candidates (see
-    /// [`ArrivalProxies`]).
-    scratch: ArrivalProxies,
-    processed: usize,
-    store_initialized: bool,
-    /// Per-guess post-processing results of the last `finalize`.
-    memo: MemoCell,
 }
 
 impl Sfdm2 {
@@ -126,102 +97,11 @@ impl Sfdm2 {
         if m < 2 {
             return Err(FdmError::EmptyConstraint);
         }
-        config.metric.validate()?;
-        let ladder = GuessLadder::new(config.bounds, config.epsilon)?;
         let k = config.constraint.total();
-        let blind: Vec<Candidate> = ladder
-            .values()
-            .iter()
-            .map(|&mu| Candidate::new(mu, k, config.metric))
-            .collect();
-        let specific: Vec<Vec<Candidate>> = (0..m)
-            .map(|_| {
-                ladder
-                    .values()
-                    .iter()
-                    .map(|&mu| Candidate::new(mu, k, config.metric))
-                    .collect()
-            })
-            .collect();
         Ok(Sfdm2 {
-            constraint: config.constraint,
-            metric: config.metric,
-            epsilon: config.epsilon,
-            bounds: config.bounds,
-            store: PointStore::new(1),
-            blind,
-            specific,
+            ladder: FairLadder::new(config, &vec![k; m])?,
             mode,
-            scratch: ArrivalProxies::new(),
-            processed: 0,
-            store_initialized: false,
-            memo: MemoCell::default(),
         })
-    }
-
-    fn ensure_store_dim(&mut self, dim: usize) {
-        if !self.store_initialized {
-            self.store = PointStore::new(dim.max(1));
-            self.store_initialized = true;
-        }
-    }
-
-    /// Processes one stream element (Algorithm 3, lines 3–8).
-    pub fn insert(&mut self, element: &Element) {
-        debug_assert!(
-            element.group < self.specific.len(),
-            "group label out of range for the constraint"
-        );
-        self.ensure_store_dim(element.dim());
-        self.processed += 1;
-        // One shared proxy cache per arrival (see the Sfdm1 counterpart):
-        // the blind and group ladders overlap heavily in members, so each
-        // arena row costs one kernel evaluation per arrival at most.
-        self.scratch.offer(
-            &mut self.store,
-            self.metric,
-            self.blind
-                .iter_mut()
-                .chain(self.specific[element.group].iter_mut()),
-            element,
-        );
-    }
-
-    /// Processes a batch of stream elements in order — the
-    /// [`ShardAlgorithm::insert_batch`] loop, kept inherent so callers need
-    /// not name the trait.
-    pub fn insert_batch(&mut self, batch: &[Element]) {
-        ShardAlgorithm::insert_batch(self, batch);
-    }
-
-    /// Number of elements seen so far.
-    pub fn processed(&self) -> usize {
-        self.processed
-    }
-
-    /// Distinct retained element count — the paper's space metric.
-    pub fn stored_elements(&self) -> usize {
-        let ids: HashSet<usize> = self
-            .store
-            .ids()
-            .map(|id| self.store.external_id(id))
-            .collect();
-        ids.len()
-    }
-
-    /// The shared arena of retained elements.
-    pub fn store(&self) -> &PointStore {
-        &self.store
-    }
-
-    /// The configuration this instance was built with.
-    pub fn config(&self) -> Sfdm2Config {
-        Sfdm2Config {
-            constraint: self.constraint.clone(),
-            epsilon: self.epsilon,
-            bounds: self.bounds,
-            metric: self.metric,
-        }
     }
 
     /// Post-processing (Algorithm 3, lines 9–19). Each guess's pipeline —
@@ -232,62 +112,24 @@ impl Sfdm2 {
     pub fn finalize(&self) -> Result<Solution> {
         self.finalize_tallied(&mut GuessTally::default())
     }
-
-    /// [`Sfdm2::finalize`], adding what the per-guess memo did to `tally`.
-    pub fn finalize_tallied(&self, tally: &mut GuessTally) -> Result<Solution> {
-        memo::finalize_owned(self, &self.memo, tally)
-    }
-
-    /// The merge pass's post-processing: this instance was just fed shard
-    /// unions and is dropped afterwards, so the memo is `memo`, carried
-    /// from the previous merge, and keeps this instance's arena.
-    pub fn finalize_merge(
-        self,
-        memo: &mut FinalizeMemo,
-        tally: &mut GuessTally,
-    ) -> Result<Solution> {
-        memo::finalize_carried(self, memo, tally)
-    }
 }
 
 /// Algorithm 3's per-guess post-processing over `U' = {µ : |S_µ| = k ∧
 /// |S_µ,i| ≥ k_i ∀i}`; a result smaller than `k` is dropped (line 19).
 impl GuessPipeline for Sfdm2 {
-    fn store(&self) -> &PointStore {
-        &self.store
+    fn ladder(&self) -> &FairLadder {
+        &self.ladder
     }
 
-    fn into_store(self) -> PointStore {
-        self.store
-    }
-
-    fn metric(&self) -> Metric {
-        self.metric
-    }
-
-    fn guesses(&self) -> usize {
-        self.blind.len()
-    }
-
-    fn mu(&self, j: usize) -> f64 {
-        self.blind[j].mu()
-    }
-
-    fn lists(&self, j: usize) -> Vec<&[PointId]> {
-        std::iter::once(self.blind[j].members())
-            .chain(self.specific.iter().map(|lanes| lanes[j].members()))
-            .collect()
-    }
-
-    fn in_u_prime(&self, j: usize) -> bool {
-        self.blind[j].len() >= self.constraint.total()
-            && (0..self.constraint.num_groups())
-                .all(|g| self.specific[g][j].len() >= self.constraint.quota(g))
+    fn into_ladder(self) -> FairLadder {
+        self.ladder
     }
 
     fn compute(&self, j: usize, sall: &[PointId]) -> Option<(f64, Vec<usize>)> {
-        let m = self.constraint.num_groups();
-        let blind = &self.blind[j];
+        let (store, config) = (self.ladder.store(), self.ladder.config());
+        let (constraint, metric) = (&config.constraint, config.metric);
+        let m = constraint.num_groups();
+        let blind = self.ladder.blind(j);
         let mu = blind.mu();
         // Partial solution S'_µ: per group min(k_i, |S_µ ∩ X_i|)
         // elements of the blind candidate (Algorithm 3, line 11). The blind
@@ -297,8 +139,8 @@ impl GuessPipeline for Sfdm2 {
         let mut initial: Vec<usize> = Vec::with_capacity(blind.len());
         for (i, &id) in blind.members().iter().enumerate() {
             debug_assert_eq!(sall[i], id);
-            let g = self.store.group(id);
-            if taken_per_group[g] < self.constraint.quota(g) {
+            let g = store.group(id);
+            if taken_per_group[g] < constraint.quota(g) {
                 taken_per_group[g] += 1;
                 initial.push(i);
             }
@@ -306,12 +148,11 @@ impl GuessPipeline for Sfdm2 {
 
         // Threshold clustering of S_all (Algorithm 3, lines 13–16).
         let threshold = mu / (m as f64 + 1.0);
-        let (cluster_of, num_clusters) =
-            threshold_clusters_ids(&self.store, sall, self.metric, threshold);
+        let (cluster_of, num_clusters) = threshold_clusters_ids(store, sall, metric, threshold);
 
         // Matroids: fairness (M1) and one-per-cluster (M2).
-        let groups_of: Vec<usize> = sall.iter().map(|&id| self.store.group(id)).collect();
-        let m1 = PartitionMatroid::new(groups_of, self.constraint.quotas().to_vec())
+        let groups_of: Vec<usize> = sall.iter().map(|&id| store.group(id)).collect();
+        let m1 = PartitionMatroid::new(groups_of, constraint.quotas().to_vec())
             .expect("group labels validated on insert");
         let m2 = PartitionMatroid::unit_capacities(cluster_of, num_clusters)
             .expect("cluster labels are dense");
@@ -320,14 +161,14 @@ impl GuessPipeline for Sfdm2 {
         let result = match self.mode {
             AugmentationMode::SeededGreedy => {
                 let score = |x: usize, members: &[usize]| {
-                    let (row, norm) = (self.store.row(sall[x]), self.store.norm(sall[x]));
+                    let (row, norm) = (store.row(sall[x]), store.norm(sall[x]));
                     let mut best = f64::INFINITY;
                     for &y in members {
-                        let p = self.metric.proxy_with_sqrt_norms(
+                        let p = metric.proxy_with_sqrt_norms(
                             row,
-                            self.store.row(sall[y]),
+                            store.row(sall[y]),
                             norm,
-                            self.store.norm(sall[y]),
+                            store.norm(sall[y]),
                         );
                         if p < best {
                             best = p;
@@ -341,164 +182,26 @@ impl GuessPipeline for Sfdm2 {
             }
             AugmentationMode::PlainCunningham => max_common_independent_set(&m1, &m2, &[], None),
         };
-        if result.len() != self.constraint.total() {
+        if result.len() != constraint.total() {
             return None; // line 19 keeps only size-k results
         }
         let ids: Vec<PointId> = result.iter().map(|&i| sall[i]).collect();
-        let div = diversity_of_ids(&self.store, &ids, self.metric);
+        let div = diversity_of_ids(store, &ids, metric);
         Some((div, result))
     }
 }
 
-/// # Persistence
-///
-/// The state tree is laid out **append-mostly** on purpose: the arena's
-/// coordinate/group/id blobs only grow and each ladder lane's member list
-/// only gains ids, so an incremental checkpoint
-/// ([`SnapshotDelta`](crate::persist::SnapshotDelta)) between two captures
-/// records just the appended rows, the new member ids, and the `processed`
-/// counter. In the v2 binary codec the blobs pack as dense `f64` rows and
-/// varint ids. Restores of either format (and of `full + delta*` chains)
-/// are bit-identical — pinned by `tests/persist_codec.rs`.
-impl Snapshottable for Sfdm2 {
-    fn algorithm_tag() -> String {
-        "sfdm2".to_string()
-    }
-
-    fn snapshot_params(&self) -> crate::persist::SnapshotParams {
-        crate::persist::SnapshotParams {
-            algorithm: Self::algorithm_tag(),
-            dim: if self.store_initialized {
-                self.store.dim()
-            } else {
-                0
-            },
-            epsilon: self.epsilon,
-            metric: self.metric,
-            bounds: self.bounds,
-            quotas: self.constraint.quotas().to_vec(),
-            k: self.constraint.total(),
-            shards: 1,
-            window: 0,
-        }
-    }
-
-    fn snapshot_state(&self) -> serde::Value {
-        let mut map = serde::Map::new();
-        map.insert("config".to_string(), self.config().to_value());
-        map.insert("mode".to_string(), self.mode.to_value());
-        map.insert("store".to_string(), self.store.to_value());
-        map.insert(
-            "store_initialized".to_string(),
-            serde::Value::Bool(self.store_initialized),
-        );
-        map.insert(
-            "processed".to_string(),
-            serde::Serialize::to_value(&self.processed),
-        );
-        map.insert(
-            "blind".to_string(),
-            persist::lanes_of(&self.blind).to_value(),
-        );
-        let specific: Vec<persist::LadderLanes> =
-            self.specific.iter().map(|c| persist::lanes_of(c)).collect();
-        map.insert("specific".to_string(), specific.to_value());
-        serde::Value::Object(map)
-    }
-
-    fn capture_cursor(&self) -> serde::Value {
-        let mut map = serde::Map::new();
-        map.insert("store".to_string(), persist::store_cursor(&self.store));
-        map.insert("blind".to_string(), persist::lanes_cursor(&self.blind));
-        map.insert(
-            "specific".to_string(),
-            serde::Value::Array(
-                self.specific
-                    .iter()
-                    .map(|c| persist::lanes_cursor(c))
-                    .collect(),
-            ),
-        );
-        serde::Value::Object(map)
-    }
-
-    fn state_patch_since(&self, cursor: &serde::Value) -> Option<persist::StatePatch> {
-        let store = persist::store_patch_since(&self.store, cursor.get("store")?)?;
-        let blind = persist::lanes_patch_since(&self.blind, cursor.get("blind")?)?;
-        let specific_cursors = cursor.get("specific")?.as_array()?;
-        if specific_cursors.len() != self.specific.len() {
-            return None;
-        }
-        let specific: Vec<persist::StatePatch> = self
-            .specific
-            .iter()
-            .zip(specific_cursors)
-            .map(|(lanes, c)| persist::lanes_patch_since(lanes, c))
-            .collect::<Option<Vec<_>>>()?;
-        // `config` and `mode` are static for the instance's lifetime → keep.
-        Some(persist::StatePatch::Object(vec![
-            ("store".to_string(), store),
-            (
-                "store_initialized".to_string(),
-                persist::StatePatch::Replace(serde::Value::Bool(self.store_initialized)),
-            ),
-            (
-                "processed".to_string(),
-                persist::StatePatch::Replace(serde::Serialize::to_value(&self.processed)),
-            ),
-            ("blind".to_string(), blind),
-            (
-                "specific".to_string(),
-                persist::StatePatch::Elements(specific),
-            ),
-        ]))
-    }
-
-    fn restore_state(state: &serde::Value) -> Result<Self> {
-        let config: Sfdm2Config = persist::field(state, "config")?;
-        let mode: AugmentationMode = persist::field(state, "mode")?;
-        let m = config.constraint.num_groups();
-        let mut alg = Self::with_mode(config, mode)?;
-        let store: PointStore = persist::field(state, "store")?;
-        let store_initialized: bool = persist::field(state, "store_initialized")?;
-        if !store_initialized && !store.is_empty() {
-            return Err(FdmError::CorruptSnapshot {
-                detail: "arena holds points but is marked uninitialized".to_string(),
-            });
-        }
-        if let Some(&bad) = store.groups_raw().iter().find(|&&g| g as usize >= m) {
-            return Err(FdmError::CorruptSnapshot {
-                detail: format!("group label {bad} out of range for {m} groups"),
-            });
-        }
-        let blind: persist::LadderLanes = persist::field(state, "blind")?;
-        persist::restore_lanes(&mut alg.blind, &blind, store.len(), "blind")?;
-        let specific: Vec<persist::LadderLanes> = persist::field(state, "specific")?;
-        if specific.len() != m {
-            return Err(FdmError::CorruptSnapshot {
-                detail: format!("expected {m} group ladders, found {}", specific.len()),
-            });
-        }
-        for (g, lanes) in specific.iter().enumerate() {
-            persist::restore_lanes(
-                &mut alg.specific[g],
-                lanes,
-                store.len(),
-                &format!("group {g}"),
-            )?;
-        }
-        alg.processed = persist::field(state, "processed")?;
-        alg.store = store;
-        alg.store_initialized = store_initialized;
-        Ok(alg)
-    }
-}
+ladder::fair_stream!(Sfdm2, "Algorithm 3", "sfdm2", mode, with_mode);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::brute::exact_fair_optimum;
-    use crate::dataset::Dataset;
+    use crate::dataset::{Dataset, DistanceBounds};
+    use crate::fairness::FairnessConstraint;
+    use crate::guess::GuessLadder;
+    use crate::metric::Metric;
+    use crate::point::Element;
     use rand::prelude::*;
 
     fn random_dataset(n: usize, m: usize, seed: u64) -> Dataset {

@@ -6,13 +6,13 @@
 //! Theorem 1 tightens the analysis of the same algorithm to `(1−ε)/2`,
 //! which the test suite checks against brute-force optima.
 //!
-//! Retained elements are interned exactly once into a shared [`PointStore`]
-//! arena; candidates hold [`PointId`](crate::point::PointId)s and test
-//! thresholds in proxy space (see [`crate::metric`]). The per-guess
+//! The candidates are SFDM1's and SFDM2's blind lane alone: they share the
+//! arena half of that stream phase ([`crate::streaming::ladder`]), which
+//! interns retained elements exactly once into a shared [`PointStore`],
+//! tests thresholds in proxy space (see [`crate::metric`]) and lays out the
+//! state tree, here with the lane under `candidates`. The per-guess
 //! diversity scan of [`StreamingDiversityMaximization::finalize`] fans out
 //! across the ladder on the pool.
-
-use std::collections::HashSet;
 
 use serde::Serialize as _;
 
@@ -22,10 +22,11 @@ use crate::error::{FdmError, Result};
 use crate::guess::GuessLadder;
 use crate::metric::Metric;
 use crate::par::maybe_par_map;
-use crate::persist::{self, Snapshottable};
+use crate::persist::{self, SnapshotParams, Snapshottable, StatePatch};
 use crate::point::{Element, PointStore};
 use crate::solution::Solution;
-use crate::streaming::candidate::{ArrivalProxies, Candidate};
+use crate::streaming::candidate::Candidate;
+use crate::streaming::ladder::Arena;
 use crate::streaming::sharded::ShardAlgorithm;
 
 /// Configuration for [`StreamingDiversityMaximization`].
@@ -44,17 +45,9 @@ pub struct StreamingDmConfig {
 /// Streaming state of Algorithm 1.
 #[derive(Debug, Clone)]
 pub struct StreamingDiversityMaximization {
-    store: PointStore,
+    config: StreamingDmConfig,
+    arena: Arena,
     candidates: Vec<Candidate>,
-    metric: Metric,
-    k: usize,
-    epsilon: f64,
-    bounds: DistanceBounds,
-    /// Per-arrival proxy cache shared across all candidates (see
-    /// [`ArrivalProxies`]).
-    scratch: ArrivalProxies,
-    processed: usize,
-    store_initialized: bool,
 }
 
 impl StreamingDiversityMaximization {
@@ -71,35 +64,16 @@ impl StreamingDiversityMaximization {
             .map(|&mu| Candidate::new(mu, config.k, config.metric))
             .collect();
         Ok(StreamingDiversityMaximization {
-            // Dimension is unknown until the first element arrives.
-            store: PointStore::new(1),
+            config,
+            arena: Arena::new(),
             candidates,
-            metric: config.metric,
-            k: config.k,
-            epsilon: config.epsilon,
-            bounds: config.bounds,
-            scratch: ArrivalProxies::new(),
-            processed: 0,
-            store_initialized: false,
         })
-    }
-
-    fn ensure_store_dim(&mut self, dim: usize) {
-        if !self.store_initialized {
-            self.store = PointStore::new(dim.max(1));
-            self.store_initialized = true;
-        }
     }
 
     /// Processes one stream element (Algorithm 1, lines 3–6).
     pub fn insert(&mut self, element: &Element) {
-        self.ensure_store_dim(element.dim());
-        self.processed += 1;
-        // One shared proxy cache per arrival: the ladder's candidates hold
-        // overlapping members, so each retained row costs one kernel
-        // evaluation however many guesses test it.
-        self.scratch
-            .offer(&mut self.store, self.metric, &mut self.candidates, element);
+        self.arena
+            .offer(self.config.metric, &mut self.candidates, element);
     }
 
     /// Processes a batch of stream elements in order — the
@@ -111,7 +85,7 @@ impl StreamingDiversityMaximization {
 
     /// Number of elements seen so far.
     pub fn processed(&self) -> usize {
-        self.processed
+        self.arena.processed()
     }
 
     /// Number of guesses `|U|`.
@@ -122,17 +96,12 @@ impl StreamingDiversityMaximization {
     /// Number of *distinct* elements currently retained across all
     /// candidates — the paper's space metric (Fig. 8).
     pub fn stored_elements(&self) -> usize {
-        let ids: HashSet<usize> = self
-            .store
-            .ids()
-            .map(|id| self.store.external_id(id))
-            .collect();
-        ids.len()
+        self.arena.stored_elements()
     }
 
     /// The shared arena of retained elements.
     pub fn store(&self) -> &PointStore {
-        &self.store
+        self.arena.store()
     }
 
     /// Read-only view of the candidates (used by tests and diagnostics).
@@ -142,19 +111,15 @@ impl StreamingDiversityMaximization {
 
     /// The configuration this instance was built with.
     pub fn config(&self) -> StreamingDmConfig {
-        StreamingDmConfig {
-            k: self.k,
-            epsilon: self.epsilon,
-            bounds: self.bounds,
-            metric: self.metric,
-        }
+        self.config.clone()
     }
 
     /// Algorithm 1, line 7: the full candidate maximizing `div(S_µ)`.
     pub fn finalize(&self) -> Result<Solution> {
+        let (store, metric) = (self.arena.store(), self.config.metric);
         let diversities: Vec<Option<f64>> = maybe_par_map(self.candidates.len(), |j| {
             let c = &self.candidates[j];
-            (c.len() == self.k).then(|| diversity_of_ids(&self.store, c.members(), self.metric))
+            (c.len() == self.config.k).then(|| diversity_of_ids(store, c.members(), metric))
         });
         let best = diversities
             .iter()
@@ -163,9 +128,9 @@ impl StreamingDiversityMaximization {
             .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
         match best {
             Some((j, _)) => Ok(Solution::from_ids(
-                &self.store,
+                store,
                 self.candidates[j].members(),
-                self.metric,
+                metric,
             )),
             None => Err(FdmError::NoFeasibleCandidate),
         }
@@ -174,97 +139,46 @@ impl StreamingDiversityMaximization {
 
 /// # Persistence
 ///
-/// Append-mostly state layout (arena blobs + one ladder of member lists
-/// that only grow), so delta snapshots
-/// ([`SnapshotDelta`](crate::persist::SnapshotDelta)) record just the
-/// appended rows/ids and the `processed` counter; the v2 binary codec
-/// packs both densely. Both formats and `full + delta*` chains restore
-/// bit-identically (`tests/persist_codec.rs`).
+/// The arena half's state tree ([`crate::streaming::ladder`]) after
+/// `config`, with the one lane under `candidates`.
 impl Snapshottable for StreamingDiversityMaximization {
     fn algorithm_tag() -> String {
         "unconstrained".to_string()
     }
 
-    fn snapshot_params(&self) -> crate::persist::SnapshotParams {
-        crate::persist::SnapshotParams {
+    fn snapshot_params(&self) -> SnapshotParams {
+        SnapshotParams {
             algorithm: Self::algorithm_tag(),
-            dim: if self.store_initialized {
-                self.store.dim()
-            } else {
-                0
-            },
-            epsilon: self.epsilon,
-            metric: self.metric,
-            bounds: self.bounds,
+            dim: self.arena.dim(),
+            epsilon: self.config.epsilon,
+            metric: self.config.metric,
+            bounds: self.config.bounds,
             quotas: Vec::new(),
-            k: self.k,
+            k: self.config.k,
             shards: 1,
             window: 0,
         }
     }
 
     fn snapshot_state(&self) -> serde::Value {
-        let mut map = serde::Map::new();
-        map.insert("config".to_string(), self.config().to_value());
-        map.insert("store".to_string(), self.store.to_value());
-        map.insert(
-            "store_initialized".to_string(),
-            serde::Value::Bool(self.store_initialized),
-        );
-        map.insert(
-            "processed".to_string(),
-            serde::Serialize::to_value(&self.processed),
-        );
-        map.insert(
-            "candidates".to_string(),
-            persist::lanes_of(&self.candidates).to_value(),
-        );
-        serde::Value::Object(map)
+        self.arena.state(
+            [("config", self.config.to_value())],
+            &[("candidates", &self.candidates)],
+        )
     }
 
     fn capture_cursor(&self) -> serde::Value {
-        let mut map = serde::Map::new();
-        map.insert("store".to_string(), persist::store_cursor(&self.store));
-        map.insert(
-            "candidates".to_string(),
-            persist::lanes_cursor(&self.candidates),
-        );
-        serde::Value::Object(map)
+        self.arena.cursor(&[("candidates", &self.candidates)])
     }
 
-    fn state_patch_since(&self, cursor: &serde::Value) -> Option<persist::StatePatch> {
-        let store = persist::store_patch_since(&self.store, cursor.get("store")?)?;
-        let candidates = persist::lanes_patch_since(&self.candidates, cursor.get("candidates")?)?;
-        // `config` is static for the instance's lifetime → keep.
-        Some(persist::StatePatch::Object(vec![
-            ("store".to_string(), store),
-            (
-                "store_initialized".to_string(),
-                persist::StatePatch::Replace(serde::Value::Bool(self.store_initialized)),
-            ),
-            (
-                "processed".to_string(),
-                persist::StatePatch::Replace(serde::Serialize::to_value(&self.processed)),
-            ),
-            ("candidates".to_string(), candidates),
-        ]))
+    fn state_patch_since(&self, cursor: &serde::Value) -> Option<StatePatch> {
+        self.arena
+            .patch_since(&[("candidates", &self.candidates)], cursor)
     }
 
     fn restore_state(state: &serde::Value) -> Result<Self> {
-        let config: StreamingDmConfig = persist::field(state, "config")?;
-        let mut alg = Self::new(config)?;
-        let store: PointStore = persist::field(state, "store")?;
-        let store_initialized: bool = persist::field(state, "store_initialized")?;
-        if !store_initialized && !store.is_empty() {
-            return Err(FdmError::CorruptSnapshot {
-                detail: "arena holds points but is marked uninitialized".to_string(),
-            });
-        }
-        let lanes: persist::LadderLanes = persist::field(state, "candidates")?;
-        persist::restore_lanes(&mut alg.candidates, &lanes, store.len(), "candidates")?;
-        alg.processed = persist::field(state, "processed")?;
-        alg.store = store;
-        alg.store_initialized = store_initialized;
+        let mut alg = Self::new(persist::field(state, "config")?)?;
+        alg.arena = Arena::restore(state, &mut [("candidates", &mut alg.candidates)])?;
         Ok(alg)
     }
 }

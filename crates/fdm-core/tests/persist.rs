@@ -312,51 +312,162 @@ fn quota_mismatch_is_rejected_by_compatibility_check() {
     );
 }
 
+/// The three unsharded ladders, each fed one stream, as `(tag, snapshot)`.
+fn ladder_snapshots() -> Vec<(&'static str, Snapshot)> {
+    fn fed<T: Snapshottable>(mut alg: T, insert: fn(&mut T, &Element)) -> Snapshot {
+        for e in random_elements(100, 2, 2, 11) {
+            insert(&mut alg, &e);
+        }
+        alg.snapshot()
+    }
+    vec![
+        (
+            "unconstrained",
+            fed(
+                StreamingDiversityMaximization::new(dm_config()).unwrap(),
+                StreamingDiversityMaximization::insert,
+            ),
+        ),
+        (
+            "sfdm1",
+            fed(Sfdm1::new(sfdm1_config()).unwrap(), Sfdm1::insert),
+        ),
+        (
+            "sfdm2",
+            fed(Sfdm2::new(sfdm2_config(2)).unwrap(), Sfdm2::insert),
+        ),
+    ]
+}
+
+/// Restores `state` as the state tree of the ladder tagged `algorithm`.
+fn restore_ladder_state(algorithm: &str, state: &serde::Value) -> Result<(), FdmError> {
+    match algorithm {
+        "unconstrained" => StreamingDiversityMaximization::restore_state(state).map(drop),
+        "sfdm1" => Sfdm1::restore_state(state).map(drop),
+        "sfdm2" => Sfdm2::restore_state(state).map(drop),
+        other => panic!("no ladder tagged {other}"),
+    }
+}
+
+/// `tree` (an object) with `key` set to `value`.
+fn with(tree: &serde::Value, key: &str, value: serde::Value) -> serde::Value {
+    let mut map = tree.as_object().expect("an object").clone();
+    map.insert(key.to_string(), value);
+    serde::Value::Object(map)
+}
+
+/// The key of the ladder's group-blind lane.
+fn blind_key(algorithm: &str) -> &'static str {
+    if algorithm == "unconstrained" {
+        "candidates"
+    } else {
+        "blind"
+    }
+}
+
 #[test]
 fn member_ids_past_the_arena_are_corrupt() {
     // Swap the arena for an empty one while the candidate lanes still
     // reference points: the member-id bounds check must fire.
-    let snap = sample_snapshot();
-    let empty_store = {
-        let fresh = Sfdm2::new(sfdm2_config(2)).unwrap();
-        let fresh_snap = fresh.snapshot();
-        fresh_snap.state.get("store").cloned().unwrap()
-    };
-    let mut state = serde::Map::new();
-    if let Some(obj) = snap.state.as_object() {
-        for (key, value) in obj.iter() {
-            state.insert(key.clone(), value.clone());
-        }
+    for (algorithm, snap) in ladder_snapshots() {
+        let empty = StreamingDiversityMaximization::new(dm_config())
+            .unwrap()
+            .snapshot_state();
+        let tampered = with(&snap.state, "store", empty.get("store").unwrap().clone());
+        let err = restore_ladder_state(algorithm, &tampered).unwrap_err();
+        assert!(
+            matches!(err, FdmError::CorruptSnapshot { .. }),
+            "{algorithm}: {err}"
+        );
     }
-    state.insert("store".to_string(), empty_store);
-    let tampered = Snapshot {
-        params: snap.params.clone(),
-        state: serde::Value::Object(state),
-    };
-    let err = Sfdm2::restore_state(&tampered.state).unwrap_err();
-    assert!(matches!(err, FdmError::CorruptSnapshot { .. }), "{err}");
 }
 
 #[test]
 fn mangled_state_fields_are_corrupt() {
-    let snap = sample_snapshot();
-    for (key, bogus) in [
-        ("processed", serde::Value::String("many".into())),
-        ("store", serde::Value::Number(3.0)),
-        ("blind", serde::Value::Null),
-    ] {
-        let mut state = serde::Map::new();
-        if let Some(obj) = snap.state.as_object() {
-            for (k, v) in obj.iter() {
-                state.insert(k.clone(), v.clone());
+    for (algorithm, snap) in ladder_snapshots() {
+        let mut keys = vec!["config", "processed", "store", "store_initialized"];
+        keys.push(blind_key(algorithm));
+        if algorithm != "unconstrained" {
+            keys.extend([
+                "specific",
+                if algorithm == "sfdm1" {
+                    "strategy"
+                } else {
+                    "mode"
+                },
+            ]);
+        }
+        for key in keys {
+            for bogus in [serde::Value::String("many".into()), serde::Value::Null] {
+                let tampered = with(&snap.state, key, bogus);
+                let err = restore_ladder_state(algorithm, &tampered).unwrap_err();
+                assert!(
+                    matches!(err, FdmError::CorruptSnapshot { .. }),
+                    "{algorithm} {key}: {err}"
+                );
             }
         }
-        state.insert(key.to_string(), bogus);
-        let err = Sfdm2::restore_state(&serde::Value::Object(state)).unwrap_err();
-        assert!(
-            matches!(err, FdmError::CorruptSnapshot { .. }),
-            "{key}: {err}"
-        );
+    }
+}
+
+#[test]
+fn ladder_restore_checks_are_typed_errors() {
+    // Each check a restore makes of a state tree against its configuration,
+    // for every ladder it applies to: `true` expects `CorruptSnapshot`,
+    // `false` `IncompatibleSnapshot`.
+    type Tamper = fn(&str, &serde::Value) -> Option<serde::Value>;
+    let cases: [(&str, bool, Tamper); 5] = [
+        ("non-empty arena marked uninitialized", true, |_, state| {
+            Some(with(state, "store_initialized", serde::Value::Bool(false)))
+        }),
+        // Both fair ladders here have m = 2 groups.
+        ("group label ≥ m", true, |algorithm, state| {
+            (algorithm != "unconstrained").then(|| {
+                let store = state.get("store").unwrap();
+                let mut groups = store.get("groups").unwrap().as_array().unwrap().clone();
+                groups[0] = serde::Value::Number(2.0);
+                with(
+                    state,
+                    "store",
+                    with(store, "groups", serde::Value::Array(groups)),
+                )
+            })
+        }),
+        ("wrong number of group ladders", true, |algorithm, state| {
+            (algorithm != "unconstrained").then(|| {
+                let mut ladders = state.get("specific").unwrap().as_array().unwrap().clone();
+                ladders.pop();
+                with(state, "specific", serde::Value::Array(ladders))
+            })
+        }),
+        ("lane count", false, |algorithm, state| {
+            let blind = state.get(blind_key(algorithm)).unwrap();
+            let mut members = blind.get("members").unwrap().as_array().unwrap().clone();
+            members.pop();
+            let blind = with(blind, "members", serde::Value::Array(members));
+            Some(with(state, blind_key(algorithm), blind))
+        }),
+        ("ladder digest", false, |algorithm, state| {
+            let blind = state.get(blind_key(algorithm)).unwrap();
+            let crc = blind.get("mu_crc").unwrap().as_u64().unwrap();
+            let blind = with(blind, "mu_crc", serde::Value::Number((crc ^ 1) as f64));
+            Some(with(state, blind_key(algorithm), blind))
+        }),
+    ];
+    for (algorithm, snap) in ladder_snapshots() {
+        assert!(restore_ladder_state(algorithm, &snap.state).is_ok());
+        for (case, corrupt, tamper) in cases {
+            let Some(tampered) = tamper(algorithm, &snap.state) else {
+                continue;
+            };
+            let err = restore_ladder_state(algorithm, &tampered).unwrap_err();
+            let typed = match err {
+                FdmError::CorruptSnapshot { .. } => corrupt,
+                FdmError::IncompatibleSnapshot { .. } => !corrupt,
+                _ => false,
+            };
+            assert!(typed, "{algorithm}, {case}: {err}");
+        }
     }
 }
 
